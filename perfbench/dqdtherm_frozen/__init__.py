@@ -1,0 +1,122 @@
+"""Exactly solvable single-electron double-quantum-dot model.
+
+One electron in two tunnel-coupled dots carries a charge qubit (which
+dot) and a spin qubit; a dot-dependent transverse field couples the two.
+This package builds the 4-level Hamiltonian, its closed-form spectrum,
+and the Gibbs state at temperature T, and computes the thermal quantum
+correlations between the qubits: populations, Wootters concurrence,
+ground-state and Uhlmann fidelity, l1 coherence, and correlated
+coherence, plus sweep/CSV tooling to regenerate the reference datasets.
+"""
+
+from .correlations import (
+    LocalBasisAngles,
+    RSpectrum,
+    SPIN_FLIP,
+    concurrence,
+    concurrence_closed_form,
+    correlated_coherence,
+    fidelity_mixed,
+    fidelity_pure,
+    l1_coherence,
+    local_angles,
+    rotation2,
+)
+from .model import (
+    AnalyticCoeffs,
+    AnalyticUnavailable,
+    Anticrossing,
+    GroundState,
+    ModelParams,
+    NoAnticrossing,
+    SpectrumResult,
+    analytic_coeffs,
+    analytic_energies,
+    build_hamiltonian,
+    find_anticrossing,
+    golden_section_min,
+    ground_state,
+    spectrum,
+)
+from .qmatrix import (
+    EigenDecomp,
+    NotPositiveSemidefiniteError,
+    ValidationError,
+    check_density_matrix,
+    check_symmetric,
+    eig_sym,
+    kron2,
+    psd_sqrt,
+)
+from .sweep import (
+    Axis,
+    ConfigError,
+    SweepGrid,
+    SweepRecord,
+    find_coherence_peak,
+    load_config,
+    run_sweep,
+)
+from .thermal import (
+    ThermalState,
+    density_from_hamiltonian,
+    populations,
+    reduce_a,
+    reduce_b,
+    thermal_state,
+)
+from .validate import CheckResult, hard_failed, run_validation
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "AnalyticCoeffs",
+    "AnalyticUnavailable",
+    "Anticrossing",
+    "Axis",
+    "CheckResult",
+    "ConfigError",
+    "EigenDecomp",
+    "GroundState",
+    "LocalBasisAngles",
+    "ModelParams",
+    "NoAnticrossing",
+    "NotPositiveSemidefiniteError",
+    "RSpectrum",
+    "SPIN_FLIP",
+    "SpectrumResult",
+    "SweepGrid",
+    "SweepRecord",
+    "ThermalState",
+    "ValidationError",
+    "analytic_coeffs",
+    "analytic_energies",
+    "build_hamiltonian",
+    "check_density_matrix",
+    "check_symmetric",
+    "concurrence",
+    "concurrence_closed_form",
+    "correlated_coherence",
+    "density_from_hamiltonian",
+    "eig_sym",
+    "fidelity_mixed",
+    "fidelity_pure",
+    "find_anticrossing",
+    "find_coherence_peak",
+    "golden_section_min",
+    "ground_state",
+    "hard_failed",
+    "kron2",
+    "l1_coherence",
+    "load_config",
+    "local_angles",
+    "populations",
+    "psd_sqrt",
+    "reduce_a",
+    "reduce_b",
+    "rotation2",
+    "run_sweep",
+    "run_validation",
+    "spectrum",
+    "thermal_state",
+]

@@ -1,0 +1,290 @@
+"""Command-line front end: figure datasets, free-form sweeps, validation.
+
+Exit codes: 0 success, 1 invariant failure during computation or a hard
+validation failure, 2 bad flags/config.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import logging
+import math
+import sys
+
+from .model import ModelParams
+from .qmatrix import ValidationError
+from .sweep import (
+    Axis,
+    ConfigError,
+    SweepGrid,
+    csv_lines,
+    load_config,
+    run_sweep,
+    write_rows,
+)
+from .validate import csv_rows, hard_failed, run_validation
+
+__all__ = ["main"]
+
+
+@contextlib.contextmanager
+def _out_stream(path):
+    if path:
+        handle = open(path, "w", encoding="utf-8", newline="")
+        try:
+            yield handle
+        finally:
+            handle.close()
+    else:
+        yield sys.stdout
+
+
+def _check_grid(grid: SweepGrid) -> SweepGrid:
+    """Surface parameter problems as config errors before any computation."""
+    probe = dict(grid.fixed)
+    for ax in (grid.axis1, grid.axis2):
+        if ax is not None:
+            probe[ax.name] = ax.lo
+    try:
+        ModelParams(probe["epsilon"], probe["t"], probe["bz"], probe["bx"])
+    except ValidationError as exc:
+        raise ConfigError(str(exc))
+    if not math.isfinite(probe["T"]) or probe["T"] <= 0.0:
+        raise ConfigError(f"temperature must be positive, got {probe['T']}")
+    return grid
+
+
+def _emit(path, header, rows) -> None:
+    with _out_stream(path) as stream:
+        write_rows(stream, header, rows)
+
+
+def _temperature_axis(args) -> Axis:
+    return Axis("T", args.t_min, args.t_max, args.n, "log" if args.log else "linear")
+
+
+def _cmd_spectrum(args) -> int:
+    grid = _check_grid(
+        SweepGrid(
+            fixed={"t": args.t, "bz": args.bz, "bx": args.bx, "T": 1.0},
+            axis1=Axis("epsilon", args.eps_min, args.eps_max, args.n),
+            axis2=None,
+            measures=("energies",),
+        )
+    )
+    records = run_sweep(grid)
+    rows = [
+        (r.params["epsilon"], r.values["E1"], r.values["E2"], r.values["E3"], r.values["E4"])
+        for r in records
+    ]
+    _emit(args.out, ("eps", "E1", "E2", "E3", "E4"), rows)
+    return 0
+
+
+def _cmd_populations(args) -> int:
+    grid = _check_grid(
+        SweepGrid(
+            fixed={"epsilon": args.eps, "t": args.t, "bz": args.bz, "bx": args.bx},
+            axis1=_temperature_axis(args),
+            axis2=None,
+            measures=("populations",),
+        )
+    )
+    records = run_sweep(grid)
+    rows = [
+        (r.params["T"], r.values["rho11"], r.values["rho22"], r.values["rho33"], r.values["rho44"])
+        for r in records
+    ]
+    _emit(args.out, ("T", "rho11", "rho22", "rho33", "rho44"), rows)
+    return 0
+
+
+def _cmd_fidelity(args) -> int:
+    grid = _check_grid(
+        SweepGrid(
+            fixed={"epsilon": args.eps, "t": args.t, "bz": args.bz, "bx": args.bx},
+            axis1=_temperature_axis(args),
+            axis2=None,
+            measures=("fidelity_pure",),
+        )
+    )
+    records = run_sweep(grid)
+    rows = [(r.params["T"], r.values["F"]) for r in records]
+    _emit(args.out, ("T", "F"), rows)
+    return 0
+
+
+def _cmd_coherence(args) -> int:
+    grid = _check_grid(
+        SweepGrid(
+            fixed={"epsilon": args.eps, "t": args.t, "bz": args.bz, "bx": args.bx},
+            axis1=_temperature_axis(args),
+            axis2=None,
+            measures=("concurrence", "correlated_coherence"),
+        )
+    )
+    records = run_sweep(grid)
+    rows = [(r.params["T"], r.values["C"], r.values["Ccc"]) for r in records]
+    _emit(args.out, ("T", "C", "Ccc"), rows)
+    return 0
+
+
+def _cmd_concurrence_map(args) -> int:
+    if (args.eps is None) == (args.temp is None):
+        raise ConfigError(
+            "give exactly one of --eps (temperature on the second axis) "
+            "or --temp (detuning on the second axis)"
+        )
+    bx_axis = Axis("bx", args.bx_min, args.bx_max, args.bx_n)
+    if args.eps is not None:
+        for flag in ("t_min", "t_max", "t_n"):
+            if getattr(args, flag) is None:
+                raise ConfigError(f"--{flag.replace('_', '-')} is required with --eps")
+        axis2 = Axis("T", args.t_min, args.t_max, args.t_n, "log" if args.log else "linear")
+        fixed = {"t": args.t, "bz": args.bz, "epsilon": args.eps}
+        header = ("bx", "T", "C")
+        second = "T"
+    else:
+        for flag in ("eps_min", "eps_max", "eps_n"):
+            if getattr(args, flag) is None:
+                raise ConfigError(f"--{flag.replace('_', '-')} is required with --temp")
+        axis2 = Axis("epsilon", args.eps_min, args.eps_max, args.eps_n)
+        fixed = {"t": args.t, "bz": args.bz, "T": args.temp}
+        header = ("bx", "eps", "C")
+        second = "epsilon"
+    grid = _check_grid(
+        SweepGrid(fixed=fixed, axis1=bx_axis, axis2=axis2, measures=("concurrence",))
+    )
+    records = run_sweep(grid)
+    rows = [(r.params["bx"], r.params[second], r.values["C"]) for r in records]
+    _emit(args.out, header, rows)
+    return 0
+
+
+def _cmd_validate(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    results = run_validation(samples=args.samples, seed=args.seed)
+    with _out_stream(args.out) as stream:
+        for line in csv_rows(results):
+            stream.write(line + "\n")
+    return 1 if hard_failed(results) else 0
+
+
+def _cmd_sweep(args) -> int:
+    grid, config_out = load_config(args.config)
+    _check_grid(grid)
+    records = run_sweep(grid)
+    with _out_stream(args.out or config_out) as stream:
+        for line in csv_lines(grid, records):
+            stream.write(line + "\n")
+    return 0
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="dqdtherm",
+        description="Thermal quantum correlations of a single-electron double quantum dot",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def model_flags(sp, with_eps: bool = True):
+        sp.add_argument("--t", type=float, required=True, help="tunneling amplitude")
+        sp.add_argument("--bz", type=float, required=True, help="longitudinal field")
+        sp.add_argument("--bx", type=float, required=True, help="transverse field gradient")
+        if with_eps:
+            sp.add_argument("--eps", type=float, required=True, help="detuning")
+        sp.add_argument("--out", help="output CSV path (default: stdout)")
+
+    def temp_axis_flags(sp):
+        sp.add_argument("--t-min", type=float, required=True, help="lowest temperature")
+        sp.add_argument("--t-max", type=float, required=True, help="highest temperature")
+        sp.add_argument("--n", type=int, required=True, help="grid point count")
+        sp.add_argument("--log", action="store_true", help="logarithmic temperature grid")
+
+    sp = sub.add_parser("spectrum", help="energy levels vs detuning")
+    model_flags(sp, with_eps=False)
+    sp.add_argument("--eps-min", type=float, required=True)
+    sp.add_argument("--eps-max", type=float, required=True)
+    sp.add_argument("--n", type=int, required=True, help="grid point count")
+    sp.set_defaults(handler=_cmd_spectrum)
+
+    sp = sub.add_parser("populations", help="level occupations vs temperature")
+    model_flags(sp)
+    temp_axis_flags(sp)
+    sp.set_defaults(handler=_cmd_populations)
+
+    sp = sub.add_parser("fidelity", help="ground-state fidelity vs temperature")
+    model_flags(sp)
+    temp_axis_flags(sp)
+    sp.set_defaults(handler=_cmd_fidelity)
+
+    sp = sub.add_parser("coherence", help="concurrence and correlated coherence vs temperature")
+    model_flags(sp)
+    temp_axis_flags(sp)
+    sp.set_defaults(handler=_cmd_coherence)
+
+    sp = sub.add_parser(
+        "concurrence-map",
+        help="concurrence over a bx grid crossed with temperature or detuning",
+    )
+    sp.add_argument("--t", type=float, required=True, help="tunneling amplitude")
+    sp.add_argument("--bz", type=float, required=True, help="longitudinal field")
+    sp.add_argument("--bx-min", type=float, required=True)
+    sp.add_argument("--bx-max", type=float, required=True)
+    sp.add_argument("--bx-n", type=int, required=True)
+    sp.add_argument("--eps", type=float, help="fixed detuning (sweeps temperature)")
+    sp.add_argument("--temp", type=float, help="fixed temperature (sweeps detuning)")
+    sp.add_argument("--t-min", type=float, help="lowest temperature (with --eps)")
+    sp.add_argument("--t-max", type=float, help="highest temperature (with --eps)")
+    sp.add_argument("--t-n", type=int, help="temperature point count (with --eps)")
+    sp.add_argument("--log", action="store_true", help="logarithmic temperature grid")
+    sp.add_argument("--eps-min", type=float, help="lowest detuning (with --temp)")
+    sp.add_argument("--eps-max", type=float, help="highest detuning (with --temp)")
+    sp.add_argument("--eps-n", type=int, help="detuning point count (with --temp)")
+    sp.add_argument("--out", help="output CSV path (default: stdout)")
+    sp.set_defaults(handler=_cmd_concurrence_map)
+
+    sp = sub.add_parser("validate", help="oracle-equivalence and invariant report")
+    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--out", help="output CSV path (default: stdout)")
+    sp.set_defaults(handler=_cmd_validate)
+
+    sp = sub.add_parser("sweep", help="free-form sweep from a config file")
+    sp.add_argument("--config", required=True, help="sweep config file path")
+    sp.add_argument("--out", help="output CSV path (overrides config)")
+    sp.set_defaults(handler=_cmd_sweep)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code
+        if code is None:
+            return 0
+        return code if isinstance(code, int) else 2
+    if not logging.getLogger().handlers:
+        logging.basicConfig(
+            stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
+        )
+    try:
+        return args.handler(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValidationError as exc:
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

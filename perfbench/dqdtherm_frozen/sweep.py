@@ -1,0 +1,334 @@
+"""Parameter-grid sweeps with deterministic CSV serialization.
+
+A sweep walks one or two parameter axes, evaluates a set of measures at
+every grid point, and emits rows in row-major axis order.  Evaluation
+may fan out over a thread pool (capped by the DQD_THREADS environment
+variable), but serialization is order-preserving, so identical inputs
+always produce byte-identical CSV.
+"""
+
+from __future__ import annotations
+
+import configparser
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+
+import numpy as np
+
+from .correlations import (
+    concurrence,
+    concurrence_closed_form,
+    correlated_coherence,
+    fidelity_pure,
+    l1_coherence,
+)
+from .model import ModelParams, analytic_energies, golden_section_min, ground_state
+from .qmatrix import ValidationError
+from .thermal import populations, thermal_state
+
+__all__ = [
+    "PARAM_NAMES",
+    "MEASURE_COLUMNS",
+    "ConfigError",
+    "Axis",
+    "SweepGrid",
+    "SweepRecord",
+    "evaluate_point",
+    "run_sweep",
+    "csv_lines",
+    "write_rows",
+    "format_csv_value",
+    "load_config",
+    "find_coherence_peak",
+]
+
+PARAM_NAMES = ("epsilon", "t", "bz", "bx", "T")
+
+MEASURE_COLUMNS = {
+    "energies": ("E1", "E2", "E3", "E4"),
+    "populations": ("rho11", "rho22", "rho33", "rho44"),
+    "concurrence": ("C",),
+    "concurrence_closed": ("C_closed", "C_residual"),
+    "fidelity_pure": ("F",),
+    "l1": ("l1",),
+    "correlated_coherence": ("Ccc",),
+}
+
+
+class ConfigError(ValueError):
+    """Invalid sweep specification (grid, config file, or environment)."""
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One swept parameter: name, closed interval, point count, and scale."""
+
+    name: str
+    lo: float
+    hi: float
+    count: int
+    scale: str = "linear"
+
+    def __post_init__(self):
+        if self.name not in PARAM_NAMES:
+            raise ConfigError(f"unknown axis parameter {self.name!r}")
+        lo, hi = float(self.lo), float(self.hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+            raise ConfigError(f"axis {self.name}: need finite lo < hi, got [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        if int(self.count) < 2:
+            raise ConfigError(f"axis {self.name}: count must be >= 2")
+        object.__setattr__(self, "count", int(self.count))
+        if self.scale not in ("linear", "log"):
+            raise ConfigError(f"axis {self.name}: scale must be linear or log")
+        if self.scale == "log" and lo <= 0.0:
+            raise ConfigError(f"axis {self.name}: log scale requires lo > 0")
+
+    def values(self) -> np.ndarray:
+        if self.scale == "log":
+            return np.logspace(math.log10(self.lo), math.log10(self.hi), self.count)
+        return np.linspace(self.lo, self.hi, self.count)
+
+
+@dataclass(frozen=True)
+class SweepGrid:
+    """Fixed parameter values plus one or two axes and the measures to emit."""
+
+    fixed: dict
+    axis1: Axis
+    axis2: Axis | None
+    measures: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "measures", tuple(self.measures))
+        if not self.measures:
+            raise ConfigError("at least one measure is required")
+        for m in self.measures:
+            if m not in MEASURE_COLUMNS:
+                raise ConfigError(f"unknown measure {m!r}")
+        if len(set(self.measures)) != len(self.measures):
+            raise ConfigError("duplicate measures")
+        axis_names = {self.axis1.name}
+        if self.axis2 is not None:
+            if self.axis2.name == self.axis1.name:
+                raise ConfigError("axis1 and axis2 sweep the same parameter")
+            axis_names.add(self.axis2.name)
+        fixed = {str(k): float(v) for k, v in dict(self.fixed).items()}
+        object.__setattr__(self, "fixed", fixed)
+        for k in fixed:
+            if k not in PARAM_NAMES:
+                raise ConfigError(f"unknown fixed parameter {k!r}")
+            if k in axis_names:
+                raise ConfigError(f"parameter {k!r} is both fixed and swept")
+        missing = set(PARAM_NAMES) - axis_names - set(fixed)
+        if missing:
+            raise ConfigError(f"parameters not specified: {sorted(missing)}")
+
+    def columns(self) -> tuple[str, ...]:
+        return tuple(c for m in self.measures for c in MEASURE_COLUMNS[m])
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """One grid point: the five parameter values and the measure columns."""
+
+    params: dict
+    values: dict
+
+
+def evaluate_point(point: dict, measures) -> dict:
+    """Compute every requested measure at one parameter point."""
+    p = ModelParams(point["epsilon"], point["t"], point["bz"], point["bx"])
+    out = {}
+    state = None
+    if any(m != "energies" for m in measures):
+        state = thermal_state(p, point["T"])
+    for m in measures:
+        if m == "energies":
+            out.update(zip(MEASURE_COLUMNS[m], map(float, analytic_energies(p))))
+        elif m == "populations":
+            out.update(zip(MEASURE_COLUMNS[m], populations(state)))
+        elif m == "concurrence":
+            out["C"] = concurrence(state.rho)
+        elif m == "concurrence_closed":
+            closed, _ = concurrence_closed_form(state.rho)
+            out["C_closed"] = closed
+            out["C_residual"] = abs(closed - concurrence(state.rho))
+        elif m == "fidelity_pure":
+            out["F"] = fidelity_pure(ground_state(p).vector, state.rho)
+        elif m == "l1":
+            out["l1"] = l1_coherence(state.rho)
+        else:  # correlated_coherence
+            ccc = correlated_coherence(state.rho)
+            if ccc < -1e-9:
+                raise ValidationError(f"negative correlated coherence {ccc!r} at {point}")
+            out["Ccc"] = ccc
+    return out
+
+
+def _grid_points(grid: SweepGrid) -> list[dict]:
+    points = []
+    inner = grid.axis2.values() if grid.axis2 is not None else (None,)
+    for v1 in grid.axis1.values():
+        for v2 in inner:
+            d = dict(grid.fixed)
+            d[grid.axis1.name] = float(v1)
+            if grid.axis2 is not None:
+                d[grid.axis2.name] = float(v2)
+            points.append(d)
+    return points
+
+
+def _worker_count(n_points: int) -> int:
+    raw = os.environ.get("DQD_THREADS", "").strip()
+    if raw:
+        try:
+            count = int(raw)
+        except ValueError:
+            raise ConfigError(f"DQD_THREADS must be a positive integer, got {raw!r}")
+        if count < 1:
+            raise ConfigError(f"DQD_THREADS must be a positive integer, got {raw!r}")
+    else:
+        count = min(8, os.cpu_count() or 1)
+    return max(1, min(count, n_points))
+
+
+def run_sweep(grid: SweepGrid) -> list[SweepRecord]:
+    """Evaluate the grid, returning records in row-major axis order."""
+    points = _grid_points(grid)
+    workers = _worker_count(len(points))
+    if workers == 1:
+        values = [evaluate_point(d, grid.measures) for d in points]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(points) // (workers * 4))
+            values = list(
+                pool.map(lambda d: evaluate_point(d, grid.measures), points, chunksize=chunk)
+            )
+    return [SweepRecord(params=d, values=v) for d, v in zip(points, values)]
+
+
+def format_csv_value(x) -> str:
+    """Fixed 12-significant-digit float formatting; -0 is normalized to 0."""
+    v = float(x)
+    if v == 0.0:
+        return "0"
+    return f"{v:.12g}"
+
+
+def write_rows(stream, header, rows) -> None:
+    """Write a header plus rows of floats as comma-separated lines."""
+    stream.write(",".join(header) + "\n")
+    for row in rows:
+        stream.write(",".join(format_csv_value(v) for v in row) + "\n")
+
+
+def csv_lines(grid: SweepGrid, records) -> list[str]:
+    """Full-record CSV: the five parameters followed by measure columns."""
+    cols = grid.columns()
+    lines = [",".join(PARAM_NAMES + cols)]
+    for rec in records:
+        vals = [format_csv_value(rec.params[k]) for k in PARAM_NAMES]
+        vals += [format_csv_value(rec.values[c]) for c in cols]
+        lines.append(",".join(vals))
+    return lines
+
+
+def _axis_from_section(section) -> Axis:
+    required = {"name", "min", "max", "count"}
+    keys = set(section.keys())
+    unknown = keys - required - {"scale"}
+    if unknown:
+        raise ConfigError(f"unknown axis keys {sorted(unknown)}")
+    missing = required - keys
+    if missing:
+        raise ConfigError(f"axis section missing keys {sorted(missing)}")
+    try:
+        return Axis(
+            name=section["name"].strip(),
+            lo=float(section["min"]),
+            hi=float(section["max"]),
+            count=int(section["count"]),
+            scale=section.get("scale", "linear").strip(),
+        )
+    except ValueError as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(f"bad axis value: {exc}")
+
+
+def load_config(path):
+    """Parse a sweep config file into (SweepGrid, output path or None).
+
+    Format: INI-style sections [fixed], [axis1], optional [axis2], and
+    [output] with a comma-separated `measures` key and optional `path`.
+    """
+    parser = configparser.ConfigParser()
+    # keys stay case sensitive: t (tunneling) and T (temperature) differ
+    parser.optionxform = str
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}")
+    if not read:
+        raise ConfigError(f"cannot read config file {path!r}")
+    known = {"fixed", "axis1", "axis2", "output"}
+    sections = set(parser.sections())
+    unknown = sections - known
+    if unknown:
+        raise ConfigError(f"unknown config sections {sorted(unknown)}")
+    for name in ("fixed", "axis1", "output"):
+        if name not in sections:
+            raise ConfigError(f"config missing [{name}] section")
+    try:
+        fixed = {k: float(v) for k, v in parser["fixed"].items()}
+    except ValueError as exc:
+        raise ConfigError(f"bad [fixed] value: {exc}")
+    axis1 = _axis_from_section(parser["axis1"])
+    axis2 = _axis_from_section(parser["axis2"]) if "axis2" in sections else None
+    out_section = parser["output"]
+    unknown = set(out_section.keys()) - {"measures", "path"}
+    if unknown:
+        raise ConfigError(f"unknown [output] keys {sorted(unknown)}")
+    if "measures" not in out_section:
+        raise ConfigError("[output] section needs a measures key")
+    measures = tuple(
+        m.strip() for m in out_section["measures"].split(",") if m.strip()
+    )
+    grid = SweepGrid(fixed=fixed, axis1=axis1, axis2=axis2, measures=measures)
+    return grid, out_section.get("path")
+
+
+def find_coherence_peak(
+    epsilon: float,
+    t: float,
+    bz: float,
+    bx: float,
+    t_lo: float = 0.01,
+    t_hi: float = 100.0,
+    count: int = 400,
+):
+    """Temperature maximizing correlated coherence, with the peak value.
+
+    Scans a logarithmic temperature grid, then golden-section refines
+    around the grid maximum in log10(T).
+    """
+    if t_lo <= 0.0 or t_hi <= t_lo:
+        raise ConfigError(f"need 0 < t_lo < t_hi, got [{t_lo}, {t_hi}]")
+    p = ModelParams(epsilon, t, bz, bx)
+
+    def ccc_at(log_t: float) -> float:
+        return correlated_coherence(thermal_state(p, 10.0**log_t).rho)
+
+    grid = np.linspace(math.log10(t_lo), math.log10(t_hi), int(count))
+    values = [ccc_at(float(x)) for x in grid]
+    k = max(range(len(grid)), key=lambda i: (values[i], -i))
+    if k == 0 or k == len(grid) - 1:
+        return float(10.0 ** grid[k]), float(values[k])
+    x, neg = golden_section_min(
+        lambda u: -ccc_at(u), float(grid[k - 1]), float(grid[k + 1]), tol=1e-6
+    )
+    return float(10.0**x), float(-neg)
