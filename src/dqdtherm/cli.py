@@ -1,7 +1,7 @@
 """Command-line front end: figure datasets, free-form sweeps, validation.
 
 Exit codes: 0 success, 1 invariant failure during computation or a hard
-validation failure, 2 bad flags/config.
+validation failure, 2 bad flags/config or inputs too large to compute with.
 """
 
 from __future__ import annotations
@@ -275,11 +275,11 @@ def main(argv=None) -> int:
         )
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        print(f"error: inputs out of floating-point range: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)

@@ -2,6 +2,9 @@
 
 All states here are real symmetric density matrices, so complex
 conjugation is a no-op and every measure reduces to real arithmetic.
+Each public measure validates its density-matrix argument once and then
+works through the unchecked kernels below, which only ever see matrices
+that were validated or built from validated ones.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ import numpy as np
 from .qmatrix import (
     ValidationError,
     check_density_matrix,
+    check_symmetric,
     eig_sym,
-    kron2,
     psd_sqrt,
 )
-from .thermal import reduce_a, reduce_b
+from .thermal import _reduce_a, _reduce_b
 
 __all__ = [
     "SPIN_FLIP",
@@ -40,7 +43,7 @@ log = logging.getLogger(__name__)
 # sigma_y (x) sigma_y is real even though sigma_y is not:
 # sigma_y = i*K with K = [[0,-1],[1,0]], hence sigma_y(x)sigma_y = -K(x)K.
 _K = np.array([[0.0, -1.0], [1.0, 0.0]])
-SPIN_FLIP = -kron2(_K, _K)
+SPIN_FLIP = -np.kron(_K, _K)
 
 
 def concurrence(rho) -> float:
@@ -137,10 +140,13 @@ def fidelity_mixed(rho1, rho2) -> float:
     return min(max(f, 0.0), 1.0)
 
 
+def _l1(r: np.ndarray) -> float:
+    return float(np.sum(np.abs(r - np.diag(np.diag(r)))))
+
+
 def l1_coherence(rho) -> float:
     """Sum of absolute off-diagonal entries in the current basis."""
-    r = check_density_matrix(rho)
-    return float(np.sum(np.abs(r - np.diag(np.diag(r)))))
+    return _l1(check_density_matrix(rho))
 
 
 def rotation2(theta: float) -> np.ndarray:
@@ -172,12 +178,16 @@ def _diagonalizing_angle(chi: float, q: float, reduced: np.ndarray, tag: str):
 
     theta = arctan[(chi + sqrt(chi^2 + 4 q^2)) / (2 q)]; the principal
     branch satisfies tan(2 theta) = -2q / chi and always lands on a
-    diagonalizing rotation.  |q| below 1e-12 means the matrix is already
-    diagonal and theta = 0 is the canonical choice.
+    diagonalizing rotation.  For chi < 0 the numerator cancels, so the
+    same ratio is evaluated as 2q / (sqrt(chi^2 + 4 q^2) - chi).  |q|
+    below 1e-12 means the matrix is already diagonal and theta = 0 is the
+    canonical choice.
     """
     if abs(q) < 1e-12:
         return 0.0, False
-    theta = math.atan((chi + math.hypot(chi, 2.0 * q)) / (2.0 * q))
+    root = math.hypot(chi, 2.0 * q)
+    ratio = (chi + root) / (2.0 * q) if chi >= 0.0 else 2.0 * q / (root - chi)
+    theta = math.atan(ratio)
     u = rotation2(theta)
     if abs(float((u @ reduced @ u.T)[0, 1])) <= 1e-10:
         return theta, False
@@ -194,13 +204,19 @@ def local_angles(rho_a, rho_b, rho) -> LocalBasisAngles:
     chi and q are read from the full-state elements.
     """
     r = check_density_matrix(rho, dim=4)
-    ra = check_density_matrix(rho_a, dim=2)
-    rb = check_density_matrix(rho_b, dim=2)
+    ra = check_symmetric(rho_a, "rho_a")
+    rb = check_symmetric(rho_b, "rho_b")
     if (
-        float(np.max(np.abs(ra - reduce_a(r)))) > 1e-9
-        or float(np.max(np.abs(rb - reduce_b(r)))) > 1e-9
+        ra.shape != (2, 2)
+        or rb.shape != (2, 2)
+        or float(np.max(np.abs(ra - _reduce_a(r)))) > 1e-9
+        or float(np.max(np.abs(rb - _reduce_b(r)))) > 1e-9
     ):
         raise ValidationError("reduced matrices are not the reductions of rho")
+    return _local_angles(r, ra, rb)
+
+
+def _local_angles(r: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> LocalBasisAngles:
     chi_a = r[0, 0] + r[1, 1] - r[2, 2] - r[3, 3]
     q_a = r[0, 2] + r[1, 3]
     chi_b = r[0, 0] - r[1, 1] + r[2, 2] - r[3, 3]
@@ -221,14 +237,14 @@ def correlated_coherence(rho) -> float:
     diagonalization failed and is raised, not silently absorbed.
     """
     r = check_density_matrix(rho, dim=4)
-    angles = local_angles(reduce_a(r), reduce_b(r), r)
-    u = kron2(rotation2(angles.theta_a), rotation2(angles.theta_b))
+    angles = _local_angles(r, _reduce_a(r), _reduce_b(r))
+    u = np.kron(rotation2(angles.theta_a), rotation2(angles.theta_b))
     rot = u @ r @ u.T
     rot = 0.5 * (rot + rot.T)
-    local_a = l1_coherence(reduce_a(rot))
-    local_b = l1_coherence(reduce_b(rot))
+    local_a = _l1(_reduce_a(rot))
+    local_b = _l1(_reduce_b(rot))
     if local_a > 1e-10 or local_b > 1e-10:
         raise ValidationError(
             f"local coherence survived the rotation: {local_a:.3e}, {local_b:.3e}"
         )
-    return float(l1_coherence(rot) - local_a - local_b)
+    return float(_l1(rot) - local_a - local_b)

@@ -1,12 +1,10 @@
 """Small dense symmetric-matrix toolbox.
 
 Everything in the model lives in a real 4-dimensional Hilbert space
-(charge qubit x spin qubit), so instead of pulling in a general-purpose
-eigensolver we carry a cyclic Jacobi routine specialised to the tiny
-symmetric matrices that actually occur.  numpy is used for storage and
-elementwise work only; the eigensolve itself runs on plain Python lists,
-which at this size is faster than the LAPACK dispatch overhead and keeps
-the arithmetic bit-for-bit reproducible across BLAS builds.
+(charge qubit x spin qubit).  Eigendecompositions go to LAPACK through
+numpy.linalg.eigh; this module adds the structural checks (shape,
+finiteness, symmetry, unit trace, positivity) that the public measures
+apply once to their inputs, and the PSD square root built on them.
 """
 
 from __future__ import annotations
@@ -25,12 +23,6 @@ __all__ = [
     "psd_sqrt",
     "kron2",
 ]
-
-# Relative off-diagonal threshold at which the Jacobi sweep stops.  An
-# absolute 1e-14 would be unreachable for Hamiltonians with entries of
-# order 100, so the threshold scales with the Frobenius norm.
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
 
 # Eigenvalues of nominally PSD matrices may round slightly negative.
 _PSD_CLAMP = 1e-12
@@ -89,7 +81,7 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     tr = float(np.trace(a))
     if abs(tr - 1.0) > 1e-9:
         raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
-    w = eig_sym(a).values
+    w = np.linalg.eigvalsh(a)
     if float(w[0]) < -_PSD_CLAMP:
         raise NotPositiveSemidefiniteError(
             f"density matrix has eigenvalue {float(w[0])!r}"
@@ -97,76 +89,15 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     return a
 
 
-def _jacobi(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
-    """Cyclic Jacobi diagonalisation of a small symmetric matrix (list form).
-
-    Returns (diagonal, V) with V[i][k] the i-th component of the k-th
-    eigenvector, i.e. A = V diag V^T on exit.
-    """
-    n = len(a)
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    if n == 1:
-        return [a[0][0]], v
-
-    fro = 0.0
-    for i in range(n):
-        for j in range(n):
-            fro += a[i][j] * a[i][j]
-    tol = _JACOBI_TOL * max(1.0, fro ** 0.5)
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for i in range(n - 1):
-            row = a[i]
-            for j in range(i + 1, n):
-                off += 2.0 * row[j] * row[j]
-        if off ** 0.5 <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                app = a[p][p]
-                aqq = a[q][q]
-                theta = 0.5 * (aqq - app) / apq
-                # stable tangent of the rotation angle
-                t = 1.0 / (abs(theta) + (1.0 + theta * theta) ** 0.5)
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / (1.0 + t * t) ** 0.5
-                s = t * c
-                for k in range(n):
-                    akp = a[k][p]
-                    akq = a[k][q]
-                    a[k][p] = c * akp - s * akq
-                    a[k][q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p][k]
-                    aqk = a[q][k]
-                    a[p][k] = c * apk - s * aqk
-                    a[q][k] = s * apk + c * aqk
-                a[p][q] = 0.0
-                a[q][p] = 0.0
-                for k in range(n):
-                    vkp = v[k][p]
-                    vkq = v[k][q]
-                    v[k][p] = c * vkp - s * vkq
-                    v[k][q] = s * vkp + c * vkq
-    return [a[i][i] for i in range(n)], v
-
-
 def eig_sym(m) -> EigenDecomp:
-    """Eigendecomposition of a small real symmetric matrix.
+    """Eigendecomposition of a real symmetric matrix by LAPACK (numpy.linalg.eigh).
 
-    Eigenvalues come back ascending with a stable tie order; vectors are
-    the matching orthonormal columns, so m @ V = V @ diag(values).
+    Eigenvalues come back ascending; vectors are the matching orthonormal
+    columns, so m @ V = V @ diag(values).  Within a degenerate eigenspace
+    and in sign the columns are whatever LAPACK returns; reruns on one
+    machine give identical results.
     """
-    a = check_symmetric(m, "matrix")
-    diag, v = _jacobi([list(map(float, row)) for row in a])
-    order = sorted(range(len(diag)), key=lambda k: (diag[k], k))
-    values = np.array([diag[k] for k in order])
-    vectors = np.array([[v[i][k] for k in order] for i in range(len(diag))])
+    values, vectors = np.linalg.eigh(check_symmetric(m, "matrix"))
     return EigenDecomp(values=values, vectors=vectors)
 
 

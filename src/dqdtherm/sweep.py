@@ -1,18 +1,15 @@
 """Parameter-grid sweeps with deterministic CSV serialization.
 
 A sweep walks one or two parameter axes, evaluates a set of measures at
-every grid point, and emits rows in row-major axis order.  Evaluation
-may fan out over a thread pool (capped by the DQD_THREADS environment
-variable), but serialization is order-preserving, so identical inputs
-always produce byte-identical CSV.
+every grid point, and emits rows in row-major axis order.  Points are
+evaluated one after another in that order, so reruns of the same input
+on one machine produce byte-identical CSV.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +55,7 @@ MEASURE_COLUMNS = {
 
 
 class ConfigError(ValueError):
-    """Invalid sweep specification (grid, config file, or environment)."""
+    """Invalid sweep specification (grid or config file)."""
 
 
 @dataclass(frozen=True)
@@ -182,33 +179,12 @@ def _grid_points(grid: SweepGrid) -> list[dict]:
     return points
 
 
-def _worker_count(n_points: int) -> int:
-    raw = os.environ.get("DQD_THREADS", "").strip()
-    if raw:
-        try:
-            count = int(raw)
-        except ValueError:
-            raise ConfigError(f"DQD_THREADS must be a positive integer, got {raw!r}")
-        if count < 1:
-            raise ConfigError(f"DQD_THREADS must be a positive integer, got {raw!r}")
-    else:
-        count = min(8, os.cpu_count() or 1)
-    return max(1, min(count, n_points))
-
-
 def run_sweep(grid: SweepGrid) -> list[SweepRecord]:
     """Evaluate the grid, returning records in row-major axis order."""
-    points = _grid_points(grid)
-    workers = _worker_count(len(points))
-    if workers == 1:
-        values = [evaluate_point(d, grid.measures) for d in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(points) // (workers * 4))
-            values = list(
-                pool.map(lambda d: evaluate_point(d, grid.measures), points, chunksize=chunk)
-            )
-    return [SweepRecord(params=d, values=v) for d, v in zip(points, values)]
+    return [
+        SweepRecord(params=d, values=evaluate_point(d, grid.measures))
+        for d in _grid_points(grid)
+    ]
 
 
 def format_csv_value(x) -> str:

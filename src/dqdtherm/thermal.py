@@ -90,6 +90,16 @@ def _rho_of(state) -> np.ndarray:
     return check_density_matrix(state, dim=4)
 
 
+def _reduce_a(r: np.ndarray) -> np.ndarray:
+    off = r[0, 2] + r[1, 3]
+    return np.array([[r[0, 0] + r[1, 1], off], [off, r[2, 2] + r[3, 3]]])
+
+
+def _reduce_b(r: np.ndarray) -> np.ndarray:
+    off = r[0, 1] + r[2, 3]
+    return np.array([[r[0, 0] + r[2, 2], off], [off, r[1, 1] + r[3, 3]]])
+
+
 def populations(state) -> tuple[float, float, float, float]:
     """Diagonal occupations (rho11, rho22, rho33, rho44) in the fixed basis."""
     r = _rho_of(state)
@@ -99,14 +109,10 @@ def populations(state) -> tuple[float, float, float, float]:
 def reduce_a(state) -> np.ndarray:
     """Charge (dot) reduced density matrix, spin traced out:
     [[r11+r22, r13+r24], [r13+r24, r33+r44]]."""
-    r = _rho_of(state)
-    off = r[0, 2] + r[1, 3]
-    return np.array([[r[0, 0] + r[1, 1], off], [off, r[2, 2] + r[3, 3]]])
+    return _reduce_a(_rho_of(state))
 
 
 def reduce_b(state) -> np.ndarray:
     """Spin reduced density matrix, charge traced out:
     [[r11+r33, r12+r34], [r12+r34, r22+r44]]."""
-    r = _rho_of(state)
-    off = r[0, 1] + r[2, 3]
-    return np.array([[r[0, 0] + r[2, 2], off], [off, r[1, 1] + r[3, 3]]])
+    return _reduce_b(_rho_of(state))

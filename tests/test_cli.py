@@ -178,3 +178,15 @@ def test_help_exits_cleanly(capsys):
 def test_unwritable_output_is_usage_error(tmp_path):
     target = tmp_path / "nope" / "out.csv"
     assert main(COHERENCE + ["--out", str(target)]) == 2
+
+
+def test_overflowing_inputs_are_usage_error(capsys):
+    # squares of 1e200 overflow a float; the CLI must refuse cleanly
+    argv = [
+        "spectrum", "--t", "1", "--bz", "1", "--bx", "1",
+        "--eps-min", "1e199", "--eps-max", "1e200", "--n", "3",
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

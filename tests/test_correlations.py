@@ -18,7 +18,7 @@ from dqdtherm.correlations import (
 )
 from dqdtherm.model import ModelParams, ground_state
 from dqdtherm.qmatrix import ValidationError, eig_sym, kron2
-from dqdtherm.thermal import reduce_a, reduce_b, thermal_state
+from dqdtherm.thermal import populations, reduce_a, reduce_b, thermal_state
 
 BELL = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0
 
@@ -209,3 +209,97 @@ def test_rotation2_is_orthogonal(theta):
     r = rotation2(theta)
     assert np.max(np.abs(r.T @ r - np.eye(2))) <= 1e-15
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
+
+
+UNIT = np.array([1.0, 0.0, 0.0, 0.0])
+
+# every public measure of a density matrix, with its other arguments fixed
+MEASURES = {
+    "concurrence": concurrence,
+    "correlated_coherence": correlated_coherence,
+    "l1_coherence": l1_coherence,
+    "local_angles": lambda rho: local_angles(np.eye(2) / 2.0, np.eye(2) / 2.0, rho),
+    "fidelity_pure": lambda rho: fidelity_pure(UNIT, rho),
+    "populations": populations,
+    "reduce_a": reduce_a,
+    "reduce_b": reduce_b,
+}
+
+
+def _with_entries(value, *cells):
+    m = np.eye(4) / 4.0
+    for cell in cells:
+        m[cell] = value
+    return m
+
+
+INVALID = {
+    "trace_2": np.eye(4) / 2.0,
+    "non_symmetric": _with_entries(0.1, (0, 1)),
+    "nan_entry": _with_entries(np.nan, (1, 2), (2, 1)),
+    "non_psd": np.diag([0.75, 0.75, -0.25, -0.25]),
+}
+
+
+@pytest.mark.parametrize("bad", INVALID.values(), ids=INVALID.keys())
+@pytest.mark.parametrize("measure", MEASURES.values(), ids=MEASURES.keys())
+def test_measures_reject_invalid_density_matrices(measure, bad):
+    with pytest.raises(ValidationError):
+        measure(bad)
+
+
+SZ = np.diag([1.0, -1.0])
+TX = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+POINTS = st.tuples(
+    st.floats(-50.0, 50.0),  # eps
+    st.floats(0.0, 30.0),  # t
+    st.floats(-40.0, 40.0),  # bz
+    st.floats(-100.0, 100.0),  # bx
+    st.floats(0.05, 100.0),  # T
+)
+
+
+def _rho(eps, t, bz, bx, temp):
+    return thermal_state(ModelParams(eps, t, bz, bx), temp).rho
+
+
+def _reduced_gap(rho):
+    """Smaller eigenvalue gap of the two reduced states (at most 1)."""
+    return min(float(np.diff(np.linalg.eigvalsh(red(rho)))[0]) for red in (reduce_a, reduce_b))
+
+
+def _assert_same_state(expected, got):
+    assert np.max(np.abs(expected - got)) <= 1e-12
+    # C and Ccc amplify the round-off left in rho: C through the square root
+    # of rho's smallest eigenvalue, Ccc through the reduced eigenbases, whose
+    # angles turn by up to ~3 x round-off / gap.  The bounds carry those
+    # factors: near bx = 0 C moves by up to 4e-9,
+    # and near eps = 0 Ccc by up to 1e-4 where a reduced state is degenerate.
+    lam = max(float(np.linalg.eigvalsh(expected)[0]), 1e-16)
+    c_shift = abs(concurrence(expected) - concurrence(got))
+    assert c_shift * 2.0 * math.sqrt(lam) <= 1e-12
+    ccc_shift = abs(correlated_coherence(expected) - correlated_coherence(got))
+    assert ccc_shift * _reduced_gap(expected) <= 1e-11
+
+
+@settings(max_examples=50, deadline=None)
+@given(POINTS)
+def test_transverse_field_reversal_is_spin_z_conjugation(point):
+    eps, t, bz, bx, temp = point
+    u = np.kron(np.eye(2), SZ)
+    _assert_same_state(u @ _rho(eps, t, bz, bx, temp) @ u, _rho(eps, t, bz, -bx, temp))
+
+
+@settings(max_examples=50, deadline=None)
+@given(POINTS)
+def test_detuning_reversal_is_charge_flip_conjugation(point):
+    eps, t, bz, bx, temp = point
+    u = np.kron(TX, SZ)
+    _assert_same_state(u @ _rho(eps, t, bz, bx, temp) @ u, _rho(-eps, t, bz, bx, temp))
+
+
+@settings(max_examples=50, deadline=None)
+@given(POINTS, st.floats(0.1, 10.0))
+def test_common_rescaling_leaves_state_unchanged(point, scale):
+    _assert_same_state(_rho(*point), _rho(*(scale * x for x in point)))

@@ -102,19 +102,6 @@ def test_run_sweep_matches_pointwise_evaluation():
         assert rec.values["C"] == direct["C"]
 
 
-def test_thread_count_env(monkeypatch):
-    grid = small_grid(measures=("concurrence",))
-    baseline = csv_lines(grid, run_sweep(grid))
-    monkeypatch.setenv("DQD_THREADS", "3")
-    assert csv_lines(grid, run_sweep(grid)) == baseline
-    monkeypatch.setenv("DQD_THREADS", "1")
-    assert csv_lines(grid, run_sweep(grid)) == baseline
-    for bad in ("0", "-2", "many"):
-        monkeypatch.setenv("DQD_THREADS", bad)
-        with pytest.raises(ConfigError):
-            run_sweep(grid)
-
-
 def test_closed_form_columns_track_residual():
     point = dict(FIXED, epsilon=1.0, bx=0.0)
     out = evaluate_point(point, ("concurrence", "concurrence_closed"))
