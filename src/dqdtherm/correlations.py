@@ -2,15 +2,15 @@
 
 All states here are real symmetric density matrices, so complex
 conjugation is a no-op and every measure reduces to real arithmetic.
-Each public measure validates its density-matrix argument once and then
-works through the unchecked kernels below, which only ever see matrices
-that were validated or built from validated ones.
+Each measure has one unchecked kernel over (N, 4, 4) stacks, which the
+sweeps run on whole grids at once.  Each public measure validates its
+density-matrix argument once and calls the same kernel with N = 1, so a
+point gives the same bits through either route.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +20,10 @@ from .qmatrix import (
     check_density_matrix,
     check_symmetric,
     eig_sym,
+    fail_first,
     psd_sqrt,
 )
-from .thermal import _reduce_a, _reduce_b
+from .thermal import ThermalState, _pair, _reduce_a, _reduce_b
 
 __all__ = [
     "SPIN_FLIP",
@@ -46,8 +47,21 @@ _K = np.array([[0.0, -1.0], [1.0, 0.0]])
 SPIN_FLIP = -np.kron(_K, _K)
 
 
-def concurrence(rho) -> float:
-    """Wootters concurrence of a real two-qubit density matrix.
+def _swap(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
+
+
+def _concurrence(vectors: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Wootters C of each state of a stack with sqrt(rho) = V diag(roots) V^T."""
+    sq = (vectors * roots[:, None, :]) @ _swap(vectors)
+    b = sq @ SPIN_FLIP @ sq
+    mu = eig_sym(0.5 * (b + _swap(b))).values
+    s = np.sort(np.abs(mu), axis=1)[:, ::-1]
+    return np.maximum(0.0, 2.0 * s[:, 0] - s.sum(axis=1))
+
+
+def concurrence(state) -> float:
+    """Wootters concurrence of a real two-qubit density matrix or ThermalState.
 
     The square roots of the spin-flip spectrum are taken as |eig(B)| of
     the symmetric matrix B = sqrt(rho) S sqrt(rho): B^2 is the usual
@@ -55,13 +69,18 @@ def concurrence(rho) -> float:
     Diagonalizing B instead of B^2 keeps the noise floor at machine
     epsilon, which is what lets the concurrence of a product state come
     out as a clean zero instead of sqrt(round-off).
+
+    A ThermalState supplies sqrt(rho) = V diag(sqrt(w)) V^T from its own
+    eigenvectors and Gibbs weights.  A bare matrix is validated and
+    diagonalized for it, which puts sqrt(round-off) noise on C when rho
+    has eigenvalues at round-off level (near-separable cold states).
     """
-    r = check_density_matrix(rho, dim=4)
-    sq = psd_sqrt(r)
-    b = sq @ SPIN_FLIP @ sq
-    mu = eig_sym(0.5 * (b + b.T)).values
-    s = np.sort(np.abs(mu))[::-1]
-    return float(max(0.0, 2.0 * s[0] - s.sum()))
+    if isinstance(state, ThermalState):
+        vectors, roots = state.vectors, np.sqrt(state.weights)
+    else:
+        dec = eig_sym(check_density_matrix(state, dim=4))
+        vectors, roots = dec.vectors, np.sqrt(np.clip(dec.values, 0.0, None))
+    return float(_concurrence(vectors[None], roots[None])[0])
 
 
 @dataclass(frozen=True)
@@ -92,30 +111,41 @@ def concurrence_closed_form(rho) -> tuple[float, RSpectrum]:
     validation report), so it is kept strictly as a cross-check.
     """
     r = check_density_matrix(rho, dim=4)
-    r11, r12, r13, r14 = r[0, 0], r[0, 1], r[0, 2], r[0, 3]
-    r22, r24 = r[1, 1], r[1, 3]
+    c, lams, *pieces = _closed_form(r[None])
+    theta, g, xi_plus, xi_minus, sig_plus, sig_minus = (float(x[0]) for x in pieces)
+    return float(c[0]), RSpectrum(
+        lambdas=lams[0],
+        theta_cap=theta,
+        g_cap=g,
+        xi_plus=xi_plus,
+        xi_minus=xi_minus,
+        sig_plus=sig_plus,
+        sig_minus=sig_minus,
+    )
+
+
+def _closed_form(r: np.ndarray):
+    """Closed-form R-spectrum concurrence of each state of a stack.
+
+    Returns (c, lambdas, theta, g, xi_plus, xi_minus, sig_plus, sig_minus),
+    each stacked on axis 0.
+    """
+    r11, r12, r13, r14 = r[:, 0, 0], r[:, 0, 1], r[:, 0, 2], r[:, 0, 3]
+    r22, r24 = r[:, 1, 1], r[:, 1, 3]
     g = -2.0 * r14 * r12 + r11 * r24 - r13 * r22
     theta = r11 * r22 - r13 * r24 + r14 * r14 + r12 * r12
     xi_plus = 2.0 * (r12 + r14) * (r22 + r24)
     xi_minus = 2.0 * (r12 - r14) * (r22 - r24)
     sig_plus = 2.0 * (r13 - r11) * (r14 + r12)
     sig_minus = 2.0 * (r13 + r11) * (r14 - r12)
-    root = math.sqrt(max(xi_plus * sig_plus, 0.0))
-    lams = np.array(
-        [theta + g + root, theta + g - root, theta - g + root, theta - g - root]
-    )
-    lams = np.sort(np.clip(lams, 0.0, None))[::-1]
+    root = np.sqrt(np.maximum(xi_plus * sig_plus, 0.0))
+    lams = np.empty(theta.shape + (4,))
+    lams[:, 0], lams[:, 1] = theta + g + root, theta + g - root
+    lams[:, 2], lams[:, 3] = theta - g + root, theta - g - root
+    lams = np.sort(np.clip(lams, 0.0, None), axis=1)[:, ::-1]
     s = np.sqrt(lams)
-    c = max(0.0, abs(float(s[0]) - float(s[2])) - float(s[1]) - float(s[3]))
-    return float(c), RSpectrum(
-        lambdas=lams,
-        theta_cap=float(theta),
-        g_cap=float(g),
-        xi_plus=float(xi_plus),
-        xi_minus=float(xi_minus),
-        sig_plus=float(sig_plus),
-        sig_minus=float(sig_minus),
-    )
+    c = np.maximum(0.0, np.abs(s[:, 0] - s[:, 2]) - s[:, 1] - s[:, 3])
+    return c, lams, theta, g, xi_plus, xi_minus, sig_plus, sig_minus
 
 
 def fidelity_pure(psi, rho) -> float:
@@ -126,8 +156,13 @@ def fidelity_pure(psi, rho) -> float:
     if abs(float(np.linalg.norm(v)) - 1.0) > 1e-10:
         raise ValidationError("state vector must be normalized to 1")
     r = check_density_matrix(rho, dim=v.size)
-    val = float(v @ r @ v)
-    return min(max(val, 0.0), 1.0)
+    return float(_fidelity(v[None], r[None])[0])
+
+
+def _fidelity(v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """<v|r|v> clipped to [0, 1] for stacks of vectors and matrices."""
+    v = np.ascontiguousarray(v)  # BLAS or not follows the layout, and so do the bits
+    return np.clip(((v[:, None, :] @ r) @ v[:, :, None])[:, 0, 0], 0.0, 1.0)
 
 
 def fidelity_mixed(rho1, rho2) -> float:
@@ -140,19 +175,28 @@ def fidelity_mixed(rho1, rho2) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def _l1(r: np.ndarray) -> float:
-    return float(np.sum(np.abs(r - np.diag(np.diag(r)))))
+def _l1(r: np.ndarray) -> np.ndarray:
+    """Sum of absolute off-diagonal entries of a matrix or of each of a stack."""
+    return np.abs(r * (1.0 - np.eye(r.shape[-1]))).sum(axis=(-2, -1))
 
 
 def l1_coherence(rho) -> float:
     """Sum of absolute off-diagonal entries in the current basis."""
-    return _l1(check_density_matrix(rho))
+    return float(_l1(check_density_matrix(rho)))
+
+
+def _rotations(theta) -> np.ndarray:
+    """Rotations [[cos, -sin], [sin, cos]], one per entry of theta."""
+    c, s = np.cos(theta), np.sin(theta)
+    u = np.empty(np.shape(theta) + (2, 2))
+    u[..., 0, 0] = u[..., 1, 1] = c
+    u[..., 1, 0], u[..., 0, 1] = s, -s
+    return u
 
 
 def rotation2(theta: float) -> np.ndarray:
     """2x2 rotation [[cos, -sin], [sin, cos]]."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return _rotations(np.array([float(theta)]))[0]
 
 
 @dataclass(frozen=True)
@@ -173,28 +217,35 @@ class LocalBasisAngles:
     fallback_b: bool = False
 
 
-def _diagonalizing_angle(chi: float, q: float, reduced: np.ndarray, tag: str):
-    """Angle sending the reduced 2x2 state to its diagonal basis.
+def _diagonalizing_angles(chi, q, d0, off, d1):
+    """Angles sending each reduced state [[d0, off], [off, d1]] to its diagonal basis.
 
     theta = arctan[(chi + sqrt(chi^2 + 4 q^2)) / (2 q)]; the principal
     branch satisfies tan(2 theta) = -2q / chi and always lands on a
     diagonalizing rotation.  For chi < 0 the numerator cancels, so the
     same ratio is evaluated as 2q / (sqrt(chi^2 + 4 q^2) - chi).  |q|
     below 1e-12 means the matrix is already diagonal and theta = 0 is the
-    canonical choice.
+    canonical choice.  The formula's angle is kept when the rotated state
+    has an l1 coherence 2|offdiag| <= 1e-10, the bound
+    correlated_coherence holds it to; otherwise the angle is read off the
+    eigenvectors.  Returns (theta, fallback mask, the formula's residual
+    2|offdiag|).
     """
-    if abs(q) < 1e-12:
-        return 0.0, False
-    root = math.hypot(chi, 2.0 * q)
-    ratio = (chi + root) / (2.0 * q) if chi >= 0.0 else 2.0 * q / (root - chi)
-    theta = math.atan(ratio)
-    u = rotation2(theta)
-    if abs(float((u @ reduced @ u.T)[0, 1])) <= 1e-10:
-        return theta, False
-    vec = eig_sym(reduced).vectors[:, 0]
-    theta = -math.atan2(float(vec[1]), float(vec[0]))
-    log.warning("angle formula failed for %s subsystem, using eigenvector angle", tag)
-    return theta, True
+    diagonal = np.abs(q) < 1e-12
+    two_q = 2.0 * np.where(diagonal, 1.0, q)
+    root = np.hypot(chi, two_q)
+    up = chi >= 0.0
+    theta = np.arctan(np.where(up, chi + root, two_q) / np.where(up, two_q, root - chi))
+    theta[diagonal] = 0.0
+    # off-diagonal entry of U(theta) [[d0, off], [off, d1]] U(theta)^T
+    c, s = np.cos(theta), np.sin(theta)
+    residual = 2.0 * np.abs(c * s * (d0 - d1) + (c * c - s * s) * off)
+    residual[diagonal] = 0.0
+    fell = residual > 1e-10
+    if np.count_nonzero(fell):
+        vec = eig_sym(_pair(d0[fell], off[fell], d1[fell])).vectors[:, :, 0]
+        theta[fell] = -np.arctan2(vec[:, 1], vec[:, 0])
+    return theta, fell, residual
 
 
 def local_angles(rho_a, rho_b, rho) -> LocalBasisAngles:
@@ -213,19 +264,63 @@ def local_angles(rho_a, rho_b, rho) -> LocalBasisAngles:
         or float(np.max(np.abs(rb - _reduce_b(r)))) > 1e-9
     ):
         raise ValidationError("reduced matrices are not the reductions of rho")
-    return _local_angles(r, ra, rb)
-
-
-def _local_angles(r: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> LocalBasisAngles:
-    chi_a = r[0, 0] + r[1, 1] - r[2, 2] - r[3, 3]
-    q_a = r[0, 2] + r[1, 3]
-    chi_b = r[0, 0] - r[1, 1] + r[2, 2] - r[3, 3]
-    q_b = r[0, 1] + r[2, 3]
-    theta_a, fell_a = _diagonalizing_angle(float(chi_a), float(q_a), ra, "charge")
-    theta_b, fell_b = _diagonalizing_angle(float(chi_b), float(q_b), rb, "spin")
+    theta_a, fell_a, theta_b, fell_b = _local_angles(r[None], ra[None], rb[None])
     return LocalBasisAngles(
-        theta_a=theta_a, theta_b=theta_b, fallback_a=fell_a, fallback_b=fell_b
+        theta_a=float(theta_a[0]),
+        theta_b=float(theta_b[0]),
+        fallback_a=bool(fell_a[0]),
+        fallback_b=bool(fell_b[0]),
     )
+
+
+def _local_angles(r: np.ndarray, ra: np.ndarray, rb: np.ndarray, where=None):
+    """Charge and spin angles for a stack: (theta_a, fell_a, theta_b, fell_b).
+
+    ra and rb are the stacked reductions of r.  Angle-formula fallbacks
+    are logged once per call, with their count and the point with the
+    largest formula residual, named by where(i).
+    """
+    chi_a = r[:, 0, 0] + r[:, 1, 1] - r[:, 2, 2] - r[:, 3, 3]
+    q_a = r[:, 0, 2] + r[:, 1, 3]
+    chi_b = r[:, 0, 0] - r[:, 1, 1] + r[:, 2, 2] - r[:, 3, 3]
+    q_b = r[:, 0, 1] + r[:, 2, 3]
+    theta_a, fell_a, res_a = _diagonalizing_angles(
+        chi_a, q_a, ra[:, 0, 0], ra[:, 0, 1], ra[:, 1, 1]
+    )
+    theta_b, fell_b, res_b = _diagonalizing_angles(
+        chi_b, q_b, rb[:, 0, 0], rb[:, 0, 1], rb[:, 1, 1]
+    )
+    fell = fell_a | fell_b
+    if np.count_nonzero(fell):
+        residual = np.maximum(res_a, res_b)
+        i = int(np.argmax(residual))
+        log.warning(
+            "angle formula failed at %d of %d points (charge %d, spin %d), "
+            "using eigenvector angles; worst residual %.3e%s",
+            int(fell.sum()), len(fell), int(fell_a.sum()), int(fell_b.sum()),
+            float(residual[i]), f" at {where(i)}" if where is not None else "",
+        )
+    return theta_a, fell_a, theta_b, fell_b
+
+
+def _correlated_coherence(r: np.ndarray, where=None) -> np.ndarray:
+    """Correlated coherence of each state of a stack; see correlated_coherence."""
+    theta_a, _, theta_b, _ = _local_angles(r, _reduce_a(r), _reduce_b(r), where)
+    ua, ub = _rotations(theta_a), _rotations(theta_b)
+    u = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(-1, 4, 4)
+    rot = u @ r @ _swap(u)
+    rot = 0.5 * (rot + _swap(rot))
+    # l1 coherence of the rotated reductions: twice their off-diagonal entry
+    local_a = 2.0 * np.abs(rot[:, 0, 2] + rot[:, 1, 3])
+    local_b = 2.0 * np.abs(rot[:, 0, 1] + rot[:, 2, 3])
+    fail_first(
+        (local_a > 1e-10) | (local_b > 1e-10),
+        lambda i: ValidationError(
+            f"local coherence survived the rotation: {local_a[i]:.3e}, {local_b[i]:.3e}"
+        ),
+        where,
+    )
+    return _l1(rot) - local_a - local_b
 
 
 def correlated_coherence(rho) -> float:
@@ -237,14 +332,4 @@ def correlated_coherence(rho) -> float:
     diagonalization failed and is raised, not silently absorbed.
     """
     r = check_density_matrix(rho, dim=4)
-    angles = _local_angles(r, _reduce_a(r), _reduce_b(r))
-    u = np.kron(rotation2(angles.theta_a), rotation2(angles.theta_b))
-    rot = u @ r @ u.T
-    rot = 0.5 * (rot + rot.T)
-    local_a = _l1(_reduce_a(rot))
-    local_b = _l1(_reduce_b(rot))
-    if local_a > 1e-10 or local_b > 1e-10:
-        raise ValidationError(
-            f"local coherence survived the rotation: {local_a:.3e}, {local_b:.3e}"
-        )
-    return float(_l1(rot) - local_a - local_b)
+    return float(_correlated_coherence(r[None])[0])

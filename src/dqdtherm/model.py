@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import ValidationError, eig_sym
+from .qmatrix import ValidationError, eig_sym, fail_first
 
 __all__ = [
     "LEVEL_LABELS",
@@ -40,6 +40,8 @@ LEVEL_LABELS = ("E1", "E2", "E3", "E4")
 
 _ANTICROSSING_PAIRS = {("E1", "E3"), ("E2", "E4"), ("E3", "E4")}
 
+_PARAMS = ("epsilon", "t", "bz", "bx")
+
 
 class AnalyticUnavailable(ValidationError):
     """Closed-form eigenvector coefficients are singular at these parameters."""
@@ -59,7 +61,7 @@ class ModelParams:
     bx: float
 
     def __post_init__(self):
-        for name in ("epsilon", "t", "bz", "bx"):
+        for name in _PARAMS:
             v = getattr(self, name)
             try:
                 v = float(v)
@@ -71,6 +73,24 @@ class ModelParams:
         # sign convention: tunneling amplitude taken non-negative
         if self.t < 0:
             raise ValidationError(f"tunneling t must be >= 0, got {self.t}")
+
+
+def _check_params(eps, t, bz, bx, where=None) -> None:
+    """ModelParams' rules over arrays of points: all finite and t >= 0.
+
+    The first failing point raises, named through where(i).
+    """
+    for name, v in zip(_PARAMS, (eps, t, bz, bx)):
+        fail_first(
+            ~np.isfinite(v),
+            lambda i: ValidationError(f"{name} must be finite, got {float(v[i])!r}"),
+            where,
+        )
+    fail_first(
+        t < 0.0,
+        lambda i: ValidationError(f"tunneling t must be >= 0, got {float(t[i])}"),
+        where,
+    )
 
 
 @dataclass(frozen=True)
@@ -136,24 +156,54 @@ class Anticrossing:
     gap: float
 
 
+def _hamiltonians(eps, t, bz, bx) -> np.ndarray:
+    """Stack of H, shape (N, 4, 4); each parameter is a float or N floats."""
+    e, bz, bx = 0.5 * eps, 0.5 * bz, 0.5 * bx
+    h = np.zeros((4, 4, max(np.size(x) for x in (e, t, bz, bx))))
+    h[0, 0], h[1, 1], h[2, 2], h[3, 3] = e + bz, e - bz, -e + bz, -e - bz
+    h[0, 1] = h[1, 0] = bx
+    h[2, 3] = h[3, 2] = -bx
+    h[0, 2] = h[2, 0] = h[1, 3] = h[3, 1] = t
+    return np.ascontiguousarray(h.transpose(2, 0, 1))
+
+
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
     """H = (eps/2) tau_z + t tau_x + (bz/2) sigma_z + (bx/2) tau_z sigma_x."""
-    e, bz, bx = 0.5 * p.epsilon, 0.5 * p.bz, 0.5 * p.bx
-    t = p.t
-    return np.array(
-        [
-            [e + bz, bx, t, 0.0],
-            [bx, e - bz, 0.0, t],
-            [t, 0.0, -e + bz, -bx],
-            [0.0, t, -bx, -e - bz],
-        ]
-    )
+    return _hamiltonians(p.epsilon, p.t, p.bz, p.bx)[0]
 
 
-def _spectral_invariants(p: ModelParams) -> tuple[float, float]:
-    omega = 4.0 * p.bz**2 * p.t**2 + p.epsilon**2 * (p.bz**2 + p.bx**2)
-    sigma = p.bz**2 + p.bx**2 + 4.0 * p.t**2 + p.epsilon**2
-    return omega, sigma
+def _spectral_invariants(eps, t, bz, bx):
+    e2, t2, z2, x2 = eps**2, t**2, bz**2, bx**2
+    return 4.0 * z2 * t2 + e2 * (z2 + x2), z2 + x2 + 4.0 * t2 + e2
+
+
+def _energies(eps, t, bz, bx, where=None) -> np.ndarray:
+    """Closed-form energies, shape (N, 4); each parameter is a float or N floats.
+
+    Columns are (E1, E2, E3, E4) in label order; see analytic_energies.
+    An overflowing square raises FloatingPointError; an inner radicand
+    below the clamp tolerance raises ValidationError for the first such
+    point, named through where(i).
+    """
+    eps, t, bz, bx = (np.asarray(x, dtype=float) for x in (eps, t, bz, bx))
+    with np.errstate(over="raise"):
+        omega, sigma = _spectral_invariants(eps, t, bz, bx)
+        root = np.sqrt(omega)
+        inner = np.atleast_1d(sigma - 2.0 * root)
+        fail_first(
+            inner < -1e-12 * np.maximum(1.0, sigma),
+            lambda i: ValidationError(
+                f"inner radicand {float(inner[i])!r} below clamp tolerance; "
+                "closed forms inconsistent"
+            ),
+            where,
+        )
+        levels = np.empty(inner.shape + (4,))
+        levels[:, 0] = 0.5 * np.sqrt(sigma + 2.0 * root)
+        # clamp a hair-negative radicand; np.maximum keeps -0.0 as it is
+        levels[:, 2] = 0.5 * np.sqrt(np.maximum(inner, 0.0))
+    levels[:, 1], levels[:, 3] = -levels[:, 0], -levels[:, 2]
+    return levels
 
 
 def analytic_energies(p: ModelParams) -> np.ndarray:
@@ -164,19 +214,7 @@ def analytic_energies(p: ModelParams) -> np.ndarray:
     The inner radicand can round a hair negative when E3 -> 0; values in
     [-1e-12 * scale, 0) are clamped to zero.
     """
-    omega, sigma = _spectral_invariants(p)
-    root = math.sqrt(omega)
-    inner = sigma - 2.0 * root
-    if inner < 0.0:
-        if inner < -1e-12 * max(1.0, sigma):
-            raise ValidationError(
-                f"inner radicand {inner!r} below clamp tolerance; "
-                "closed forms inconsistent"
-            )
-        inner = 0.0
-    e1 = 0.5 * math.sqrt(sigma + 2.0 * root)
-    e3 = 0.5 * math.sqrt(inner)
-    return np.array([e1, -e1, e3, -e3])
+    return _energies(p.epsilon, p.t, p.bz, p.bx)[0]
 
 
 def _sign_fixed(v: np.ndarray) -> np.ndarray:
@@ -191,12 +229,12 @@ def spectrum(p: ModelParams) -> SpectrumResult:
     the match must agree within 1e-9 * max(1, |E1|) or the closed forms
     are considered inconsistent with the eigensolver.
     """
-    energies = analytic_energies(p)
+    levels = analytic_energies(p)
     dec = eig_sym(build_hamiltonian(p))
     remaining = list(range(4))
     cols = []
-    tol = 1e-9 * max(1.0, float(energies[0]))
-    for e in energies:
+    tol = 1e-9 * max(1.0, float(levels[0]))
+    for e in levels:
         j = min(remaining, key=lambda k: abs(float(dec.values[k]) - float(e)))
         remaining.remove(j)
         if abs(float(dec.values[j]) - float(e)) > tol:
@@ -205,9 +243,9 @@ def spectrum(p: ModelParams) -> SpectrumResult:
                 f"numerical eigenvalue of H at {p}"
             )
         cols.append(_sign_fixed(dec.vectors[:, j]))
-    omega, sigma = _spectral_invariants(p)
+    omega, sigma = _spectral_invariants(p.epsilon, p.t, p.bz, p.bx)
     return SpectrumResult(
-        energies=energies,
+        energies=levels,
         vectors=np.column_stack(cols),
         omega=omega,
         sigma_cap=sigma,
@@ -239,8 +277,8 @@ def analytic_coeffs(p: ModelParams) -> AnalyticCoeffs:
         raise AnalyticUnavailable(
             f"coefficient denominators singular at {p}; use numerical eigenvectors"
         )
-    energies = analytic_energies(p)
-    e1, e3 = float(energies[0]), float(energies[2])
+    levels = analytic_energies(p)
+    e1, e3 = float(levels[0]), float(levels[2])
     alpha_sq = p.bz**2 + p.bx**2 - p.epsilon**2 - 4.0 * p.t**2
     tail = alpha_sq / (4.0 * p.bx * p.t)
 
@@ -324,8 +362,9 @@ def find_anticrossing(
 ) -> Anticrossing:
     """Locate the detuning minimizing the gap between two labelled levels.
 
-    Coarse scan with step <= grid_step, then golden-section refinement of
-    the bracketing interval down to tol in epsilon.  A minimum on the
+    Coarse scan with step <= grid_step as one array evaluation of the
+    closed-form energies, then golden-section refinement of the
+    bracketing interval down to tol in epsilon.  A minimum on the
     interval boundary means the gap is monotonic there and raises
     NoAnticrossing.
     """
@@ -339,6 +378,7 @@ def find_anticrossing(
         raise ValidationError(f"eps_range must be a finite interval, got {eps_range!r}")
     ia = LEVEL_LABELS.index(key[0])
     ib = LEVEL_LABELS.index(key[1])
+    ModelParams(lo, t, bz, bx)  # validates the fixed parameters once
 
     def gap(eps: float) -> float:
         e = analytic_energies(ModelParams(eps, t, bz, bx))
@@ -346,8 +386,8 @@ def find_anticrossing(
 
     n = max(3, int(math.ceil((hi - lo) / grid_step)) + 1)
     xs = np.linspace(lo, hi, n)
-    gaps = [gap(float(x)) for x in xs]
-    k = min(range(n), key=lambda i: (gaps[i], i))
+    levels = _energies(xs, t, bz, bx)
+    k = int(np.argmin(np.abs(levels[:, ia] - levels[:, ib])))
     if k == 0 or k == n - 1:
         raise NoAnticrossing(
             f"|{key[0]} - {key[1]}| is monotonic on [{lo}, {hi}]"

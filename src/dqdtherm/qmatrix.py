@@ -17,7 +17,9 @@ __all__ = [
     "ValidationError",
     "NotPositiveSemidefiniteError",
     "EigenDecomp",
+    "fail_first",
     "check_symmetric",
+    "check_density_stack",
     "check_density_matrix",
     "eig_sym",
     "psd_sqrt",
@@ -29,7 +31,13 @@ _PSD_CLAMP = 1e-12
 
 
 class ValidationError(ValueError):
-    """Input matrix fails a structural requirement (shape, symmetry, trace)."""
+    """Input matrix fails a structural requirement (shape, symmetry, trace).
+
+    index is the position of the failing element when a check over a batch
+    raised the error, and None otherwise.
+    """
+
+    index = None
 
 
 class NotPositiveSemidefiniteError(ValidationError):
@@ -44,12 +52,53 @@ class EigenDecomp:
     vectors: np.ndarray
 
 
+def fail_first(bad, error, where=None) -> None:
+    """Raise error(i) for the first flagged element i of a batched check.
+
+    bad is a boolean mask over the batch.  where(i), when given, names
+    element i at the end of the message, and the exception carries i as
+    its index, so a caller running several checks over one batch can find
+    the element that fails first.
+    """
+    if not np.count_nonzero(bad):
+        return
+    i = int(np.argmax(bad))
+    exc = error(i)
+    if where is not None:
+        exc.args = (f"{exc.args[0]} at {where(i)}",)
+    exc.index = i
+    raise exc
+
+
 def _as_real_square(m, name: str) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
+    # C order: numpy picks BLAS or its own loops by memory layout, and the
+    # kernels give the same bits for a matrix only in the same layout
+    a = np.ascontiguousarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{name} contains non-finite entries")
+    return a
+
+
+def _check_symmetric_stack(a: np.ndarray, name: str, where=None) -> np.ndarray:
+    """Finiteness and symmetry of each matrix of an (N, n, n) stack.
+
+    Symmetry is judged relative to each matrix's largest entry so that
+    large Hamiltonians and unit-trace density matrices get the same
+    treatment.
+    """
+    largest = np.abs(a.reshape(len(a), -1)).max(axis=1)  # NaN and inf carry through
+    fail_first(
+        ~np.isfinite(largest),
+        lambda i: ValidationError(f"{name} contains non-finite entries"),
+        where,
+    )
+    scale = np.maximum(1.0, largest)
+    skew = np.abs(a - np.swapaxes(a, 1, 2)).reshape(len(a), -1).max(axis=1)
+    fail_first(
+        skew > 1e-12 * scale, lambda i: ValidationError(f"{name} is not symmetric"), where
+    )
     return a
 
 
@@ -60,9 +109,31 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     Hamiltonians and unit-trace density matrices get the same treatment.
     """
     a = _as_real_square(m, name)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
-        raise ValidationError(f"{name} is not symmetric")
+    _check_symmetric_stack(a[None], name)
+    return a
+
+
+def check_density_stack(rho: np.ndarray, where=None) -> np.ndarray:
+    """Validate each matrix of an (N, n, n) stack as a real density matrix.
+
+    The checks are those of check_density_matrix, run over the whole
+    stack; the first failing matrix raises, named through where(i).
+    """
+    a = _check_symmetric_stack(rho, "density matrix", where)
+    tr = np.trace(a, axis1=1, axis2=2)
+    fail_first(
+        np.abs(tr - 1.0) > 1e-9,
+        lambda i: ValidationError(f"density matrix trace is {float(tr[i])!r}, expected 1"),
+        where,
+    )
+    w = np.linalg.eigvalsh(a)[:, 0]
+    fail_first(
+        w < -_PSD_CLAMP,
+        lambda i: NotPositiveSemidefiniteError(
+            f"density matrix has eigenvalue {float(w[i])!r}"
+        ),
+        where,
+    )
     return a
 
 
@@ -73,31 +144,31 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     trace problems and NotPositiveSemidefiniteError if any eigenvalue
     falls below -1e-12.
     """
-    a = check_symmetric(rho, "density matrix")
+    a = _as_real_square(rho, "density matrix")
     if dim is not None and a.shape[0] != dim:
         raise ValidationError(
             f"density matrix must be {dim}x{dim}, got {a.shape[0]}x{a.shape[0]}"
         )
-    tr = float(np.trace(a))
-    if abs(tr - 1.0) > 1e-9:
-        raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
-    w = np.linalg.eigvalsh(a)
-    if float(w[0]) < -_PSD_CLAMP:
-        raise NotPositiveSemidefiniteError(
-            f"density matrix has eigenvalue {float(w[0])!r}"
-        )
+    check_density_stack(a[None])
     return a
 
 
 def eig_sym(m) -> EigenDecomp:
     """Eigendecomposition of a real symmetric matrix by LAPACK (numpy.linalg.eigh).
 
-    Eigenvalues come back ascending; vectors are the matching orthonormal
-    columns, so m @ V = V @ diag(values).  Within a degenerate eigenspace
-    and in sign the columns are whatever LAPACK returns; reruns on one
-    machine give identical results.
+    m is one matrix or an (N, n, n) stack, decomposed matrix by matrix in
+    one call.  Eigenvalues come back ascending; vectors are the matching
+    orthonormal columns, so m @ V = V @ diag(values).  Within a
+    degenerate eigenspace and in sign the columns are whatever LAPACK
+    returns; a matrix gives the same bits alone or inside any stack, and
+    reruns on one machine give identical results.
     """
-    values, vectors = np.linalg.eigh(check_symmetric(m, "matrix"))
+    a = np.asarray(m, dtype=float)
+    if a.ndim == 3 and a.shape[1] == a.shape[2]:
+        a = _check_symmetric_stack(a, "matrix")
+    else:
+        a = check_symmetric(a, "matrix")
+    values, vectors = np.linalg.eigh(a)
     return EigenDecomp(values=values, vectors=vectors)
 
 

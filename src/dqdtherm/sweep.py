@@ -1,9 +1,13 @@
 """Parameter-grid sweeps with deterministic CSV serialization.
 
 A sweep walks one or two parameter axes, evaluates a set of measures at
-every grid point, and emits rows in row-major axis order.  Points are
-evaluated one after another in that order, so reruns of the same input
-on one machine produce byte-identical CSV.
+every grid point, and emits rows in row-major axis order.  The whole
+grid is evaluated as one batch: its Hamiltonians are stacked into one
+(N, 4, 4) array, one batched eigendecomposition gives every Gibbs state,
+and each measure runs once over the stack.  evaluate_point is the same
+batch with N = 1, and each point gives the same bits alone or inside any
+grid, so reruns of the same input on one machine produce byte-identical
+CSV.
 """
 
 from __future__ import annotations
@@ -15,15 +19,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import (
-    concurrence,
-    concurrence_closed_form,
+    _closed_form,
+    _concurrence,
+    _correlated_coherence,
+    _fidelity,
+    _l1,
     correlated_coherence,
-    fidelity_pure,
-    l1_coherence,
 )
-from .model import ModelParams, analytic_energies, golden_section_min, ground_state
-from .qmatrix import ValidationError
-from .thermal import populations, thermal_state
+from .model import (
+    ModelParams,
+    _check_params,
+    _energies,
+    _hamiltonians,
+    golden_section_min,
+)
+from .qmatrix import ValidationError, check_density_stack, fail_first
+from .thermal import _gibbs, thermal_state
 
 __all__ = [
     "PARAM_NAMES",
@@ -136,34 +147,62 @@ class SweepRecord:
     values: dict
 
 
-def evaluate_point(point: dict, measures) -> dict:
-    """Compute every requested measure at one parameter point."""
-    p = ModelParams(point["epsilon"], point["t"], point["bz"], point["bx"])
+def _parameters(points, where) -> dict:
+    """The five parameters of every point as float arrays, checked like ModelParams."""
+    try:
+        cols = {k: np.array([d[k] for d in points], dtype=float) for k in PARAM_NAMES}
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"parameters must be real numbers: {exc}")
+    _check_params(cols["epsilon"], cols["t"], cols["bz"], cols["bx"], where)
+    return cols
+
+
+def _evaluate(points: list, measures) -> dict:
+    """Every requested measure over a batch of points: one array per column.
+
+    Each check raises for its first failing point, named in the message
+    and carried as the error's index.
+    """
+    where = points.__getitem__
+    cols = _parameters(points, where)
+    model = (cols["epsilon"], cols["t"], cols["bz"], cols["bx"])
     out = {}
-    state = None
+    c = None
     if any(m != "energies" for m in measures):
-        state = thermal_state(p, point["T"])
+        state = _gibbs(_hamiltonians(*model), cols["T"], where)
+        rho = check_density_stack(state.rho, where)
     for m in measures:
         if m == "energies":
-            out.update(zip(MEASURE_COLUMNS[m], map(float, analytic_energies(p))))
+            out.update(zip(MEASURE_COLUMNS[m], _energies(*model, where=where).T))
         elif m == "populations":
-            out.update(zip(MEASURE_COLUMNS[m], populations(state)))
-        elif m == "concurrence":
-            out["C"] = concurrence(state.rho)
-        elif m == "concurrence_closed":
-            closed, _ = concurrence_closed_form(state.rho)
-            out["C_closed"] = closed
-            out["C_residual"] = abs(closed - concurrence(state.rho))
+            out.update(zip(MEASURE_COLUMNS[m], np.diagonal(rho, axis1=1, axis2=2).T))
+        elif m in ("concurrence", "concurrence_closed"):
+            if c is None:
+                c = _concurrence(state.vectors, np.sqrt(state.weights))
+            if m == "concurrence":
+                out["C"] = c
+            else:
+                out["C_closed"] = closed = _closed_form(rho)[0]
+                out["C_residual"] = np.abs(closed - c)
         elif m == "fidelity_pure":
-            out["F"] = fidelity_pure(ground_state(p).vector, state.rho)
+            # the ground-state vector of each point; F does not depend on its sign
+            out["F"] = _fidelity(state.vectors[:, :, 0], rho)
         elif m == "l1":
-            out["l1"] = l1_coherence(state.rho)
+            out["l1"] = _l1(rho)
         else:  # correlated_coherence
-            ccc = correlated_coherence(state.rho)
-            if ccc < -1e-9:
-                raise ValidationError(f"negative correlated coherence {ccc!r} at {point}")
+            ccc = _correlated_coherence(rho, where)
+            fail_first(
+                ccc < -1e-9,
+                lambda i: ValidationError(f"negative correlated coherence {float(ccc[i])!r}"),
+                where,
+            )
             out["Ccc"] = ccc
     return out
+
+
+def evaluate_point(point: dict, measures) -> dict:
+    """Compute every requested measure at one parameter point."""
+    return {c: float(v[0]) for c, v in _evaluate([point], measures).items()}
 
 
 def _grid_points(grid: SweepGrid) -> list[dict]:
@@ -179,11 +218,37 @@ def _grid_points(grid: SweepGrid) -> list[dict]:
     return points
 
 
+def _evaluate_first_failure(points: list, measures) -> dict:
+    """_evaluate, raising for the first failing point in row-major order.
+
+    A batch raises for the first point that fails its earliest failing
+    check, yet an earlier point may fail a later check.  So a failure at
+    point k reruns the batch on the points before k, until a prefix
+    passes; the last failure then belongs to the first failing point.
+    """
+    failure, n = None, len(points)
+    while n:
+        try:
+            out = _evaluate(points[:n], measures)
+        except ValidationError as exc:
+            if exc.index is None:
+                raise
+            failure, n = exc, exc.index
+        else:
+            break
+    if failure is not None:
+        raise failure
+    return out
+
+
 def run_sweep(grid: SweepGrid) -> list[SweepRecord]:
     """Evaluate the grid, returning records in row-major axis order."""
+    points = _grid_points(grid)
+    columns = _evaluate_first_failure(points, grid.measures)
+    rows = zip(*(v.tolist() for v in columns.values()))
     return [
-        SweepRecord(params=d, values=evaluate_point(d, grid.measures))
-        for d in _grid_points(grid)
+        SweepRecord(params=d, values=dict(zip(columns, row)))
+        for d, row in zip(points, rows)
     ]
 
 
@@ -289,8 +354,8 @@ def find_coherence_peak(
 ):
     """Temperature maximizing correlated coherence, with the peak value.
 
-    Scans a logarithmic temperature grid, then golden-section refines
-    around the grid maximum in log10(T).
+    Scans a logarithmic temperature grid as one batch, then golden-section
+    refines around the grid maximum in log10(T), one point at a time.
     """
     if t_lo <= 0.0 or t_hi <= t_lo:
         raise ConfigError(f"need 0 < t_lo < t_hi, got [{t_lo}, {t_hi}]")
@@ -300,8 +365,10 @@ def find_coherence_peak(
         return correlated_coherence(thermal_state(p, 10.0**log_t).rho)
 
     grid = np.linspace(math.log10(t_lo), math.log10(t_hi), int(count))
-    values = [ccc_at(float(x)) for x in grid]
-    k = max(range(len(grid)), key=lambda i: (values[i], -i))
+    fixed = {"epsilon": p.epsilon, "t": p.t, "bz": p.bz, "bx": p.bx}
+    scan = [dict(fixed, T=10.0 ** float(x)) for x in grid]
+    values = _evaluate(scan, ("correlated_coherence",))["Ccc"]
+    k = int(np.argmax(values))
     if k == 0 or k == len(grid) - 1:
         return float(10.0 ** grid[k]), float(values[k])
     x, neg = golden_section_min(

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams, build_hamiltonian
-from .qmatrix import ValidationError, check_density_matrix, eig_sym
+from .qmatrix import (
+    ValidationError,
+    check_density_matrix,
+    check_symmetric,
+    eig_sym,
+    fail_first,
+)
 
 __all__ = [
     "BOLTZMANN",
@@ -27,9 +32,11 @@ BOLTZMANN = 1.0  # k_B in the shared energy unit
 class ThermalState:
     """Equilibrium state e^{-H/T} / Z built from the eigendecomposition.
 
-    z_shifted is the partition function with energies measured from the
-    ground state (Z = z_shifted * exp(-beta * e_shift)); keeping the
-    shift explicit avoids overflow at beta |E| of order 1e6.
+    weights are the Gibbs probabilities of the eigenvector columns, so
+    rho = vectors @ diag(weights) @ vectors.T.  z_shifted is the
+    partition function with energies measured from the ground state
+    (Z = z_shifted * exp(-beta * e_shift)); keeping the shift explicit
+    avoids overflow at beta |E| of order 1e6.
     """
 
     params: ModelParams
@@ -40,6 +47,50 @@ class ThermalState:
     e_shift: float
     energies: np.ndarray
     vectors: np.ndarray
+    weights: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Gibbs:
+    """Gibbs states of N Hamiltonians: ThermalState's fields, stacked on axis 0."""
+
+    beta: np.ndarray
+    rho: np.ndarray
+    z_shifted: np.ndarray
+    e_shift: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+    weights: np.ndarray
+
+
+def _gibbs(h, temperature, where=None) -> _Gibbs:
+    """Gibbs states of an (N, n, n) stack of symmetric Hamiltonians.
+
+    temperature holds one value per matrix, and where(i) names matrix i
+    in errors.  One batched eigendecomposition serves the whole stack,
+    with the energy shift of density_from_hamiltonian; a matrix gives the
+    same bits alone or inside any stack.
+    """
+    try:
+        temp = np.asarray(temperature, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise ValidationError(f"temperature must be a real number, got {temperature!r}")
+    fail_first(
+        ~(np.isfinite(temp) & (temp > 0.0)),
+        lambda i: ValidationError(
+            f"temperature must be positive and finite, got {float(temp[i])!r}"
+        ),
+        where,
+    )
+    dec = eig_sym(h)
+    beta = 1.0 / (BOLTZMANN * temp)
+    e_shift = dec.values[:, 0]
+    weights = np.exp(-beta[:, None] * (dec.values - e_shift[:, None]))
+    z_shifted = weights.sum(axis=1)
+    weights = weights / z_shifted[:, None]
+    rho = (dec.vectors * weights[:, None, :]) @ np.swapaxes(dec.vectors, 1, 2)
+    rho = 0.5 * (rho + np.swapaxes(rho, 1, 2))
+    return _Gibbs(beta, rho, z_shifted, e_shift, dec.values, dec.vectors, weights)
 
 
 def density_from_hamiltonian(h, temperature: float):
@@ -50,37 +101,23 @@ def density_from_hamiltonian(h, temperature: float):
     beta merely underflows the excited weights to zero and the result
     degrades gracefully to the ground-state projector.
     """
-    try:
-        temp = float(temperature)
-    except (TypeError, ValueError):
-        raise ValidationError(f"temperature must be a real number, got {temperature!r}")
-    if not math.isfinite(temp) or temp <= 0.0:
-        raise ValidationError(f"temperature must be positive and finite, got {temp!r}")
-    dec = eig_sym(h)
-    beta = 1.0 / (BOLTZMANN * temp)
-    e_shift = float(dec.values[0])
-    weights = np.exp(-beta * (dec.values - e_shift))
-    z_shifted = float(weights.sum())
-    weights = weights / z_shifted
-    rho = (dec.vectors * weights) @ dec.vectors.T
-    rho = 0.5 * (rho + rho.T)
-    return rho, z_shifted, e_shift, dec.values, dec.vectors
+    g = _gibbs(check_symmetric(h, "matrix")[None], temperature)
+    return g.rho[0], float(g.z_shifted[0]), float(g.e_shift[0]), g.energies[0], g.vectors[0]
 
 
 def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
     """Thermal equilibrium state of the double dot at temperature T > 0."""
-    rho, z_shifted, e_shift, energies, vectors = density_from_hamiltonian(
-        build_hamiltonian(p), temperature
-    )
+    g = _gibbs(build_hamiltonian(p)[None], temperature)
     return ThermalState(
         params=p,
         temperature=float(temperature),
-        beta=1.0 / (BOLTZMANN * float(temperature)),
-        rho=rho,
-        z_shifted=z_shifted,
-        e_shift=e_shift,
-        energies=energies,
-        vectors=vectors,
+        beta=float(g.beta[0]),
+        rho=g.rho[0],
+        z_shifted=float(g.z_shifted[0]),
+        e_shift=float(g.e_shift[0]),
+        energies=g.energies[0],
+        vectors=g.vectors[0],
+        weights=g.weights[0],
     )
 
 
@@ -90,14 +127,23 @@ def _rho_of(state) -> np.ndarray:
     return check_density_matrix(state, dim=4)
 
 
+def _pair(d0, off, d1) -> np.ndarray:
+    m = np.empty(np.shape(off) + (2, 2))
+    m[..., 0, 0], m[..., 1, 1] = d0, d1
+    m[..., 0, 1] = m[..., 1, 0] = off
+    return m
+
+
 def _reduce_a(r: np.ndarray) -> np.ndarray:
-    off = r[0, 2] + r[1, 3]
-    return np.array([[r[0, 0] + r[1, 1], off], [off, r[2, 2] + r[3, 3]]])
+    """Charge reduction of one 4x4 matrix or of each matrix of a stack."""
+    off = r[..., 0, 2] + r[..., 1, 3]
+    return _pair(r[..., 0, 0] + r[..., 1, 1], off, r[..., 2, 2] + r[..., 3, 3])
 
 
 def _reduce_b(r: np.ndarray) -> np.ndarray:
-    off = r[0, 1] + r[2, 3]
-    return np.array([[r[0, 0] + r[2, 2], off], [off, r[1, 1] + r[3, 3]]])
+    """Spin reduction of one 4x4 matrix or of each matrix of a stack."""
+    off = r[..., 0, 1] + r[..., 2, 3]
+    return _pair(r[..., 0, 0] + r[..., 2, 2], off, r[..., 1, 1] + r[..., 3, 3])
 
 
 def populations(state) -> tuple[float, float, float, float]:

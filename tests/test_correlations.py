@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from dqdtherm.correlations import (
     SPIN_FLIP,
+    _diagonalizing_angles,
+    _local_angles,
     concurrence,
     concurrence_closed_form,
     correlated_coherence,
@@ -303,3 +306,58 @@ def test_detuning_reversal_is_charge_flip_conjugation(point):
 @given(POINTS, st.floats(0.1, 10.0))
 def test_common_rescaling_leaves_state_unchanged(point, scale):
     _assert_same_state(_rho(*point), _rho(*(scale * x for x in point)))
+
+
+def test_concurrence_of_thermal_state_is_scale_invariant_near_separability():
+    # a near-separable cold state: rho has eigenvalues at round-off level, and
+    # re-diagonalizing rho put C at 9.9e-12 here but at 1.97e-10 for the exact
+    # rescaled copy; the Gibbs weights give the same C for both
+    point = (0.0, 1.7362676102904482, 1.2059208808891482, 1.5666409849276447e-09,
+             0.10358160484209371)
+    scale = 853.8522797130453
+    c = [
+        concurrence(thermal_state(ModelParams(*q[:4]), q[4]))
+        for q in (point, tuple(scale * x for x in point))
+    ]
+    assert abs(c[0] - c[1]) <= 1e-14
+    assert c[0] == pytest.approx(2.3569e-11, rel=1e-4)
+
+
+def test_concurrence_of_thermal_state_matches_its_matrix():
+    state = thermal_state(ModelParams(1.0, 7.0, 16.0, 100.0), 1.0)
+    assert concurrence(state) == pytest.approx(concurrence(state.rho), abs=1e-12)
+
+
+# a reduced state whose off-diagonal carries 8.4e-11 more than the (chi, q)
+# the angle formula reads: the formula's rotation leaves an l1 coherence of
+# 1.5e-10, inside (1e-10, 2e-10], which the old |offdiag| <= 1e-10 acceptance let
+# through to the "local coherence survived" check
+_CHI, _Q = np.array([0.4]), np.array([0.1])
+_OFF = np.array([[0.0, 1.0], [1.0, 0.0]]) * 8.4e-11
+_REDUCED = np.array([[[0.7, 0.1], [0.1, 0.3]]]) + _OFF
+
+
+def test_angle_residual_beyond_the_coherence_bound_takes_the_fallback():
+    d0, off, d1 = _REDUCED[:, 0, 0], _REDUCED[:, 0, 1], _REDUCED[:, 1, 1]
+    theta, fell, residual = _diagonalizing_angles(_CHI, _Q, d0, off, d1)
+    assert 1e-10 < residual[0] <= 2e-10
+    assert fell[0]
+    u = rotation2(theta[0])
+    assert 2.0 * abs((u @ _REDUCED[0] @ u.T)[0, 1]) <= 1e-10
+
+
+def test_angle_fallbacks_are_logged_once_per_batch(caplog):
+    state = thermal_state(ModelParams(1.0, 7.0, 16.0, 100.0), 1.0)
+    n = 5
+    r = np.repeat(state.rho[None], n, axis=0)
+    ra = np.repeat(reduce_a(state)[None], n, axis=0)
+    rb = np.repeat(reduce_b(state)[None], n, axis=0)
+    ra[1:4] += _OFF  # three charge reductions the formula misses
+    with caplog.at_level(logging.WARNING, logger="dqdtherm.correlations"):
+        _, fell_a, _, fell_b = _local_angles(r, ra, rb, where=lambda i: f"point {i}")
+    assert fell_a.tolist() == [False, True, True, True, False]
+    assert not fell_b.any()
+    assert len(caplog.records) == 1
+    message = caplog.records[0].getMessage()
+    assert "3 of 5 points" in message and "charge 3, spin 0" in message
+    assert "at point 1" in message

@@ -1,6 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dqdtherm import sweep
+from dqdtherm.correlations import (
+    concurrence,
+    concurrence_closed_form,
+    correlated_coherence,
+    fidelity_pure,
+    l1_coherence,
+)
+from dqdtherm.model import ModelParams, analytic_energies, ground_state
+from dqdtherm.qmatrix import NotPositiveSemidefiniteError, ValidationError, fail_first
 from dqdtherm.sweep import (
     Axis,
     ConfigError,
@@ -14,6 +26,7 @@ from dqdtherm.sweep import (
     load_config,
     run_sweep,
 )
+from dqdtherm.thermal import populations, thermal_state
 
 FIXED = {"t": 7.0, "bz": 16.0, "bx": 100.0, "T": 1.0}
 
@@ -203,3 +216,112 @@ def test_load_config_rejects_malformed(tmp_path, text):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.ini")
+
+
+def scalar_measures(point):
+    """Every sweep column at one point through the scalar public API."""
+    p = ModelParams(point["epsilon"], point["t"], point["bz"], point["bx"])
+    state = thermal_state(p, point["T"])
+    c = concurrence(state)
+    closed, _ = concurrence_closed_form(state.rho)
+    out = dict(zip(MEASURE_COLUMNS["energies"], analytic_energies(p).tolist()))
+    out.update(zip(MEASURE_COLUMNS["populations"], populations(state)))
+    out.update(
+        C=c,
+        C_closed=closed,
+        C_residual=abs(closed - c),
+        F=fidelity_pure(ground_state(p).vector, state.rho),
+        l1=l1_coherence(state.rho),
+        Ccc=correlated_coherence(state.rho),
+    )
+    return out
+
+
+RANGES = {
+    "epsilon": (-50.0, 50.0),
+    "t": (0.0, 30.0),
+    "bz": (-40.0, 40.0),
+    "bx": (-100.0, 100.0),
+    "T": (0.05, 100.0),
+}
+
+
+@st.composite
+def grids(draw):
+    names = draw(st.permutations(PARAM_NAMES))
+    axes = []
+    for name in names[:2]:
+        lo, hi = RANGES[name]
+        a = draw(st.floats(lo, hi))
+        b = draw(st.floats(lo, hi).filter(lambda x: x != a))
+        axes.append(Axis(name, min(a, b), max(a, b), draw(st.integers(2, 5))))
+    fixed = {name: draw(st.floats(*RANGES[name])) for name in names[2:]}
+    return SweepGrid(fixed=fixed, axis1=axes[0], axis2=axes[1], measures=tuple(MEASURE_COLUMNS))
+
+
+@settings(max_examples=50, deadline=None)
+@given(grids())
+def test_batched_sweep_equals_scalar_api_bitwise(grid):
+    records = run_sweep(grid)
+    assert len(records) == grid.axis1.count * grid.axis2.count
+    for rec in records:
+        assert rec.values == evaluate_point(rec.params, grid.measures)
+        assert rec.values == scalar_measures(rec.params)
+
+
+def test_large_grid_points_equal_single_point_evaluation():
+    grid = SweepGrid(
+        fixed={"t": 7.0, "bz": 16.0, "epsilon": 1.0},
+        axis1=Axis("bx", 1.0, 100.0, 40),
+        axis2=Axis("T", 0.01, 100.0, 50, "log"),
+        measures=("concurrence", "correlated_coherence", "fidelity_pure"),
+    )
+    records = run_sweep(grid)
+    for rec in records[::37]:
+        assert rec.values == evaluate_point(rec.params, grid.measures)
+
+
+def test_bad_point_error_names_the_first_in_row_major_order():
+    grid = SweepGrid(
+        fixed={"epsilon": 1.0, "bz": 16.0, "bx": 100.0},
+        axis1=Axis("t", 1.0, 2.0, 2),
+        axis2=Axis("T", -1.0, 2.0, 4),
+        measures=("concurrence",),
+    )
+    with pytest.raises(ValidationError, match="temperature must be positive") as info:
+        run_sweep(grid)
+    assert info.value.index == 0
+    assert str(info.value).endswith(f"at {sweep._grid_points(grid)[0]}")
+
+
+def test_later_check_at_an_earlier_point_wins(monkeypatch):
+    # the batch runs the density check over every point before any measure, so
+    # a density failure at a late point surfaces first; a point-by-point sweep
+    # would have stopped earlier, at the negative correlated coherence
+    def flagged(n, where, temp):
+        return np.array([where(i)["T"] > temp for i in range(n)])
+
+    def density(rho, where):
+        fail_first(
+            flagged(len(rho), where, 50.0),
+            lambda i: NotPositiveSemidefiniteError("density check"),
+            where,
+        )
+        return rho
+
+    def ccc(rho, where):
+        return np.where(flagged(len(rho), where, 5.0), -1.0, 0.0)
+
+    monkeypatch.setattr(sweep, "check_density_stack", density)
+    monkeypatch.setattr(sweep, "_correlated_coherence", ccc)
+    grid = SweepGrid(
+        fixed={"t": 7.0, "bz": 16.0, "bx": 100.0},
+        axis1=Axis("T", 1.0, 100.0, 3, "log"),
+        axis2=Axis("epsilon", -1.0, 1.0, 2),
+        measures=("correlated_coherence",),
+    )
+    with pytest.raises(ValidationError, match="negative correlated coherence") as info:
+        run_sweep(grid)
+    assert not isinstance(info.value, NotPositiveSemidefiniteError)
+    assert info.value.index == 2
+    assert str(info.value).endswith(f"at {sweep._grid_points(grid)[2]}")
