@@ -26,6 +26,7 @@ from .model import (
     AnalyticCoeffs,
     AnalyticUnavailable,
     Anticrossing,
+    DegenerateGroundState,
     GroundState,
     ModelParams,
     NoAnticrossing,
@@ -76,6 +77,7 @@ __all__ = [
     "Axis",
     "CheckResult",
     "ConfigError",
+    "DegenerateGroundState",
     "EigenDecomp",
     "GroundState",
     "LocalBasisAngles",

@@ -1,7 +1,8 @@
 """Command-line front end: figure datasets, free-form sweeps, validation.
 
 Exit codes: 0 success, 1 invariant failure during computation or a hard
-validation failure, 2 bad flags/config or inputs too large to compute with.
+validation failure, 2 bad flags/config, inputs too large to compute with,
+or a fidelity asked of a degenerate ground state.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import logging
 import math
 import sys
 
-from .model import ModelParams
+from .model import DegenerateGroundState, ModelParams
 from .qmatrix import ValidationError
 from .sweep import (
     Axis,
@@ -275,7 +276,7 @@ def main(argv=None) -> int:
         )
     try:
         return args.handler(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, DegenerateGroundState) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

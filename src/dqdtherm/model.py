@@ -23,6 +23,7 @@ __all__ = [
     "AnalyticCoeffs",
     "Anticrossing",
     "AnalyticUnavailable",
+    "DegenerateGroundState",
     "NoAnticrossing",
     "build_hamiltonian",
     "analytic_energies",
@@ -45,6 +46,10 @@ _PARAMS = ("epsilon", "t", "bz", "bx")
 
 class AnalyticUnavailable(ValidationError):
     """Closed-form eigenvector coefficients are singular at these parameters."""
+
+
+class DegenerateGroundState(ValidationError):
+    """The ground level is degenerate, so no single ground state exists."""
 
 
 class NoAnticrossing(ValueError):
@@ -218,8 +223,41 @@ def analytic_energies(p: ModelParams) -> np.ndarray:
 
 
 def _sign_fixed(v: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(v)))
-    return -v if v[i] < 0.0 else v.copy()
+    """Each vector along the last axis of v, negated if its largest component is negative."""
+    i = np.argmax(np.abs(v), axis=-1)[..., None]
+    return np.where(np.take_along_axis(v, i, axis=-1) < 0.0, -v, v)
+
+
+def _match_levels(levels, values, vectors, where=None) -> np.ndarray:
+    """Eigenvectors in label order for N points, shape (N, 4, 4).
+
+    levels (N, 4) are the closed-form energies in label order, values
+    (N, 4) and vectors (N, 4, 4) the eigensolver's, ascending.  Each label
+    takes the nearest remaining eigenvalue (the lower one on a tie); a
+    match farther than 1e-9 * max(1, E1) raises for the first such point,
+    named through where(i).  Each column's sign is fixed so that its
+    largest component is positive.
+    """
+    rows = np.arange(len(levels))
+    free = np.ones(values.shape, dtype=bool)
+    miss = np.empty(values.shape, dtype=bool)
+    picked = np.empty(values.shape, dtype=int)
+    tol = 1e-9 * np.maximum(1.0, levels[:, 0])
+    for k in range(4):
+        dist = np.where(free, np.abs(values - levels[:, k, None]), np.inf)
+        j = picked[:, k] = np.argmin(dist, axis=1)
+        free[rows, j] = False
+        miss[:, k] = dist[rows, j] > tol
+    fail_first(
+        miss.any(axis=1),
+        lambda i: ValidationError(
+            f"closed-form energy {float(levels[i, np.argmax(miss[i])])!r} does not "
+            "match any numerical eigenvalue of H"
+        ),
+        where,
+    )
+    cols = np.take_along_axis(vectors, picked[:, None, :], axis=2)
+    return np.ascontiguousarray(_sign_fixed(cols.transpose(0, 2, 1)).transpose(0, 2, 1))
 
 
 def spectrum(p: ModelParams) -> SpectrumResult:
@@ -229,38 +267,77 @@ def spectrum(p: ModelParams) -> SpectrumResult:
     the match must agree within 1e-9 * max(1, |E1|) or the closed forms
     are considered inconsistent with the eigensolver.
     """
-    levels = analytic_energies(p)
-    dec = eig_sym(build_hamiltonian(p))
-    remaining = list(range(4))
-    cols = []
-    tol = 1e-9 * max(1.0, float(levels[0]))
-    for e in levels:
-        j = min(remaining, key=lambda k: abs(float(dec.values[k]) - float(e)))
-        remaining.remove(j)
-        if abs(float(dec.values[j]) - float(e)) > tol:
-            raise ValidationError(
-                f"closed-form energy {float(e)!r} does not match any "
-                f"numerical eigenvalue of H at {p}"
-            )
-        cols.append(_sign_fixed(dec.vectors[:, j]))
+    levels = _energies(p.epsilon, p.t, p.bz, p.bx)
+    dec = eig_sym(_hamiltonians(p.epsilon, p.t, p.bz, p.bx))
+    vectors = _match_levels(levels, dec.values, dec.vectors, lambda i: p)
     omega, sigma = _spectral_invariants(p.epsilon, p.t, p.bz, p.bx)
     return SpectrumResult(
-        energies=levels,
-        vectors=np.column_stack(cols),
-        omega=omega,
-        sigma_cap=sigma,
+        energies=levels[0], vectors=vectors[0], omega=omega, sigma_cap=sigma
     )
 
 
 def ground_state(p: ModelParams) -> GroundState:
     """Minimal eigenpair of H; flags a gap below 1e-10 as degenerate."""
     dec = eig_sym(build_hamiltonian(p))
-    gap = float(dec.values[1] - dec.values[0])
     return GroundState(
         energy=float(dec.values[0]),
         vector=_sign_fixed(dec.vectors[:, 0]),
-        degenerate=gap < 1e-10,
+        degenerate=bool(_degenerate(dec.values)),
     )
+
+
+def _degenerate(values: np.ndarray) -> np.ndarray:
+    """Whether the two lowest of ascending eigenvalues lie closer than 1e-10."""
+    return values[..., 1] - values[..., 0] < 1e-10
+
+
+def _denominators(eps, t, bz, bx):
+    """The coefficient denominators 2t(bz+eps), bx*t*(bz+eps) and (bz+eps)*bx."""
+    return 2.0 * t * (bz + eps), bx * t * (bz + eps), (bz + eps) * bx
+
+
+def _coeffs_singular(eps, t, bz, bx) -> np.ndarray:
+    """Where a coefficient denominator is at most 1e-10 in magnitude."""
+    return np.abs(_denominators(eps, t, bz, bx)).min(axis=0) <= 1e-10
+
+
+def _coeffs(eps, t, bz, bx, levels, numeric):
+    """The printed eigenvector coefficients at N regular points.
+
+    eps, t, bz, bx are N floats each, none singular (see
+    _coeffs_singular); levels (N, 4) are their closed-form energies and
+    numeric (N, 4, 4) the matched eigenvectors in label order.  Returns
+    AnalyticCoeffs' fields in their order: the 17 scalar fields as N
+    floats each, then the (N, 4, 4) closed-form unit vectors and the
+    (N, 4) residuals.
+    """
+    den_a, den_b, den_c = _denominators(eps, t, bz, bx)
+    e1, e3 = levels[:, 0], levels[:, 2]
+    alpha_sq = bz**2 + bx**2 - eps**2 - 4.0 * t**2
+    tail = alpha_sq / (4.0 * bx * t)
+
+    def branch(sign: float, em, eo):
+        a = ((eps + sign * em) ** 2 - eo**2) / den_a
+        b = (
+            em
+            * (-sign * bz * eps + (eps - bz) * em + sign * (em * em - eo * eo))
+            / den_b
+            + tail
+        )
+        c = ((bz - sign * em) ** 2 - eo**2) / den_c
+        return a, b, c
+
+    sets = (branch(1.0, e1, e3), branch(-1.0, e1, e3), branch(1.0, e3, e1), branch(-1.0, e3, e1))
+    norms = [(a * a + b * b + c * c + 1.0) ** -0.5 for a, b, c in sets]
+    vectors = np.stack(
+        [m[:, None] * np.stack([a, b, np.ones_like(a), c], axis=1)
+         for m, (a, b, c) in zip(norms, sets)],
+        axis=2,
+    )
+    residuals = np.minimum(
+        np.abs(vectors - numeric).max(axis=1), np.abs(vectors + numeric).max(axis=1)
+    )
+    return (*(x for abc in sets for x in abc), *norms, alpha_sq, vectors, residuals)
 
 
 def analytic_coeffs(p: ModelParams) -> AnalyticCoeffs:
@@ -270,62 +347,13 @@ def analytic_coeffs(p: ModelParams) -> AnalyticCoeffs:
     bx*t*(bz+eps), (bz+eps)*bx) falls below 1e-10 in magnitude; callers
     should fall back to the numerical eigenvectors in that case.
     """
-    den_a = 2.0 * p.t * (p.bz + p.epsilon)
-    den_b = p.bx * p.t * (p.bz + p.epsilon)
-    den_c = (p.bz + p.epsilon) * p.bx
-    if min(abs(den_a), abs(den_b), abs(den_c)) <= 1e-10:
+    x = tuple(np.array([v]) for v in (p.epsilon, p.t, p.bz, p.bx))
+    if _coeffs_singular(*x)[0]:
         raise AnalyticUnavailable(
             f"coefficient denominators singular at {p}; use numerical eigenvectors"
         )
-    levels = analytic_energies(p)
-    e1, e3 = float(levels[0]), float(levels[2])
-    alpha_sq = p.bz**2 + p.bx**2 - p.epsilon**2 - 4.0 * p.t**2
-    tail = alpha_sq / (4.0 * p.bx * p.t)
-
-    def branch(sign: float, em: float, eo: float) -> tuple[float, float, float]:
-        a = ((p.epsilon + sign * em) ** 2 - eo**2) / den_a
-        b = (
-            em
-            * (-sign * p.bz * p.epsilon + (p.epsilon - p.bz) * em + sign * (em * em - eo * eo))
-            / den_b
-            + tail
-        )
-        c = ((p.bz - sign * em) ** 2 - eo**2) / den_c
-        return a, b, c
-
-    ap, bp, cp = branch(1.0, e1, e3)
-    am, bm, cm = branch(-1.0, e1, e3)
-    tap, tbp, tcp = branch(1.0, e3, e1)
-    tam, tbm, tcm = branch(-1.0, e3, e1)
-    m_plus = (ap * ap + bp * bp + cp * cp + 1.0) ** -0.5
-    m_minus = (am * am + bm * bm + cm * cm + 1.0) ** -0.5
-    n_plus = (tap * tap + tbp * tbp + tcp * tcp + 1.0) ** -0.5
-    n_minus = (tam * tam + tbm * tbm + tcm * tcm + 1.0) ** -0.5
-
-    cols = np.column_stack(
-        [
-            m_plus * np.array([ap, bp, 1.0, cp]),
-            m_minus * np.array([am, bm, 1.0, cm]),
-            n_plus * np.array([tap, tbp, 1.0, tcp]),
-            n_minus * np.array([tam, tbm, 1.0, tcm]),
-        ]
-    )
-    numeric = spectrum(p).vectors
-    residuals = np.empty(4)
-    for k in range(4):
-        v = cols[:, k]
-        w = numeric[:, k]
-        residuals[k] = min(
-            float(np.max(np.abs(v - w))), float(np.max(np.abs(v + w)))
-        )
-    return AnalyticCoeffs(
-        a_plus=ap, b_plus=bp, c_plus=cp,
-        a_minus=am, b_minus=bm, c_minus=cm,
-        a_tilde_plus=tap, b_tilde_plus=tbp, c_tilde_plus=tcp,
-        a_tilde_minus=tam, b_tilde_minus=tbm, c_tilde_minus=tcm,
-        m_plus=m_plus, m_minus=m_minus, n_plus=n_plus, n_minus=n_minus,
-        alpha_sq=alpha_sq, vectors=cols, residuals=residuals,
-    )
+    *scalars, vectors, residuals = _coeffs(*x, _energies(*x), spectrum(p).vectors[None])
+    return AnalyticCoeffs(*(float(v[0]) for v in scalars), vectors[0], residuals[0])
 
 
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-6):
@@ -378,10 +406,11 @@ def find_anticrossing(
         raise ValidationError(f"eps_range must be a finite interval, got {eps_range!r}")
     ia = LEVEL_LABELS.index(key[0])
     ib = LEVEL_LABELS.index(key[1])
-    ModelParams(lo, t, bz, bx)  # validates the fixed parameters once
+    fixed = ModelParams(lo, t, bz, bx)  # validates the fixed parameters once
+    t, bz, bx = fixed.t, fixed.bz, fixed.bx
 
     def gap(eps: float) -> float:
-        e = analytic_energies(ModelParams(eps, t, bz, bx))
+        e = _energies(eps, t, bz, bx)[0]
         return abs(float(e[ia]) - float(e[ib]))
 
     n = max(3, int(math.ceil((hi - lo) / grid_step)) + 1)

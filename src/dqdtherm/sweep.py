@@ -24,17 +24,18 @@ from .correlations import (
     _correlated_coherence,
     _fidelity,
     _l1,
-    correlated_coherence,
 )
 from .model import (
+    DegenerateGroundState,
     ModelParams,
     _check_params,
+    _degenerate,
     _energies,
     _hamiltonians,
     golden_section_min,
 )
 from .qmatrix import ValidationError, check_density_stack, fail_first
-from .thermal import _gibbs, thermal_state
+from .thermal import _gibbs
 
 __all__ = [
     "PARAM_NAMES",
@@ -185,7 +186,17 @@ def _evaluate(points: list, measures) -> dict:
                 out["C_closed"] = closed = _closed_form(rho)[0]
                 out["C_residual"] = np.abs(closed - c)
         elif m == "fidelity_pure":
-            # the ground-state vector of each point; F does not depend on its sign
+            # the ground-state vector of each point; F does not depend on its sign,
+            # but within a degenerate ground level the vector is arbitrary
+            e = state.energies
+            fail_first(
+                _degenerate(e),
+                lambda i: DegenerateGroundState(
+                    f"ground state is degenerate (gap {float(e[i, 1] - e[i, 0])!r}), "
+                    "so fidelity to it is undefined"
+                ),
+                where,
+            )
             out["F"] = _fidelity(state.vectors[:, :, 0], rho)
         elif m == "l1":
             out["l1"] = _l1(rho)
@@ -355,14 +366,17 @@ def find_coherence_peak(
     """Temperature maximizing correlated coherence, with the peak value.
 
     Scans a logarithmic temperature grid as one batch, then golden-section
-    refines around the grid maximum in log10(T), one point at a time.
+    refines around the grid maximum in log10(T), one point at a time
+    through the same kernels.
     """
     if t_lo <= 0.0 or t_hi <= t_lo:
         raise ConfigError(f"need 0 < t_lo < t_hi, got [{t_lo}, {t_hi}]")
     p = ModelParams(epsilon, t, bz, bx)
+    h = _hamiltonians(p.epsilon, p.t, p.bz, p.bx)
 
     def ccc_at(log_t: float) -> float:
-        return correlated_coherence(thermal_state(p, 10.0**log_t).rho)
+        # the kernels of correlated_coherence(thermal_state(p, T).rho), unchecked
+        return float(_correlated_coherence(_gibbs(h, 10.0**log_t).rho)[0])
 
     grid = np.linspace(math.log10(t_lo), math.log10(t_hi), int(count))
     fixed = {"epsilon": p.epsilon, "t": p.t, "bz": p.bz, "bx": p.bx}

@@ -20,21 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlations import (
-    concurrence,
-    concurrence_closed_form,
-    local_angles,
-    rotation2,
-)
-from .model import (
-    AnalyticUnavailable,
-    ModelParams,
-    analytic_coeffs,
-    analytic_energies,
-    build_hamiltonian,
-)
+from .correlations import _closed_form, _concurrence, _local_angles, _rotations
+from .model import _coeffs, _coeffs_singular, _energies, _hamiltonians, _match_levels
 from .qmatrix import eig_sym
-from .thermal import reduce_a, reduce_b, thermal_state
+from .thermal import _gibbs, _reduce_a, _reduce_b
 
 __all__ = ["CheckResult", "run_validation", "hard_failed", "csv_rows"]
 
@@ -51,6 +40,13 @@ _CHECKS = (
     ("concurrence_closed_form", False, 1e-8),
     ("angle_formula", False, 1e-8),
 )
+
+# samples evaluated per batch: bounds the memory of a large run
+_BLOCK = 4096
+
+# the sampled domain: lower and upper bound of eps, t, bz, bx and log10(T)
+_LOW = np.array([-50.0, 0.0, -40.0, -100.0, math.log10(0.05)])
+_HIGH = np.array([50.0, 30.0, 40.0, 100.0, 2.0])
 
 
 @dataclass
@@ -70,84 +66,107 @@ class CheckResult:
     def failed(self) -> bool:
         return self.hard and self.flagged > 0
 
-    def record(self, residual: float, point: str) -> None:
-        self.samples += 1
-        residual = float(residual)
-        if residual > self.max_residual:
-            self.max_residual = residual
-            self.worst_point = point
-        if residual > self.tolerance:
-            self.flagged += 1
-            self.flagged_points.append(point)
+    def record(self, residuals, where) -> None:
+        """Add a batch of residuals, in sample order; where(i) names sample i.
+
+        A residual above the tolerance or NaN is flagged.  The worst point
+        is the first sample at the largest residual, a NaN counting as
+        larger than any number; it stays "" while every residual is 0.
+        """
+        r = np.asarray(residuals, dtype=float).reshape(-1)
+        self.samples += r.size
+        bad = np.flatnonzero(np.isnan(r) | (r > self.tolerance))
+        self.flagged += bad.size
+        self.flagged_points.extend(where(int(i)) for i in bad)
+        if not r.size or math.isnan(self.max_residual):
+            return
+        i = int(np.argmax(r))  # the first NaN, if there is one
+        if math.isnan(r[i]) or r[i] > self.max_residual:
+            self.max_residual = float(r[i])
+            self.worst_point = where(i)
 
 
-def _draw_point(rng):
-    eps = rng.uniform(-50.0, 50.0)
-    t = rng.uniform(0.0, 30.0)
-    bz = rng.uniform(-40.0, 40.0)
-    bx = rng.uniform(-100.0, 100.0)
-    temp = 10.0 ** rng.uniform(math.log10(0.05), 2.0)
-    return ModelParams(eps, t, bz, bx), temp
+def _draw_points(rng, n: int):
+    """n points of the sampled domain: (eps, t, bz, bx, T), each n floats.
+
+    Sample by sample, the same draws as uniform(low, high) per parameter.
+    """
+    eps, t, bz, bx, log_t = (_LOW + (_HIGH - _LOW) * rng.random((n, 5))).T.copy()
+    return eps, t, bz, bx, np.array([10.0**x for x in log_t.tolist()])
+
+
+def _max_abs(m: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of each element of a stack."""
+    return np.abs(m).reshape(len(m), -1).max(axis=1)
+
+
+def _check_block(results: dict, rng, n: int) -> None:
+    """Draw n samples and record every check over them as one batch."""
+    eps, t, bz, bx, temp = _draw_points(rng, n)
+
+    def where(i):
+        return (
+            f"eps={eps[i]:.6g};t={t[i]:.6g};bz={bz[i]:.6g};"
+            f"bx={bx[i]:.6g};T={temp[i]:.6g}"
+        )
+
+    h = _hamiltonians(eps, t, bz, bx)
+    state = _gibbs(h, temp, where)
+    rho = state.rho
+    dec = eig_sym(rho)
+
+    results["trace"].record(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0), where)
+    results["psd"].record(np.maximum(0.0, -dec.values[:, 0]), where)
+    h_scale = np.maximum(1.0, _max_abs(h))
+    results["commutation"].record(_max_abs(h @ rho - rho @ h) / h_scale, where)
+
+    ra, rb = _reduce_a(rho), _reduce_b(rho)
+    theta_a, _, theta_b, _ = _local_angles(rho, ra, rb, where)
+    ua, ub = _rotations(theta_a), _rotations(theta_b)
+    ra_rot = ua @ ra @ np.swapaxes(ua, 1, 2)
+    rb_rot = ub @ rb @ np.swapaxes(ub, 1, 2)
+    results["rotation_diagonalization"].record(
+        np.maximum(np.abs(ra_rot[:, 0, 1]), np.abs(rb_rot[:, 0, 1])), where
+    )
+    # agreement with the eigenvector oracle: the rotated diagonal must
+    # reproduce the reduced spectra
+    spec_resid = 0.0
+    for rot, red in ((ra_rot, ra), (rb_rot, rb)):
+        got = np.sort(np.diagonal(rot, axis1=1, axis2=2), axis=1)
+        spec_resid = np.maximum(spec_resid, _max_abs(got - eig_sym(red).values))
+    results["angle_formula"].record(spec_resid, where)
+
+    levels = _energies(eps, t, bz, bx, where=where)
+    e_closed = np.sort(levels, axis=1)
+    scale = np.maximum(1.0, _max_abs(e_closed))
+    results["energies_closed_form"].record(
+        _max_abs(e_closed - state.energies) / scale, where
+    )
+
+    # singular denominators: the formula has no value there, skip the point
+    (ok,) = np.nonzero(~_coeffs_singular(eps, t, bz, bx))
+    numeric = _match_levels(
+        levels[ok], state.energies[ok], state.vectors[ok], lambda i: where(ok[i])
+    )
+    residuals = _coeffs(eps[ok], t[ok], bz[ok], bx[ok], levels[ok], numeric)[-1]
+    results["coefficients_closed_form"].record(
+        residuals.max(axis=1), lambda i: where(ok[i])
+    )
+
+    exact = _concurrence(dec.vectors, np.sqrt(np.clip(dec.values, 0.0, None)))
+    results["concurrence_closed_form"].record(np.abs(_closed_form(rho)[0] - exact), where)
 
 
 def run_validation(samples: int = 200, seed: int = 42) -> list[CheckResult]:
-    """Run all checks on `samples` random thermal states; deterministic per seed."""
+    """Run all checks on `samples` random thermal states; deterministic per seed.
+
+    The samples are checked in batches of up to _BLOCK, each stage once
+    over the batch, in the order they are drawn.
+    """
     rng = np.random.default_rng(seed)
     results = {name: CheckResult(name, hard, tol) for name, hard, tol in _CHECKS}
-    for _ in range(int(samples)):
-        p, temp = _draw_point(rng)
-        point = (
-            f"eps={p.epsilon:.6g};t={p.t:.6g};bz={p.bz:.6g};"
-            f"bx={p.bx:.6g};T={temp:.6g}"
-        )
-        h = build_hamiltonian(p)
-        state = thermal_state(p, temp)
-        rho = state.rho
-
-        results["trace"].record(abs(float(np.trace(rho)) - 1.0), point)
-        results["psd"].record(max(0.0, -float(eig_sym(rho).values[0])), point)
-        h_scale = max(1.0, float(np.max(np.abs(h))))
-        results["commutation"].record(
-            float(np.max(np.abs(h @ rho - rho @ h))) / h_scale, point
-        )
-
-        ra, rb = reduce_a(state), reduce_b(state)
-        angles = local_angles(ra, rb, rho)
-        ua, ub = rotation2(angles.theta_a), rotation2(angles.theta_b)
-        ra_rot = ua @ ra @ ua.T
-        rb_rot = ub @ rb @ ub.T
-        results["rotation_diagonalization"].record(
-            max(abs(float(ra_rot[0, 1])), abs(float(rb_rot[0, 1]))), point
-        )
-        # agreement with the eigenvector oracle: the rotated diagonal must
-        # reproduce the reduced spectra
-        spec_resid = 0.0
-        for rot, red in ((ra_rot, ra), (rb_rot, rb)):
-            got = np.sort(np.diag(rot))
-            want = eig_sym(red).values
-            spec_resid = max(spec_resid, float(np.max(np.abs(got - want))))
-        results["angle_formula"].record(spec_resid, point)
-
-        e_closed = np.sort(analytic_energies(p))
-        e_numeric = eig_sym(h).values
-        scale = max(1.0, float(np.max(np.abs(e_closed))))
-        results["energies_closed_form"].record(
-            float(np.max(np.abs(e_closed - e_numeric))) / scale, point
-        )
-
-        try:
-            coeffs = analytic_coeffs(p)
-        except AnalyticUnavailable:
-            pass  # singular denominators: formula has no value here, skip
-        else:
-            results["coefficients_closed_form"].record(
-                float(np.max(coeffs.residuals)), point
-            )
-
-        closed, _ = concurrence_closed_form(rho)
-        results["concurrence_closed_form"].record(
-            abs(closed - concurrence(rho)), point
-        )
+    for start in range(0, int(samples), _BLOCK):
+        _check_block(results, rng, min(_BLOCK, int(samples) - start))
     for r in results.values():
         if r.flagged:
             log.warning(

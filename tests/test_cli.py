@@ -83,6 +83,22 @@ def test_fidelity_monotone_down(capsys):
     assert all(b <= a + 1e-12 for a, b in zip(f, f[1:]))
 
 
+def test_fidelity_to_a_degenerate_ground_state_is_refused(capsys):
+    # eps = bz = 0 leaves the ground level doubly degenerate; the ground vector
+    # would be an arbitrary pick from it (F = 0.5 in the cold limit)
+    rc = main(
+        [
+            "fidelity", "--eps", "0", "--t", "7", "--bz", "0", "--bx", "100",
+            "--t-min", "0.01", "--t-max", "1e4", "--n", "5", "--log",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ground state is degenerate")
+    assert "'T': 0.01}" in captured.err
+
+
 def test_map_temperature_mode(capsys):
     rc = main(
         [

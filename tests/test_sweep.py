@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,14 @@ from dqdtherm.correlations import (
     fidelity_pure,
     l1_coherence,
 )
-from dqdtherm.model import ModelParams, analytic_energies, ground_state
+from dqdtherm.model import (
+    DegenerateGroundState,
+    ModelParams,
+    analytic_energies,
+    find_anticrossing,
+    golden_section_min,
+    ground_state,
+)
 from dqdtherm.qmatrix import NotPositiveSemidefiniteError, ValidationError, fail_first
 from dqdtherm.sweep import (
     Axis,
@@ -262,11 +271,79 @@ def grids(draw):
 @settings(max_examples=50, deadline=None)
 @given(grids())
 def test_batched_sweep_equals_scalar_api_bitwise(grid):
+    points = sweep._grid_points(grid)
+    degenerate = [
+        i for i, d in enumerate(points)
+        if ground_state(ModelParams(d["epsilon"], d["t"], d["bz"], d["bx"])).degenerate
+    ]
+    if degenerate:
+        # fidelity to a degenerate ground state is refused at the first such point
+        with pytest.raises(DegenerateGroundState) as info:
+            run_sweep(grid)
+        assert info.value.index == degenerate[0]
+        grid = dataclasses.replace(
+            grid, measures=tuple(m for m in grid.measures if m != "fidelity_pure")
+        )
     records = run_sweep(grid)
     assert len(records) == grid.axis1.count * grid.axis2.count
     for rec in records:
         assert rec.values == evaluate_point(rec.params, grid.measures)
-        assert rec.values == scalar_measures(rec.params)
+        expected = scalar_measures(rec.params)
+        assert rec.values == {c: expected[c] for c in grid.columns()}
+
+
+def test_fidelity_refuses_a_degenerate_ground_state():
+    # eps = bz = 0: the ground level is doubly degenerate at every temperature
+    grid = SweepGrid(
+        fixed={"epsilon": 0.0, "t": 7.0, "bx": 100.0, "T": 1.0},
+        axis1=Axis("bz", -1.0, 0.0, 3),
+        axis2=None,
+        measures=("concurrence", "fidelity_pure"),
+    )
+    with pytest.raises(DegenerateGroundState, match="ground state is degenerate") as info:
+        run_sweep(grid)
+    assert info.value.index == 2
+    assert str(info.value).endswith(f"at {sweep._grid_points(grid)[2]}")
+
+
+def _public_peak(epsilon, t, bz, bx):
+    """find_coherence_peak's search with every objective value from the public API."""
+    p = ModelParams(epsilon, t, bz, bx)
+
+    def ccc(log_t):
+        return correlated_coherence(thermal_state(p, 10.0**log_t).rho)
+
+    grid = np.linspace(np.log10(0.01), np.log10(100.0), 400)
+    k = int(np.argmax([ccc(float(x)) for x in grid]))
+    x, neg = golden_section_min(
+        lambda u: -ccc(u), float(grid[k - 1]), float(grid[k + 1]), tol=1e-6
+    )
+    return float(10.0**x), float(-neg)
+
+
+def _public_anticrossing(t, bz, bx, pair, lo, hi):
+    """find_anticrossing's search with every gap from the public API."""
+    ia, ib = (("E1", "E2", "E3", "E4").index(label) for label in pair)
+
+    def gap(eps):
+        e = analytic_energies(ModelParams(eps, t, bz, bx))
+        return abs(float(e[ia]) - float(e[ib]))
+
+    xs = np.linspace(lo, hi, int(np.ceil((hi - lo) / 0.1)) + 1)
+    k = int(np.argmin([gap(float(x)) for x in xs]))
+    return golden_section_min(gap, float(xs[k - 1]), float(xs[k + 1]), 1e-6)
+
+
+@pytest.mark.parametrize(
+    "eps, t, bz, bx", [(1.0, 7.0, 16.0, 100.0), (1.0, 15.4, 24.0, 100.0), (-2.5, 3.0, 5.0, 37.0)]
+)
+def test_peak_refinement_equals_the_public_route_bitwise(eps, t, bz, bx):
+    assert find_coherence_peak(eps, t, bz, bx) == _public_peak(eps, t, bz, bx)
+
+
+def test_anticrossing_refinement_equals_the_public_route_bitwise():
+    found = find_anticrossing(7, 16, 100, ("E3", "E4"), (50.0, 150.0))
+    assert (found.eps, found.gap) == _public_anticrossing(7, 16, 100, ("E3", "E4"), 50.0, 150.0)
 
 
 def test_large_grid_points_equal_single_point_evaluation():
