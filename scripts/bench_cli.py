@@ -1,0 +1,184 @@
+"""Time the dataset invocations of make_datasets.py and write BENCH_<label>.json.
+
+For each package source tree (default: this repository's src/), a worker
+interpreter runs every `scripts/make_datasets.py` CLI invocation and its
+anticrossing and peak searches in process, after one untimed call each,
+and a fresh interpreter runs the whole script. Trees take turns over
+several rounds, the first tree leading in odd rounds, so host drift
+reaches every tree alike. Uses only the standard library and numpy:
+
+    python3 scripts/bench_cli.py --label after
+    python3 scripts/bench_cli.py --label cmp --src parent=../old/src --src change=src
+
+The JSON holds, per tree and invocation, the median and quartiles in ms
+over ROUNDS * REPEATS in-process runs, the fresh-interpreter script
+times, a digest of the script's CSVs and stdout, and the host, Python,
+numpy and BLAS-thread settings.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import pathlib
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent
+ROOT = SCRIPTS.parent
+ROUNDS = 5
+REPEATS = 5  # in-process runs per invocation and round: ROUNDS * REPEATS >= 20
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _operations(out_dir: pathlib.Path) -> dict:
+    """Every make_datasets.py step as a zero-argument call, by name."""
+    import make_datasets
+    from dqdtherm.cli import main as cli
+
+    def run_cli(name, argv):
+        def call():
+            if cli(argv + ["--out", str(out_dir / name)]) != 0:
+                raise SystemExit(f"{name}: exit code not 0")
+
+        return call
+
+    ops = {name: run_cli(name, argv) for name, argv in make_datasets.invocations()}
+    ops["find_anticrossing"] = lambda: make_datasets.find_anticrossing(*make_datasets.ANTICROSSING)
+    for label, t, bz in make_datasets.PEAKS:
+        ops[f"find_coherence_peak {label}"] = (
+            lambda t=t, bz=bz: make_datasets.find_coherence_peak(1.0, t, bz, 100.0)
+        )
+    return ops
+
+
+def worker() -> int:
+    """Time every step REPEATS times, interleaved, and print the times as JSON."""
+    sys.path.insert(0, str(SCRIPTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        ops = _operations(pathlib.Path(tmp))
+        for call in ops.values():
+            call()  # untimed, so no timed call is the first
+        times = {name: [] for name in ops}
+        for _ in range(REPEATS):
+            for name, call in ops.items():
+                start = time.perf_counter()
+                call()
+                times[name].append(time.perf_counter() - start)
+    print(json.dumps(times))
+    return 0
+
+
+def _run_script(src: pathlib.Path) -> tuple[float, str]:
+    """Wall time of make_datasets.py in a fresh interpreter, and a digest of its output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, PYTHONPATH=str(src))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "make_datasets.py"), "--out-dir", "datasets"],
+            cwd=tmp, env=env, capture_output=True, check=True,
+        )
+        wall = time.perf_counter() - start
+        digest = hashlib.sha256(done.stdout + done.stderr)
+        for path in sorted(pathlib.Path(tmp, "datasets").iterdir()):
+            digest.update(path.name.encode() + path.read_bytes())
+    return wall, digest.hexdigest()
+
+
+def _stats(seconds: list) -> dict:
+    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    return {"n": len(seconds), "median_ms": median * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3}
+
+
+def _host() -> dict:
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {k: v for k, v in blas.items() if "directory" not in k}
+    except (TypeError, KeyError):
+        blas = None
+    return {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "thread_env": {k: os.environ.get(k) for k in THREAD_VARS},
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", help="names the output file BENCH_<label>.json")
+    parser.add_argument(
+        "--src", action="append", metavar="NAME=DIR",
+        help="a package source tree to time, repeatable (default: src=<repo>/src)",
+    )
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        return worker()
+    if not args.label:
+        parser.error("--label is required")
+    trees = {}
+    for spec in args.src or [f"src={ROOT / 'src'}"]:
+        name, sep, path = spec.partition("=")
+        if not sep or not name or not pathlib.Path(path, "dqdtherm").is_dir():
+            parser.error(f"--src needs NAME=DIR with DIR/dqdtherm, got {spec!r}")
+        trees[name] = pathlib.Path(path).resolve()
+
+    samples = {name: {} for name in trees}
+    fresh = {name: [] for name in trees}
+    digests = {name: set() for name in trees}
+    for round_ in range(ROUNDS):
+        order = list(trees) if round_ % 2 == 0 else list(trees)[::-1]
+        for name in order:
+            env = dict(os.environ, PYTHONPATH=str(trees[name]))
+            done = subprocess.run(
+                [sys.executable, __file__, "--worker"],
+                env=env, capture_output=True, check=True, text=True,
+            )
+            for op, times in json.loads(done.stdout).items():
+                samples[name].setdefault(op, []).extend(times)
+            wall, digest = _run_script(trees[name])
+            fresh[name].append(wall)
+            digests[name].add(digest)
+            print(f"round {round_ + 1}/{ROUNDS} {name}: make_datasets.py {wall:.3f} s",
+                  file=sys.stderr)
+
+    result = {
+        "label": args.label,
+        "host": _host(),
+        "method": (
+            f"{ROUNDS} rounds, trees alternating first; per round and tree one worker "
+            f"interpreter runs each step {REPEATS} times in process after one untimed "
+            "call, then one fresh interpreter runs the whole make_datasets.py"
+        ),
+        "trees": {
+            name: {
+                "in_process": {op: _stats(times) for op, times in samples[name].items()},
+                "make_datasets_fresh_s": {
+                    "runs": fresh[name], "median": statistics.median(fresh[name]),
+                },
+                "output_sha256": sorted(digests[name]),
+            }
+            for name in trees
+        },
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

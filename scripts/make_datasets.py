@@ -26,86 +26,82 @@ TEMP_GRID = ["--t-min", "0.01", "--t-max", "1e4", "--n", "400", "--log"]
 COLD_TEMP_GRID = ["--t-min", "0.01", "--t-max", "100", "--n", "400", "--log"]
 
 
-def emit(name: str, argv: list, out_dir: pathlib.Path) -> None:
-    path = out_dir / name
-    rc = cli(argv + ["--out", str(path)])
-    if rc != 0:
-        raise SystemExit(f"generation failed for {name} (exit {rc})")
-    print(f"wrote {path}")
+ANTICROSSING = (7.0, 16.0, 100.0, ("E3", "E4"), (50.0, 150.0))
+PEAKS = (("t=7, bz=16", 7.0, 16.0), ("t=15.4, bz=24", 15.4, 24.0))
+
+
+def invocations() -> list:
+    """(file name, CLI arguments without --out) of every dataset, in writing order."""
+    runs = [
+        (name, ["spectrum", *fields, "--eps-min", "-200", "--eps-max", "200", "--n", "801"])
+        for name, fields in SPECTRUM_GRIDS
+    ]
+    base = ["--t", "7", "--bz", "16", "--bx", "100"]
+    for eps in ("0.5", "2"):
+        runs.append(
+            (
+                f"populations_eps{eps.replace('.', 'p')}.csv",
+                ["populations", "--eps", eps, *base, *TEMP_GRID],
+            )
+        )
+    runs.append(
+        (
+            "concurrence_map_t7_bz16.csv",
+            [
+                "concurrence-map", "--t", "7", "--bz", "16",
+                "--bx-min", "1", "--bx-max", "100", "--bx-n", "100",
+                "--eps", "1", "--t-min", "0.01", "--t-max", "100", "--t-n", "100", "--log",
+            ],
+        )
+    )
+    runs.append(
+        (
+            "concurrence_map_t15p4_bz24.csv",
+            [
+                "concurrence-map", "--t", "15.4", "--bz", "24",
+                "--bx-min", "1", "--bx-max", "100", "--bx-n", "100",
+                "--eps", "1", "--t-min", "0.01", "--t-max", "100", "--t-n", "100", "--log",
+            ],
+        )
+    )
+    runs.append(
+        (
+            "concurrence_window_t0p2.csv",
+            [
+                "concurrence-map", "--t", "7", "--bz", "16",
+                "--bx-min", "20", "--bx-max", "40", "--bx-n", "21",
+                "--temp", "0.2", "--eps-min", "3", "--eps-max", "7", "--eps-n", "21",
+            ],
+        )
+    )
+    for eps in ("0", "10"):
+        runs.append((f"fidelity_eps{eps}.csv", ["fidelity", "--eps", eps, *base, *TEMP_GRID]))
+    runs.append(("coherence_t7_bz16.csv", ["coherence", "--eps", "1", *base, *COLD_TEMP_GRID]))
+    runs.append(
+        (
+            "coherence_t15p4_bz24.csv",
+            [
+                "coherence", "--eps", "1", "--t", "15.4", "--bz", "24", "--bx", "100",
+                *COLD_TEMP_GRID,
+            ],
+        )
+    )
+    runs.append(("validation_report.csv", ["validate", "--samples", "200", "--seed", "42"]))
+    return runs
 
 
 def build_all(out_dir: pathlib.Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name, argv in invocations():
+        path = out_dir / name
+        rc = cli(argv + ["--out", str(path)])
+        if rc != 0:
+            raise SystemExit(f"generation failed for {name} (exit {rc})")
+        print(f"wrote {path}")
 
-    for name, fields in SPECTRUM_GRIDS:
-        emit(
-            name,
-            ["spectrum", *fields, "--eps-min", "-200", "--eps-max", "200", "--n", "801"],
-            out_dir,
-        )
-
-    base = ["--t", "7", "--bz", "16", "--bx", "100"]
-    for eps in ("0.5", "2"):
-        emit(
-            f"populations_eps{eps.replace('.', 'p')}.csv",
-            ["populations", "--eps", eps, *base, *TEMP_GRID],
-            out_dir,
-        )
-
-    emit(
-        "concurrence_map_t7_bz16.csv",
-        [
-            "concurrence-map", "--t", "7", "--bz", "16",
-            "--bx-min", "1", "--bx-max", "100", "--bx-n", "100",
-            "--eps", "1", "--t-min", "0.01", "--t-max", "100", "--t-n", "100", "--log",
-        ],
-        out_dir,
-    )
-    emit(
-        "concurrence_map_t15p4_bz24.csv",
-        [
-            "concurrence-map", "--t", "15.4", "--bz", "24",
-            "--bx-min", "1", "--bx-max", "100", "--bx-n", "100",
-            "--eps", "1", "--t-min", "0.01", "--t-max", "100", "--t-n", "100", "--log",
-        ],
-        out_dir,
-    )
-    emit(
-        "concurrence_window_t0p2.csv",
-        [
-            "concurrence-map", "--t", "7", "--bz", "16",
-            "--bx-min", "20", "--bx-max", "40", "--bx-n", "21",
-            "--temp", "0.2", "--eps-min", "3", "--eps-max", "7", "--eps-n", "21",
-        ],
-        out_dir,
-    )
-
-    for eps in ("0", "10"):
-        emit(
-            f"fidelity_eps{eps}.csv",
-            ["fidelity", "--eps", eps, *base, *TEMP_GRID],
-            out_dir,
-        )
-
-    emit(
-        "coherence_t7_bz16.csv",
-        ["coherence", "--eps", "1", *base, *COLD_TEMP_GRID],
-        out_dir,
-    )
-    emit(
-        "coherence_t15p4_bz24.csv",
-        [
-            "coherence", "--eps", "1", "--t", "15.4", "--bz", "24", "--bx", "100",
-            *COLD_TEMP_GRID,
-        ],
-        out_dir,
-    )
-
-    emit("validation_report.csv", ["validate", "--samples", "200", "--seed", "42"], out_dir)
-
-    crossing = find_anticrossing(7.0, 16.0, 100.0, ("E3", "E4"), (50.0, 150.0))
+    crossing = find_anticrossing(*ANTICROSSING)
     print(f"inner-pair anticrossing: eps = {crossing.eps:.6f}, gap = {crossing.gap:.6f}")
-    for label, t, bz in (("t=7, bz=16", 7.0, 16.0), ("t=15.4, bz=24", 15.4, 24.0)):
+    for label, t, bz in PEAKS:
         peak, value = find_coherence_peak(1.0, t, bz, 100.0)
         print(f"correlated-coherence peak ({label}): T = {peak:.4f}, Ccc = {value:.4f}")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import logging
 import math
 import sys
@@ -16,13 +17,13 @@ import sys
 from .model import DegenerateGroundState, ModelParams
 from .qmatrix import ValidationError
 from .sweep import (
+    PARAM_NAMES,
     Axis,
     ConfigError,
     SweepGrid,
-    csv_lines,
     load_config,
-    run_sweep,
-    write_rows,
+    sweep_columns,
+    write_table,
 )
 from .validate import csv_rows, hard_failed, run_validation
 
@@ -56,79 +57,33 @@ def _check_grid(grid: SweepGrid) -> SweepGrid:
     return grid
 
 
-def _emit(path, header, rows) -> None:
+def _write_sweep(path, grid: SweepGrid, header) -> int:
+    """Evaluate the grid, then write the columns the header names (eps is epsilon)."""
+    columns = sweep_columns(_check_grid(grid))
     with _out_stream(path) as stream:
-        write_rows(stream, header, rows)
-
-
-def _temperature_axis(args) -> Axis:
-    return Axis("T", args.t_min, args.t_max, args.n, "log" if args.log else "linear")
+        write_table(stream, header, [columns["epsilon" if h == "eps" else h] for h in header])
+    return 0
 
 
 def _cmd_spectrum(args) -> int:
-    grid = _check_grid(
-        SweepGrid(
-            fixed={"t": args.t, "bz": args.bz, "bx": args.bx, "T": 1.0},
-            axis1=Axis("epsilon", args.eps_min, args.eps_max, args.n),
-            axis2=None,
-            measures=("energies",),
-        )
+    grid = SweepGrid(
+        fixed={"t": args.t, "bz": args.bz, "bx": args.bx, "T": 1.0},
+        axis1=Axis("epsilon", args.eps_min, args.eps_max, args.n),
+        axis2=None,
+        measures=("energies",),
     )
-    records = run_sweep(grid)
-    rows = [
-        (r.params["epsilon"], r.values["E1"], r.values["E2"], r.values["E3"], r.values["E4"])
-        for r in records
-    ]
-    _emit(args.out, ("eps", "E1", "E2", "E3", "E4"), rows)
-    return 0
+    return _write_sweep(args.out, grid, ("eps", "E1", "E2", "E3", "E4"))
 
 
-def _cmd_populations(args) -> int:
-    grid = _check_grid(
-        SweepGrid(
-            fixed={"epsilon": args.eps, "t": args.t, "bz": args.bz, "bx": args.bx},
-            axis1=_temperature_axis(args),
-            axis2=None,
-            measures=("populations",),
-        )
+def _cmd_curve(args) -> int:
+    """The measures against temperature: populations, fidelity or coherence."""
+    grid = SweepGrid(
+        fixed={"epsilon": args.eps, "t": args.t, "bz": args.bz, "bx": args.bx},
+        axis1=Axis("T", args.t_min, args.t_max, args.n, "log" if args.log else "linear"),
+        axis2=None,
+        measures=args.measures,
     )
-    records = run_sweep(grid)
-    rows = [
-        (r.params["T"], r.values["rho11"], r.values["rho22"], r.values["rho33"], r.values["rho44"])
-        for r in records
-    ]
-    _emit(args.out, ("T", "rho11", "rho22", "rho33", "rho44"), rows)
-    return 0
-
-
-def _cmd_fidelity(args) -> int:
-    grid = _check_grid(
-        SweepGrid(
-            fixed={"epsilon": args.eps, "t": args.t, "bz": args.bz, "bx": args.bx},
-            axis1=_temperature_axis(args),
-            axis2=None,
-            measures=("fidelity_pure",),
-        )
-    )
-    records = run_sweep(grid)
-    rows = [(r.params["T"], r.values["F"]) for r in records]
-    _emit(args.out, ("T", "F"), rows)
-    return 0
-
-
-def _cmd_coherence(args) -> int:
-    grid = _check_grid(
-        SweepGrid(
-            fixed={"epsilon": args.eps, "t": args.t, "bz": args.bz, "bx": args.bx},
-            axis1=_temperature_axis(args),
-            axis2=None,
-            measures=("concurrence", "correlated_coherence"),
-        )
-    )
-    records = run_sweep(grid)
-    rows = [(r.params["T"], r.values["C"], r.values["Ccc"]) for r in records]
-    _emit(args.out, ("T", "C", "Ccc"), rows)
-    return 0
+    return _write_sweep(args.out, grid, ("T", *grid.columns()))
 
 
 def _cmd_concurrence_map(args) -> int:
@@ -145,7 +100,6 @@ def _cmd_concurrence_map(args) -> int:
         axis2 = Axis("T", args.t_min, args.t_max, args.t_n, "log" if args.log else "linear")
         fixed = {"t": args.t, "bz": args.bz, "epsilon": args.eps}
         header = ("bx", "T", "C")
-        second = "T"
     else:
         for flag in ("eps_min", "eps_max", "eps_n"):
             if getattr(args, flag) is None:
@@ -153,14 +107,8 @@ def _cmd_concurrence_map(args) -> int:
         axis2 = Axis("epsilon", args.eps_min, args.eps_max, args.eps_n)
         fixed = {"t": args.t, "bz": args.bz, "T": args.temp}
         header = ("bx", "eps", "C")
-        second = "epsilon"
-    grid = _check_grid(
-        SweepGrid(fixed=fixed, axis1=bx_axis, axis2=axis2, measures=("concurrence",))
-    )
-    records = run_sweep(grid)
-    rows = [(r.params["bx"], r.params[second], r.values["C"]) for r in records]
-    _emit(args.out, header, rows)
-    return 0
+    grid = SweepGrid(fixed=fixed, axis1=bx_axis, axis2=axis2, measures=("concurrence",))
+    return _write_sweep(args.out, grid, header)
 
 
 def _cmd_validate(args) -> int:
@@ -175,14 +123,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid, config_out = load_config(args.config)
-    _check_grid(grid)
-    records = run_sweep(grid)
-    with _out_stream(args.out or config_out) as stream:
-        for line in csv_lines(grid, records):
-            stream.write(line + "\n")
-    return 0
+    return _write_sweep(args.out or config_out, grid, PARAM_NAMES + grid.columns())
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dqdtherm",
@@ -211,20 +155,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True, help="grid point count")
     sp.set_defaults(handler=_cmd_spectrum)
 
-    sp = sub.add_parser("populations", help="level occupations vs temperature")
-    model_flags(sp)
-    temp_axis_flags(sp)
-    sp.set_defaults(handler=_cmd_populations)
-
-    sp = sub.add_parser("fidelity", help="ground-state fidelity vs temperature")
-    model_flags(sp)
-    temp_axis_flags(sp)
-    sp.set_defaults(handler=_cmd_fidelity)
-
-    sp = sub.add_parser("coherence", help="concurrence and correlated coherence vs temperature")
-    model_flags(sp)
-    temp_axis_flags(sp)
-    sp.set_defaults(handler=_cmd_coherence)
+    for name, help_text, measures in (
+        ("populations", "level occupations vs temperature", ("populations",)),
+        ("fidelity", "ground-state fidelity vs temperature", ("fidelity_pure",)),
+        (
+            "coherence",
+            "concurrence and correlated coherence vs temperature",
+            ("concurrence", "correlated_coherence"),
+        ),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        model_flags(sp)
+        temp_axis_flags(sp)
+        sp.set_defaults(handler=_cmd_curve, measures=measures)
 
     sp = sub.add_parser(
         "concurrence-map",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import DegenerateGroundState, GroundState
 from .qmatrix import (
     ValidationError,
     check_density_matrix,
@@ -149,7 +150,17 @@ def _closed_form(r: np.ndarray):
 
 
 def fidelity_pure(psi, rho) -> float:
-    """Overlap <psi|rho|psi> of a normalized pure state with a density matrix."""
+    """Overlap <psi|rho|psi> of a normalized pure state with a density matrix.
+
+    psi may be a GroundState.  A degenerate one raises DegenerateGroundState:
+    its vector is an arbitrary member of the ground level.
+    """
+    if isinstance(psi, GroundState):
+        if psi.degenerate:
+            raise DegenerateGroundState(
+                "ground state is degenerate, so fidelity to it is undefined"
+            )
+        psi = psi.vector
     v = np.asarray(psi, dtype=float).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise ValidationError("state vector contains non-finite entries")

@@ -1,18 +1,22 @@
 """Parameter-grid sweeps with deterministic CSV serialization.
 
 A sweep walks one or two parameter axes, evaluates a set of measures at
-every grid point, and emits rows in row-major axis order.  The whole
-grid is evaluated as one batch: its Hamiltonians are stacked into one
-(N, 4, 4) array, one batched eigendecomposition gives every Gibbs state,
-and each measure runs once over the stack.  evaluate_point is the same
-batch with N = 1, and each point gives the same bits alone or inside any
-grid, so reruns of the same input on one machine produce byte-identical
-CSV.
+every grid point, and emits rows in row-major axis order.  The grid is
+held as columns, one float array per parameter, and evaluated as one
+batch: its Hamiltonians are stacked into one (N, 4, 4) array, one batched
+eigendecomposition gives every Gibbs state, and each measure runs once
+over the stack, giving one array per output column.  write_table prints
+those columns as CSV in fixed blocks of rows, each block formatted by one
+%-operation.  evaluate_point is the same batch with N = 1, and each point
+gives the same bits alone or inside any grid, so reruns of the same input
+on one machine produce byte-identical CSV.  run_sweep returns the same
+columns as one SweepRecord per point.
 """
 
 from __future__ import annotations
 
 import configparser
+import io
 import math
 from dataclasses import dataclass
 
@@ -46,8 +50,9 @@ __all__ = [
     "SweepRecord",
     "evaluate_point",
     "run_sweep",
+    "sweep_columns",
     "csv_lines",
-    "write_rows",
+    "write_table",
     "format_csv_value",
     "load_config",
     "find_coherence_peak",
@@ -148,25 +153,19 @@ class SweepRecord:
     values: dict
 
 
-def _parameters(points, where) -> dict:
-    """The five parameters of every point as float arrays, checked like ModelParams."""
-    try:
-        cols = {k: np.array([d[k] for d in points], dtype=float) for k in PARAM_NAMES}
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"parameters must be real numbers: {exc}")
-    _check_params(cols["epsilon"], cols["t"], cols["bz"], cols["bx"], where)
-    return cols
+def _lookup(cols: dict):
+    """where(i) over parameter columns: point i as a dict, in the columns' key order."""
+    return lambda i: {k: float(v[i]) for k, v in cols.items()}
 
 
-def _evaluate(points: list, measures) -> dict:
-    """Every requested measure over a batch of points: one array per column.
+def _evaluate(cols: dict, measures, where) -> dict:
+    """Every requested measure over parameter columns: one array per column.
 
-    Each check raises for its first failing point, named in the message
-    and carried as the error's index.
+    Each check raises for its first failing point, named through where(i)
+    in the message and carried as the error's index.
     """
-    where = points.__getitem__
-    cols = _parameters(points, where)
     model = (cols["epsilon"], cols["t"], cols["bz"], cols["bx"])
+    _check_params(*model, where)
     out = {}
     c = None
     if any(m != "energies" for m in measures):
@@ -213,23 +212,38 @@ def _evaluate(points: list, measures) -> dict:
 
 def evaluate_point(point: dict, measures) -> dict:
     """Compute every requested measure at one parameter point."""
-    return {c: float(v[0]) for c, v in _evaluate([point], measures).items()}
+    try:
+        cols = {k: np.array([point[k]], dtype=float) for k in PARAM_NAMES}
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"parameters must be real numbers: {exc}")
+    return {c: float(v[0]) for c, v in _evaluate(cols, measures, [point].__getitem__).items()}
+
+
+def _grid_columns(grid: SweepGrid) -> dict:
+    """The grid's parameters as float arrays in row-major order.
+
+    Keys come fixed values first, then axis1, then axis2, the order of
+    the point dicts that records and error messages show.
+    """
+    v1 = grid.axis1.values()
+    v2 = grid.axis2.values() if grid.axis2 is not None else None
+    n = v1.size if v2 is None else v1.size * v2.size
+    cols = {k: np.full(n, v) for k, v in grid.fixed.items()}
+    if v2 is None:
+        cols[grid.axis1.name] = v1
+    else:
+        cols[grid.axis1.name] = np.repeat(v1, v2.size)
+        cols[grid.axis2.name] = np.tile(v2, v1.size)
+    return cols
 
 
 def _grid_points(grid: SweepGrid) -> list[dict]:
-    points = []
-    inner = grid.axis2.values() if grid.axis2 is not None else (None,)
-    for v1 in grid.axis1.values():
-        for v2 in inner:
-            d = dict(grid.fixed)
-            d[grid.axis1.name] = float(v1)
-            if grid.axis2 is not None:
-                d[grid.axis2.name] = float(v2)
-            points.append(d)
-    return points
+    """Every grid point as the dict that records and error messages show."""
+    cols = _grid_columns(grid)
+    return [_lookup(cols)(i) for i in range(len(cols["T"]))]
 
 
-def _evaluate_first_failure(points: list, measures) -> dict:
+def _evaluate_first_failure(cols: dict, measures, where) -> dict:
     """_evaluate, raising for the first failing point in row-major order.
 
     A batch raises for the first point that fails its earliest failing
@@ -237,10 +251,10 @@ def _evaluate_first_failure(points: list, measures) -> dict:
     point k reruns the batch on the points before k, until a prefix
     passes; the last failure then belongs to the first failing point.
     """
-    failure, n = None, len(points)
+    failure, n = None, len(cols["T"])
     while n:
         try:
-            out = _evaluate(points[:n], measures)
+            out = _evaluate({k: v[:n] for k, v in cols.items()}, measures, where)
         except ValidationError as exc:
             if exc.index is None:
                 raise
@@ -252,14 +266,19 @@ def _evaluate_first_failure(points: list, measures) -> dict:
     return out
 
 
+def sweep_columns(grid: SweepGrid) -> dict:
+    """Evaluate the grid: each parameter and measure column as one array, row-major."""
+    cols = _grid_columns(grid)
+    return {**cols, **_evaluate_first_failure(cols, grid.measures, _lookup(cols))}
+
+
 def run_sweep(grid: SweepGrid) -> list[SweepRecord]:
     """Evaluate the grid, returning records in row-major axis order."""
-    points = _grid_points(grid)
-    columns = _evaluate_first_failure(points, grid.measures)
-    rows = zip(*(v.tolist() for v in columns.values()))
+    columns = sweep_columns(grid)
+    names, k = list(columns), len(PARAM_NAMES)
     return [
-        SweepRecord(params=d, values=dict(zip(columns, row)))
-        for d, row in zip(points, rows)
+        SweepRecord(params=dict(zip(names[:k], row[:k])), values=dict(zip(names[k:], row[k:])))
+        for row in zip(*(v.tolist() for v in columns.values()))
     ]
 
 
@@ -271,22 +290,31 @@ def format_csv_value(x) -> str:
     return f"{v:.12g}"
 
 
-def write_rows(stream, header, rows) -> None:
-    """Write a header plus rows of floats as comma-separated lines."""
+# rows formatted per write, so the text held at once stays bounded on any grid
+_ROWS_PER_WRITE = 4096
+
+
+def write_table(stream, header, columns) -> None:
+    """Write a header and equal-length float columns as comma-separated lines.
+
+    Each value prints as format_csv_value prints it: adding 0.0 turns -0
+    into 0, and each block of rows is one %-operation on a "%.12g" template.
+    """
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(format_csv_value(v) for v in row) + "\n")
+    table = np.column_stack(columns) + 0.0
+    template = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _ROWS_PER_WRITE):
+        block = table[start : start + _ROWS_PER_WRITE]
+        stream.write(template * len(block) % tuple(block.ravel().tolist()))
 
 
 def csv_lines(grid: SweepGrid, records) -> list[str]:
     """Full-record CSV: the five parameters followed by measure columns."""
-    cols = grid.columns()
-    lines = [",".join(PARAM_NAMES + cols)]
-    for rec in records:
-        vals = [format_csv_value(rec.params[k]) for k in PARAM_NAMES]
-        vals += [format_csv_value(rec.values[c]) for c in cols]
-        lines.append(",".join(vals))
-    return lines
+    columns = [[r.params[k] for r in records] for k in PARAM_NAMES]
+    columns += [[r.values[c] for r in records] for c in grid.columns()]
+    buffer = io.StringIO()
+    write_table(buffer, PARAM_NAMES + grid.columns(), np.array(columns, dtype=float))
+    return buffer.getvalue().split("\n")[:-1]
 
 
 def _axis_from_section(section) -> Axis:
@@ -380,8 +408,9 @@ def find_coherence_peak(
 
     grid = np.linspace(math.log10(t_lo), math.log10(t_hi), int(count))
     fixed = {"epsilon": p.epsilon, "t": p.t, "bz": p.bz, "bx": p.bx}
-    scan = [dict(fixed, T=10.0 ** float(x)) for x in grid]
-    values = _evaluate(scan, ("correlated_coherence",))["Ccc"]
+    scan = {k: np.full(grid.size, v) for k, v in fixed.items()}
+    scan["T"] = np.array([10.0 ** float(x) for x in grid])  # libm pow, not numpy's
+    values = _evaluate(scan, ("correlated_coherence",), _lookup(scan))["Ccc"]
     k = int(np.argmax(values))
     if k == 0 or k == len(grid) - 1:
         return float(10.0 ** grid[k]), float(values[k])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from dqdtherm import cli
 from dqdtherm.cli import main
+from dqdtherm.sweep import PARAM_NAMES, Axis, SweepGrid, format_csv_value, run_sweep
 
 SPECTRUM = [
     "spectrum", "--t", "7", "--bz", "16", "--bx", "100",
@@ -206,3 +208,132 @@ def test_overflowing_inputs_are_usage_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def record_csv(grid, header):
+    """The CSV of a grid built from its run_sweep records, one value at a time."""
+    names = ["epsilon" if h == "eps" else h for h in header]
+    lines = [",".join(header)]
+    for rec in run_sweep(grid):
+        point = {**rec.params, **rec.values}
+        lines.append(",".join(format_csv_value(point[k]) for k in names))
+    return "".join(line + "\n" for line in lines)
+
+
+MODEL = {"t": 7.0, "bz": 16.0, "bx": 100.0}
+TEMPS = Axis("T", 0.01, 1e4, 9, "log")
+ORACLE_CASES = {
+    "spectrum": (
+        # the detuning axis ends at -0, which prints as 0
+        ["spectrum", "--t", "7", "--bz", "16", "--bx", "0",
+         "--eps-min", "-200", "--eps-max", "-0", "--n", "9"],
+        SweepGrid(dict(MODEL, bx=0.0, T=1.0), Axis("epsilon", -200.0, -0.0, 9), None,
+                  ("energies",)),
+        ("eps", "E1", "E2", "E3", "E4"),
+    ),
+    "populations": (
+        ["populations", "--eps", "0.5", "--t", "7", "--bz", "16", "--bx", "100",
+         "--t-min", "0.01", "--t-max", "1e4", "--n", "9", "--log"],
+        SweepGrid(dict(MODEL, epsilon=0.5), TEMPS, None, ("populations",)),
+        ("T", "rho11", "rho22", "rho33", "rho44"),
+    ),
+    "fidelity": (
+        ["fidelity", "--eps", "10", "--t", "7", "--bz", "16", "--bx", "100",
+         "--t-min", "0.01", "--t-max", "1e4", "--n", "9", "--log"],
+        SweepGrid(dict(MODEL, epsilon=10.0), TEMPS, None, ("fidelity_pure",)),
+        ("T", "F"),
+    ),
+    "coherence": (
+        ["coherence", "--eps", "1", "--t", "7", "--bz", "16", "--bx", "100",
+         "--t-min", "0.01", "--t-max", "100", "--n", "7"],
+        SweepGrid(dict(MODEL, epsilon=1.0), Axis("T", 0.01, 100.0, 7), None,
+                  ("concurrence", "correlated_coherence")),
+        ("T", "C", "Ccc"),
+    ),
+    "map-eps": (
+        ["concurrence-map", "--t", "7", "--bz", "16", "--bx-min", "0", "--bx-max", "100",
+         "--bx-n", "4", "--eps", "1", "--t-min", "0.01", "--t-max", "100", "--t-n", "5",
+         "--log"],
+        SweepGrid({"t": 7.0, "bz": 16.0, "epsilon": 1.0}, Axis("bx", 0.0, 100.0, 4),
+                  Axis("T", 0.01, 100.0, 5, "log"), ("concurrence",)),
+        ("bx", "T", "C"),
+    ),
+    "map-temp": (
+        ["concurrence-map", "--t", "7", "--bz", "16", "--bx-min", "20", "--bx-max", "40",
+         "--bx-n", "3", "--temp", "0.2", "--eps-min", "-3", "--eps-max", "3", "--eps-n", "5"],
+        SweepGrid({"t": 7.0, "bz": 16.0, "T": 0.2}, Axis("bx", 20.0, 40.0, 3),
+                  Axis("epsilon", -3.0, 3.0, 5), ("concurrence",)),
+        ("bx", "eps", "C"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_cli_csv_equals_the_record_route(tmp_path, case):
+    argv, grid, header = ORACLE_CASES[case]
+    rc, data = run_to_file(tmp_path, argv)
+    assert rc == 0
+    assert data.decode() == record_csv(grid, header)
+
+
+SWEEP_CONFIG = (
+    "[fixed]\nepsilon = 0\nt = 7\nbz = 16\n"
+    "[axis1]\nname = bx\nmin = -50\nmax = 50\ncount = 5\n"
+    "[axis2]\nname = T\nmin = 0.01\nmax = 100\ncount = 3\nscale = log\n"
+    "[output]\nmeasures = energies, populations, concurrence, concurrence_closed, l1, "
+    "correlated_coherence\n"
+)
+
+
+def test_sweep_config_csv_equals_the_record_route(tmp_path):
+    cfg = tmp_path / "all.ini"
+    cfg.write_text(SWEEP_CONFIG)
+    rc, data = run_to_file(tmp_path, ["sweep", "--config", str(cfg)])
+    assert rc == 0
+    grid = SweepGrid(
+        {"epsilon": 0.0, "t": 7.0, "bz": 16.0},
+        Axis("bx", -50.0, 50.0, 5),
+        Axis("T", 0.01, 100.0, 3, "log"),
+        ("energies", "populations", "concurrence", "concurrence_closed", "l1",
+         "correlated_coherence"),
+    )
+    assert data.decode() == record_csv(grid, PARAM_NAMES + grid.columns())
+
+
+def test_bad_grid_point_keeps_its_exit_code_and_message(tmp_path, capsys):
+    # the ground level is degenerate only at the last point, bz = 0
+    cfg = tmp_path / "degenerate.ini"
+    cfg.write_text(
+        "[fixed]\nepsilon = 0\nt = 7\nbx = 100\nT = 1\n"
+        "[axis1]\nname = bz\nmin = -1\nmax = 0\ncount = 3\n"
+        "[output]\nmeasures = concurrence, fidelity_pure\n"
+    )
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: ground state is degenerate (gap 0.0), so fidelity to it is undefined "
+        "at {'epsilon': 0.0, 't': 7.0, 'bx': 100.0, 'T': 1.0, 'bz': 0.0}\n"
+    )
+    assert not out.exists()
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    calls = (["spectrum", "--t", "7"], ["--help"], SPECTRUM + ["--out", str(out)])
+
+    def call(argv):
+        rc = main(argv)
+        data = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return rc, capsys.readouterr(), data
+
+    cli._build_parser.cache_clear()
+    shared = [call(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in shared] == [2, 0, 0]
+    assert shared[2][2] is not None
+    for argv, result in zip(calls, shared):
+        cli._build_parser.cache_clear()  # the same call, first in a fresh parser
+        assert call(argv) == result

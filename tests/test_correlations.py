@@ -19,7 +19,7 @@ from dqdtherm.correlations import (
     local_angles,
     rotation2,
 )
-from dqdtherm.model import ModelParams, ground_state
+from dqdtherm.model import DegenerateGroundState, ModelParams, ground_state
 from dqdtherm.qmatrix import ValidationError, eig_sym, kron2
 from dqdtherm.thermal import populations, reduce_a, reduce_b, thermal_state
 
@@ -110,6 +110,27 @@ def test_fidelity_pure_temperature_limits():
     assert fidelity_pure(gs, cold.rho) == pytest.approx(1.0, abs=1e-9)
     hot = thermal_state(p, 1e6)
     assert fidelity_pure(gs, hot.rho) == pytest.approx(0.25, abs=1e-4)
+
+
+def test_fidelity_to_a_degenerate_ground_state_is_refused():
+    # eps = bz = 0: the ground level is doubly degenerate, and its vector
+    # from the eigensolver is an arbitrary member of it
+    p = ModelParams(0.0, 7.0, 0.0, 100.0)
+    rho = thermal_state(p, 0.01).rho
+    gs = ground_state(p)
+    assert gs.degenerate
+    assert fidelity_pure(gs.vector, rho) == pytest.approx(0.5, abs=1e-12)  # a bare vector is taken as given
+    with pytest.raises(DegenerateGroundState, match="ground state is degenerate"):
+        fidelity_pure(gs, rho)
+
+
+def test_fidelity_to_a_ground_state_equals_fidelity_to_its_vector():
+    p = ModelParams(1.0, 7.0, 16.0, 100.0)
+    gs = ground_state(p)
+    assert not gs.degenerate
+    for temperature in (0.01, 0.2, 5.0, 1e4):
+        rho = thermal_state(p, temperature).rho
+        assert fidelity_pure(gs, rho) == fidelity_pure(gs.vector, rho)
 
 
 def test_fidelity_pure_rejects_unnormalized_vector():

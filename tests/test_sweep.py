@@ -1,4 +1,6 @@
 import dataclasses
+import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from dqdtherm.sweep import (
     format_csv_value,
     load_config,
     run_sweep,
+    write_table,
 )
 from dqdtherm.thermal import populations, thermal_state
 
@@ -145,6 +148,93 @@ def test_format_csv_value():
     assert format_csv_value(2.0) == "2"
     assert format_csv_value(1e-30) == "1e-30"
     assert format_csv_value(123456.789) == "123456.789"
+
+
+def per_value_text(header, rows):
+    """The CSV a writer of one format_csv_value call per value prints."""
+    lines = [",".join(header)] + [",".join(format_csv_value(v) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+CSV_FLOATS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1e308, -1e308,
+         1.0, -3.0, 2.0**53, 1e16, 123456789012.0, 1.0 / 3.0, -2.0 / 3.0]
+    ),
+    st.floats(),
+    st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.lists(st.lists(CSV_FLOATS, min_size=k, max_size=k), max_size=12)
+        .map(lambda rows: (k, rows))
+    ),
+    st.integers(1, 5),
+)
+def test_write_table_equals_per_value_formatting(table, block):
+    k, rows = table
+    header = [f"c{j}" for j in range(k)]
+    columns = [np.array([row[j] for row in rows], dtype=float) for j in range(k)]
+    stream = io.StringIO()
+    with mock.patch.object(sweep, "_ROWS_PER_WRITE", block):
+        write_table(stream, header, columns)
+    assert stream.getvalue() == per_value_text(header, rows)
+
+
+def test_write_table_formats_each_block_of_rows_at_once(monkeypatch):
+    # 11 rows in blocks of 4: one write for the header and one per block
+    monkeypatch.setattr(sweep, "_ROWS_PER_WRITE", 4)
+    writes = []
+
+    class Stream:
+        write = writes.append
+
+    column = np.arange(11.0) - 5.0
+    write_table(Stream(), ("x", "y"), [column, -column])
+    assert [w.count("\n") for w in writes] == [1, 4, 4, 3]
+    assert "".join(writes) == per_value_text(("x", "y"), zip(column, -column))
+
+
+def test_sweep_csv_across_block_boundaries_equals_the_records(monkeypatch):
+    # a 3 x 4 grid written 5 rows at a time; bx = 0 makes C exactly 0 at every point
+    monkeypatch.setattr(sweep, "_ROWS_PER_WRITE", 5)
+    grid = SweepGrid(
+        fixed={"t": 7.0, "bz": 16.0, "bx": 0.0},
+        axis1=Axis("epsilon", -1.0, 1.0, 3),
+        axis2=Axis("T", 0.1, 10.0, 4, "log"),
+        measures=("populations", "concurrence", "l1"),
+    )
+    records = run_sweep(grid)
+    rows = [[r.params[k] for k in PARAM_NAMES] + [r.values[c] for c in grid.columns()]
+            for r in records]
+    expected = per_value_text(PARAM_NAMES + grid.columns(), rows)
+    assert "\n".join(csv_lines(grid, records)) + "\n" == expected
+    columns = sweep.sweep_columns(grid)
+    stream = io.StringIO()
+    write_table(stream, PARAM_NAMES + grid.columns(), [columns[c] for c in PARAM_NAMES + grid.columns()])
+    assert stream.getvalue() == expected
+
+
+def test_grid_columns_hold_the_grid_point_doubles():
+    grid = SweepGrid(
+        fixed={"t": 7.0, "bz": 16.0, "bx": 100.0},
+        axis1=Axis("T", 0.01, 100.0, 7, "log"),
+        axis2=Axis("epsilon", -5.0, 5.0, 3),
+        measures=("l1",),
+    )
+    columns = sweep._grid_columns(grid)
+    assert list(columns) == ["t", "bz", "bx", "T", "epsilon"]
+    expected = [
+        dict(grid.fixed, T=float(v1), epsilon=float(v2))
+        for v1 in grid.axis1.values() for v2 in grid.axis2.values()
+    ]
+    assert sweep._grid_points(grid) == expected
+    for k, column in columns.items():
+        assert column.dtype == np.float64
+        assert column.tolist() == [d[k] for d in expected]
 
 
 def test_find_coherence_peak_smoke():
