@@ -5,14 +5,18 @@ interpreter runs every `scripts/make_datasets.py` CLI invocation and its
 anticrossing and peak searches in process, after one untimed call each,
 and a fresh interpreter runs the whole script. Trees take turns over
 several rounds, the first tree leading in odd rounds, so host drift
-reaches every tree alike. Uses only the standard library and numpy:
+reaches every tree alike. After the rounds, the tier-1 test suite next to
+each tree (DIR/../tests) runs once, timed. Uses only the standard library
+and numpy:
 
     python3 scripts/bench_cli.py --label after
     python3 scripts/bench_cli.py --label cmp --src parent=../old/src --src change=src
 
 The JSON holds, per tree and invocation, the median and quartiles in ms
 over ROUNDS * REPEATS in-process runs, the fresh-interpreter script
-times, a digest of the script's CSVs and stdout, and the host, Python,
+times, a digest of the script's CSVs and stdout, the tier-1 wall time with
+pytest's exit code and summary line (the suite has one test that fails by
+design, so exit code 1 is recorded, not raised), and the host, Python,
 numpy and BLAS-thread settings.
 """
 
@@ -91,6 +95,28 @@ def _run_script(src: pathlib.Path) -> tuple[float, str]:
     return wall, digest.hexdigest()
 
 
+def _run_tier1(src: pathlib.Path) -> dict | None:
+    """Wall time, exit code and summary line of one tier-1 run of the tests beside src."""
+    root = src.parent
+    if not (root / "tests").is_dir():
+        return None
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    return {
+        "wall_s": wall,
+        "exit_code": done.returncode,
+        "summary": lines[-1] if lines else "",
+        "failed": [line.split()[1] for line in lines if line.startswith("FAILED ")],
+    }
+
+
 def _stats(seconds: list) -> dict:
     q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
     return {"n": len(seconds), "median_ms": median * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3}
@@ -154,6 +180,10 @@ def main(argv=None) -> int:
             digests[name].add(digest)
             print(f"round {round_ + 1}/{ROUNDS} {name}: make_datasets.py {wall:.3f} s",
                   file=sys.stderr)
+    tier1 = {}
+    for name, src in trees.items():
+        tier1[name] = _run_tier1(src)
+        print(f"tier-1 {name}: {tier1[name] and tier1[name]['summary']}", file=sys.stderr)
 
     result = {
         "label": args.label,
@@ -161,7 +191,8 @@ def main(argv=None) -> int:
         "method": (
             f"{ROUNDS} rounds, trees alternating first; per round and tree one worker "
             f"interpreter runs each step {REPEATS} times in process after one untimed "
-            "call, then one fresh interpreter runs the whole make_datasets.py"
+            "call, then one fresh interpreter runs the whole make_datasets.py; "
+            "then the tier-1 suite of each tree runs once"
         ),
         "trees": {
             name: {
@@ -170,6 +201,7 @@ def main(argv=None) -> int:
                     "runs": fresh[name], "median": statistics.median(fresh[name]),
                 },
                 "output_sha256": sorted(digests[name]),
+                "tier1": tier1[name],
             }
             for name in trees
         },

@@ -5,8 +5,8 @@ dot) and a spin qubit; a dot-dependent transverse field couples the two.
 This package builds the 4-level Hamiltonian, its closed-form spectrum,
 and the Gibbs state at temperature T, and computes the thermal quantum
 correlations between the qubits: populations, Wootters concurrence,
-ground-state and Uhlmann fidelity, l1 coherence, and correlated
-coherence, plus sweep/CSV tooling to regenerate the reference datasets.
+ground-state fidelity, l1 coherence, and correlated coherence, plus
+sweep/CSV tooling to regenerate the reference datasets.
 """
 
 from .correlations import (
@@ -16,11 +16,9 @@ from .correlations import (
     concurrence,
     concurrence_closed_form,
     correlated_coherence,
-    fidelity_mixed,
     fidelity_pure,
     l1_coherence,
     local_angles,
-    rotation2,
 )
 from .model import (
     AnalyticCoeffs,
@@ -35,7 +33,6 @@ from .model import (
     analytic_energies,
     build_hamiltonian,
     find_anticrossing,
-    golden_section_min,
     ground_state,
     spectrum,
 )
@@ -44,23 +41,17 @@ from .qmatrix import (
     NotPositiveSemidefiniteError,
     ValidationError,
     check_density_matrix,
-    check_symmetric,
     eig_sym,
-    kron2,
-    psd_sqrt,
 )
 from .sweep import (
     Axis,
     ConfigError,
     SweepGrid,
-    SweepRecord,
     find_coherence_peak,
     load_config,
-    run_sweep,
 )
 from .thermal import (
     ThermalState,
-    density_from_hamiltonian,
     populations,
     reduce_a,
     reduce_b,
@@ -88,36 +79,27 @@ __all__ = [
     "SPIN_FLIP",
     "SpectrumResult",
     "SweepGrid",
-    "SweepRecord",
     "ThermalState",
     "ValidationError",
     "analytic_coeffs",
     "analytic_energies",
     "build_hamiltonian",
     "check_density_matrix",
-    "check_symmetric",
     "concurrence",
     "concurrence_closed_form",
     "correlated_coherence",
-    "density_from_hamiltonian",
     "eig_sym",
-    "fidelity_mixed",
     "fidelity_pure",
     "find_anticrossing",
     "find_coherence_peak",
-    "golden_section_min",
     "ground_state",
     "hard_failed",
-    "kron2",
     "l1_coherence",
     "load_config",
     "local_angles",
     "populations",
-    "psd_sqrt",
     "reduce_a",
     "reduce_b",
-    "rotation2",
-    "run_sweep",
     "run_validation",
     "spectrum",
     "thermal_state",

@@ -22,7 +22,6 @@ from .qmatrix import (
     check_symmetric,
     eig_sym,
     fail_first,
-    psd_sqrt,
 )
 from .thermal import ThermalState, _pair, _reduce_a, _reduce_b
 
@@ -33,9 +32,7 @@ __all__ = [
     "concurrence",
     "concurrence_closed_form",
     "fidelity_pure",
-    "fidelity_mixed",
     "l1_coherence",
-    "rotation2",
     "local_angles",
     "correlated_coherence",
 ]
@@ -90,17 +87,14 @@ class RSpectrum:
 
     lambdas are stored descending and clamped at zero.  The radicand is
     xi_plus * sig_plus for both level pairs, exactly as the closed form
-    is written; xi_minus and sig_minus are carried along for inspection
-    since they never enter the printed expression.
+    is written.
     """
 
     lambdas: np.ndarray
     theta_cap: float
     g_cap: float
     xi_plus: float
-    xi_minus: float
     sig_plus: float
-    sig_minus: float
 
 
 def concurrence_closed_form(rho) -> tuple[float, RSpectrum]:
@@ -113,32 +107,27 @@ def concurrence_closed_form(rho) -> tuple[float, RSpectrum]:
     """
     r = check_density_matrix(rho, dim=4)
     c, lams, *pieces = _closed_form(r[None])
-    theta, g, xi_plus, xi_minus, sig_plus, sig_minus = (float(x[0]) for x in pieces)
+    theta, g, xi_plus, sig_plus = (float(x[0]) for x in pieces)
     return float(c[0]), RSpectrum(
         lambdas=lams[0],
         theta_cap=theta,
         g_cap=g,
         xi_plus=xi_plus,
-        xi_minus=xi_minus,
         sig_plus=sig_plus,
-        sig_minus=sig_minus,
     )
 
 
 def _closed_form(r: np.ndarray):
     """Closed-form R-spectrum concurrence of each state of a stack.
 
-    Returns (c, lambdas, theta, g, xi_plus, xi_minus, sig_plus, sig_minus),
-    each stacked on axis 0.
+    Returns (c, lambdas, theta, g, xi_plus, sig_plus), each stacked on axis 0.
     """
     r11, r12, r13, r14 = r[:, 0, 0], r[:, 0, 1], r[:, 0, 2], r[:, 0, 3]
     r22, r24 = r[:, 1, 1], r[:, 1, 3]
     g = -2.0 * r14 * r12 + r11 * r24 - r13 * r22
     theta = r11 * r22 - r13 * r24 + r14 * r14 + r12 * r12
     xi_plus = 2.0 * (r12 + r14) * (r22 + r24)
-    xi_minus = 2.0 * (r12 - r14) * (r22 - r24)
     sig_plus = 2.0 * (r13 - r11) * (r14 + r12)
-    sig_minus = 2.0 * (r13 + r11) * (r14 - r12)
     root = np.sqrt(np.maximum(xi_plus * sig_plus, 0.0))
     lams = np.empty(theta.shape + (4,))
     lams[:, 0], lams[:, 1] = theta + g + root, theta + g - root
@@ -146,7 +135,7 @@ def _closed_form(r: np.ndarray):
     lams = np.sort(np.clip(lams, 0.0, None), axis=1)[:, ::-1]
     s = np.sqrt(lams)
     c = np.maximum(0.0, np.abs(s[:, 0] - s[:, 2]) - s[:, 1] - s[:, 3])
-    return c, lams, theta, g, xi_plus, xi_minus, sig_plus, sig_minus
+    return c, lams, theta, g, xi_plus, sig_plus
 
 
 def fidelity_pure(psi, rho) -> float:
@@ -176,16 +165,6 @@ def _fidelity(v: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.clip(((v[:, None, :] @ r) @ v[:, :, None])[:, 0, 0], 0.0, 1.0)
 
 
-def fidelity_mixed(rho1, rho2) -> float:
-    """Uhlmann fidelity Tr sqrt(sqrt(rho2) rho1 sqrt(rho2))."""
-    r1 = check_density_matrix(rho1, dim=4)
-    r2 = check_density_matrix(rho2, dim=4)
-    sq2 = psd_sqrt(r2)
-    m = sq2 @ r1 @ sq2
-    f = float(np.trace(psd_sqrt(0.5 * (m + m.T))))
-    return min(max(f, 0.0), 1.0)
-
-
 def _l1(r: np.ndarray) -> np.ndarray:
     """Sum of absolute off-diagonal entries of a matrix or of each of a stack."""
     return np.abs(r * (1.0 - np.eye(r.shape[-1]))).sum(axis=(-2, -1))
@@ -205,25 +184,17 @@ def _rotations(theta) -> np.ndarray:
     return u
 
 
-def rotation2(theta: float) -> np.ndarray:
-    """2x2 rotation [[cos, -sin], [sin, cos]]."""
-    return _rotations(np.array([float(theta)]))[0]
-
-
 @dataclass(frozen=True)
 class LocalBasisAngles:
     """Rotation angles whose U(theta) diagonalize the reduced matrices.
 
-    The azimuthal phases are identically zero for real states.  The
-    fallback flags mark angles that had to be read off the eigenvectors
-    because the arctan expression failed to diagonalize (not observed in
-    practice; kept as a guard).
+    The fallback flags mark angles that had to be read off the
+    eigenvectors because the arctan expression failed to diagonalize (not
+    observed in practice; kept as a guard).
     """
 
     theta_a: float
     theta_b: float
-    phi_a: float = 0.0
-    phi_b: float = 0.0
     fallback_a: bool = False
     fallback_b: bool = False
 

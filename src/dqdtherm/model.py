@@ -356,17 +356,31 @@ def analytic_coeffs(p: ModelParams) -> AnalyticCoeffs:
     return AnalyticCoeffs(*(float(v[0]) for v in scalars), vectors[0], residuals[0])
 
 
+def _positive(name: str, value) -> float:
+    """value as a float; it must be finite and > 0."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return v
+
+
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-6):
     """Golden-section minimum of a unimodal scalar function on [lo, hi].
 
-    Returns (x, f(x)) with x located to within tol.
+    Returns (x, f(x)) with x located to within tol, or as closely as
+    rounding allows: the search stops once the bracket stops shrinking.
     """
+    tol = _positive("tol", tol)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    width = b - a
+    while width > tol:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -375,6 +389,9 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-6):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
+        if not b - a < width:
+            break
+        width = b - a
     x = 0.5 * (a + b)
     return x, f(x)
 
@@ -396,6 +413,7 @@ def find_anticrossing(
     interval boundary means the gap is monotonic there and raises
     NoAnticrossing.
     """
+    grid_step, tol = _positive("grid_step", grid_step), _positive("tol", tol)
     key = tuple(sorted(pair))
     if key not in _ANTICROSSING_PAIRS:
         raise ValidationError(

@@ -4,7 +4,7 @@ Everything in the model lives in a real 4-dimensional Hilbert space
 (charge qubit x spin qubit).  Eigendecompositions go to LAPACK through
 numpy.linalg.eigh; this module adds the structural checks (shape,
 finiteness, symmetry, unit trace, positivity) that the public measures
-apply once to their inputs, and the PSD square root built on them.
+apply once to their inputs.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ __all__ = [
     "check_density_stack",
     "check_density_matrix",
     "eig_sym",
-    "psd_sqrt",
-    "kron2",
 ]
 
 # Eigenvalues of nominally PSD matrices may round slightly negative.
@@ -170,28 +168,3 @@ def eig_sym(m) -> EigenDecomp:
         a = check_symmetric(a, "matrix")
     values, vectors = np.linalg.eigh(a)
     return EigenDecomp(values=values, vectors=vectors)
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Symmetric square root of a positive-semidefinite symmetric matrix.
-
-    Eigenvalues in [-1e-12, 0) are treated as exact zeros; anything more
-    negative raises NotPositiveSemidefiniteError.
-    """
-    dec = eig_sym(m)
-    w = dec.values
-    if float(w[0]) < -_PSD_CLAMP:
-        raise NotPositiveSemidefiniteError(
-            f"matrix has eigenvalue {float(w[0])!r}, not PSD"
-        )
-    root = np.sqrt(np.clip(w, 0.0, None))
-    return (dec.vectors * root) @ dec.vectors.T
-
-
-def kron2(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 blocks (first factor = charge sector)."""
-    a = _as_real_square(a, "kron factor a")
-    b = _as_real_square(b, "kron factor b")
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValidationError("kron2 expects two 2x2 matrices")
-    return np.kron(a, b)

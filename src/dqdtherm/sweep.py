@@ -7,23 +7,19 @@ batch: its Hamiltonians are stacked into one (N, 4, 4) array, one batched
 eigendecomposition gives every Gibbs state, and each measure runs once
 over the stack, giving one array per output column.  write_table prints
 those columns as CSV in fixed blocks of rows, each block formatted by one
-%-operation.  evaluate_point is the same batch with N = 1, and each point
-gives the same bits alone or inside any grid, so reruns of the same input
-on one machine produce byte-identical CSV.  run_sweep returns the same
-columns as one SweepRecord per point.
+%-operation.  Each point gives the same bits alone or inside any grid, so
+reruns of the same input on one machine produce byte-identical CSV.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .correlations import (
-    _closed_form,
     _concurrence,
     _correlated_coherence,
     _fidelity,
@@ -47,11 +43,7 @@ __all__ = [
     "ConfigError",
     "Axis",
     "SweepGrid",
-    "SweepRecord",
-    "evaluate_point",
-    "run_sweep",
     "sweep_columns",
-    "csv_lines",
     "write_table",
     "format_csv_value",
     "load_config",
@@ -64,7 +56,6 @@ MEASURE_COLUMNS = {
     "energies": ("E1", "E2", "E3", "E4"),
     "populations": ("rho11", "rho22", "rho33", "rho44"),
     "concurrence": ("C",),
-    "concurrence_closed": ("C_closed", "C_residual"),
     "fidelity_pure": ("F",),
     "l1": ("l1",),
     "correlated_coherence": ("Ccc",),
@@ -73,6 +64,19 @@ MEASURE_COLUMNS = {
 
 class ConfigError(ValueError):
     """Invalid sweep specification (grid or config file)."""
+
+
+def _point_count(count, what: str) -> int:
+    """count as an int: an integral value >= 2, not a truncated one."""
+    try:
+        n = int(count)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != count:
+        raise ConfigError(f"{what} must be an integer, got {count!r}")
+    if n < 2:
+        raise ConfigError(f"{what} must be >= 2")
+    return n
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,7 @@ class Axis:
             raise ConfigError(f"axis {self.name}: need finite lo < hi, got [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if int(self.count) < 2:
-            raise ConfigError(f"axis {self.name}: count must be >= 2")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", _point_count(self.count, f"axis {self.name}: count"))
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"axis {self.name}: scale must be linear or log")
         if self.scale == "log" and lo <= 0.0:
@@ -145,14 +147,6 @@ class SweepGrid:
         return tuple(c for m in self.measures for c in MEASURE_COLUMNS[m])
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point: the five parameter values and the measure columns."""
-
-    params: dict
-    values: dict
-
-
 def _lookup(cols: dict):
     """where(i) over parameter columns: point i as a dict, in the columns' key order."""
     return lambda i: {k: float(v[i]) for k, v in cols.items()}
@@ -167,7 +161,6 @@ def _evaluate(cols: dict, measures, where) -> dict:
     model = (cols["epsilon"], cols["t"], cols["bz"], cols["bx"])
     _check_params(*model, where)
     out = {}
-    c = None
     if any(m != "energies" for m in measures):
         state = _gibbs(_hamiltonians(*model), cols["T"], where)
         rho = check_density_stack(state.rho, where)
@@ -176,14 +169,8 @@ def _evaluate(cols: dict, measures, where) -> dict:
             out.update(zip(MEASURE_COLUMNS[m], _energies(*model, where=where).T))
         elif m == "populations":
             out.update(zip(MEASURE_COLUMNS[m], np.diagonal(rho, axis1=1, axis2=2).T))
-        elif m in ("concurrence", "concurrence_closed"):
-            if c is None:
-                c = _concurrence(state.vectors, np.sqrt(state.weights))
-            if m == "concurrence":
-                out["C"] = c
-            else:
-                out["C_closed"] = closed = _closed_form(rho)[0]
-                out["C_residual"] = np.abs(closed - c)
+        elif m == "concurrence":
+            out["C"] = _concurrence(state.vectors, np.sqrt(state.weights))
         elif m == "fidelity_pure":
             # the ground-state vector of each point; F does not depend on its sign,
             # but within a degenerate ground level the vector is arbitrary
@@ -210,20 +197,11 @@ def _evaluate(cols: dict, measures, where) -> dict:
     return out
 
 
-def evaluate_point(point: dict, measures) -> dict:
-    """Compute every requested measure at one parameter point."""
-    try:
-        cols = {k: np.array([point[k]], dtype=float) for k in PARAM_NAMES}
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"parameters must be real numbers: {exc}")
-    return {c: float(v[0]) for c, v in _evaluate(cols, measures, [point].__getitem__).items()}
-
-
 def _grid_columns(grid: SweepGrid) -> dict:
     """The grid's parameters as float arrays in row-major order.
 
     Keys come fixed values first, then axis1, then axis2, the order of
-    the point dicts that records and error messages show.
+    the point dicts that error messages show.
     """
     v1 = grid.axis1.values()
     v2 = grid.axis2.values() if grid.axis2 is not None else None
@@ -235,12 +213,6 @@ def _grid_columns(grid: SweepGrid) -> dict:
         cols[grid.axis1.name] = np.repeat(v1, v2.size)
         cols[grid.axis2.name] = np.tile(v2, v1.size)
     return cols
-
-
-def _grid_points(grid: SweepGrid) -> list[dict]:
-    """Every grid point as the dict that records and error messages show."""
-    cols = _grid_columns(grid)
-    return [_lookup(cols)(i) for i in range(len(cols["T"]))]
 
 
 def _evaluate_first_failure(cols: dict, measures, where) -> dict:
@@ -272,16 +244,6 @@ def sweep_columns(grid: SweepGrid) -> dict:
     return {**cols, **_evaluate_first_failure(cols, grid.measures, _lookup(cols))}
 
 
-def run_sweep(grid: SweepGrid) -> list[SweepRecord]:
-    """Evaluate the grid, returning records in row-major axis order."""
-    columns = sweep_columns(grid)
-    names, k = list(columns), len(PARAM_NAMES)
-    return [
-        SweepRecord(params=dict(zip(names[:k], row[:k])), values=dict(zip(names[k:], row[k:])))
-        for row in zip(*(v.tolist() for v in columns.values()))
-    ]
-
-
 def format_csv_value(x) -> str:
     """Fixed 12-significant-digit float formatting; -0 is normalized to 0."""
     v = float(x)
@@ -306,15 +268,6 @@ def write_table(stream, header, columns) -> None:
     for start in range(0, len(table), _ROWS_PER_WRITE):
         block = table[start : start + _ROWS_PER_WRITE]
         stream.write(template * len(block) % tuple(block.ravel().tolist()))
-
-
-def csv_lines(grid: SweepGrid, records) -> list[str]:
-    """Full-record CSV: the five parameters followed by measure columns."""
-    columns = [[r.params[k] for r in records] for k in PARAM_NAMES]
-    columns += [[r.values[c] for r in records] for c in grid.columns()]
-    buffer = io.StringIO()
-    write_table(buffer, PARAM_NAMES + grid.columns(), np.array(columns, dtype=float))
-    return buffer.getvalue().split("\n")[:-1]
 
 
 def _axis_from_section(section) -> Axis:
@@ -397,8 +350,9 @@ def find_coherence_peak(
     refines around the grid maximum in log10(T), one point at a time
     through the same kernels.
     """
-    if t_lo <= 0.0 or t_hi <= t_lo:
-        raise ConfigError(f"need 0 < t_lo < t_hi, got [{t_lo}, {t_hi}]")
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi)) or t_lo <= 0.0 or t_hi <= t_lo:
+        raise ConfigError(f"need finite 0 < t_lo < t_hi, got [{t_lo}, {t_hi}]")
+    count = _point_count(count, "count")
     p = ModelParams(epsilon, t, bz, bx)
     h = _hamiltonians(p.epsilon, p.t, p.bz, p.bx)
 
@@ -406,7 +360,7 @@ def find_coherence_peak(
         # the kernels of correlated_coherence(thermal_state(p, T).rho), unchecked
         return float(_correlated_coherence(_gibbs(h, 10.0**log_t).rho)[0])
 
-    grid = np.linspace(math.log10(t_lo), math.log10(t_hi), int(count))
+    grid = np.linspace(math.log10(t_lo), math.log10(t_hi), count)
     fixed = {"epsilon": p.epsilon, "t": p.t, "bz": p.bz, "bx": p.bx}
     scan = {k: np.full(grid.size, v) for k, v in fixed.items()}
     scan["T"] = np.array([10.0 ** float(x) for x in grid])  # libm pow, not numpy's

@@ -10,23 +10,17 @@ from .model import ModelParams, build_hamiltonian
 from .qmatrix import (
     ValidationError,
     check_density_matrix,
-    check_symmetric,
     eig_sym,
     fail_first,
 )
 
 __all__ = [
-    "BOLTZMANN",
     "ThermalState",
-    "density_from_hamiltonian",
     "thermal_state",
     "populations",
     "reduce_a",
     "reduce_b",
 ]
-
-BOLTZMANN = 1.0  # k_B in the shared energy unit
-
 
 @dataclass(frozen=True)
 class ThermalState:
@@ -68,8 +62,8 @@ def _gibbs(h, temperature, where=None) -> _Gibbs:
 
     temperature holds one value per matrix, and where(i) names matrix i
     in errors.  One batched eigendecomposition serves the whole stack,
-    with the energy shift of density_from_hamiltonian; a matrix gives the
-    same bits alone or inside any stack.
+    with energies shifted by each spectrum's minimum (see ThermalState);
+    a matrix gives the same bits alone or inside any stack.
     """
     try:
         temp = np.asarray(temperature, dtype=float).reshape(-1)
@@ -83,7 +77,7 @@ def _gibbs(h, temperature, where=None) -> _Gibbs:
         where,
     )
     dec = eig_sym(h)
-    beta = 1.0 / (BOLTZMANN * temp)
+    beta = 1.0 / temp
     e_shift = dec.values[:, 0]
     weights = np.exp(-beta[:, None] * (dec.values - e_shift[:, None]))
     z_shifted = weights.sum(axis=1)
@@ -91,18 +85,6 @@ def _gibbs(h, temperature, where=None) -> _Gibbs:
     rho = (dec.vectors * weights[:, None, :]) @ np.swapaxes(dec.vectors, 1, 2)
     rho = 0.5 * (rho + np.swapaxes(rho, 1, 2))
     return _Gibbs(beta, rho, z_shifted, e_shift, dec.values, dec.vectors, weights)
-
-
-def density_from_hamiltonian(h, temperature: float):
-    """Gibbs density matrix of an arbitrary symmetric Hamiltonian.
-
-    Returns (rho, z_shifted, e_shift, energies, vectors).  Boltzmann
-    weights use energies shifted by the spectrum minimum, so an extreme
-    beta merely underflows the excited weights to zero and the result
-    degrades gracefully to the ground-state projector.
-    """
-    g = _gibbs(check_symmetric(h, "matrix")[None], temperature)
-    return g.rho[0], float(g.z_shifted[0]), float(g.e_shift[0]), g.energies[0], g.vectors[0]
 
 
 def thermal_state(p: ModelParams, temperature: float) -> ThermalState:

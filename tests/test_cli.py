@@ -3,7 +3,7 @@ import pytest
 
 from dqdtherm import cli
 from dqdtherm.cli import main
-from dqdtherm.sweep import PARAM_NAMES, Axis, SweepGrid, format_csv_value, run_sweep
+from dqdtherm.sweep import PARAM_NAMES, Axis, SweepGrid, format_csv_value, sweep_columns
 
 SPECTRUM = [
     "spectrum", "--t", "7", "--bz", "16", "--bx", "100",
@@ -210,13 +210,13 @@ def test_overflowing_inputs_are_usage_error(capsys):
     assert "Traceback" not in err
 
 
-def record_csv(grid, header):
-    """The CSV of a grid built from its run_sweep records, one value at a time."""
+def per_value_csv(grid, header):
+    """The CSV of a grid's evaluated columns, formatted row by row, one value at a time."""
+    columns = sweep_columns(grid)
     names = ["epsilon" if h == "eps" else h for h in header]
     lines = [",".join(header)]
-    for rec in run_sweep(grid):
-        point = {**rec.params, **rec.values}
-        lines.append(",".join(format_csv_value(point[k]) for k in names))
+    for i in range(len(columns["T"])):
+        lines.append(",".join(format_csv_value(columns[k][i]) for k in names))
     return "".join(line + "\n" for line in lines)
 
 
@@ -269,23 +269,23 @@ ORACLE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_cli_csv_equals_the_record_route(tmp_path, case):
+def test_cli_csv_equals_per_value_formatting(tmp_path, case):
     argv, grid, header = ORACLE_CASES[case]
     rc, data = run_to_file(tmp_path, argv)
     assert rc == 0
-    assert data.decode() == record_csv(grid, header)
+    assert data.decode() == per_value_csv(grid, header)
 
 
 SWEEP_CONFIG = (
     "[fixed]\nepsilon = 0\nt = 7\nbz = 16\n"
     "[axis1]\nname = bx\nmin = -50\nmax = 50\ncount = 5\n"
     "[axis2]\nname = T\nmin = 0.01\nmax = 100\ncount = 3\nscale = log\n"
-    "[output]\nmeasures = energies, populations, concurrence, concurrence_closed, l1, "
+    "[output]\nmeasures = energies, populations, concurrence, fidelity_pure, l1, "
     "correlated_coherence\n"
 )
 
 
-def test_sweep_config_csv_equals_the_record_route(tmp_path):
+def test_sweep_config_csv_equals_per_value_formatting(tmp_path):
     cfg = tmp_path / "all.ini"
     cfg.write_text(SWEEP_CONFIG)
     rc, data = run_to_file(tmp_path, ["sweep", "--config", str(cfg)])
@@ -294,10 +294,10 @@ def test_sweep_config_csv_equals_the_record_route(tmp_path):
         {"epsilon": 0.0, "t": 7.0, "bz": 16.0},
         Axis("bx", -50.0, 50.0, 5),
         Axis("T", 0.01, 100.0, 3, "log"),
-        ("energies", "populations", "concurrence", "concurrence_closed", "l1",
+        ("energies", "populations", "concurrence", "fidelity_pure", "l1",
          "correlated_coherence"),
     )
-    assert data.decode() == record_csv(grid, PARAM_NAMES + grid.columns())
+    assert data.decode() == per_value_csv(grid, PARAM_NAMES + grid.columns())
 
 
 def test_bad_grid_point_keeps_its_exit_code_and_message(tmp_path, capsys):

@@ -10,17 +10,16 @@ from dqdtherm.correlations import (
     SPIN_FLIP,
     _diagonalizing_angles,
     _local_angles,
+    _rotations,
     concurrence,
     concurrence_closed_form,
     correlated_coherence,
-    fidelity_mixed,
     fidelity_pure,
     l1_coherence,
     local_angles,
-    rotation2,
 )
 from dqdtherm.model import DegenerateGroundState, ModelParams, ground_state
-from dqdtherm.qmatrix import ValidationError, eig_sym, kron2
+from dqdtherm.qmatrix import ValidationError, eig_sym
 from dqdtherm.thermal import populations, reduce_a, reduce_b, thermal_state
 
 BELL = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0
@@ -34,7 +33,7 @@ def random_density(rng):
 
 def random_rotation4(rng):
     # product of two local orthogonal rotations
-    return kron2(rotation2(rng.uniform(0, 2 * math.pi)), rotation2(rng.uniform(0, 2 * math.pi)))
+    return np.kron(_rotations(rng.uniform(0, 2 * math.pi)), _rotations(rng.uniform(0, 2 * math.pi)))
 
 
 def test_spin_flip_structure():
@@ -48,6 +47,9 @@ def test_spin_flip_structure():
         dtype=float,
     )
     assert np.array_equal(SPIN_FLIP, expected)
+    # sigma_y = i K, so sigma_y (x) sigma_y = -K (x) K, real
+    k = np.array([[0.0, -1.0], [1.0, 0.0]])
+    assert np.array_equal(SPIN_FLIP, -np.kron(k, k))
 
 
 def test_concurrence_bell_state():
@@ -99,7 +101,7 @@ def test_closed_form_reports_spectrum_pieces():
     _, spec = concurrence_closed_form(state.rho)
     assert spec.lambdas.shape == (4,)
     assert np.all(spec.lambdas >= 0.0)
-    for field in (spec.theta_cap, spec.g_cap, spec.xi_plus, spec.xi_minus):
+    for field in (spec.theta_cap, spec.g_cap, spec.xi_plus, spec.sig_plus):
         assert math.isfinite(field)
 
 
@@ -138,34 +140,6 @@ def test_fidelity_pure_rejects_unnormalized_vector():
         fidelity_pure(np.array([1.0, 1.0, 0.0, 0.0]), np.eye(4) / 4.0)
 
 
-def test_fidelity_mixed_self_and_orthogonal():
-    rng = np.random.default_rng(17)
-    rho = random_density(rng)
-    assert fidelity_mixed(rho, rho) == pytest.approx(1.0, abs=1e-8)
-    left = np.diag([0.5, 0.5, 0.0, 0.0])
-    right = np.diag([0.0, 0.0, 0.5, 0.5])
-    assert fidelity_mixed(left, right) == pytest.approx(0.0, abs=1e-8)
-
-
-def test_fidelity_mixed_symmetry():
-    rng = np.random.default_rng(19)
-    for _ in range(10):
-        a, b = random_density(rng), random_density(rng)
-        assert fidelity_mixed(a, b) == pytest.approx(fidelity_mixed(b, a), abs=1e-8)
-
-
-def test_fidelity_mixed_reduces_to_pure_overlap():
-    # against a projector the Uhlmann trace squares to the plain overlap
-    rng = np.random.default_rng(23)
-    rho = random_density(rng)
-    v = rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    projector = np.outer(v, v)
-    assert fidelity_mixed(rho, projector) ** 2 == pytest.approx(
-        fidelity_pure(v, rho), abs=1e-8
-    )
-
-
 def test_l1_coherence_reference_values():
     assert l1_coherence(np.diag([0.4, 0.3, 0.2, 0.1])) == 0.0
     assert l1_coherence(BELL) == pytest.approx(1.0, abs=1e-12)
@@ -186,7 +160,7 @@ def test_local_angles_diagonalize_thermal_reductions():
     ra, rb = reduce_a(state), reduce_b(state)
     angles = local_angles(ra, rb, state.rho)
     for theta, reduced in ((angles.theta_a, ra), (angles.theta_b, rb)):
-        r = rotation2(theta)
+        r = _rotations(theta)
         rotated = r @ reduced @ r.T
         assert abs(rotated[0, 1]) <= 1e-10
         diag = np.sort(np.diag(rotated))
@@ -229,10 +203,11 @@ def test_correlated_coherence_approaches_concurrence_cold():
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-10.0, 10.0))
-def test_rotation2_is_orthogonal(theta):
-    r = rotation2(theta)
+def test_rotations_are_orthogonal(theta):
+    r = _rotations(theta)
     assert np.max(np.abs(r.T @ r - np.eye(2))) <= 1e-15
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
+    assert np.array_equal(_rotations(np.array([theta, -theta]))[0], r)
 
 
 UNIT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -363,7 +338,7 @@ def test_angle_residual_beyond_the_coherence_bound_takes_the_fallback():
     theta, fell, residual = _diagonalizing_angles(_CHI, _Q, d0, off, d1)
     assert 1e-10 < residual[0] <= 2e-10
     assert fell[0]
-    u = rotation2(theta[0])
+    u = _rotations(theta[0])
     assert 2.0 * abs((u @ _REDUCED[0] @ u.T)[0, 1]) <= 1e-10
 
 

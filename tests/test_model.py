@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqdtherm import model
 from dqdtherm.model import (
     AnalyticUnavailable,
     ModelParams,
@@ -191,6 +192,62 @@ def test_golden_section_min_quadratic():
     x, fx = golden_section_min(lambda u: (u - 2.0) ** 2, 0.0, 5.0, tol=1e-6)
     assert x == pytest.approx(2.0, abs=1e-5)
     assert fx == pytest.approx(0.0, abs=1e-10)
+
+
+def counted(f, budget=10_000):
+    """f with a log of its arguments; past budget calls it raises, so no search can hang."""
+    calls = []
+
+    def objective(*args):
+        calls.append(args)
+        if len(calls) > budget:
+            raise RuntimeError(f"objective called more than {budget} times")
+        return f(*args)
+
+    return objective, calls
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), "tight", None])
+def test_golden_section_min_rejects_a_non_positive_tol(tol):
+    f, calls = counted(lambda u: (u - 2.0) ** 2)
+    with pytest.raises(ValidationError, match="tol"):
+        golden_section_min(f, 0.0, 5.0, tol=tol)
+    assert not calls
+
+
+@pytest.mark.parametrize("lo, hi, at", [(0.0, 5.0, 2.0), (50.0, 150.0, 101.25), (-1.0, 1.0, 0.0)])
+@pytest.mark.parametrize("tol", [1e-300, 5e-324])
+def test_golden_section_min_stops_at_the_float_spacing(lo, hi, at, tol):
+    # a tol finer than rounding allows cannot be met; the search ends once the
+    # bracket stops shrinking (81, 80 and 190 calls for these brackets)
+    f, calls = counted(lambda u: abs(u - at))
+    x, fx = golden_section_min(f, lo, hi, tol=tol)
+    assert len(calls) <= 300
+    assert abs(x - at) <= 1e-15 * (hi - lo)
+    assert fx == f(x)
+
+
+@pytest.mark.parametrize("tol", [0, -1, 1e-300])
+def test_anticrossing_with_a_tol_below_the_float_spacing_ends(monkeypatch, tol):
+    energies, calls = counted(model._energies)
+    monkeypatch.setattr(model, "_energies", energies)
+    pair, eps_range = ("E3", "E4"), (50.0, 150.0)
+    if tol <= 0:
+        with pytest.raises(ValidationError, match="tol"):
+            find_anticrossing(7, 16, 100, pair, eps_range, tol=tol)
+        assert not calls
+        return
+    found = find_anticrossing(7, 16, 100, pair, eps_range, tol=tol)
+    assert len(calls) <= 200
+    default = find_anticrossing(7, 16, 100, pair, eps_range)
+    assert found.eps == pytest.approx(default.eps, abs=1e-5)
+    assert found.gap <= default.gap
+
+
+@pytest.mark.parametrize("grid_step", [0, -0.1, float("nan"), float("inf"), "fine"])
+def test_anticrossing_rejects_a_bad_grid_step(grid_step):
+    with pytest.raises(ValidationError, match="grid_step"):
+        find_anticrossing(7, 16, 100, ("E3", "E4"), (50.0, 150.0), grid_step=grid_step)
 
 
 def test_anticrossing_inner_pair():

@@ -9,13 +9,7 @@ from dqdtherm.qmatrix import (
     check_density_matrix,
     check_symmetric,
     eig_sym,
-    kron2,
-    psd_sqrt,
 )
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
 
 def random_symmetric(rng, n=4, scale=10.0):
     m = rng.uniform(-scale, scale, size=(n, n))
@@ -105,67 +99,6 @@ def test_check_symmetric_scale_relative():
         check_symmetric(np.array([[1.0, 1e-3], [0.0, 1.0]]))
 
 
-def test_psd_sqrt_identity_and_diagonal():
-    assert np.allclose(psd_sqrt(np.eye(4)), np.eye(4))
-    assert np.allclose(psd_sqrt(np.diag([4.0, 1.0, 0.0, 9.0])), np.diag([2.0, 1.0, 0.0, 3.0]))
-
-
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        x = rng.normal(size=(4, 4))
-        m = x @ x.T
-        m /= np.trace(m)
-        root = psd_sqrt(m)
-        assert np.max(np.abs(root @ root - m)) <= 1e-8
-        assert np.max(np.abs(root - root.T)) <= 1e-12
-
-
-def test_psd_sqrt_clamps_roundoff_negatives():
-    m = np.diag([1.0, 0.5, -0.5e-12, 0.25])
-    root = psd_sqrt(m)
-    assert root[2, 2] == 0.0
-
-
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(NotPositiveSemidefiniteError):
-        psd_sqrt(np.diag([1.0, 1.0, 1.0, -1.0]))
-
-
-def test_kron_identity():
-    assert np.array_equal(kron2(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_spin_flip_is_real_antidiagonal():
-    k = np.array([[0.0, -1.0], [1.0, 0.0]])  # sigma_y = i k
-    flip = -kron2(k, k)
-    expected = np.zeros((4, 4))
-    expected[0, 3] = expected[3, 0] = -1.0
-    expected[1, 2] = expected[2, 1] = 1.0
-    assert np.array_equal(flip, expected)
-
-
-def test_kron_sigma_z_sigma_x_blocks():
-    m = kron2(SIGMA_Z, SIGMA_X)
-    assert np.array_equal(m[:2, :2], SIGMA_X)
-    assert np.array_equal(m[2:, 2:], -SIGMA_X)
-    assert np.array_equal(m[:2, 2:], np.zeros((2, 2)))
-
-
-def test_kron_mixed_product_property():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        a, b, c, d = (rng.uniform(-3, 3, size=(2, 2)) for _ in range(4))
-        left = kron2(a, b) @ kron2(c, d)
-        right = kron2(a @ c, b @ d)
-        assert np.max(np.abs(left - right)) <= 1e-10
-
-
-def test_kron_rejects_wrong_shape():
-    with pytest.raises(ValidationError):
-        kron2(np.eye(3), np.eye(2))
-
-
 def test_check_density_matrix():
     check_density_matrix(np.eye(4) / 4.0, dim=4)
     with pytest.raises(ValidationError):
@@ -174,3 +107,10 @@ def test_check_density_matrix():
         check_density_matrix(np.eye(2) / 2.0, dim=4)  # wrong size
     with pytest.raises(NotPositiveSemidefiniteError):
         check_density_matrix(np.diag([0.75, 0.75, -0.25, -0.25]))
+
+
+def test_check_density_matrix_accepts_roundoff_negatives_only():
+    # eigenvalues down to -1e-12 are round-off of a PSD matrix; below that, not
+    check_density_matrix(np.diag([0.5, 0.5 + 0.5e-12, -0.5e-12, 0.0]))
+    with pytest.raises(NotPositiveSemidefiniteError):
+        check_density_matrix(np.diag([0.5, 0.5 + 2e-12, -2e-12, 0.0]))

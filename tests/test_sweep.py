@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from dqdtherm import sweep
 from dqdtherm.correlations import (
     concurrence,
-    concurrence_closed_form,
     correlated_coherence,
     fidelity_pure,
     l1_coherence,
@@ -30,12 +29,10 @@ from dqdtherm.sweep import (
     MEASURE_COLUMNS,
     PARAM_NAMES,
     SweepGrid,
-    csv_lines,
-    evaluate_point,
     find_coherence_peak,
     format_csv_value,
     load_config,
-    run_sweep,
+    sweep_columns,
     write_table,
 )
 from dqdtherm.thermal import populations, thermal_state
@@ -50,6 +47,22 @@ def small_grid(measures=("concurrence",), axis2=None):
         axis2=axis2,
         measures=measures,
     )
+
+
+def grid_point(grid, i):
+    """Grid point i as the dict that error messages show."""
+    return sweep._lookup(sweep._grid_columns(grid))(i)
+
+
+def grid_rows(grid):
+    """Each point of the evaluated grid as (parameters, measure values), row-major."""
+    columns = sweep_columns(grid)
+    n = len(columns["T"])
+    return [
+        ({k: float(columns[k][i]) for k in PARAM_NAMES},
+         {c: float(columns[c][i]) for c in grid.columns()})
+        for i in range(n)
+    ]
 
 
 def test_axis_values_linear_and_log():
@@ -68,11 +81,22 @@ def test_axis_values_linear_and_log():
         dict(name="epsilon", lo=0, hi=1, count=1),
         dict(name="epsilon", lo=0, hi=1, count=5, scale="cubic"),
         dict(name="T", lo=0.0, hi=1, count=5, scale="log"),
+        dict(name="epsilon", lo=0, hi=1, count=2.7),
+        dict(name="epsilon", lo=0, hi=1, count=float("nan")),
+        dict(name="epsilon", lo=0, hi=1, count=float("inf")),
+        dict(name="epsilon", lo=0, hi=1, count="3"),
+        dict(name="epsilon", lo=0, hi=1, count=None),
     ],
 )
 def test_axis_rejects_bad_specs(kwargs):
     with pytest.raises(ConfigError):
         Axis(**kwargs)
+
+
+def test_axis_takes_an_integral_count_of_any_number_type():
+    assert Axis("T", 1.0, 2.0, 3.0).count == 3
+    assert Axis("T", 1.0, 2.0, np.int64(4)).count == 4
+    assert type(Axis("T", 1.0, 2.0, 3.0).count) is int
 
 
 def test_grid_partition_validation():
@@ -94,51 +118,54 @@ def test_grid_partition_validation():
         SweepGrid(fixed=FIXED, axis1=ax, axis2=None, measures=())
 
 
-def test_run_sweep_row_major_order():
+def test_sweep_columns_row_major_order():
     grid = SweepGrid(
         fixed={"t": 7.0, "bz": 16.0, "bx": 100.0},
         axis1=Axis("epsilon", 0.0, 1.0, 2),
         axis2=Axis("T", 1.0, 3.0, 3),
         measures=("populations",),
     )
-    records = run_sweep(grid)
-    assert len(records) == 6
-    seen = [(r.params["epsilon"], r.params["T"]) for r in records]
+    rows = grid_rows(grid)
+    assert len(rows) == 6
+    seen = [(params["epsilon"], params["T"]) for params, _ in rows]
     assert seen == [(e, t) for e in (0.0, 1.0) for t in (1.0, 2.0, 3.0)]
-    for rec in records:
-        total = sum(rec.values[c] for c in MEASURE_COLUMNS["populations"])
+    for _, values in rows:
+        total = sum(values[c] for c in MEASURE_COLUMNS["populations"])
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
-def test_run_sweep_deterministic_lines():
+def sweep_csv(grid):
+    """The CSV the sweep subcommand writes for grid."""
+    columns = sweep_columns(grid)
+    stream = io.StringIO()
+    write_table(stream, PARAM_NAMES + grid.columns(), [columns[c] for c in PARAM_NAMES + grid.columns()])
+    return stream.getvalue()
+
+
+def test_sweep_csv_is_deterministic():
     grid = small_grid(measures=("concurrence", "l1"))
-    first = csv_lines(grid, run_sweep(grid))
-    second = csv_lines(grid, run_sweep(grid))
-    assert first == second
-    header = first[0].split(",")
+    first = sweep_csv(grid)
+    assert first == sweep_csv(grid)
+    header = first.split("\n")[0].split(",")
     assert header == list(PARAM_NAMES) + ["C", "l1"]
 
 
-def test_run_sweep_matches_pointwise_evaluation():
+def test_sweep_columns_match_the_scalar_concurrence():
     grid = small_grid(measures=("concurrence",))
-    records = run_sweep(grid)
-    for rec in records:
-        direct = evaluate_point(rec.params, ("concurrence",))
-        assert rec.values["C"] == direct["C"]
+    for params, values in grid_rows(grid):
+        p = ModelParams(params["epsilon"], params["t"], params["bz"], params["bx"])
+        assert values["C"] == concurrence(thermal_state(p, params["T"]))
 
 
-def test_closed_form_columns_track_residual():
-    point = dict(FIXED, epsilon=1.0, bx=0.0)
-    out = evaluate_point(point, ("concurrence", "concurrence_closed"))
-    # decoupled sectors: both routes agree that there is no entanglement
-    assert out["C"] <= 1e-10
-    assert out["C_residual"] == pytest.approx(out["C_closed"] - out["C"], abs=1e-15)
+def test_energies_measure_skips_thermal_state(monkeypatch):
+    def no_gibbs(*args, **kwargs):
+        raise AssertionError("the energies measure built a Gibbs state")
 
-
-def test_energies_measure_skips_thermal_state():
-    out = evaluate_point({"epsilon": 0.0, "t": 7.0, "bz": 16.0, "bx": 100.0, "T": 1.0}, ("energies",))
-    assert out["E1"] == pytest.approx(52.2015, abs=1e-4)
-    assert out["E2"] == -out["E1"]
+    monkeypatch.setattr(sweep, "_gibbs", no_gibbs)
+    params, values = grid_rows(small_grid(measures=("energies",)))[1]
+    assert params["epsilon"] == 0.0
+    assert values["E1"] == pytest.approx(52.2015, abs=1e-4)
+    assert values["E2"] == -values["E1"]
 
 
 def test_format_csv_value():
@@ -198,7 +225,7 @@ def test_write_table_formats_each_block_of_rows_at_once(monkeypatch):
     assert "".join(writes) == per_value_text(("x", "y"), zip(column, -column))
 
 
-def test_sweep_csv_across_block_boundaries_equals_the_records(monkeypatch):
+def test_sweep_csv_across_block_boundaries_equals_per_value_formatting(monkeypatch):
     # a 3 x 4 grid written 5 rows at a time; bx = 0 makes C exactly 0 at every point
     monkeypatch.setattr(sweep, "_ROWS_PER_WRITE", 5)
     grid = SweepGrid(
@@ -207,15 +234,11 @@ def test_sweep_csv_across_block_boundaries_equals_the_records(monkeypatch):
         axis2=Axis("T", 0.1, 10.0, 4, "log"),
         measures=("populations", "concurrence", "l1"),
     )
-    records = run_sweep(grid)
-    rows = [[r.params[k] for k in PARAM_NAMES] + [r.values[c] for c in grid.columns()]
-            for r in records]
-    expected = per_value_text(PARAM_NAMES + grid.columns(), rows)
-    assert "\n".join(csv_lines(grid, records)) + "\n" == expected
-    columns = sweep.sweep_columns(grid)
-    stream = io.StringIO()
-    write_table(stream, PARAM_NAMES + grid.columns(), [columns[c] for c in PARAM_NAMES + grid.columns()])
-    assert stream.getvalue() == expected
+    points = grid_rows(grid)
+    assert len(points) == 12
+    assert all(values["C"] == 0.0 for _, values in points)
+    rows = [[*params.values(), *values.values()] for params, values in points]
+    assert sweep_csv(grid) == per_value_text(PARAM_NAMES + grid.columns(), rows)
 
 
 def test_grid_columns_hold_the_grid_point_doubles():
@@ -231,7 +254,7 @@ def test_grid_columns_hold_the_grid_point_doubles():
         dict(grid.fixed, T=float(v1), epsilon=float(v2))
         for v1 in grid.axis1.values() for v2 in grid.axis2.values()
     ]
-    assert sweep._grid_points(grid) == expected
+    assert [sweep._lookup(columns)(i) for i in range(len(expected))] == expected
     for k, column in columns.items():
         assert column.dtype == np.float64
         assert column.tolist() == [d[k] for d in expected]
@@ -241,6 +264,25 @@ def test_find_coherence_peak_smoke():
     t_peak, value = find_coherence_peak(1.0, 7.0, 16.0, 100.0, count=100)
     assert t_peak == pytest.approx(6.0, abs=1.0)
     assert value > 1.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(count=0),
+        dict(count=1),
+        dict(count=2.5),
+        dict(count=float("nan")),
+        dict(t_lo=float("nan")),
+        dict(t_hi=float("inf")),
+        dict(t_lo=float("-inf")),
+        dict(t_lo=0.0),
+        dict(t_lo=10.0, t_hi=1.0),
+    ],
+)
+def test_find_coherence_peak_rejects_bad_scan_arguments(kwargs):
+    with pytest.raises(ConfigError):
+        find_coherence_peak(1.0, 7.0, 16.0, 100.0, **kwargs)
 
 
 CONFIG = """
@@ -277,8 +319,7 @@ def test_load_config_round_trip(tmp_path):
     assert grid.axis2.name == "T" and grid.axis2.scale == "log"
     assert grid.measures == ("concurrence", "correlated_coherence")
     assert grid.fixed == {"t": 7.0, "bz": 16.0, "bx": 100.0}
-    records = run_sweep(grid)
-    assert len(records) == 9
+    assert len(sweep_columns(grid)["T"]) == 9
 
 
 def test_load_config_fixed_temperature_key_is_case_sensitive(tmp_path):
@@ -321,14 +362,10 @@ def scalar_measures(point):
     """Every sweep column at one point through the scalar public API."""
     p = ModelParams(point["epsilon"], point["t"], point["bz"], point["bx"])
     state = thermal_state(p, point["T"])
-    c = concurrence(state)
-    closed, _ = concurrence_closed_form(state.rho)
     out = dict(zip(MEASURE_COLUMNS["energies"], analytic_energies(p).tolist()))
     out.update(zip(MEASURE_COLUMNS["populations"], populations(state)))
     out.update(
-        C=c,
-        C_closed=closed,
-        C_residual=abs(closed - c),
+        C=concurrence(state),
         F=fidelity_pure(ground_state(p).vector, state.rho),
         l1=l1_coherence(state.rho),
         Ccc=correlated_coherence(state.rho),
@@ -361,7 +398,7 @@ def grids(draw):
 @settings(max_examples=50, deadline=None)
 @given(grids())
 def test_batched_sweep_equals_scalar_api_bitwise(grid):
-    points = sweep._grid_points(grid)
+    points = [grid_point(grid, i) for i in range(grid.axis1.count * grid.axis2.count)]
     degenerate = [
         i for i, d in enumerate(points)
         if ground_state(ModelParams(d["epsilon"], d["t"], d["bz"], d["bx"])).degenerate
@@ -369,17 +406,16 @@ def test_batched_sweep_equals_scalar_api_bitwise(grid):
     if degenerate:
         # fidelity to a degenerate ground state is refused at the first such point
         with pytest.raises(DegenerateGroundState) as info:
-            run_sweep(grid)
+            sweep_columns(grid)
         assert info.value.index == degenerate[0]
         grid = dataclasses.replace(
             grid, measures=tuple(m for m in grid.measures if m != "fidelity_pure")
         )
-    records = run_sweep(grid)
-    assert len(records) == grid.axis1.count * grid.axis2.count
-    for rec in records:
-        assert rec.values == evaluate_point(rec.params, grid.measures)
-        expected = scalar_measures(rec.params)
-        assert rec.values == {c: expected[c] for c in grid.columns()}
+    rows = grid_rows(grid)
+    assert [params for params, _ in rows] == [{k: d[k] for k in PARAM_NAMES} for d in points]
+    for params, values in rows:
+        expected = scalar_measures(params)
+        assert values == {c: expected[c] for c in grid.columns()}
 
 
 def test_fidelity_refuses_a_degenerate_ground_state():
@@ -391,9 +427,9 @@ def test_fidelity_refuses_a_degenerate_ground_state():
         measures=("concurrence", "fidelity_pure"),
     )
     with pytest.raises(DegenerateGroundState, match="ground state is degenerate") as info:
-        run_sweep(grid)
+        sweep_columns(grid)
     assert info.value.index == 2
-    assert str(info.value).endswith(f"at {sweep._grid_points(grid)[2]}")
+    assert str(info.value).endswith(f"at {grid_point(grid, 2)}")
 
 
 def _public_peak(epsilon, t, bz, bx):
@@ -443,9 +479,9 @@ def test_large_grid_points_equal_single_point_evaluation():
         axis2=Axis("T", 0.01, 100.0, 50, "log"),
         measures=("concurrence", "correlated_coherence", "fidelity_pure"),
     )
-    records = run_sweep(grid)
-    for rec in records[::37]:
-        assert rec.values == evaluate_point(rec.params, grid.measures)
+    for params, values in grid_rows(grid)[::37]:
+        expected = scalar_measures(params)
+        assert values == {c: expected[c] for c in grid.columns()}
 
 
 def test_bad_point_error_names_the_first_in_row_major_order():
@@ -456,9 +492,9 @@ def test_bad_point_error_names_the_first_in_row_major_order():
         measures=("concurrence",),
     )
     with pytest.raises(ValidationError, match="temperature must be positive") as info:
-        run_sweep(grid)
+        sweep_columns(grid)
     assert info.value.index == 0
-    assert str(info.value).endswith(f"at {sweep._grid_points(grid)[0]}")
+    assert str(info.value).endswith(f"at {grid_point(grid, 0)}")
 
 
 def test_later_check_at_an_earlier_point_wins(monkeypatch):
@@ -488,7 +524,7 @@ def test_later_check_at_an_earlier_point_wins(monkeypatch):
         measures=("correlated_coherence",),
     )
     with pytest.raises(ValidationError, match="negative correlated coherence") as info:
-        run_sweep(grid)
+        sweep_columns(grid)
     assert not isinstance(info.value, NotPositiveSemidefiniteError)
     assert info.value.index == 2
-    assert str(info.value).endswith(f"at {sweep._grid_points(grid)[2]}")
+    assert str(info.value).endswith(f"at {grid_point(grid, 2)}")

@@ -4,7 +4,7 @@ import pytest
 from dqdtherm.model import ModelParams, build_hamiltonian, ground_state
 from dqdtherm.qmatrix import ValidationError, check_density_matrix, eig_sym
 from dqdtherm.thermal import (
-    density_from_hamiltonian,
+    _gibbs,
     populations,
     reduce_a,
     reduce_b,
@@ -76,9 +76,9 @@ def test_state_invariants_random():
 
 def test_energy_shift_invariance():
     h = build_hamiltonian(REF)
-    rho = density_from_hamiltonian(h, 3.0)[0]
+    rho = _gibbs(h[None], 3.0).rho[0]
     for shift in (1000.0, -1000.0):
-        shifted = density_from_hamiltonian(h + shift * np.eye(4), 3.0)[0]
+        shifted = _gibbs((h + shift * np.eye(4))[None], 3.0).rho[0]
         assert np.max(np.abs(shifted - rho)) <= 1e-10
 
 
@@ -87,7 +87,7 @@ def test_mean_energy_increases_with_temperature():
     temps = np.logspace(-2, 4, 10)
     means = []
     for temp in temps:
-        rho = density_from_hamiltonian(h, temp)[0]
+        rho = _gibbs(h[None], temp).rho[0]
         means.append(float(np.trace(rho @ h)))
     diffs = np.diff(means)
     assert np.all(diffs >= -1e-10)

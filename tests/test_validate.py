@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dqdtherm import correlations, model, qmatrix, thermal, validate
-from dqdtherm.correlations import concurrence, concurrence_closed_form, local_angles, rotation2
+from dqdtherm.correlations import _rotations, concurrence, concurrence_closed_form, local_angles
 from dqdtherm.model import (
     AnalyticUnavailable,
     ModelParams,
@@ -59,7 +59,7 @@ def per_sample_validation(samples, seed):
 
         ra, rb = reduce_a(state), reduce_b(state)
         angles = local_angles(ra, rb, rho)
-        ua, ub = rotation2(angles.theta_a), rotation2(angles.theta_b)
+        ua, ub = _rotations(angles.theta_a), _rotations(angles.theta_b)
         ra_rot = ua @ ra @ ua.T
         rb_rot = ub @ rb @ ub.T
         _record(
