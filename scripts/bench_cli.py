@@ -3,7 +3,10 @@
 For each package source tree (default: this repository's src/), a worker
 interpreter runs every `scripts/make_datasets.py` CLI invocation and its
 anticrossing and peak searches in process, after one untimed call each,
-and a fresh interpreter runs the whole script. Trees take turns over
+then times each sweep kernel alone (KERNELS) on the first N points of
+the 100x100 concurrence map of make_datasets.py, for each N in
+KERNEL_SIZES; a kernel the tree lacks is recorded as null. A fresh
+interpreter then runs the whole script. Trees take turns over
 several rounds, the first tree leading in odd rounds, so host drift
 reaches every tree alike. After the rounds, the tier-1 test suite next to
 each tree (DIR/../tests) runs once, timed. Uses only the standard library
@@ -13,7 +16,8 @@ and numpy:
     python3 scripts/bench_cli.py --label cmp --src parent=../old/src --src change=src
 
 The JSON holds, per tree and invocation, the median and quartiles in ms
-over ROUNDS * REPEATS in-process runs, the fresh-interpreter script
+over ROUNDS * REPEATS in-process runs, per tree, kernel and N the median
+and quartiles in us per call over as many samples, the fresh-interpreter script
 times, a digest of the script's CSVs and stdout, the tier-1 wall time with
 pytest's exit code and summary line (the suite has one test that fails by
 design, so exit code 1 is recorded, not raised), and the host, Python,
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -39,6 +44,18 @@ ROOT = SCRIPTS.parent
 ROUNDS = 5
 REPEATS = 5  # in-process runs per invocation and round: ROUNDS * REPEATS >= 20
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+KERNEL_SIZES = (1, 10_000)
+KERNEL_CALLS = 20_000  # points per timed sample: N = 1 repeats a kernel this many times
+KERNELS = (
+    "model._hamiltonians",
+    "thermal._gibbs",
+    "correlations._concurrence",
+    "correlations._gibbs_concurrence",
+    "qmatrix.check_gibbs_stack",
+    "qmatrix.check_density_stack",
+    "correlations._correlated_coherence",
+    "sweep.write_table",
+)
 
 
 def _operations(out_dir: pathlib.Path) -> dict:
@@ -62,8 +79,50 @@ def _operations(out_dir: pathlib.Path) -> dict:
     return ops
 
 
+def _kernels(n: int) -> dict:
+    """Each name of KERNELS as a zero-argument call over n map points; None if missing."""
+    import importlib
+
+    import numpy as np
+
+    modules = {m: importlib.import_module(f"dqdtherm.{m}") for m in
+               ("model", "thermal", "correlations", "qmatrix", "sweep")}
+    model, thermal = modules["model"], modules["thermal"]
+    # make_datasets.py's first concurrence map: bx in [1, 100] x log T in [0.01, 100]
+    bx = np.repeat(np.linspace(1.0, 100.0, 100), 100)[:n]
+    temp = np.tile(np.logspace(-2.0, 2.0, 100), 100)[:n]
+    eps, t, bz = np.full(n, 1.0), np.full(n, 7.0), np.full(n, 16.0)
+    h = model._hamiltonians(eps, t, bz, bx)
+    g = thermal._gibbs(h, temp)
+    roots = np.sqrt(g.weights)
+    args = {
+        "model._hamiltonians": (eps, t, bz, bx),
+        "thermal._gibbs": (h, temp),
+        "correlations._concurrence": (g.vectors, roots),
+        "correlations._gibbs_concurrence": (g.vectors, g.weights),
+        "qmatrix.check_gibbs_stack": (g.rho, g.vectors, g.weights),
+        "qmatrix.check_density_stack": (g.rho,),
+        "correlations._correlated_coherence": (g.rho,),
+    }
+    calls = {}
+    for name in KERNELS:
+        module, attr = name.split(".")
+        fn = getattr(modules[module], attr, None)
+        if fn is None:
+            calls[name] = None
+        elif name == "sweep.write_table":
+            cols = [bx, temp, roots[:, 0]]
+            calls[name] = lambda fn=fn, cols=cols: fn(io.StringIO(), ("bx", "T", "C"), cols)
+        else:
+            calls[name] = lambda fn=fn, a=args[name]: fn(*a)
+    return calls
+
+
 def worker() -> int:
-    """Time every step REPEATS times, interleaved, and print the times as JSON."""
+    """Time every step and kernel REPEATS times, interleaved; print the times as JSON.
+
+    A kernel sample is the mean time per call over KERNEL_CALLS / N calls.
+    """
     sys.path.insert(0, str(SCRIPTS))
     with tempfile.TemporaryDirectory() as tmp:
         ops = _operations(pathlib.Path(tmp))
@@ -75,7 +134,20 @@ def worker() -> int:
                 start = time.perf_counter()
                 call()
                 times[name].append(time.perf_counter() - start)
-    print(json.dumps(times))
+    kernels = {}
+    for n in KERNEL_SIZES:
+        calls = _kernels(n)
+        for call in filter(None, calls.values()):
+            call()
+        reps = max(1, KERNEL_CALLS // n)
+        for name, call in calls.items():
+            samples = kernels.setdefault(name, {})[str(n)] = []
+            for _ in range(REPEATS if call else 0):
+                start = time.perf_counter()
+                for _ in range(reps):
+                    call()
+                samples.append((time.perf_counter() - start) / reps)
+    print(json.dumps({"ops": times, "kernels": kernels}))
     return 0
 
 
@@ -117,9 +189,15 @@ def _run_tier1(src: pathlib.Path) -> dict | None:
     }
 
 
-def _stats(seconds: list) -> dict:
+def _stats(seconds: list, unit: str = "ms") -> dict:
+    scale = {"ms": 1e3, "us": 1e6}[unit]
     q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
-    return {"n": len(seconds), "median_ms": median * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3}
+    return {
+        "n": len(seconds),
+        f"median_{unit}": median * scale,
+        f"q1_{unit}": q1 * scale,
+        f"q3_{unit}": q3 * scale,
+    }
 
 
 def _host() -> dict:
@@ -163,6 +241,7 @@ def main(argv=None) -> int:
         trees[name] = pathlib.Path(path).resolve()
 
     samples = {name: {} for name in trees}
+    kernels = {name: {} for name in trees}
     fresh = {name: [] for name in trees}
     digests = {name: set() for name in trees}
     for round_ in range(ROUNDS):
@@ -173,8 +252,12 @@ def main(argv=None) -> int:
                 [sys.executable, __file__, "--worker"],
                 env=env, capture_output=True, check=True, text=True,
             )
-            for op, times in json.loads(done.stdout).items():
+            report = json.loads(done.stdout)
+            for op, times in report["ops"].items():
                 samples[name].setdefault(op, []).extend(times)
+            for kernel, by_size in report["kernels"].items():
+                for n, times in by_size.items():
+                    kernels[name].setdefault(kernel, {}).setdefault(n, []).extend(times)
             wall, digest = _run_script(trees[name])
             fresh[name].append(wall)
             digests[name].add(digest)
@@ -191,12 +274,19 @@ def main(argv=None) -> int:
         "method": (
             f"{ROUNDS} rounds, trees alternating first; per round and tree one worker "
             f"interpreter runs each step {REPEATS} times in process after one untimed "
-            "call, then one fresh interpreter runs the whole make_datasets.py; "
+            f"call, then times each kernel {REPEATS} times at each N in {KERNEL_SIZES} "
+            f"(one sample: the mean over {KERNEL_CALLS} / N calls, after one untimed "
+            "call), then one fresh interpreter runs the whole make_datasets.py; "
             "then the tier-1 suite of each tree runs once"
         ),
         "trees": {
             name: {
                 "in_process": {op: _stats(times) for op, times in samples[name].items()},
+                "kernels_us_per_call": {
+                    kernel: {n: _stats(times, "us") if times else None
+                             for n, times in by_size.items()}
+                    for kernel, by_size in kernels[name].items()
+                },
                 "make_datasets_fresh_s": {
                     "runs": fresh[name], "median": statistics.median(fresh[name]),
                 },

@@ -50,7 +50,14 @@ def _swap(m: np.ndarray) -> np.ndarray:
 
 
 def _concurrence(vectors: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Wootters C of each state of a stack with sqrt(rho) = V diag(roots) V^T."""
+    """Wootters C of each state of a stack with sqrt(rho) = V diag(roots) V^T.
+
+    The square roots of the spin-flip spectrum are taken as |eig(B)| of
+    the symmetric matrix B = sqrt(rho) S sqrt(rho): B^2 is the usual PSD
+    similarity of rho S rho S, so eig(B) = +-sqrt(lambda) exactly.  This
+    is the route for any density matrix; validate keeps it as the oracle
+    of _gibbs_concurrence.
+    """
     sq = (vectors * roots[:, None, :]) @ _swap(vectors)
     b = sq @ SPIN_FLIP @ sq
     mu = eig_sym(0.5 * (b + _swap(b))).values
@@ -58,27 +65,65 @@ def _concurrence(vectors: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 2.0 * s[:, 0] - s.sum(axis=1))
 
 
+# 1 (x) sigma_z, the diagonal of Z in concurrence's derivation
+_SPIN_Z = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _gibbs_concurrence(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Wootters C of each Gibbs state of a stack, from its eigh vectors and weights.
+
+    No eigensolve: see concurrence for the derivation.  vectors and
+    weights are as _gibbs returns them, eigenvalues ascending.
+    """
+    z = _swap(vectors) @ (vectors * _SPIN_Z[:, None])
+    r = np.sqrt(weights)
+    k = r[:, :, None] * r[:, None, ::-1]
+    a = 0.5 * z * (k - _swap(k))  # (W - W^T) / 2, as z is symmetric
+    p = np.stack([a[:, 0, 1] + a[:, 2, 3], a[:, 0, 2] - a[:, 1, 3], a[:, 0, 3] + a[:, 1, 2]])
+    q = np.stack([a[:, 0, 1] - a[:, 2, 3], a[:, 0, 2] + a[:, 1, 3], a[:, 0, 3] - a[:, 1, 2]])
+    p, q = np.sqrt((p * p).sum(axis=0)), np.sqrt((q * q).sum(axis=0))
+    pi = weights[:, 0] * weights[:, 3]
+    return np.maximum(0.0, p + q - np.sqrt((p - q) ** 2 + 4.0 * pi))
+
+
 def concurrence(state) -> float:
     """Wootters concurrence of a real two-qubit density matrix or ThermalState.
 
-    The square roots of the spin-flip spectrum are taken as |eig(B)| of
-    the symmetric matrix B = sqrt(rho) S sqrt(rho): B^2 is the usual
-    PSD similarity of rho S rho S, so eig(B) = +-sqrt(lambda) exactly.
-    Diagonalizing B instead of B^2 keeps the noise floor at machine
-    epsilon, which is what lets the concurrence of a product state come
-    out as a clean zero instead of sqrt(round-off).
+    (W. K. Wootters, PRL 80, 2245 (1998).)  A ThermalState's concurrence
+    comes in closed form from its own eigenvectors V and Gibbs weights w,
+    with no eigensolve, through the model's chiral symmetry:
 
-    A ThermalState supplies sqrt(rho) = V diag(sqrt(w)) V^T from its own
-    eigenvectors and Gibbs weights.  A bare matrix is validated and
-    diagonalized for it, which puts sqrt(round-off) noise on C when rho
-    has eigenvalues at round-off level (near-separable cold states).
+    - G = tau_y (x) sigma_x anticommutes with every term of H, so the
+      ascending energies satisfy E3 = -E0 and E2 = -E1.  With Zp the
+      partition function, e^{+beta E_i} / Zp = w_{3-i}, and
+      pi := w_0 w_3 = 1 / Zp^2.
+    - The spin flip is S = sigma_y (x) sigma_y = i G Z with
+      Z = 1 (x) sigma_z, so rho~ = S rho S = Z e^{beta H} Z / Zp.
+    - Hence rho rho~ is similar to W W^T, where
+      W = diag(sqrt w) (V^T Z V) diag(sqrt w reversed), and W^2 = pi I.
+      The square roots of the spin-flip spectrum, the singular values of
+      W, are s1, s2, pi/s2, pi/s1 with s1 >= s2 >= sqrt(pi), and
+      C = max(0, (s1 - pi/s1) - (s2 + pi/s2)).
+    - The antisymmetric part A = (W - W^T)/2 has the singular values
+      (s - pi/s)/2.  Its self-dual and anti-self-dual halves,
+      p = (a01 + a23, a02 - a13, a03 + a12) and
+      q = (a01 - a23, a02 + a13, a03 - a12), give s1 - pi/s1 = |p| + |q|
+      and s2 - pi/s2 = ||p| - |q||, so
+      C = max(0, |p| + |q| - sqrt((|p| - |q|)^2 + 4 pi)).
+
+    That form never squares the roots, so it keeps its digits near C = 0,
+    where trace identities of W W^T lose half of them.
+
+    A bare matrix is validated, diagonalized, and its square roots taken
+    as |eig(B)| of B = sqrt(rho) S sqrt(rho) (see _concurrence), which
+    puts sqrt(round-off) noise on C when rho has eigenvalues at round-off
+    level (near-separable cold states).
     """
     if isinstance(state, ThermalState):
-        vectors, roots = state.vectors, np.sqrt(state.weights)
-    else:
-        dec = eig_sym(check_density_matrix(state, dim=4))
-        vectors, roots = dec.vectors, np.sqrt(np.clip(dec.values, 0.0, None))
-    return float(_concurrence(vectors[None], roots[None])[0])
+        return float(_gibbs_concurrence(state.vectors[None], state.weights[None])[0])
+    dec = eig_sym(check_density_matrix(state, dim=4))
+    roots = np.sqrt(np.clip(dec.values, 0.0, None))
+    return float(_concurrence(dec.vectors[None], roots[None])[0])
 
 
 @dataclass(frozen=True)

@@ -407,8 +407,9 @@ def find_anticrossing(
 ) -> Anticrossing:
     """Locate the detuning minimizing the gap between two labelled levels.
 
-    Coarse scan with step <= grid_step as one array evaluation of the
-    closed-form energies, then golden-section refinement of the
+    Coarse scan with step <= grid_step through the closed-form energies,
+    evaluated in blocks of _SCAN_BLOCK points so that memory stays
+    bounded on any step, then golden-section refinement of the
     bracketing interval down to tol in epsilon.  A minimum on the
     interval boundary means the gap is monotonic there and raises
     NoAnticrossing.
@@ -432,12 +433,36 @@ def find_anticrossing(
         return abs(float(e[ia]) - float(e[ib]))
 
     n = max(3, int(math.ceil((hi - lo) / grid_step)) + 1)
-    xs = np.linspace(lo, hi, n)
-    levels = _energies(xs, t, bz, bx)
-    k = int(np.argmin(np.abs(levels[:, ia] - levels[:, ib])))
+    k, best = 0, math.inf
+    for start in range(0, n, _SCAN_BLOCK):
+        levels = _energies(_linspace_block(lo, hi, n, start, start + _SCAN_BLOCK), t, bz, bx)
+        gaps = np.abs(levels[:, ia] - levels[:, ib])
+        j = int(np.argmin(gaps))
+        if gaps[j] < best:  # strict, so the first minimum wins as in np.argmin
+            k, best = start + j, float(gaps[j])
     if k == 0 or k == n - 1:
         raise NoAnticrossing(
             f"|{key[0]} - {key[1]}| is monotonic on [{lo}, {hi}]"
         )
-    x, g = golden_section_min(gap, float(xs[k - 1]), float(xs[k + 1]), tol)
+    left, _, right = _linspace_block(lo, hi, n, k - 1, k + 2)
+    x, g = golden_section_min(gap, float(left), float(right), tol)
     return Anticrossing(eps=float(x), gap=float(g))
+
+
+# coarse-scan points evaluated at once: bounds find_anticrossing's memory
+_SCAN_BLOCK = 65536
+
+
+def _linspace_block(lo: float, hi: float, n: int, start: int, stop: int) -> np.ndarray:
+    """np.linspace(lo, hi, n)[start:stop], without the points outside the slice.
+
+    Point i is i * step + lo with step = (hi - lo) / (n - 1), and the last
+    point is hi, which is how np.linspace computes them, so the values
+    are the same doubles.
+    """
+    i = np.arange(start, min(stop, n), dtype=float)
+    step = (hi - lo) / (n - 1)
+    x = (i * step if step else i / (n - 1) * (hi - lo)) + lo
+    if stop >= n:
+        x[-1] = hi
+    return x

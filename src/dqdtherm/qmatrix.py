@@ -20,6 +20,7 @@ __all__ = [
     "fail_first",
     "check_symmetric",
     "check_density_stack",
+    "check_gibbs_stack",
     "check_density_matrix",
     "eig_sym",
 ]
@@ -111,12 +112,8 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def check_density_stack(rho: np.ndarray, where=None) -> np.ndarray:
-    """Validate each matrix of an (N, n, n) stack as a real density matrix.
-
-    The checks are those of check_density_matrix, run over the whole
-    stack; the first failing matrix raises, named through where(i).
-    """
+def _check_unit_trace_stack(rho: np.ndarray, where=None) -> np.ndarray:
+    """Finiteness, symmetry and unit trace of each matrix of an (N, n, n) stack."""
     a = _check_symmetric_stack(rho, "density matrix", where)
     tr = np.trace(a, axis1=1, axis2=2)
     fail_first(
@@ -124,11 +121,46 @@ def check_density_stack(rho: np.ndarray, where=None) -> np.ndarray:
         lambda i: ValidationError(f"density matrix trace is {float(tr[i])!r}, expected 1"),
         where,
     )
+    return a
+
+
+def check_density_stack(rho: np.ndarray, where=None) -> np.ndarray:
+    """Validate each matrix of an (N, n, n) stack as a real density matrix.
+
+    The checks are those of check_density_matrix, run over the whole
+    stack; the first failing matrix raises, named through where(i).
+    """
+    a = _check_unit_trace_stack(rho, where)
     w = np.linalg.eigvalsh(a)[:, 0]
     fail_first(
         w < -_PSD_CLAMP,
         lambda i: NotPositiveSemidefiniteError(
             f"density matrix has eigenvalue {float(w[i])!r}"
+        ),
+        where,
+    )
+    return a
+
+
+def check_gibbs_stack(rho, vectors, weights, where=None) -> np.ndarray:
+    """check_density_stack for a stack built as rho = V diag(w) V^T, without an eigensolve.
+
+    Such a rho is congruent to diag(w), so it is PSD when every weight is
+    >= 0 (to the PSD tolerance) and V is invertible; V^T V = I to 1e-12
+    is required, which LAPACK's eigenvectors meet with orders to spare.
+    Finiteness, symmetry and trace are checked as check_density_stack
+    checks them, and the first failing matrix raises, named through
+    where(i).
+    """
+    a = _check_unit_trace_stack(rho, where)
+    low = weights.min(axis=1)
+    gram = np.swapaxes(vectors, 1, 2) @ vectors - np.eye(vectors.shape[-1])
+    skew = np.abs(gram).reshape(len(gram), -1).max(axis=1)
+    fail_first(
+        ~(low >= -_PSD_CLAMP) | ~(skew <= _PSD_CLAMP),
+        lambda i: NotPositiveSemidefiniteError(
+            f"density matrix has Gibbs weight {float(low[i])!r} and eigenvectors "
+            f"off orthonormal by {float(skew[i])!r}"
         ),
         where,
     )

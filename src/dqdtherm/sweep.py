@@ -5,7 +5,9 @@ every grid point, and emits rows in row-major axis order.  The grid is
 held as columns, one float array per parameter, and evaluated as one
 batch: its Hamiltonians are stacked into one (N, 4, 4) array, one batched
 eigendecomposition gives every Gibbs state, and each measure runs once
-over the stack, giving one array per output column.  write_table prints
+over the stack, giving one array per output column.  That eigensolve is
+the sweep's only one: the density-matrix checks and the concurrence read
+the Gibbs eigenvectors and weights instead.  write_table prints
 those columns as CSV in fixed blocks of rows, each block formatted by one
 %-operation.  Each point gives the same bits alone or inside any grid, so
 reruns of the same input on one machine produce byte-identical CSV.
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import (
-    _concurrence,
     _correlated_coherence,
     _fidelity,
+    _gibbs_concurrence,
     _l1,
 )
 from .model import (
@@ -34,7 +36,7 @@ from .model import (
     _hamiltonians,
     golden_section_min,
 )
-from .qmatrix import ValidationError, check_density_stack, fail_first
+from .qmatrix import ValidationError, check_gibbs_stack, fail_first
 from .thermal import _gibbs
 
 __all__ = [
@@ -163,14 +165,14 @@ def _evaluate(cols: dict, measures, where) -> dict:
     out = {}
     if any(m != "energies" for m in measures):
         state = _gibbs(_hamiltonians(*model), cols["T"], where)
-        rho = check_density_stack(state.rho, where)
+        rho = check_gibbs_stack(state.rho, state.vectors, state.weights, where)
     for m in measures:
         if m == "energies":
             out.update(zip(MEASURE_COLUMNS[m], _energies(*model, where=where).T))
         elif m == "populations":
             out.update(zip(MEASURE_COLUMNS[m], np.diagonal(rho, axis1=1, axis2=2).T))
         elif m == "concurrence":
-            out["C"] = _concurrence(state.vectors, np.sqrt(state.weights))
+            out["C"] = _gibbs_concurrence(state.vectors, state.weights)
         elif m == "fidelity_pure":
             # the ground-state vector of each point; F does not depend on its sign,
             # but within a degenerate ground level the vector is arbitrary

@@ -61,7 +61,8 @@ def _gibbs(h, temperature, where=None) -> _Gibbs:
     """Gibbs states of an (N, n, n) stack of symmetric Hamiltonians.
 
     temperature holds one value per matrix, and where(i) names matrix i
-    in errors.  One batched eigendecomposition serves the whole stack,
+    in errors; a temperature so small that 1/T overflows raises
+    OverflowError.  One batched eigendecomposition serves the whole stack,
     with energies shifted by each spectrum's minimum (see ThermalState);
     a matrix gives the same bits alone or inside any stack.
     """
@@ -76,10 +77,17 @@ def _gibbs(h, temperature, where=None) -> _Gibbs:
         ),
         where,
     )
+    with np.errstate(over="ignore"):
+        beta = 1.0 / temp
+    fail_first(
+        np.isinf(beta),
+        lambda i: OverflowError(f"1/T overflows for temperature {float(temp[i])!r}"),
+        where,
+    )
     dec = eig_sym(h)
-    beta = 1.0 / temp
     e_shift = dec.values[:, 0]
-    weights = np.exp(-beta[:, None] * (dec.values - e_shift[:, None]))
+    with np.errstate(over="ignore"):  # beta * gap beyond range: the weight is exp(-inf) = 0
+        weights = np.exp(-beta[:, None] * (dec.values - e_shift[:, None]))
     z_shifted = weights.sum(axis=1)
     weights = weights / z_shifted[:, None]
     rho = (dec.vectors * weights[:, None, :]) @ np.swapaxes(dec.vectors, 1, 2)

@@ -210,6 +210,18 @@ def test_overflowing_inputs_are_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_temperature_whose_inverse_overflows_is_usage_error(capsys):
+    argv = [
+        "populations", "--eps", "0.5", "--t", "7", "--bz", "16", "--bx", "100",
+        "--t-min", "1e-320", "--t-max", "1", "--n", "3",
+    ]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: inputs out of floating-point range: 1/T overflows")
+    assert "'T': 1e-320}" in err
+
+
 def per_value_csv(grid, header):
     """The CSV of a grid's evaluated columns, formatted row by row, one value at a time."""
     columns = sweep_columns(grid)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dqdtherm.correlations import (
     SPIN_FLIP,
+    _concurrence,
     _diagonalizing_angles,
     _local_angles,
     _rotations,
@@ -317,6 +318,65 @@ def test_concurrence_of_thermal_state_is_scale_invariant_near_separability():
     ]
     assert abs(c[0] - c[1]) <= 1e-14
     assert c[0] == pytest.approx(2.3569e-11, rel=1e-4)
+
+
+def _eigh_route(state):
+    """C of a ThermalState through the eigenvalues of B = sqrt(rho) S sqrt(rho)."""
+    return float(_concurrence(state.vectors[None], np.sqrt(state.weights)[None])[0])
+
+
+LOG_TEMPS = st.floats(math.log10(0.05), 2.0).map(lambda x: 10.0**x)
+VALIDATE_BOX = st.tuples(
+    st.floats(-50.0, 50.0), st.floats(0.0, 30.0), st.floats(-40.0, 40.0),
+    st.floats(-100.0, 100.0), LOG_TEMPS,
+)
+# eps = 0 and bx down to 1e-10: rho has eigenvalues at round-off level, C ~ 0
+NEAR_SEPARABLE = st.tuples(
+    st.just(0.0), st.floats(0.0, 30.0), st.floats(-40.0, 40.0),
+    st.floats(-10.0, 0.0).map(lambda x: 10.0**x), LOG_TEMPS,
+)
+
+
+def _assert_closed_form_matches_the_eigh_route(point):
+    state = thermal_state(ModelParams(*point[:4]), point[4])
+    assert abs(concurrence(state) - _eigh_route(state)) <= 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALIDATE_BOX)
+def test_closed_form_gibbs_concurrence_matches_the_eigh_route(point):
+    _assert_closed_form_matches_the_eigh_route(point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(NEAR_SEPARABLE)
+def test_closed_form_gibbs_concurrence_matches_the_eigh_route_near_separability(point):
+    _assert_closed_form_matches_the_eigh_route(point)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        (0.0, 0.0, 0.0, 0.0, 1.0),  # H = 0: maximally mixed
+        (1.0, 7.0, 16.0, 0.0, 0.5),  # bx = 0: a product state
+        (0.0, 7.0, 0.0, 100.0, 1.0),  # eps = bz = 0: two doubly degenerate levels
+        (1.0, 0.0, 16.0, 100.0, 1.0),  # t = 0
+        (1.0, 7.0, 16.0, 100.0, 1e-3),  # pi = w0 w3 underflows to 0
+        (1.0, 7.0, 16.0, 100.0, 1e6),  # nearly maximally mixed
+    ],
+    ids=["h0", "bx0", "eps_bz0", "t0", "cold", "hot"],
+)
+def test_closed_form_gibbs_concurrence_at_special_points(point):
+    state = thermal_state(ModelParams(*point[:4]), point[4])
+    c = concurrence(state)
+    assert c == pytest.approx(_eigh_route(state), abs=1e-13)
+    if point[3] == 0.0 or point[4] == 1e6:  # a product state, or nearly maximally mixed
+        assert c == 0.0
+    if point[4] == 1e-3:
+        # the pure ground state g: C = |g^T S g|
+        assert state.weights[0] * state.weights[3] == 0.0
+        g = state.vectors[:, 0]
+        assert c == pytest.approx(abs(g @ SPIN_FLIP @ g), abs=1e-14)
 
 
 def test_concurrence_of_thermal_state_matches_its_matrix():

@@ -250,6 +250,35 @@ def test_anticrossing_rejects_a_bad_grid_step(grid_step):
         find_anticrossing(7, 16, 100, ("E3", "E4"), (50.0, 150.0), grid_step=grid_step)
 
 
+@pytest.mark.parametrize(
+    "lo, hi, n",
+    [
+        (50.0, 150.0, 1001),
+        (-1.7, 2.9, 33),  # (n - 1) * step + lo misses hi: the last point is pinned
+        (-3.3, 7.7, 10007),
+        (-1e-300, 1e-300, 40),
+        (5e-324, 1e-323, 100),  # the step underflows to 0: numpy's other branch
+    ],
+)
+def test_scan_blocks_are_the_points_of_linspace(lo, hi, n):
+    blocks = [model._linspace_block(lo, hi, n, s, s + 7) for s in range(0, n, 7)]
+    assert np.concatenate(blocks).tobytes() == np.linspace(lo, hi, n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "pair, eps_range", [(("E3", "E4"), (50.0, 150.0)), (("E2", "E4"), (-50.0, 50.0))]
+)
+def test_anticrossing_scan_in_small_blocks_gives_the_same_bits(monkeypatch, pair, eps_range):
+    whole = find_anticrossing(7, 16, 100, pair, eps_range, grid_step=0.01)
+    monkeypatch.setattr(model, "_SCAN_BLOCK", 7)
+    assert find_anticrossing(7, 16, 100, pair, eps_range, grid_step=0.01) == whole
+
+
+def test_anticrossing_pin():
+    found = find_anticrossing(7.0, 16.0, 100.0, ("E3", "E4"), (50.0, 150.0))
+    assert (found.eps, found.gap) == (101.24775286608813, 13.824168846833992)
+
+
 def test_anticrossing_inner_pair():
     found = find_anticrossing(7, 16, 100, ("E3", "E4"), (50, 150))
     # exact minimizer of the closed-form gap

@@ -7,6 +7,8 @@ from dqdtherm.qmatrix import (
     NotPositiveSemidefiniteError,
     ValidationError,
     check_density_matrix,
+    check_density_stack,
+    check_gibbs_stack,
     check_symmetric,
     eig_sym,
 )
@@ -114,3 +116,49 @@ def test_check_density_matrix_accepts_roundoff_negatives_only():
     check_density_matrix(np.diag([0.5, 0.5 + 0.5e-12, -0.5e-12, 0.0]))
     with pytest.raises(NotPositiveSemidefiniteError):
         check_density_matrix(np.diag([0.5, 0.5 + 2e-12, -2e-12, 0.0]))
+
+
+def _gibbs_like_stack(weights, vectors):
+    w, v = np.array(weights, dtype=float), np.array(vectors, dtype=float)
+    rho = (v * w[:, None, :]) @ np.swapaxes(v, 1, 2)
+    return 0.5 * (rho + np.swapaxes(rho, 1, 2)), v, w
+
+
+def test_gibbs_stack_check_refuses_the_first_negative_weight_or_skewed_basis():
+    weights = [[0.25] * 4] * 6
+    vectors = [np.eye(4)] * 6
+    weights[4] = [0.5, 0.5, 0.25, -0.25]  # unit trace, one negative eigenvalue
+    skewed = np.eye(4)
+    skewed[0, 1] = 1e-6  # V^T V - I of order 1e-6, trace still 1 to 1e-9
+    vectors[2] = vectors[5] = skewed
+
+    def where(i):
+        return f"point {i}"
+
+    rho, v, w = _gibbs_like_stack(weights, vectors)
+    assert np.array_equal(check_gibbs_stack(rho[:2], v[:2], w[:2]), rho[:2])
+    skewed_msg = "weight 0.25 and eigenvectors off orthonormal by 1e-06"
+    with pytest.raises(NotPositiveSemidefiniteError, match=skewed_msg) as info:
+        check_gibbs_stack(rho, v, w, where)
+    assert info.value.index == 2
+    assert str(info.value).endswith("at point 2")
+    negative_msg = "weight -0.25 and eigenvectors off orthonormal by 0.0"
+    with pytest.raises(NotPositiveSemidefiniteError, match=negative_msg) as info:
+        check_gibbs_stack(rho[3:], v[3:], w[3:], where)
+    assert info.value.index == 1
+    # the eigensolver route flags the same point
+    with pytest.raises(NotPositiveSemidefiniteError) as info:
+        check_density_stack(rho[3:], where)
+    assert info.value.index == 1
+
+
+def test_gibbs_stack_check_keeps_the_structural_checks():
+    rho, v, w = _gibbs_like_stack([[0.25] * 4, [0.5] * 4], [np.eye(4)] * 2)
+    with pytest.raises(ValidationError, match="trace") as info:
+        check_gibbs_stack(rho, v, w)
+    assert not isinstance(info.value, NotPositiveSemidefiniteError)
+    assert info.value.index == 1
+    rho[0, 0, 1] = np.nan
+    with pytest.raises(ValidationError, match="non-finite") as info:
+        check_gibbs_stack(rho, v, w)
+    assert info.value.index == 0

@@ -504,7 +504,7 @@ def test_later_check_at_an_earlier_point_wins(monkeypatch):
     def flagged(n, where, temp):
         return np.array([where(i)["T"] > temp for i in range(n)])
 
-    def density(rho, where):
+    def density(rho, vectors, weights, where):
         fail_first(
             flagged(len(rho), where, 50.0),
             lambda i: NotPositiveSemidefiniteError("density check"),
@@ -515,7 +515,7 @@ def test_later_check_at_an_earlier_point_wins(monkeypatch):
     def ccc(rho, where):
         return np.where(flagged(len(rho), where, 5.0), -1.0, 0.0)
 
-    monkeypatch.setattr(sweep, "check_density_stack", density)
+    monkeypatch.setattr(sweep, "check_gibbs_stack", density)
     monkeypatch.setattr(sweep, "_correlated_coherence", ccc)
     grid = SweepGrid(
         fixed={"t": 7.0, "bz": 16.0, "bx": 100.0},

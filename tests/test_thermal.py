@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,22 @@ def test_detuning_only_cold_state_localizes():
 def test_invalid_temperature_rejected(bad):
     with pytest.raises(ValidationError):
         thermal_state(REF, bad)
+
+
+@pytest.mark.parametrize("temp", [5e-309, 1e-320])
+def test_temperature_whose_inverse_overflows_is_refused(temp):
+    # 1/T is inf below ~5.6e-309; the weights would come out NaN
+    with pytest.raises(OverflowError, match="1/T overflows"):
+        thermal_state(REF, temp)
+
+
+def test_coldest_finite_inverse_temperature_gives_the_ground_state():
+    # beta * (E - E0) overflows to inf, and exp(-inf) = 0 is the exact weight
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = thermal_state(REF, 1e-308)
+    assert np.array_equal(state.weights, [1.0, 0.0, 0.0, 0.0])
+    assert populations(state) == populations(thermal_state(REF, 1e-6))
 
 
 def test_state_invariants_random():
