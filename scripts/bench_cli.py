@@ -5,7 +5,8 @@ interpreter runs every `scripts/make_datasets.py` CLI invocation and its
 anticrossing and peak searches in process, after one untimed call each,
 then times each sweep kernel alone (KERNELS) on the first N points of
 the 100x100 concurrence map of make_datasets.py, for each N in
-KERNEL_SIZES; a kernel the tree lacks is recorded as null. A fresh
+KERNEL_SIZES, the Gibbs stage with the eigensolve it makes in that
+tree's sweep; a kernel the tree lacks is recorded as null. A fresh
 interpreter then runs the whole script. Trees take turns over
 several rounds, the first tree leading in odd rounds, so host drift
 reaches every tree alike. After the rounds, the tier-1 test suite next to
@@ -80,27 +81,50 @@ def _operations(out_dir: pathlib.Path) -> dict:
 
 
 def _kernels(n: int) -> dict:
-    """Each name of KERNELS as a zero-argument call over n map points; None if missing."""
+    """Each name of KERNELS as a zero-argument call over n map points; None if missing.
+
+    The Gibbs-state kernels are called as the tree's sweep calls them.
+    Where thermal._gibbs takes a decomposition and a row index per point,
+    the 100 bx values of the map are its distinct Hamiltonians, and the
+    timed call includes their eigensolve; where it takes a stack of
+    Hamiltonians, it diagonalizes all n.
+    """
     import importlib
+    import inspect
 
     import numpy as np
 
     modules = {m: importlib.import_module(f"dqdtherm.{m}") for m in
                ("model", "thermal", "correlations", "qmatrix", "sweep")}
-    model, thermal = modules["model"], modules["thermal"]
+    model, thermal, qmatrix = modules["model"], modules["thermal"], modules["qmatrix"]
     # make_datasets.py's first concurrence map: bx in [1, 100] x log T in [0.01, 100]
     bx = np.repeat(np.linspace(1.0, 100.0, 100), 100)[:n]
     temp = np.tile(np.logspace(-2.0, 2.0, 100), 100)[:n]
     eps, t, bz = np.full(n, 1.0), np.full(n, 7.0), np.full(n, 16.0)
     h = model._hamiltonians(eps, t, bz, bx)
-    g = thermal._gibbs(h, temp)
+    if "index" in inspect.signature(thermal._gibbs).parameters:
+        first = np.r_[True, bx[1:] != bx[:-1]]
+        index, h_distinct = np.cumsum(first) - 1, h[first]
+
+        def gibbs():
+            return thermal._gibbs(qmatrix.eig_sym(h_distinct), index, temp)
+
+        g = gibbs()
+        shared = (g.dec.vectors, g.weights, index)
+    else:
+
+        def gibbs():
+            return thermal._gibbs(h, temp)
+
+        g = gibbs()
+        shared = (g.vectors, g.weights)
+    vectors = np.linalg.eigh(h)[1]
     roots = np.sqrt(g.weights)
     args = {
         "model._hamiltonians": (eps, t, bz, bx),
-        "thermal._gibbs": (h, temp),
-        "correlations._concurrence": (g.vectors, roots),
-        "correlations._gibbs_concurrence": (g.vectors, g.weights),
-        "qmatrix.check_gibbs_stack": (g.rho, g.vectors, g.weights),
+        "correlations._concurrence": (vectors, roots),
+        "correlations._gibbs_concurrence": shared,
+        "qmatrix.check_gibbs_stack": (g.rho, *shared),
         "qmatrix.check_density_stack": (g.rho,),
         "correlations._correlated_coherence": (g.rho,),
     }
@@ -110,6 +134,8 @@ def _kernels(n: int) -> dict:
         fn = getattr(modules[module], attr, None)
         if fn is None:
             calls[name] = None
+        elif name == "thermal._gibbs":
+            calls[name] = gibbs
         elif name == "sweep.write_table":
             cols = [bx, temp, roots[:, 0]]
             calls[name] = lambda fn=fn, cols=cols: fn(io.StringIO(), ("bx", "T", "C"), cols)

@@ -114,6 +114,8 @@ def _cmd_concurrence_map(args) -> int:
 def _cmd_validate(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     results = run_validation(samples=args.samples, seed=args.seed)
     with _out_stream(args.out) as stream:
         for line in csv_rows(results):

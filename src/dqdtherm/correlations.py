@@ -69,13 +69,15 @@ def _concurrence(vectors: np.ndarray, roots: np.ndarray) -> np.ndarray:
 _SPIN_Z = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _gibbs_concurrence(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Wootters C of each Gibbs state of a stack, from its eigh vectors and weights.
+def _gibbs_concurrence(vectors: np.ndarray, weights: np.ndarray, index) -> np.ndarray:
+    """Wootters C of each Gibbs state of a stack, from eigh vectors and Gibbs weights.
 
-    No eigensolve: see concurrence for the derivation.  vectors and
-    weights are as _gibbs returns them, eigenvalues ascending.
+    No eigensolve: see concurrence for the derivation.  vectors holds the
+    distinct eigenvector matrices (eigenvalues ascending), index the row
+    of each state, and weights each state's Gibbs weights, as _gibbs
+    returns them; V^T Z V is formed once per distinct V.
     """
-    z = _swap(vectors) @ (vectors * _SPIN_Z[:, None])
+    z = (_swap(vectors) @ (vectors * _SPIN_Z[:, None]))[index]
     r = np.sqrt(weights)
     k = r[:, :, None] * r[:, None, ::-1]
     a = 0.5 * z * (k - _swap(k))  # (W - W^T) / 2, as z is symmetric
@@ -120,7 +122,8 @@ def concurrence(state) -> float:
     level (near-separable cold states).
     """
     if isinstance(state, ThermalState):
-        return float(_gibbs_concurrence(state.vectors[None], state.weights[None])[0])
+        index = np.zeros(1, dtype=np.intp)
+        return float(_gibbs_concurrence(state.vectors[None], state.weights[None], index)[0])
     dec = eig_sym(check_density_matrix(state, dim=4))
     roots = np.sqrt(np.clip(dec.values, 0.0, None))
     return float(_concurrence(dec.vectors[None], roots[None])[0])

@@ -142,12 +142,14 @@ def check_density_stack(rho: np.ndarray, where=None) -> np.ndarray:
     return a
 
 
-def check_gibbs_stack(rho, vectors, weights, where=None) -> np.ndarray:
+def check_gibbs_stack(rho, vectors, weights, index, where=None) -> np.ndarray:
     """check_density_stack for a stack built as rho = V diag(w) V^T, without an eigensolve.
 
     Such a rho is congruent to diag(w), so it is PSD when every weight is
     >= 0 (to the PSD tolerance) and V is invertible; V^T V = I to 1e-12
     is required, which LAPACK's eigenvectors meet with orders to spare.
+    vectors holds the distinct eigenvector matrices and index the row of
+    each matrix of rho, so V^T V is tested once per distinct V.
     Finiteness, symmetry and trace are checked as check_density_stack
     checks them, and the first failing matrix raises, named through
     where(i).
@@ -155,7 +157,7 @@ def check_gibbs_stack(rho, vectors, weights, where=None) -> np.ndarray:
     a = _check_unit_trace_stack(rho, where)
     low = weights.min(axis=1)
     gram = np.swapaxes(vectors, 1, 2) @ vectors - np.eye(vectors.shape[-1])
-    skew = np.abs(gram).reshape(len(gram), -1).max(axis=1)
+    skew = np.abs(gram).reshape(len(gram), -1).max(axis=1)[index]
     fail_first(
         ~(low >= -_PSD_CLAMP) | ~(skew <= _PSD_CLAMP),
         lambda i: NotPositiveSemidefiniteError(

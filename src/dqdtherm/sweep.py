@@ -3,14 +3,18 @@
 A sweep walks one or two parameter axes, evaluates a set of measures at
 every grid point, and emits rows in row-major axis order.  The grid is
 held as columns, one float array per parameter, and evaluated as one
-batch: its Hamiltonians are stacked into one (N, 4, 4) array, one batched
-eigendecomposition gives every Gibbs state, and each measure runs once
-over the stack, giving one array per output column.  That eigensolve is
-the sweep's only one: the density-matrix checks and the concurrence read
-the Gibbs eigenvectors and weights instead.  write_table prints
-those columns as CSV in fixed blocks of rows, each block formatted by one
-%-operation.  Each point gives the same bits alone or inside any grid, so
-reruns of the same input on one machine produce byte-identical CSV.
+batch.  Consecutive points with the same (eps, t, bz, bx) share one
+Hamiltonian, so the distinct Hamiltonians are stacked into one (M, 4, 4)
+array and one batched eigendecomposition serves every Gibbs state: a grid
+whose T axis is innermost diagonalizes each distinct H once, and a grid
+with T outer or fixed, every point.  Each measure then runs once over
+the (N, 4, 4) stack of states, giving one array per output column.  That
+eigensolve is the sweep's only one: the density-matrix checks and the
+concurrence read the shared eigenvectors and the Gibbs weights instead.
+write_table prints those columns as CSV in fixed blocks of rows, each
+block formatted by one %-operation.  Each point gives the same bits
+alone or inside any grid, so reruns of the same input on one machine
+produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from .model import (
     _hamiltonians,
     golden_section_min,
 )
-from .qmatrix import ValidationError, check_gibbs_stack, fail_first
-from .thermal import _gibbs
+from .qmatrix import ValidationError, check_gibbs_stack, eig_sym, fail_first
+from .thermal import _gibbs, _Gibbs
 
 __all__ = [
     "PARAM_NAMES",
@@ -154,6 +158,38 @@ def _lookup(cols: dict):
     return lambda i: {k: float(v[i]) for k, v in cols.items()}
 
 
+def _gibbs_columns(cols: dict, where) -> _Gibbs:
+    """Checked Gibbs states of parameter columns, one eigensolve per distinct H.
+
+    Consecutive points whose (eps, t, bz, bx) are equal bit for bit
+    (compared as int64, so -0.0 and 0.0 differ) share one Hamiltonian and
+    its eigendecomposition.  So a grid whose T axis is innermost
+    diagonalizes each distinct H once, and one with T outer or fixed,
+    once per point.
+    """
+    model = [cols[k] for k in ("epsilon", "t", "bz", "bx")]
+    first = np.zeros(len(cols["T"]), dtype=bool)
+    first[:1] = True
+    for c in model:
+        bits = c.view(np.int64)
+        first[1:] |= bits[1:] != bits[:-1]
+    dec = eig_sym(_hamiltonians(*(c[first] for c in model)))
+    state = _gibbs(dec, np.cumsum(first) - 1, cols["T"], where)
+    check_gibbs_stack(state.rho, dec.vectors, state.weights, state.index, where)
+    return state
+
+
+def _checked_ccc(rho, where) -> np.ndarray:
+    """Correlated coherence of each state of a checked stack, refusing a negative one."""
+    ccc = _correlated_coherence(rho, where)
+    fail_first(
+        ccc < -1e-9,
+        lambda i: ValidationError(f"negative correlated coherence {float(ccc[i])!r}"),
+        where,
+    )
+    return ccc
+
+
 def _evaluate(cols: dict, measures, where) -> dict:
     """Every requested measure over parameter columns: one array per column.
 
@@ -164,19 +200,19 @@ def _evaluate(cols: dict, measures, where) -> dict:
     _check_params(*model, where)
     out = {}
     if any(m != "energies" for m in measures):
-        state = _gibbs(_hamiltonians(*model), cols["T"], where)
-        rho = check_gibbs_stack(state.rho, state.vectors, state.weights, where)
+        state = _gibbs_columns(cols, where)
+        dec, index, rho = state.dec, state.index, state.rho
     for m in measures:
         if m == "energies":
             out.update(zip(MEASURE_COLUMNS[m], _energies(*model, where=where).T))
         elif m == "populations":
             out.update(zip(MEASURE_COLUMNS[m], np.diagonal(rho, axis1=1, axis2=2).T))
         elif m == "concurrence":
-            out["C"] = _gibbs_concurrence(state.vectors, state.weights)
+            out["C"] = _gibbs_concurrence(dec.vectors, state.weights, index)
         elif m == "fidelity_pure":
             # the ground-state vector of each point; F does not depend on its sign,
             # but within a degenerate ground level the vector is arbitrary
-            e = state.energies
+            e = dec.values[index]
             fail_first(
                 _degenerate(e),
                 lambda i: DegenerateGroundState(
@@ -185,17 +221,11 @@ def _evaluate(cols: dict, measures, where) -> dict:
                 ),
                 where,
             )
-            out["F"] = _fidelity(state.vectors[:, :, 0], rho)
+            out["F"] = _fidelity(dec.vectors[index, :, 0], rho)
         elif m == "l1":
             out["l1"] = _l1(rho)
         else:  # correlated_coherence
-            ccc = _correlated_coherence(rho, where)
-            fail_first(
-                ccc < -1e-9,
-                lambda i: ValidationError(f"negative correlated coherence {float(ccc[i])!r}"),
-                where,
-            )
-            out["Ccc"] = ccc
+            out["Ccc"] = _checked_ccc(rho, where)
     return out
 
 
@@ -350,23 +380,26 @@ def find_coherence_peak(
 
     Scans a logarithmic temperature grid as one batch, then golden-section
     refines around the grid maximum in log10(T), one point at a time
-    through the same kernels.
+    through the same kernels and the scan's one eigendecomposition of H.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)) or t_lo <= 0.0 or t_hi <= t_lo:
         raise ConfigError(f"need finite 0 < t_lo < t_hi, got [{t_lo}, {t_hi}]")
     count = _point_count(count, "count")
     p = ModelParams(epsilon, t, bz, bx)
-    h = _hamiltonians(p.epsilon, p.t, p.bz, p.bx)
-
-    def ccc_at(log_t: float) -> float:
-        # the kernels of correlated_coherence(thermal_state(p, T).rho), unchecked
-        return float(_correlated_coherence(_gibbs(h, 10.0**log_t).rho)[0])
-
     grid = np.linspace(math.log10(t_lo), math.log10(t_hi), count)
     fixed = {"epsilon": p.epsilon, "t": p.t, "bz": p.bz, "bx": p.bx}
     scan = {k: np.full(grid.size, v) for k, v in fixed.items()}
     scan["T"] = np.array([10.0 ** float(x) for x in grid])  # libm pow, not numpy's
-    values = _evaluate(scan, ("correlated_coherence",), _lookup(scan))["Ccc"]
+    where = _lookup(scan)
+    state = _gibbs_columns(scan, where)
+    values = _checked_ccc(state.rho, where)
+
+    def ccc_at(log_t: float) -> float:
+        # the kernels of correlated_coherence(thermal_state(p, T).rho), unchecked,
+        # on the scan's one eigendecomposition
+        rho = _gibbs(state.dec, state.index[:1], 10.0**log_t).rho
+        return float(_correlated_coherence(rho)[0])
+
     k = int(np.argmax(values))
     if k == 0 or k == len(grid) - 1:
         return float(10.0 ** grid[k]), float(values[k])

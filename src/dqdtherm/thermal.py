@@ -8,6 +8,7 @@ import numpy as np
 
 from .model import ModelParams, build_hamiltonian
 from .qmatrix import (
+    EigenDecomp,
     ValidationError,
     check_density_matrix,
     eig_sym,
@@ -46,25 +47,31 @@ class ThermalState:
 
 @dataclass(frozen=True)
 class _Gibbs:
-    """Gibbs states of N Hamiltonians: ThermalState's fields, stacked on axis 0."""
+    """Gibbs states of N points: ThermalState's fields, stacked on axis 0.
 
+    dec holds the eigendecompositions of the distinct Hamiltonians the
+    states were built from, and index maps each point to its row of dec.
+    """
+
+    dec: EigenDecomp
+    index: np.ndarray
     beta: np.ndarray
     rho: np.ndarray
     z_shifted: np.ndarray
     e_shift: np.ndarray
-    energies: np.ndarray
-    vectors: np.ndarray
     weights: np.ndarray
 
 
-def _gibbs(h, temperature, where=None) -> _Gibbs:
-    """Gibbs states of an (N, n, n) stack of symmetric Hamiltonians.
+def _gibbs(dec: EigenDecomp, index, temperature, where=None) -> _Gibbs:
+    """Gibbs states of N points that share M eigendecompositions.
 
-    temperature holds one value per matrix, and where(i) names matrix i
-    in errors; a temperature so small that 1/T overflows raises
-    OverflowError.  One batched eigendecomposition serves the whole stack,
-    with energies shifted by each spectrum's minimum (see ThermalState);
-    a matrix gives the same bits alone or inside any stack.
+    dec is eig_sym of an (M, n, n) stack of Hamiltonians, so each distinct
+    H is diagonalized once however many temperatures use it; index holds
+    the row of dec of each point and temperature one value per point.
+    where(i) names point i in errors, and a temperature so small that 1/T
+    overflows raises OverflowError.  Energies are shifted by each
+    spectrum's minimum (see ThermalState); a point gives the same bits
+    whichever other points share its decomposition.
     """
     try:
         temp = np.asarray(temperature, dtype=float).reshape(-1)
@@ -84,20 +91,23 @@ def _gibbs(h, temperature, where=None) -> _Gibbs:
         lambda i: OverflowError(f"1/T overflows for temperature {float(temp[i])!r}"),
         where,
     )
-    dec = eig_sym(h)
-    e_shift = dec.values[:, 0]
+    # fancy indexing copies C-contiguous, as eigh returns its stacks, so the
+    # products below take the same kernels and give the same bits
+    values, vectors = dec.values[index], dec.vectors[index]
+    e_shift = values[:, 0]
     with np.errstate(over="ignore"):  # beta * gap beyond range: the weight is exp(-inf) = 0
-        weights = np.exp(-beta[:, None] * (dec.values - e_shift[:, None]))
+        weights = np.exp(-beta[:, None] * (values - e_shift[:, None]))
     z_shifted = weights.sum(axis=1)
     weights = weights / z_shifted[:, None]
-    rho = (dec.vectors * weights[:, None, :]) @ np.swapaxes(dec.vectors, 1, 2)
+    rho = (vectors * weights[:, None, :]) @ np.swapaxes(vectors, 1, 2)
     rho = 0.5 * (rho + np.swapaxes(rho, 1, 2))
-    return _Gibbs(beta, rho, z_shifted, e_shift, dec.values, dec.vectors, weights)
+    return _Gibbs(dec, index, beta, rho, z_shifted, e_shift, weights)
 
 
 def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
     """Thermal equilibrium state of the double dot at temperature T > 0."""
-    g = _gibbs(build_hamiltonian(p)[None], temperature)
+    dec = eig_sym(build_hamiltonian(p)[None])
+    g = _gibbs(dec, np.zeros(1, dtype=np.intp), temperature)
     return ThermalState(
         params=p,
         temperature=float(temperature),
@@ -105,8 +115,8 @@ def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
         rho=g.rho[0],
         z_shifted=float(g.z_shifted[0]),
         e_shift=float(g.e_shift[0]),
-        energies=g.energies[0],
-        vectors=g.vectors[0],
+        energies=dec.values[0],
+        vectors=dec.vectors[0],
         weights=g.weights[0],
     )
 

@@ -188,6 +188,13 @@ def test_exit_code_two_for_bad_usage(tmp_path, capsys):
     assert main(["sweep", "--config", str(bad_cfg)]) == 2
 
 
+def test_negative_seed_is_usage_error(capsys):
+    assert main(["validate", "--samples", "5", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "spectrum" in capsys.readouterr().out

@@ -136,15 +136,15 @@ def test_gibbs_stack_check_refuses_the_first_negative_weight_or_skewed_basis():
         return f"point {i}"
 
     rho, v, w = _gibbs_like_stack(weights, vectors)
-    assert np.array_equal(check_gibbs_stack(rho[:2], v[:2], w[:2]), rho[:2])
+    assert np.array_equal(check_gibbs_stack(rho[:2], v[:2], w[:2], np.arange(2)), rho[:2])
     skewed_msg = "weight 0.25 and eigenvectors off orthonormal by 1e-06"
     with pytest.raises(NotPositiveSemidefiniteError, match=skewed_msg) as info:
-        check_gibbs_stack(rho, v, w, where)
+        check_gibbs_stack(rho, v, w, np.arange(6), where)
     assert info.value.index == 2
     assert str(info.value).endswith("at point 2")
     negative_msg = "weight -0.25 and eigenvectors off orthonormal by 0.0"
     with pytest.raises(NotPositiveSemidefiniteError, match=negative_msg) as info:
-        check_gibbs_stack(rho[3:], v[3:], w[3:], where)
+        check_gibbs_stack(rho[3:], v[3:], w[3:], np.arange(3), where)
     assert info.value.index == 1
     # the eigensolver route flags the same point
     with pytest.raises(NotPositiveSemidefiniteError) as info:
@@ -155,10 +155,10 @@ def test_gibbs_stack_check_refuses_the_first_negative_weight_or_skewed_basis():
 def test_gibbs_stack_check_keeps_the_structural_checks():
     rho, v, w = _gibbs_like_stack([[0.25] * 4, [0.5] * 4], [np.eye(4)] * 2)
     with pytest.raises(ValidationError, match="trace") as info:
-        check_gibbs_stack(rho, v, w)
+        check_gibbs_stack(rho, v, w, np.arange(2))
     assert not isinstance(info.value, NotPositiveSemidefiniteError)
     assert info.value.index == 1
     rho[0, 0, 1] = np.nan
     with pytest.raises(ValidationError, match="non-finite") as info:
-        check_gibbs_stack(rho, v, w)
+        check_gibbs_stack(rho, v, w, np.arange(2))
     assert info.value.index == 0

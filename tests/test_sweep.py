@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqdtherm import sweep
+from dqdtherm import correlations, sweep, thermal
 from dqdtherm.correlations import (
     concurrence,
     correlated_coherence,
@@ -22,7 +22,13 @@ from dqdtherm.model import (
     golden_section_min,
     ground_state,
 )
-from dqdtherm.qmatrix import NotPositiveSemidefiniteError, ValidationError, fail_first
+from dqdtherm.qmatrix import (
+    EigenDecomp,
+    NotPositiveSemidefiniteError,
+    ValidationError,
+    eig_sym,
+    fail_first,
+)
 from dqdtherm.sweep import (
     Axis,
     ConfigError,
@@ -504,7 +510,7 @@ def test_later_check_at_an_earlier_point_wins(monkeypatch):
     def flagged(n, where, temp):
         return np.array([where(i)["T"] > temp for i in range(n)])
 
-    def density(rho, vectors, weights, where):
+    def density(rho, vectors, weights, index, where):
         fail_first(
             flagged(len(rho), where, 50.0),
             lambda i: NotPositiveSemidefiniteError("density check"),
@@ -528,3 +534,108 @@ def test_later_check_at_an_earlier_point_wins(monkeypatch):
     assert not isinstance(info.value, NotPositiveSemidefiniteError)
     assert info.value.index == 2
     assert str(info.value).endswith(f"at {grid_point(grid, 2)}")
+
+
+def count_eigensolves(monkeypatch):
+    """The stack size of each eig_sym call a sweep makes from here on, in order."""
+    calls = []
+
+    def counted(m):
+        calls.append(len(m))
+        return eig_sym(m)
+
+    for module in (sweep, thermal, correlations):
+        monkeypatch.setattr(module, "eig_sym", counted)
+    return calls
+
+
+MAP_FIXED = {"epsilon": 1.0, "t": 7.0, "bz": 16.0}
+BX_AXIS = Axis("bx", 1.0, 100.0, 25)
+T_AXIS = Axis("T", 0.01, 100.0, 25, "log")
+THERMAL_MEASURES = ("populations", "concurrence", "fidelity_pure", "l1", "correlated_coherence")
+
+
+def test_a_temperature_map_diagonalizes_each_distinct_hamiltonian_once(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    sweep_columns(SweepGrid(MAP_FIXED, BX_AXIS, T_AXIS, ("concurrence",)))
+    assert calls == [25]
+
+
+def test_a_temperature_curve_diagonalizes_its_hamiltonian_once(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    grid = SweepGrid(dict(MAP_FIXED, bx=100.0), Axis("T", 0.01, 1e4, 400, "log"), None,
+                     THERMAL_MEASURES)
+    sweep_columns(grid)
+    assert calls == [1]
+
+
+def test_a_grid_at_fixed_temperature_diagonalizes_every_point(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    grid = SweepGrid({"t": 7.0, "bz": 16.0, "T": 0.2}, Axis("bx", 20.0, 40.0, 21),
+                     Axis("epsilon", 3.0, 7.0, 21), ("concurrence",))
+    sweep_columns(grid)
+    assert calls == [21 * 21]
+
+
+def test_temperature_outer_and_inner_grids_give_the_same_bits(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    grid = SweepGrid(MAP_FIXED, BX_AXIS, T_AXIS, THERMAL_MEASURES)
+    inner = sweep_columns(grid)
+    outer = sweep_columns(dataclasses.replace(grid, axis1=T_AXIS, axis2=BX_AXIS))
+    assert calls == [25, 25 * 25]
+    for name in PARAM_NAMES + grid.columns():
+        transposed = outer[name].reshape(25, 25).T.ravel()
+        assert np.array_equal(inner[name].view(np.int64), transposed.view(np.int64)), name
+
+
+def test_a_signed_zero_gets_its_own_decomposition(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    cols = {"epsilon": np.array([0.0, -0.0, -0.0]), "t": np.full(3, 7.0),
+            "bz": np.full(3, 16.0), "bx": np.full(3, 100.0), "T": np.array([1.0, 1.0, 2.0])}
+    out = sweep._evaluate(cols, ("concurrence", "correlated_coherence"), sweep._lookup(cols))
+    assert calls == [2]
+    for i in range(3):
+        alone = sweep._evaluate({k: v[i : i + 1] for k, v in cols.items()},
+                                ("concurrence", "correlated_coherence"), sweep._lookup(cols))
+        for name, column in out.items():
+            assert column[i : i + 1].view(np.int64) == alone[name].view(np.int64)
+
+
+def test_a_failing_gibbs_check_on_a_shared_hamiltonian_names_its_first_point(monkeypatch):
+    # the eigenvectors of the second Hamiltonian (bx = 2) come back off
+    # orthonormal by 1e-6, unit columns kept, so the Gibbs check fails on all
+    # four temperatures that share them
+    def skewed(m):
+        dec = eig_sym(m)
+        v = dec.vectors.copy()
+        bad = m[:, 0, 1] == 1.0
+        v[bad, :, 1] += 1e-6 * v[bad, :, 0]
+        v[bad, :, 1] /= np.linalg.norm(v[bad, :, 1], axis=1)[:, None]
+        return EigenDecomp(dec.values, v)
+
+    monkeypatch.setattr(sweep, "eig_sym", skewed)
+    grid = SweepGrid(MAP_FIXED, Axis("bx", 1.0, 3.0, 3), Axis("T", 1.0, 100.0, 4, "log"),
+                     ("correlated_coherence",))
+    with pytest.raises(NotPositiveSemidefiniteError, match="off orthonormal by") as info:
+        sweep_columns(grid)
+    assert info.value.index == 4
+    assert str(info.value).endswith(f"at {grid_point(grid, 4)}")
+
+    # a later check failing at an earlier point still wins
+    def ccc(rho, where):
+        return np.where([where(i)["T"] > 5.0 for i in range(len(rho))], -1.0, 0.0)
+
+    monkeypatch.setattr(sweep, "_correlated_coherence", ccc)
+    with pytest.raises(ValidationError, match="negative correlated coherence") as info:
+        sweep_columns(grid)
+    assert info.value.index == 2
+    assert str(info.value).endswith(f"at {grid_point(grid, 2)}")
+
+
+def test_the_peak_search_diagonalizes_once(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    assert find_coherence_peak(1.0, 7.0, 16.0, 100.0) == (5.972734177785605, 1.4504459841551927)
+    assert calls == [1]
+    calls.clear()
+    assert find_coherence_peak(1.0, 15.4, 24.0, 100.0) == (9.762491670432018, 1.0853093275902626)
+    assert calls == [1]

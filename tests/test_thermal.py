@@ -16,6 +16,11 @@ from dqdtherm.thermal import (
 REF = ModelParams(0.5, 7.0, 16.0, 100.0)
 
 
+def gibbs_rho(h, temperature):
+    """The Gibbs state of one Hamiltonian through the batched kernel."""
+    return _gibbs(eig_sym(h[None]), np.zeros(1, dtype=np.intp), temperature).rho[0]
+
+
 def random_params(rng):
     return ModelParams(
         rng.uniform(-50, 50),
@@ -94,9 +99,9 @@ def test_state_invariants_random():
 
 def test_energy_shift_invariance():
     h = build_hamiltonian(REF)
-    rho = _gibbs(h[None], 3.0).rho[0]
+    rho = gibbs_rho(h, 3.0)
     for shift in (1000.0, -1000.0):
-        shifted = _gibbs((h + shift * np.eye(4))[None], 3.0).rho[0]
+        shifted = gibbs_rho(h + shift * np.eye(4), 3.0)
         assert np.max(np.abs(shifted - rho)) <= 1e-10
 
 
@@ -105,7 +110,7 @@ def test_mean_energy_increases_with_temperature():
     temps = np.logspace(-2, 4, 10)
     means = []
     for temp in temps:
-        rho = _gibbs(h[None], temp).rho[0]
+        rho = gibbs_rho(h, temp)
         means.append(float(np.trace(rho @ h)))
     diffs = np.diff(means)
     assert np.all(diffs >= -1e-10)
