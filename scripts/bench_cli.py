@@ -83,14 +83,11 @@ def _operations(out_dir: pathlib.Path) -> dict:
 def _kernels(n: int) -> dict:
     """Each name of KERNELS as a zero-argument call over n map points; None if missing.
 
-    The Gibbs-state kernels are called as the tree's sweep calls them.
-    Where thermal._gibbs takes a decomposition and a row index per point,
-    the 100 bx values of the map are its distinct Hamiltonians, and the
-    timed call includes their eigensolve; where it takes a stack of
-    Hamiltonians, it diagonalizes all n.
+    The Gibbs-state kernels are called as the tree's sweep calls them:
+    the 100 bx values of the map are the distinct Hamiltonians, and the
+    timed thermal._gibbs call includes their eigensolve.
     """
     import importlib
-    import inspect
 
     import numpy as np
 
@@ -102,22 +99,14 @@ def _kernels(n: int) -> dict:
     temp = np.tile(np.logspace(-2.0, 2.0, 100), 100)[:n]
     eps, t, bz = np.full(n, 1.0), np.full(n, 7.0), np.full(n, 16.0)
     h = model._hamiltonians(eps, t, bz, bx)
-    if "index" in inspect.signature(thermal._gibbs).parameters:
-        first = np.r_[True, bx[1:] != bx[:-1]]
-        index, h_distinct = np.cumsum(first) - 1, h[first]
+    first = np.r_[True, bx[1:] != bx[:-1]]
+    index, h_distinct = np.cumsum(first) - 1, h[first]
 
-        def gibbs():
-            return thermal._gibbs(qmatrix.eig_sym(h_distinct), index, temp)
+    def gibbs():
+        return thermal._gibbs(qmatrix.eig_sym(h_distinct), index, temp)
 
-        g = gibbs()
-        shared = (g.dec.vectors, g.weights, index)
-    else:
-
-        def gibbs():
-            return thermal._gibbs(h, temp)
-
-        g = gibbs()
-        shared = (g.vectors, g.weights)
+    g = gibbs()
+    shared = (g.dec.vectors, g.weights, index)
     vectors = np.linalg.eigh(h)[1]
     roots = np.sqrt(g.weights)
     args = {

@@ -11,10 +11,10 @@ import argparse
 import contextlib
 import functools
 import logging
-import math
+import re
 import sys
 
-from .model import DegenerateGroundState, ModelParams
+from .model import DegenerateGroundState
 from .qmatrix import ValidationError
 from .sweep import (
     PARAM_NAMES,
@@ -42,24 +42,9 @@ def _out_stream(path):
         yield sys.stdout
 
 
-def _check_grid(grid: SweepGrid) -> SweepGrid:
-    """Surface parameter problems as config errors before any computation."""
-    probe = dict(grid.fixed)
-    for ax in (grid.axis1, grid.axis2):
-        if ax is not None:
-            probe[ax.name] = ax.lo
-    try:
-        ModelParams(probe["epsilon"], probe["t"], probe["bz"], probe["bx"])
-    except ValidationError as exc:
-        raise ConfigError(str(exc))
-    if not math.isfinite(probe["T"]) or probe["T"] <= 0.0:
-        raise ConfigError(f"temperature must be positive, got {probe['T']}")
-    return grid
-
-
 def _write_sweep(path, grid: SweepGrid, header) -> int:
     """Evaluate the grid, then write the columns the header names (eps is epsilon)."""
-    columns = sweep_columns(_check_grid(grid))
+    columns = sweep_columns(grid)
     with _out_stream(path) as stream:
         write_table(stream, header, [columns["epsilon" if h == "eps" else h] for h in header])
     return 0
@@ -128,9 +113,22 @@ def _cmd_sweep(args) -> int:
     return _write_sweep(args.out or config_out, grid, PARAM_NAMES + grid.columns())
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that also reads -2e2 and -1.5E-3 as negative numbers.
+
+    argparse's own pattern takes only forms like -200 and -.5 for numbers,
+    so --eps-min -2e2 would read -2e2 as an option.  Subparsers are made
+    of the parser's own class, so each of them reads numbers alike.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dqdtherm",
         description="Thermal quantum correlations of a single-electron double quantum dot",
     )

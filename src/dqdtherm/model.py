@@ -41,9 +41,6 @@ LEVEL_LABELS = ("E1", "E2", "E3", "E4")
 
 _ANTICROSSING_PAIRS = {("E1", "E3"), ("E2", "E4"), ("E3", "E4")}
 
-_PARAMS = ("epsilon", "t", "bz", "bx")
-
-
 class AnalyticUnavailable(ValidationError):
     """Closed-form eigenvector coefficients are singular at these parameters."""
 
@@ -66,7 +63,7 @@ class ModelParams:
     bx: float
 
     def __post_init__(self):
-        for name in _PARAMS:
+        for name in ("epsilon", "t", "bz", "bx"):
             v = getattr(self, name)
             try:
                 v = float(v)
@@ -78,24 +75,6 @@ class ModelParams:
         # sign convention: tunneling amplitude taken non-negative
         if self.t < 0:
             raise ValidationError(f"tunneling t must be >= 0, got {self.t}")
-
-
-def _check_params(eps, t, bz, bx, where=None) -> None:
-    """ModelParams' rules over arrays of points: all finite and t >= 0.
-
-    The first failing point raises, named through where(i).
-    """
-    for name, v in zip(_PARAMS, (eps, t, bz, bx)):
-        fail_first(
-            ~np.isfinite(v),
-            lambda i: ValidationError(f"{name} must be finite, got {float(v[i])!r}"),
-            where,
-        )
-    fail_first(
-        t < 0.0,
-        lambda i: ValidationError(f"tunneling t must be >= 0, got {float(t[i])}"),
-        where,
-    )
 
 
 @dataclass(frozen=True)

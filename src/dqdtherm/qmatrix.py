@@ -19,7 +19,6 @@ __all__ = [
     "EigenDecomp",
     "fail_first",
     "check_symmetric",
-    "check_density_stack",
     "check_gibbs_stack",
     "check_density_matrix",
     "eig_sym",
@@ -75,8 +74,6 @@ def _as_real_square(m, name: str) -> np.ndarray:
     a = np.ascontiguousarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{name} contains non-finite entries")
     return a
 
 
@@ -112,49 +109,26 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _check_unit_trace_stack(rho: np.ndarray, where=None) -> np.ndarray:
-    """Finiteness, symmetry and unit trace of each matrix of an (N, n, n) stack."""
-    a = _check_symmetric_stack(rho, "density matrix", where)
-    tr = np.trace(a, axis1=1, axis2=2)
+def check_gibbs_stack(rho, vectors, weights, index, where=None) -> np.ndarray:
+    """Density-matrix checks of a stack built as rho = V diag(w) V^T, without an eigensolve.
+
+    Three tests, each failing on NaN: the trace is 1 to 1e-9, every
+    weight is >= -1e-12 (the PSD tolerance), and V^T V = I to 1e-12,
+    which LAPACK's eigenvectors meet with orders to spare.  Such a rho is
+    congruent to diag(w), so it is PSD when the weights are and V is
+    invertible.  Nothing else is left to test: whenever the three pass,
+    V and w are finite and so is rho, and thermal._gibbs makes rho
+    symmetric bit for bit.  vectors holds the distinct eigenvector
+    matrices and index the row of each matrix of rho, so V^T V is tested
+    once per distinct V.  The first failing matrix raises, named through
+    where(i).
+    """
+    tr = np.trace(rho, axis1=1, axis2=2)
     fail_first(
-        np.abs(tr - 1.0) > 1e-9,
+        ~(np.abs(tr - 1.0) <= 1e-9),
         lambda i: ValidationError(f"density matrix trace is {float(tr[i])!r}, expected 1"),
         where,
     )
-    return a
-
-
-def check_density_stack(rho: np.ndarray, where=None) -> np.ndarray:
-    """Validate each matrix of an (N, n, n) stack as a real density matrix.
-
-    The checks are those of check_density_matrix, run over the whole
-    stack; the first failing matrix raises, named through where(i).
-    """
-    a = _check_unit_trace_stack(rho, where)
-    w = np.linalg.eigvalsh(a)[:, 0]
-    fail_first(
-        w < -_PSD_CLAMP,
-        lambda i: NotPositiveSemidefiniteError(
-            f"density matrix has eigenvalue {float(w[i])!r}"
-        ),
-        where,
-    )
-    return a
-
-
-def check_gibbs_stack(rho, vectors, weights, index, where=None) -> np.ndarray:
-    """check_density_stack for a stack built as rho = V diag(w) V^T, without an eigensolve.
-
-    Such a rho is congruent to diag(w), so it is PSD when every weight is
-    >= 0 (to the PSD tolerance) and V is invertible; V^T V = I to 1e-12
-    is required, which LAPACK's eigenvectors meet with orders to spare.
-    vectors holds the distinct eigenvector matrices and index the row of
-    each matrix of rho, so V^T V is tested once per distinct V.
-    Finiteness, symmetry and trace are checked as check_density_stack
-    checks them, and the first failing matrix raises, named through
-    where(i).
-    """
-    a = _check_unit_trace_stack(rho, where)
     low = weights.min(axis=1)
     gram = np.swapaxes(vectors, 1, 2) @ vectors - np.eye(vectors.shape[-1])
     skew = np.abs(gram).reshape(len(gram), -1).max(axis=1)[index]
@@ -166,22 +140,28 @@ def check_gibbs_stack(rho, vectors, weights, index, where=None) -> np.ndarray:
         ),
         where,
     )
-    return a
+    return rho
 
 
 def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     """Validate a real density matrix: symmetric, unit trace, PSD.
 
-    Returns the validated ndarray.  Raises ValidationError on shape or
-    trace problems and NotPositiveSemidefiniteError if any eigenvalue
-    falls below -1e-12.
+    Returns the validated ndarray.  Raises ValidationError on shape,
+    finiteness, symmetry or trace problems and
+    NotPositiveSemidefiniteError if any eigenvalue falls below -1e-12.
     """
     a = _as_real_square(rho, "density matrix")
     if dim is not None and a.shape[0] != dim:
         raise ValidationError(
             f"density matrix must be {dim}x{dim}, got {a.shape[0]}x{a.shape[0]}"
         )
-    check_density_stack(a[None])
+    _check_symmetric_stack(a[None], "density matrix")
+    tr = float(np.trace(a))
+    if abs(tr - 1.0) > 1e-9:
+        raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
+    w = float(np.linalg.eigvalsh(a)[0])
+    if w < -_PSD_CLAMP:
+        raise NotPositiveSemidefiniteError(f"density matrix has eigenvalue {w!r}")
     return a
 
 

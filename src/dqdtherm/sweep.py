@@ -34,7 +34,6 @@ from .correlations import (
 from .model import (
     DegenerateGroundState,
     ModelParams,
-    _check_params,
     _degenerate,
     _energies,
     _hamiltonians,
@@ -108,6 +107,11 @@ class Axis:
             raise ConfigError(f"axis {self.name}: scale must be linear or log")
         if self.scale == "log" and lo <= 0.0:
             raise ConfigError(f"axis {self.name}: log scale requires lo > 0")
+        # the step np.linspace takes, or the top value np.logspace makes
+        with np.errstate(over="ignore"):
+            reach = hi - lo if self.scale == "linear" else np.power(10.0, math.log10(hi))
+        if not math.isfinite(reach):
+            raise ConfigError(f"axis {self.name}: values overflow a float on [{lo}, {hi}]")
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -117,7 +121,12 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Fixed parameter values plus one or two axes and the measures to emit."""
+    """Fixed parameter values plus one or two axes and the measures to emit.
+
+    Every grid point is a valid input: each parameter is finite, t >= 0
+    and T > 0.  The axes ascend, so testing each parameter at its fixed
+    value or its axis's lo tests every point; a bad one raises ConfigError.
+    """
 
     fixed: dict
     axis1: Axis
@@ -148,6 +157,16 @@ class SweepGrid:
         missing = set(PARAM_NAMES) - axis_names - set(fixed)
         if missing:
             raise ConfigError(f"parameters not specified: {sorted(missing)}")
+        probe = dict(fixed)
+        for ax in (self.axis1, self.axis2):
+            if ax is not None:
+                probe[ax.name] = ax.lo
+        try:
+            ModelParams(probe["epsilon"], probe["t"], probe["bz"], probe["bx"])
+        except ValidationError as exc:
+            raise ConfigError(str(exc))
+        if not (math.isfinite(probe["T"]) and probe["T"] > 0.0):
+            raise ConfigError(f"temperature must be positive, got {probe['T']}")
 
     def columns(self) -> tuple[str, ...]:
         return tuple(c for m in self.measures for c in MEASURE_COLUMNS[m])
@@ -197,7 +216,6 @@ def _evaluate(cols: dict, measures, where) -> dict:
     in the message and carried as the error's index.
     """
     model = (cols["epsilon"], cols["t"], cols["bz"], cols["bx"])
-    _check_params(*model, where)
     out = {}
     if any(m != "energies" for m in measures):
         state = _gibbs_columns(cols, where)

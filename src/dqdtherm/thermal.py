@@ -11,6 +11,7 @@ from .qmatrix import (
     EigenDecomp,
     ValidationError,
     check_density_matrix,
+    check_gibbs_stack,
     eig_sym,
     fail_first,
 )
@@ -105,9 +106,15 @@ def _gibbs(dec: EigenDecomp, index, temperature, where=None) -> _Gibbs:
 
 
 def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
-    """Thermal equilibrium state of the double dot at temperature T > 0."""
+    """Thermal equilibrium state of the double dot at temperature T > 0.
+
+    The state passes the checks a sweep makes (see check_gibbs_stack), so
+    parameters whose Gibbs state is not a density matrix raise
+    ValidationError.
+    """
     dec = eig_sym(build_hamiltonian(p)[None])
     g = _gibbs(dec, np.zeros(1, dtype=np.intp), temperature)
+    check_gibbs_stack(g.rho, dec.vectors, g.weights, g.index)
     return ThermalState(
         params=p,
         temperature=float(temperature),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,49 @@ def test_temperature_whose_inverse_overflows_is_usage_error(capsys):
     assert out == ""
     assert err.startswith("error: inputs out of floating-point range: 1/T overflows")
     assert "'T': 1e-320}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["concurrence-map", "--t", "7", "--bz", "16", "--bx-min=-1e308", "--bx-max", "1e308",
+          "--bx-n", "3", "--temp", "1", "--eps-min", "0", "--eps-max", "1", "--eps-n", "2"],
+         "axis bx: values overflow a float on [-1e+308, 1e+308]"),
+        (["spectrum", "--t", "7", "--bz", "16", "--bx", "100", "--eps-min=-1e308",
+          "--eps-max", "1e308", "--n", "3"],
+         "axis epsilon: values overflow a float on [-1e+308, 1e+308]"),
+        (["populations", "--eps", "0.5", "--t", "7", "--bz", "16", "--bx", "100",
+          "--t-min", "1", "--t-max", "1.7976931348623157e308", "--n", "3", "--log"],
+         "axis T: values overflow a float on [1.0, 1.7976931348623157e+308]"),
+    ],
+    ids=["linear-map", "linear-spectrum", "log"],
+)
+def test_an_axis_whose_values_overflow_is_usage_error(capsys, argv, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_negative_numbers_in_scientific_notation_are_values(tmp_path):
+    rc, plain = run_to_file(tmp_path, SPECTRUM, "plain.csv")
+    assert rc == 0
+    sci = ["-2e2" if a == "-200" else a for a in SPECTRUM]
+    assert run_to_file(tmp_path, sci, "sci.csv") == (0, plain)
+    rc, data = run_to_file(
+        tmp_path, SPECTRUM[:7] + ["--eps-min", "-1.5E-3", "--eps-max", "1", "--n", "2"]
+    )
+    assert (rc, data.splitlines()[1][:8]) == (0, b"-0.0015,")
+    # every subparser reads them alike
+    bx = ["concurrence-map", "--t", "7", "--bz", "16", "--bx-min", "-10", "--bx-max", "10",
+          "--bx-n", "3", "--temp", "1", "--eps-min", "-1", "--eps-max", "1", "--eps-n", "2"]
+    rc, plain = run_to_file(tmp_path, bx, "map.csv")
+    assert rc == 0
+    sci = [{"-10": "-1e1", "-1": "-1.0E+0"}.get(a, a) for a in bx]
+    assert run_to_file(tmp_path, sci, "map_sci.csv") == (0, plain)
 
 
 def per_value_csv(grid, header):

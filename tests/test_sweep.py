@@ -92,6 +92,11 @@ def test_axis_values_linear_and_log():
         dict(name="epsilon", lo=0, hi=1, count=float("inf")),
         dict(name="epsilon", lo=0, hi=1, count="3"),
         dict(name="epsilon", lo=0, hi=1, count=None),
+        # hi - lo overflows: np.linspace would give [nan, inf, 1e308]
+        dict(name="bx", lo=-1e308, hi=1e308, count=3),
+        dict(name="epsilon", lo=-1.7e308, hi=1.7e308, count=2),
+        # the top of a log axis rounds up past the largest float
+        dict(name="T", lo=1.0, hi=np.finfo(float).max, count=3, scale="log"),
     ],
 )
 def test_axis_rejects_bad_specs(kwargs):
@@ -105,23 +110,36 @@ def test_axis_takes_an_integral_count_of_any_number_type():
     assert type(Axis("T", 1.0, 2.0, 3.0).count) is int
 
 
-def test_grid_partition_validation():
-    ax = Axis("epsilon", -5.0, 5.0, 3)
-    with pytest.raises(ConfigError):  # epsilon both fixed and swept
-        SweepGrid(fixed=dict(FIXED, epsilon=0.0), axis1=ax, axis2=None, measures=("concurrence",))
-    with pytest.raises(ConfigError):  # T missing entirely
-        SweepGrid(
-            fixed={"t": 7.0, "bz": 16.0, "bx": 100.0},
-            axis1=ax,
-            axis2=None,
-            measures=("concurrence",),
-        )
-    with pytest.raises(ConfigError):  # duplicate axes
-        SweepGrid(fixed=FIXED, axis1=ax, axis2=ax, measures=("concurrence",))
-    with pytest.raises(ConfigError):  # unknown measure
-        SweepGrid(fixed=FIXED, axis1=ax, axis2=None, measures=("entropy",))
-    with pytest.raises(ConfigError):  # no measures
-        SweepGrid(fixed=FIXED, axis1=ax, axis2=None, measures=())
+EPS_AXIS = Axis("epsilon", -5.0, 5.0, 3)
+MODEL_FIXED = {"epsilon": 0.0, "t": 7.0, "bz": 16.0, "bx": 100.0}
+
+
+@pytest.mark.parametrize(
+    "fixed, axis1, axis2, measures, message",
+    [
+        (dict(FIXED, epsilon=0.0), EPS_AXIS, None, ("concurrence",), "both fixed and swept"),
+        ({"t": 7.0, "bz": 16.0, "bx": 100.0}, EPS_AXIS, None, ("concurrence",),
+         "not specified"),
+        (FIXED, EPS_AXIS, EPS_AXIS, ("concurrence",), "same parameter"),
+        (FIXED, EPS_AXIS, None, ("entropy",), "unknown measure"),
+        (FIXED, EPS_AXIS, None, (), "at least one measure"),
+        # every point is a valid input, checked at the fixed values and each axis's lo
+        (dict(FIXED, bx=float("inf")), EPS_AXIS, None, ("concurrence",),
+         "bx must be finite, got inf"),
+        (dict(FIXED, t=-1.0), EPS_AXIS, None, ("concurrence",), "t must be >= 0, got -1.0"),
+        ({"bz": 16.0, "bx": 100.0, "T": 1.0}, Axis("t", -1.0, 1.0, 3), EPS_AXIS,
+         ("concurrence",), "t must be >= 0, got -1.0"),
+        (dict(FIXED, T=0.0), EPS_AXIS, None, ("concurrence",),
+         "temperature must be positive, got 0.0"),
+        (MODEL_FIXED, Axis("T", -1.0, 2.0, 4), None, ("concurrence",),
+         "temperature must be positive, got -1.0"),
+    ],
+    ids=["fixed-and-swept", "missing", "same-axes", "unknown-measure", "no-measures",
+         "fixed-inf", "fixed-t", "t-axis", "fixed-T", "T-axis"],
+)
+def test_grid_partition_validation(fixed, axis1, axis2, measures, message):
+    with pytest.raises(ConfigError, match=message):
+        SweepGrid(fixed=fixed, axis1=axis1, axis2=axis2, measures=measures)
 
 
 def test_sweep_columns_row_major_order():
@@ -491,16 +509,17 @@ def test_large_grid_points_equal_single_point_evaluation():
 
 
 def test_bad_point_error_names_the_first_in_row_major_order():
+    # at eps = 0 the ground level is degenerate where bz = 0: points 1 and 3
     grid = SweepGrid(
-        fixed={"epsilon": 1.0, "bz": 16.0, "bx": 100.0},
-        axis1=Axis("t", 1.0, 2.0, 2),
-        axis2=Axis("T", -1.0, 2.0, 4),
-        measures=("concurrence",),
+        fixed={"epsilon": 0.0, "t": 7.0, "bx": 100.0},
+        axis1=Axis("T", 1.0, 2.0, 2),
+        axis2=Axis("bz", -1.0, 0.0, 2),
+        measures=("fidelity_pure",),
     )
-    with pytest.raises(ValidationError, match="temperature must be positive") as info:
+    with pytest.raises(DegenerateGroundState) as info:
         sweep_columns(grid)
-    assert info.value.index == 0
-    assert str(info.value).endswith(f"at {grid_point(grid, 0)}")
+    assert info.value.index == 1
+    assert str(info.value).endswith(f"at {grid_point(grid, 1)}")
 
 
 def test_later_check_at_an_earlier_point_wins(monkeypatch):
