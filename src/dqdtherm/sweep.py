@@ -397,8 +397,9 @@ def find_coherence_peak(
     """Temperature maximizing correlated coherence, with the peak value.
 
     Scans a logarithmic temperature grid as one batch, then golden-section
-    refines around the grid maximum in log10(T), one point at a time
-    through the same kernels and the scan's one eigendecomposition of H.
+    refines around the grid maximum in log10(T) through the same kernels
+    and the scan's one eigendecomposition of H, each objective call a
+    batch of the search's next probes.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)) or t_lo <= 0.0 or t_hi <= t_lo:
         raise ConfigError(f"need finite 0 < t_lo < t_hi, got [{t_lo}, {t_hi}]")
@@ -412,16 +413,15 @@ def find_coherence_peak(
     state = _gibbs_columns(scan, where)
     values = _checked_ccc(state.rho, where)
 
-    def ccc_at(log_t: float) -> float:
+    def neg_ccc(log_t: np.ndarray) -> np.ndarray:
         # the kernels of correlated_coherence(thermal_state(p, T).rho), unchecked,
         # on the scan's one eigendecomposition
-        rho = _gibbs(state.dec, state.index[:1], 10.0**log_t).rho
-        return float(_correlated_coherence(rho)[0])
+        temps = np.array([10.0 ** float(x) for x in log_t])
+        rho = _gibbs(state.dec, np.zeros(temps.size, dtype=np.intp), temps).rho
+        return -_correlated_coherence(rho)
 
     k = int(np.argmax(values))
     if k == 0 or k == len(grid) - 1:
         return float(10.0 ** grid[k]), float(values[k])
-    x, neg = golden_section_min(
-        lambda u: -ccc_at(u), float(grid[k - 1]), float(grid[k + 1]), tol=1e-6
-    )
+    x, neg = golden_section_min(neg_ccc, float(grid[k - 1]), float(grid[k + 1]), tol=1e-6)
     return float(10.0**x), float(-neg)

@@ -69,10 +69,11 @@ def _gibbs(dec: EigenDecomp, index, temperature, where=None) -> _Gibbs:
     dec is eig_sym of an (M, n, n) stack of Hamiltonians, so each distinct
     H is diagonalized once however many temperatures use it; index holds
     the row of dec of each point and temperature one value per point.
-    where(i) names point i in errors, and a temperature so small that 1/T
-    overflows raises OverflowError.  Energies are shifted by each
-    spectrum's minimum (see ThermalState); a point gives the same bits
-    whichever other points share its decomposition.
+    where(i) names point i in errors.  A temperature so small that 1/T
+    overflows, or a Hamiltonian whose eigenvalues overflow, raises
+    OverflowError.  Energies are shifted by each spectrum's minimum (see
+    ThermalState); a point gives the same bits whichever other points
+    share its decomposition.
     """
     try:
         temp = np.asarray(temperature, dtype=float).reshape(-1)
@@ -92,6 +93,14 @@ def _gibbs(dec: EigenDecomp, index, temperature, where=None) -> _Gibbs:
         lambda i: OverflowError(f"1/T overflows for temperature {float(temp[i])!r}"),
         where,
     )
+    # the M distinct spectra, not the N points: the usual case costs M tests
+    finite = np.isfinite(dec.values).all(axis=1)
+    if not finite.all():
+        fail_first(
+            ~finite[index],
+            lambda i: OverflowError("the eigenvalues of H overflow"),
+            where,
+        )
     # fancy indexing copies C-contiguous, as eigh returns its stacks, so the
     # products below take the same kernels and give the same bits
     values, vectors = dec.values[index], dec.vectors[index]

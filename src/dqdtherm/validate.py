@@ -14,8 +14,10 @@ them; the flagged points themselves are kept on the CheckResult.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +51,49 @@ _LOW = np.array([-50.0, 0.0, -40.0, -100.0, math.log10(0.05)])
 _HIGH = np.array([50.0, 30.0, 40.0, 100.0, 2.0])
 
 
+class _FlaggedPoints(Sequence):
+    """The names of a check's flagged samples in sample order, each formatted when read.
+
+    Each recorded batch keeps its where(i) and the indices it flagged, so
+    a run holds one index per flagged sample rather than one string.
+    """
+
+    def __init__(self):
+        self._batches = []  # (where, flagged indices) per recorded batch
+        self._ends = []  # the flagged count up to the end of each batch
+
+    def add(self, where, indices: np.ndarray) -> None:
+        if indices.size:
+            self._batches.append((where, indices))
+            self._ends.append(len(self) + indices.size)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        k = range(len(self))[k]  # a negative k counts from the end; IndexError outside
+        b = bisect.bisect_right(self._ends, k)
+        where, indices = self._batches[b]
+        return where(int(indices[k - (self._ends[b - 1] if b else 0)]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} flagged points>"
+
+
 @dataclass
 class CheckResult:
-    """Outcome of one check over all sampled states."""
+    """Outcome of one check over all sampled states.
+
+    flagged_points is a Sequence of the flagged samples' names, as long as
+    flagged; a name is formatted only when it is read.
+    """
 
     name: str
     hard: bool
@@ -60,7 +102,7 @@ class CheckResult:
     flagged: int = 0
     max_residual: float = 0.0
     worst_point: str = ""
-    flagged_points: list = field(default_factory=list)
+    flagged_points: Sequence = field(default_factory=_FlaggedPoints)
 
     @property
     def failed(self) -> bool:
@@ -77,7 +119,7 @@ class CheckResult:
         self.samples += r.size
         bad = np.flatnonzero(np.isnan(r) | (r > self.tolerance))
         self.flagged += bad.size
-        self.flagged_points.extend(where(int(i)) for i in bad)
+        self.flagged_points.add(where, bad)
         if not r.size or math.isnan(self.max_residual):
             return
         i = int(np.argmax(r))  # the first NaN, if there is one

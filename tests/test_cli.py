@@ -231,6 +231,19 @@ def test_temperature_whose_inverse_overflows_is_usage_error(capsys):
     assert "'T': 1e-320}" in err
 
 
+def test_a_hamiltonian_whose_eigensolve_overflows_is_usage_error(capsys):
+    big = ["--eps", "1.7e308", "--t", "1.7e308", "--bz", "1.7e308", "--bx", "1.7e308"]
+    argv = ["coherence", *big, "--t-min", "1", "--t-max", "2", "--n", "2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: inputs out of floating-point range: the eigenvalues of H overflow")
+    assert "'T': 1.0}" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -219,12 +219,125 @@ def test_golden_section_min_rejects_a_non_positive_tol(tol):
 @pytest.mark.parametrize("tol", [1e-300, 5e-324])
 def test_golden_section_min_stops_at_the_float_spacing(lo, hi, at, tol):
     # a tol finer than rounding allows cannot be met; the search ends once the
-    # bracket stops shrinking (81, 80 and 190 calls for these brackets)
+    # bracket stops shrinking (15, 15 and 37 batched calls for these brackets,
+    # where a one-point search makes 81, 80 and 190)
     f, calls = counted(lambda u: abs(u - at))
     x, fx = golden_section_min(f, lo, hi, tol=tol)
     assert len(calls) <= 300
     assert abs(x - at) <= 1e-15 * (hi - lo)
     assert fx == f(x)
+
+
+def sequential_golden_section_min(f, lo, hi, tol):
+    """The one-point-at-a-time golden-section search: the oracle of the batched one."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    width = b - a
+    while width > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+        if not b - a < width:
+            break
+        width = b - a
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+class Logged:
+    """A float value that records each `<=` it takes part in, as the bits of both sides."""
+
+    def __init__(self, value, log):
+        self.value, self.log = value, log
+
+    def __le__(self, other):
+        self.log.append((bits(self.value), bits(other.value)))
+        return self.value <= other.value
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def kinked(at, quantum, nan_lo, nan_hi):
+    """|x - at| cut to steps of quantum (a plateau when it is large), NaN on [nan_lo, nan_hi]."""
+
+    def g(x):
+        if nan_lo <= x <= nan_hi:
+            return math.nan
+        v = abs(x - at)
+        return math.floor(v / quantum) if quantum else v
+
+    return g
+
+
+@st.composite
+def searches(draw):
+    lo = draw(st.floats(-1e6, 1e6))
+    width = draw(st.one_of(st.floats(1e-12, 1e3), st.sampled_from([1e-300, 5e-324, 1e-3])))
+    hi = lo + width
+    if not hi > lo:
+        hi = np.nextafter(lo, math.inf)
+    at = lo + draw(st.floats(-0.5, 1.5)) * (hi - lo)
+    quantum = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0])) * (hi - lo)
+    u, v = sorted(draw(st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=2)))
+    if draw(st.booleans()):  # no NaN anywhere
+        u, v = 2.0, 1.0
+    nan_band = (lo + u * (hi - lo), lo + v * (hi - lo))
+    tol = draw(st.one_of(st.floats(5e-324, 1e-3), st.sampled_from([5e-324, 1e-300, 1e-3])))
+    return float(lo), float(hi), kinked(at, quantum, *nan_band), tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(searches())
+def test_batched_search_equals_the_sequential_one(search):
+    lo, hi, g, tol = search
+    want_log, got_log, batches = [], [], []
+    want_x, want_fx = sequential_golden_section_min(lambda x: Logged(g(x), want_log), lo, hi, tol)
+
+    def batched(xs):
+        assert xs.dtype == float and xs.ndim == 1
+        batches.append(xs)
+        return np.array([Logged(g(float(x)), got_log) for x in xs], dtype=object)
+
+    got_x, got_fx = golden_section_min(batched, lo, hi, tol)
+    assert (bits(got_x), bits(got_fx.value)) == (bits(want_x), bits(want_fx.value))
+    assert got_log == want_log
+    seen = np.concatenate(batches)
+    assert ((lo <= seen) & (seen <= hi)).all()
+    assert len(np.unique(seen)) == len(seen)  # no point is asked for twice
+    assert all(len(xs) <= 63 for xs in batches)
+    # one batch to start, then one per _LOOKAHEAD + 1 steps at most
+    assert len(batches) <= 1 + len(want_log) // 5
+
+
+def test_a_search_of_24_points_makes_5_objective_calls():
+    # the bracket and tol of a peak search: two steps of its 400-point log10(T) grid
+    want_calls, got_calls = [], []
+
+    def f(u):
+        return (u - 0.007) ** 2
+
+    sequential_golden_section_min(lambda x: want_calls.append(x) or f(x), 0.0, 0.02, 1e-6)
+    golden_section_min(lambda xs: got_calls.append(xs) or f(xs), 0.0, 0.02, 1e-6)
+    assert (len(want_calls), len(got_calls)) == (24, 5)
+
+
+def test_anticrossing_refinement_makes_at_most_6_energy_calls(monkeypatch):
+    energies, calls = counted(model._energies)
+    monkeypatch.setattr(model, "_energies", energies)
+    found = find_anticrossing(7.0, 16.0, 100.0, ("E3", "E4"), (50.0, 150.0))
+    assert (found.eps, found.gap) == (101.24775286608813, 13.824168846833992)
+    sizes = [np.size(args[0]) for args in calls]
+    assert sizes[0] == 1001 and len(sizes) <= 1 + 6  # the coarse scan, then the refinement
 
 
 @pytest.mark.parametrize("tol", [0, -1, 1e-300])

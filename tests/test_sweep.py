@@ -466,7 +466,10 @@ def _public_peak(epsilon, t, bz, bx):
     grid = np.linspace(np.log10(0.01), np.log10(100.0), 400)
     k = int(np.argmax([ccc(float(x)) for x in grid]))
     x, neg = golden_section_min(
-        lambda u: -ccc(u), float(grid[k - 1]), float(grid[k + 1]), tol=1e-6
+        lambda xs: np.array([-ccc(float(x)) for x in xs]),
+        float(grid[k - 1]),
+        float(grid[k + 1]),
+        tol=1e-6,
     )
     return float(10.0**x), float(-neg)
 
@@ -481,7 +484,9 @@ def _public_anticrossing(t, bz, bx, pair, lo, hi):
 
     xs = np.linspace(lo, hi, int(np.ceil((hi - lo) / 0.1)) + 1)
     k = int(np.argmin([gap(float(x)) for x in xs]))
-    return golden_section_min(gap, float(xs[k - 1]), float(xs[k + 1]), 1e-6)
+    return golden_section_min(
+        lambda us: np.array([gap(float(u)) for u in us]), float(xs[k - 1]), float(xs[k + 1]), 1e-6
+    )
 
 
 @pytest.mark.parametrize(
@@ -649,6 +654,26 @@ def test_a_failing_gibbs_check_on_a_shared_hamiltonian_names_its_first_point(mon
         sweep_columns(grid)
     assert info.value.index == 2
     assert str(info.value).endswith(f"at {grid_point(grid, 2)}")
+
+
+def test_the_peak_search_batches_its_objective(monkeypatch):
+    # one batch of 400 scan points, then at most 6 objective calls, where a
+    # one-point search makes 24
+    sizes = []
+
+    def counted(r, where=None):
+        sizes.append(len(r))
+        return correlated(r, where)
+
+    correlated = sweep._correlated_coherence
+    monkeypatch.setattr(sweep, "_correlated_coherence", counted)
+    for args, pin in [
+        ((1.0, 7.0, 16.0, 100.0), (5.972734177785605, 1.4504459841551927)),
+        ((1.0, 15.4, 24.0, 100.0), (9.762491670432018, 1.0853093275902626)),
+    ]:
+        sizes.clear()
+        assert find_coherence_peak(*args) == pin
+        assert sizes[0] == 400 and len(sizes) <= 1 + 6
 
 
 def test_the_peak_search_diagonalizes_once(monkeypatch):

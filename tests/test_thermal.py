@@ -76,10 +76,12 @@ def test_temperature_whose_inverse_overflows_is_refused(temp):
 
 
 def test_a_gibbs_state_that_is_not_a_density_matrix_is_refused():
-    # the squares in H's eigensolve overflow, so the weights come out NaN
+    # the squares in H's eigensolve overflow; the weights would come out NaN
     p = ModelParams(1.7e308, 1.7e308, 1.7e308, 1.7e308)
-    with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="trace is nan"):
-        thermal_state(p, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="the eigenvalues of H overflow"):
+            thermal_state(p, 1.0)
 
 
 def test_coldest_finite_inverse_temperature_gives_the_ground_state():

@@ -33,7 +33,10 @@ def _record(check, residual, point):
 def per_sample_validation(samples, seed):
     """The validation report sample by sample through the public API: the oracle."""
     rng = np.random.default_rng(seed)
-    results = {name: CheckResult(name, hard, tol) for name, hard, tol in validate._CHECKS}
+    results = {
+        name: CheckResult(name, hard, tol, flagged_points=[])
+        for name, hard, tol in validate._CHECKS
+    }
     for _ in range(samples):
         p = ModelParams(
             rng.uniform(-50.0, 50.0),
@@ -145,6 +148,26 @@ def test_record_keeps_order_and_the_first_worst_point():
     assert (check.max_residual, check.worst_point) == (2.0, "p1")
     check.record(np.array([2.0]), lambda i: "later")  # a tie keeps the earlier point
     assert check.worst_point == "p1"
+
+
+def test_flagged_points_are_named_only_when_read():
+    named = []
+
+    def where(i):
+        named.append(i)
+        return f"p{i}"
+
+    check = CheckResult("x", False, 1e-8)
+    check.record(np.array([2.0, 0.0, 3.0, 1e-9, 0.5]), where)
+    check.record(np.array([0.0, 5.0]), lambda i: f"q{i}")
+    assert named == [2]  # the worst point only
+    points = check.flagged_points
+    assert len(points) == check.flagged == 4
+    assert (points[1], points[-1], points[:3]) == ("p2", "q1", ["p0", "p2", "p4"])
+    assert named == [2, 2, 0, 2, 4]
+    assert list(points) == ["p0", "p2", "p4", "q1"]
+    with pytest.raises(IndexError):
+        points[4]
 
 
 def test_record_flags_nan_as_the_worst_residual():
