@@ -1,8 +1,7 @@
 """Command-line front end: figure datasets, free-form sweeps, validation.
 
 Exit codes: 0 success, 1 invariant failure during computation or a hard
-validation failure, 2 bad flags/config, inputs too large to compute with,
-or a fidelity asked of a degenerate ground state.
+validation failure, 2 bad flags/config or inputs too large to compute with.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import logging
 import re
 import sys
 
-from .model import DegenerateGroundState
 from .qmatrix import ValidationError
 from .sweep import (
     PARAM_NAMES,
@@ -219,7 +217,7 @@ def main(argv=None) -> int:
         )
     try:
         return args.handler(args)
-    except (ConfigError, OSError, DegenerateGroundState) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

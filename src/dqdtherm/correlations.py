@@ -10,7 +10,6 @@ point gives the same bits through either route.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .qmatrix import (
     eig_sym,
     fail_first,
 )
-from .thermal import ThermalState, _pair, _reduce_a, _reduce_b
+from .thermal import ThermalState, _reduce_a, _reduce_b
 
 __all__ = [
     "SPIN_FLIP",
@@ -36,8 +35,6 @@ __all__ = [
     "local_angles",
     "correlated_coherence",
 ]
-
-log = logging.getLogger(__name__)
 
 # sigma_y (x) sigma_y is real even though sigma_y is not:
 # sigma_y = i*K with K = [[0,-1],[1,0]], hence sigma_y(x)sigma_y = -K(x)K.
@@ -190,7 +187,9 @@ def fidelity_pure(psi, rho) -> float:
     """Overlap <psi|rho|psi> of a normalized pure state with a density matrix.
 
     psi may be a GroundState.  A degenerate one raises DegenerateGroundState:
-    its vector is an arbitrary member of the ground level.
+    its vector is an arbitrary member of the ground level, and members give
+    different overlaps unless rho is diagonal in H's eigenbasis, as a Gibbs
+    state of the same H is (sweeps report its ground weight as F).
     """
     if isinstance(psi, GroundState):
         if psi.degenerate:
@@ -204,13 +203,7 @@ def fidelity_pure(psi, rho) -> float:
     if abs(float(np.linalg.norm(v)) - 1.0) > 1e-10:
         raise ValidationError("state vector must be normalized to 1")
     r = check_density_matrix(rho, dim=v.size)
-    return float(_fidelity(v[None], r[None])[0])
-
-
-def _fidelity(v: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """<v|r|v> clipped to [0, 1] for stacks of vectors and matrices."""
-    v = np.ascontiguousarray(v)  # BLAS or not follows the layout, and so do the bits
-    return np.clip(((v[:, None, :] @ r) @ v[:, :, None])[:, 0, 0], 0.0, 1.0)
+    return float(np.clip(v @ r @ v, 0.0, 1.0))
 
 
 def _l1(r: np.ndarray) -> np.ndarray:
@@ -234,32 +227,21 @@ def _rotations(theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LocalBasisAngles:
-    """Rotation angles whose U(theta) diagonalize the reduced matrices.
-
-    The fallback flags mark angles that had to be read off the
-    eigenvectors because the arctan expression failed to diagonalize (not
-    observed in practice; kept as a guard).
-    """
+    """Rotation angles whose U(theta) diagonalize the reduced matrices."""
 
     theta_a: float
     theta_b: float
-    fallback_a: bool = False
-    fallback_b: bool = False
 
 
-def _diagonalizing_angles(chi, q, d0, off, d1):
-    """Angles sending each reduced state [[d0, off], [off, d1]] to its diagonal basis.
+def _diagonalizing_angles(chi, q):
+    """The printed angle of each reduced state, from its chi and q (see _local_angles).
 
     theta = arctan[(chi + sqrt(chi^2 + 4 q^2)) / (2 q)]; the principal
-    branch satisfies tan(2 theta) = -2q / chi and always lands on a
-    diagonalizing rotation.  For chi < 0 the numerator cancels, so the
-    same ratio is evaluated as 2q / (sqrt(chi^2 + 4 q^2) - chi).  |q|
-    below 1e-12 means the matrix is already diagonal and theta = 0 is the
-    canonical choice.  The formula's angle is kept when the rotated state
-    has an l1 coherence 2|offdiag| <= 1e-10, the bound
-    correlated_coherence holds it to; otherwise the angle is read off the
-    eigenvectors.  Returns (theta, fallback mask, the formula's residual
-    2|offdiag|).
+    branch satisfies tan(2 theta) = -2q / chi.  For chi < 0 the numerator
+    cancels, so the same ratio is evaluated as 2q / (sqrt(chi^2 + 4 q^2) - chi).
+    |q| below 1e-12 means the matrix is already diagonal and theta = 0 is
+    the canonical choice.  validate checks these angles against the
+    eigensolver; correlated coherence rotates by _schur_angles.
     """
     diagonal = np.abs(q) < 1e-12
     two_q = 2.0 * np.where(diagonal, 1.0, q)
@@ -267,19 +249,11 @@ def _diagonalizing_angles(chi, q, d0, off, d1):
     up = chi >= 0.0
     theta = np.arctan(np.where(up, chi + root, two_q) / np.where(up, two_q, root - chi))
     theta[diagonal] = 0.0
-    # off-diagonal entry of U(theta) [[d0, off], [off, d1]] U(theta)^T
-    c, s = np.cos(theta), np.sin(theta)
-    residual = 2.0 * np.abs(c * s * (d0 - d1) + (c * c - s * s) * off)
-    residual[diagonal] = 0.0
-    fell = residual > 1e-10
-    if np.count_nonzero(fell):
-        vec = eig_sym(_pair(d0[fell], off[fell], d1[fell])).vectors[:, :, 0]
-        theta[fell] = -np.arctan2(vec[:, 1], vec[:, 0])
-    return theta, fell, residual
+    return theta
 
 
 def local_angles(rho_a, rho_b, rho) -> LocalBasisAngles:
-    """Diagonalizing rotation angles for both reduced density matrices.
+    """The printed diagonalizing rotation angles of both reduced density matrices.
 
     rho_a and rho_b must be the reductions of rho (checked to 1e-9);
     chi and q are read from the full-state elements.
@@ -294,49 +268,34 @@ def local_angles(rho_a, rho_b, rho) -> LocalBasisAngles:
         or float(np.max(np.abs(rb - _reduce_b(r)))) > 1e-9
     ):
         raise ValidationError("reduced matrices are not the reductions of rho")
-    theta_a, fell_a, theta_b, fell_b = _local_angles(r[None], ra[None], rb[None])
-    return LocalBasisAngles(
-        theta_a=float(theta_a[0]),
-        theta_b=float(theta_b[0]),
-        fallback_a=bool(fell_a[0]),
-        fallback_b=bool(fell_b[0]),
-    )
+    theta_a, theta_b = _local_angles(r[None])
+    return LocalBasisAngles(theta_a=float(theta_a[0]), theta_b=float(theta_b[0]))
 
 
-def _local_angles(r: np.ndarray, ra: np.ndarray, rb: np.ndarray, where=None):
-    """Charge and spin angles for a stack: (theta_a, fell_a, theta_b, fell_b).
-
-    ra and rb are the stacked reductions of r.  Angle-formula fallbacks
-    are logged once per call, with their count and the point with the
-    largest formula residual, named by where(i).
-    """
+def _local_angles(r: np.ndarray):
+    """The printed charge and spin angles of each state of a stack: (theta_a, theta_b)."""
     chi_a = r[:, 0, 0] + r[:, 1, 1] - r[:, 2, 2] - r[:, 3, 3]
     q_a = r[:, 0, 2] + r[:, 1, 3]
     chi_b = r[:, 0, 0] - r[:, 1, 1] + r[:, 2, 2] - r[:, 3, 3]
     q_b = r[:, 0, 1] + r[:, 2, 3]
-    theta_a, fell_a, res_a = _diagonalizing_angles(
-        chi_a, q_a, ra[:, 0, 0], ra[:, 0, 1], ra[:, 1, 1]
-    )
-    theta_b, fell_b, res_b = _diagonalizing_angles(
-        chi_b, q_b, rb[:, 0, 0], rb[:, 0, 1], rb[:, 1, 1]
-    )
-    fell = fell_a | fell_b
-    if np.count_nonzero(fell):
-        residual = np.maximum(res_a, res_b)
-        i = int(np.argmax(residual))
-        log.warning(
-            "angle formula failed at %d of %d points (charge %d, spin %d), "
-            "using eigenvector angles; worst residual %.3e%s",
-            int(fell.sum()), len(fell), int(fell_a.sum()), int(fell_b.sum()),
-            float(residual[i]), f" at {where(i)}" if where is not None else "",
-        )
-    return theta_a, fell_a, theta_b, fell_b
+    return _diagonalizing_angles(chi_a, q_a), _diagonalizing_angles(chi_b, q_b)
+
+
+def _schur_angles(m: np.ndarray) -> np.ndarray:
+    """The angle theta with U(theta) m U(theta)^T diagonal, for each 2x2 symmetric m.
+
+    theta = atan2(-2 m01, m00 - m11) / 2 is the symmetric Schur rotation
+    (Golub and Van Loan, Matrix Computations, sec. 8.5): with
+    tan(2 theta) = -2 m01 / (m00 - m11), the rotated off-diagonal entry
+    sin(2 theta) (m00 - m11) / 2 + cos(2 theta) m01 is zero for every m.
+    """
+    return 0.5 * np.arctan2(-2.0 * m[:, 0, 1], m[:, 0, 0] - m[:, 1, 1])
 
 
 def _correlated_coherence(r: np.ndarray, where=None) -> np.ndarray:
     """Correlated coherence of each state of a stack; see correlated_coherence."""
-    theta_a, _, theta_b, _ = _local_angles(r, _reduce_a(r), _reduce_b(r), where)
-    ua, ub = _rotations(theta_a), _rotations(theta_b)
+    ua = _rotations(_schur_angles(_reduce_a(r)))
+    ub = _rotations(_schur_angles(_reduce_b(r)))
     u = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(-1, 4, 4)
     rot = u @ r @ _swap(u)
     rot = 0.5 * (rot + _swap(rot))
@@ -356,7 +315,8 @@ def _correlated_coherence(r: np.ndarray, where=None) -> np.ndarray:
 def correlated_coherence(rho) -> float:
     """Coherence that cannot be attributed to either subsystem alone.
 
-    Rotates each qubit into its incoherent (diagonal) basis and returns
+    Rotates each qubit into its incoherent (diagonal) basis by the
+    symmetric Schur rotation of its reduced state and returns
     l1(rho_rot) - l1(rho_rot_A) - l1(rho_rot_B).  The two local terms
     must vanish after the rotation; anything above 1e-10 means the
     diagonalization failed and is raised, not silently absorbed.

@@ -262,13 +262,8 @@ def ground_state(p: ModelParams) -> GroundState:
     return GroundState(
         energy=float(dec.values[0]),
         vector=_sign_fixed(dec.vectors[:, 0]),
-        degenerate=bool(_degenerate(dec.values)),
+        degenerate=bool(dec.values[1] - dec.values[0] < 1e-10),
     )
-
-
-def _degenerate(values: np.ndarray) -> np.ndarray:
-    """Whether the two lowest of ascending eigenvalues lie closer than 1e-10."""
-    return values[..., 1] - values[..., 0] < 1e-10
 
 
 def _denominators(eps, t, bz, bx):
@@ -454,6 +449,10 @@ def find_anticrossing(
     lo, hi = float(eps_range[0]), float(eps_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValidationError(f"eps_range must be a finite interval, got {eps_range!r}")
+    if not math.isfinite((hi - lo) / grid_step):
+        raise ValidationError(
+            f"eps_range {eps_range!r} has too many points at grid_step {grid_step!r}"
+        )
     ia = LEVEL_LABELS.index(key[0])
     ib = LEVEL_LABELS.index(key[1])
     fixed = ModelParams(lo, t, bz, bx)  # validates the fixed parameters once

@@ -25,20 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import (
-    _correlated_coherence,
-    _fidelity,
-    _gibbs_concurrence,
-    _l1,
-)
-from .model import (
-    DegenerateGroundState,
-    ModelParams,
-    _degenerate,
-    _energies,
-    _hamiltonians,
-    golden_section_min,
-)
+from .correlations import _correlated_coherence, _gibbs_concurrence, _l1
+from .model import ModelParams, _energies, _hamiltonians, golden_section_min
 from .qmatrix import ValidationError, check_gibbs_stack, eig_sym, fail_first
 from .thermal import _gibbs, _Gibbs
 
@@ -228,18 +216,9 @@ def _evaluate(cols: dict, measures, where) -> dict:
         elif m == "concurrence":
             out["C"] = _gibbs_concurrence(dec.vectors, state.weights, index)
         elif m == "fidelity_pure":
-            # the ground-state vector of each point; F does not depend on its sign,
-            # but within a degenerate ground level the vector is arbitrary
-            e = dec.values[index]
-            fail_first(
-                _degenerate(e),
-                lambda i: DegenerateGroundState(
-                    f"ground state is degenerate (gap {float(e[i, 1] - e[i, 0])!r}), "
-                    "so fidelity to it is undefined"
-                ),
-                where,
-            )
-            out["F"] = _fidelity(dec.vectors[index, :, 0], rho)
+            # <psi|rho|psi> for every psi of the ground level, as rho is diagonal
+            # in H's eigenbasis: so F is defined at a degenerate level too
+            out["F"] = state.weights[:, 0]
         elif m == "l1":
             out["l1"] = _l1(rho)
         else:  # correlated_coherence

@@ -75,10 +75,7 @@ def _gibbs(dec: EigenDecomp, index, temperature, where=None) -> _Gibbs:
     ThermalState); a point gives the same bits whichever other points
     share its decomposition.
     """
-    try:
-        temp = np.asarray(temperature, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        raise ValidationError(f"temperature must be a real number, got {temperature!r}")
+    temp = np.asarray(temperature, dtype=float).reshape(-1)
     fail_first(
         ~(np.isfinite(temp) & (temp > 0.0)),
         lambda i: ValidationError(
@@ -121,12 +118,16 @@ def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
     parameters whose Gibbs state is not a density matrix raise
     ValidationError.
     """
+    try:
+        temperature = float(temperature)
+    except (TypeError, ValueError):
+        raise ValidationError(f"temperature must be a real number, got {temperature!r}")
     dec = eig_sym(build_hamiltonian(p)[None])
     g = _gibbs(dec, np.zeros(1, dtype=np.intp), temperature)
     check_gibbs_stack(g.rho, dec.vectors, g.weights, g.index)
     return ThermalState(
         params=p,
-        temperature=float(temperature),
+        temperature=temperature,
         beta=float(g.beta[0]),
         rho=g.rho[0],
         z_shifted=float(g.z_shifted[0]),

@@ -3,13 +3,14 @@
 Draws random thermal states, then checks two kinds of things: hard
 invariants that must hold for the package to be trusted at all (trace,
 positivity, commutation with H, diagonalization of the reduced states by
-the local rotation), and soft oracle-equivalence reports comparing the
-printed closed-form expressions (energies, eigenvector coefficients,
-R-spectrum concurrence, rotation angles) with the numerical path.  Soft
-disagreements are flagged, never fatal: several of the printed formulas
-are known to disagree with the eigensolver and the point of the report
-is to quantify that.  Each check with flags logs one warning summarizing
-them; the flagged points themselves are kept on the CheckResult.
+the Schur rotation that correlated coherence makes), and soft
+oracle-equivalence reports comparing the printed closed-form expressions
+(energies, eigenvector coefficients, R-spectrum concurrence, rotation
+angles) with the numerical path.  Soft disagreements are flagged, never
+fatal: several of the printed formulas are known to disagree with the
+eigensolver and the point of the report is to quantify that.  Each check
+with flags logs one warning summarizing them; the flagged points
+themselves are kept on the CheckResult.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlations import _closed_form, _concurrence, _local_angles, _rotations
+from .correlations import _closed_form, _concurrence, _local_angles, _rotations, _schur_angles
 from .model import _coeffs, _coeffs_singular, _energies, _hamiltonians, _match_levels
 from .qmatrix import eig_sym
 from .thermal import _gibbs, _reduce_a, _reduce_b
@@ -142,6 +143,12 @@ def _max_abs(m: np.ndarray) -> np.ndarray:
     return np.abs(m).reshape(len(m), -1).max(axis=1)
 
 
+def _rotated(theta: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """U(theta) m U(theta)^T for each angle and 2x2 matrix of a stack."""
+    u = _rotations(theta)
+    return u @ m @ np.swapaxes(u, 1, 2)
+
+
 def _check_block(results: dict, rng, n: int) -> None:
     """Draw n samples and record every check over them as one batch."""
     eps, t, bz, bx, temp = _draw_points(rng, n)
@@ -163,20 +170,15 @@ def _check_block(results: dict, rng, n: int) -> None:
     h_scale = np.maximum(1.0, _max_abs(h))
     results["commutation"].record(_max_abs(h @ rho - rho @ h) / h_scale, where)
 
-    ra, rb = _reduce_a(rho), _reduce_b(rho)
-    theta_a, _, theta_b, _ = _local_angles(rho, ra, rb, where)
-    ua, ub = _rotations(theta_a), _rotations(theta_b)
-    ra_rot = ua @ ra @ np.swapaxes(ua, 1, 2)
-    rb_rot = ub @ rb @ np.swapaxes(ub, 1, 2)
-    results["rotation_diagonalization"].record(
-        np.maximum(np.abs(ra_rot[:, 0, 1]), np.abs(rb_rot[:, 0, 1])), where
-    )
-    # agreement with the eigenvector oracle: the rotated diagonal must
-    # reproduce the reduced spectra
-    spec_resid = 0.0
-    for rot, red in ((ra_rot, ra), (rb_rot, rb)):
-        got = np.sort(np.diagonal(rot, axis1=1, axis2=2), axis=1)
+    off = spec_resid = 0.0
+    for red, printed in zip((_reduce_a(rho), _reduce_b(rho)), _local_angles(rho)):
+        # the Schur rotation that correlated coherence makes must diagonalize it
+        off = np.maximum(off, np.abs(_rotated(_schur_angles(red), red)[:, 0, 1]))
+        # the printed angle, against the eigenvector oracle: the rotated
+        # diagonal must reproduce the reduced spectrum
+        got = np.sort(np.diagonal(_rotated(printed, red), axis1=1, axis2=2), axis=1)
         spec_resid = np.maximum(spec_resid, _max_abs(got - eig_sym(red).values))
+    results["rotation_diagonalization"].record(off, where)
     results["angle_formula"].record(spec_resid, where)
 
     levels = _energies(eps, t, bz, bx, where=where)

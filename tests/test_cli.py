@@ -88,8 +88,9 @@ def test_fidelity_monotone_down(capsys):
 
 
 def test_fidelity_to_a_degenerate_ground_state_is_refused(capsys):
-    # eps = bz = 0 leaves the ground level doubly degenerate; the ground vector
-    # would be an arbitrary pick from it (F = 0.5 in the cold limit)
+    # eps = bz = 0 leaves the ground level doubly degenerate; it is not refused:
+    # F is the level's Gibbs weight, the overlap of rho with any of its vectors,
+    # which tends to 1/2 in the cold limit
     rc = main(
         [
             "fidelity", "--eps", "0", "--t", "7", "--bz", "0", "--bx", "100",
@@ -97,10 +98,11 @@ def test_fidelity_to_a_degenerate_ground_state_is_refused(capsys):
         ]
     )
     captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ground state is degenerate")
-    assert "'T': 0.01}" in captured.err
+    assert rc == 0
+    assert captured.err == ""
+    lines = captured.out.strip().split("\n")
+    assert lines[:2] == ["T,F", "0.01,0.5"]
+    assert len(lines) == 6
 
 
 def test_map_temperature_mode(capsys):
@@ -378,11 +380,11 @@ def test_sweep_config_csv_equals_per_value_formatting(tmp_path):
 
 
 def test_bad_grid_point_keeps_its_exit_code_and_message(tmp_path, capsys):
-    # the ground level is degenerate only at the last point, bz = 0
-    cfg = tmp_path / "degenerate.ini"
+    # the eigenvalues of H overflow only at the last point, eps = 1.7e308
+    cfg = tmp_path / "overflow.ini"
     cfg.write_text(
-        "[fixed]\nepsilon = 0\nt = 7\nbx = 100\nT = 1\n"
-        "[axis1]\nname = bz\nmin = -1\nmax = 0\ncount = 3\n"
+        "[fixed]\nt = 7\nbz = 1.7e308\nbx = 1.7e308\nT = 1\n"
+        "[axis1]\nname = epsilon\nmin = 0\nmax = 1.7e308\ncount = 3\n"
         "[output]\nmeasures = concurrence, fidelity_pure\n"
     )
     out = tmp_path / "out.csv"
@@ -390,8 +392,8 @@ def test_bad_grid_point_keeps_its_exit_code_and_message(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: ground state is degenerate (gap 0.0), so fidelity to it is undefined "
-        "at {'epsilon': 0.0, 't': 7.0, 'bx': 100.0, 'T': 1.0, 'bz': 0.0}\n"
+        "error: inputs out of floating-point range: the eigenvalues of H overflow "
+        "at {'t': 7.0, 'bz': 1.7e+308, 'bx': 1.7e+308, 'T': 1.0, 'epsilon': 1.7e+308}\n"
     )
     assert not out.exists()
 

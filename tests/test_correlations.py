@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -9,9 +8,8 @@ from hypothesis import strategies as st
 from dqdtherm.correlations import (
     SPIN_FLIP,
     _concurrence,
-    _diagonalizing_angles,
-    _local_angles,
     _rotations,
+    _schur_angles,
     concurrence,
     concurrence_closed_form,
     correlated_coherence,
@@ -153,7 +151,6 @@ def test_local_angles_diagonal_state():
     angles = local_angles(np.diag([0.6, 0.4]), np.diag([0.7, 0.3]), np.diag([0.42, 0.18, 0.28, 0.12]))
     assert angles.theta_a == 0.0
     assert angles.theta_b == 0.0
-    assert not angles.fallback_a and not angles.fallback_b
 
 
 def test_local_angles_diagonalize_thermal_reductions():
@@ -384,36 +381,26 @@ def test_concurrence_of_thermal_state_matches_its_matrix():
     assert concurrence(state) == pytest.approx(concurrence(state.rho), abs=1e-12)
 
 
-# a reduced state whose off-diagonal carries 8.4e-11 more than the (chi, q)
-# the angle formula reads: the formula's rotation leaves an l1 coherence of
-# 1.5e-10, inside (1e-10, 2e-10], which the old |offdiag| <= 1e-10 acceptance let
-# through to the "local coherence survived" check
-_CHI, _Q = np.array([0.4]), np.array([0.1])
-_OFF = np.array([[0.0, 1.0], [1.0, 0.0]]) * 8.4e-11
-_REDUCED = np.array([[[0.7, 0.1], [0.1, 0.3]]]) + _OFF
+@settings(max_examples=200, deadline=None)
+@given(VALIDATE_BOX)
+def test_the_schur_rotation_diagonalizes_both_reductions(point):
+    state = thermal_state(ModelParams(*point[:4]), point[4])
+    for reduced in (reduce_a(state), reduce_b(state)):
+        u = _rotations(_schur_angles(reduced[None])[0])
+        assert abs((u @ reduced @ u.T)[0, 1]) <= 1e-15
 
 
-def test_angle_residual_beyond_the_coherence_bound_takes_the_fallback():
-    d0, off, d1 = _REDUCED[:, 0, 0], _REDUCED[:, 0, 1], _REDUCED[:, 1, 1]
-    theta, fell, residual = _diagonalizing_angles(_CHI, _Q, d0, off, d1)
-    assert 1e-10 < residual[0] <= 2e-10
-    assert fell[0]
-    u = _rotations(theta[0])
-    assert 2.0 * abs((u @ _REDUCED[0] @ u.T)[0, 1]) <= 1e-10
+def _eigh_rotation_ccc(rho):
+    """Ccc with each qubit rotated by the eigh eigenvectors of its reduced state."""
+    u = np.kron(np.linalg.eigh(reduce_a(rho))[1], np.linalg.eigh(reduce_b(rho))[1])
+    rot = u.T @ rho @ u
+    return float(np.abs(rot).sum() - np.abs(np.diag(rot)).sum())
 
 
-def test_angle_fallbacks_are_logged_once_per_batch(caplog):
-    state = thermal_state(ModelParams(1.0, 7.0, 16.0, 100.0), 1.0)
-    n = 5
-    r = np.repeat(state.rho[None], n, axis=0)
-    ra = np.repeat(reduce_a(state)[None], n, axis=0)
-    rb = np.repeat(reduce_b(state)[None], n, axis=0)
-    ra[1:4] += _OFF  # three charge reductions the formula misses
-    with caplog.at_level(logging.WARNING, logger="dqdtherm.correlations"):
-        _, fell_a, _, fell_b = _local_angles(r, ra, rb, where=lambda i: f"point {i}")
-    assert fell_a.tolist() == [False, True, True, True, False]
-    assert not fell_b.any()
-    assert len(caplog.records) == 1
-    message = caplog.records[0].getMessage()
-    assert "3 of 5 points" in message and "charge 3, spin 0" in message
-    assert "at point 1" in message
+@settings(max_examples=200, deadline=None)
+@given(VALIDATE_BOX)
+def test_correlated_coherence_matches_the_eigh_rotation(point):
+    # the two routes diagonalize the same reduced states with different
+    # rotations, which round-off turns by up to ~3 x round-off / gap
+    rho = thermal_state(ModelParams(*point[:4]), point[4]).rho
+    assert abs(correlated_coherence(rho) - _eigh_rotation_ccc(rho)) * _reduced_gap(rho) <= 1e-11

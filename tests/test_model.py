@@ -364,6 +364,15 @@ def test_anticrossing_rejects_a_bad_grid_step(grid_step):
 
 
 @pytest.mark.parametrize(
+    "eps_range, grid_step",
+    [((-1e308, 1e308), 0.1), ((50.0, 150.0), 5e-324)],  # hi - lo, or the point count, is inf
+)
+def test_anticrossing_rejects_a_scan_too_long_to_count(eps_range, grid_step):
+    with pytest.raises(ValidationError, match="too many points"):
+        find_anticrossing(7, 16, 100, ("E3", "E4"), eps_range, grid_step=grid_step)
+
+
+@pytest.mark.parametrize(
     "lo, hi, n",
     [
         (50.0, 150.0, 1001),

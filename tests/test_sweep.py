@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dqdtherm import correlations, sweep, thermal
@@ -15,7 +15,6 @@ from dqdtherm.correlations import (
     l1_coherence,
 )
 from dqdtherm.model import (
-    DegenerateGroundState,
     ModelParams,
     analytic_energies,
     find_anticrossing,
@@ -390,7 +389,7 @@ def scalar_measures(point):
     out.update(zip(MEASURE_COLUMNS["populations"], populations(state)))
     out.update(
         C=concurrence(state),
-        F=fidelity_pure(ground_state(p).vector, state.rho),
+        F=float(state.weights[0]),
         l1=l1_coherence(state.rho),
         Ccc=correlated_coherence(state.rho),
     )
@@ -423,18 +422,6 @@ def grids(draw):
 @given(grids())
 def test_batched_sweep_equals_scalar_api_bitwise(grid):
     points = [grid_point(grid, i) for i in range(grid.axis1.count * grid.axis2.count)]
-    degenerate = [
-        i for i, d in enumerate(points)
-        if ground_state(ModelParams(d["epsilon"], d["t"], d["bz"], d["bx"])).degenerate
-    ]
-    if degenerate:
-        # fidelity to a degenerate ground state is refused at the first such point
-        with pytest.raises(DegenerateGroundState) as info:
-            sweep_columns(grid)
-        assert info.value.index == degenerate[0]
-        grid = dataclasses.replace(
-            grid, measures=tuple(m for m in grid.measures if m != "fidelity_pure")
-        )
     rows = grid_rows(grid)
     assert [params for params, _ in rows] == [{k: d[k] for k in PARAM_NAMES} for d in points]
     for params, values in rows:
@@ -442,18 +429,39 @@ def test_batched_sweep_equals_scalar_api_bitwise(grid):
         assert values == {c: expected[c] for c in grid.columns()}
 
 
-def test_fidelity_refuses_a_degenerate_ground_state():
-    # eps = bz = 0: the ground level is doubly degenerate at every temperature
-    grid = SweepGrid(
-        fixed={"epsilon": 0.0, "t": 7.0, "bx": 100.0, "T": 1.0},
-        axis1=Axis("bz", -1.0, 0.0, 3),
-        axis2=None,
-        measures=("concurrence", "fidelity_pure"),
-    )
-    with pytest.raises(DegenerateGroundState, match="ground state is degenerate") as info:
-        sweep_columns(grid)
-    assert info.value.index == 2
-    assert str(info.value).endswith(f"at {grid_point(grid, 2)}")
+def _fidelity_column(p, temp):
+    """The sweep's F at temperatures temp and 2 temp."""
+    fixed = {"epsilon": p.epsilon, "t": p.t, "bz": p.bz, "bx": p.bx}
+    grid = SweepGrid(fixed, Axis("T", temp, 2.0 * temp, 2), None, ("fidelity_pure",))
+    return sweep_columns(grid)["F"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(*(st.floats(*RANGES[name]) for name in PARAM_NAMES))
+def test_fidelity_is_the_overlap_with_the_ground_vector(eps, t, bz, bx, temp):
+    p = ModelParams(eps, t, bz, bx)
+    gs = ground_state(p)
+    assume(not gs.degenerate)
+    for f, temperature in zip(_fidelity_column(p, temp), (temp, 2.0 * temp)):
+        assert abs(f - fidelity_pure(gs.vector, thermal_state(p, temperature).rho)) <= 1e-14
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(*RANGES["t"]), st.floats(*RANGES["bx"]), st.floats(*RANGES["T"]),
+       st.floats(0.0, 2.0 * np.pi))
+def test_fidelity_at_a_degenerate_ground_level_is_its_gibbs_weight(t, bx, temp, angle):
+    # eps = bz = 0: the two lowest levels coincide, so w0 = w1 up to the
+    # eigensolver's round-off split of the level, and every unit vector of
+    # the level has the same overlap with rho
+    p = ModelParams(0.0, t, 0.0, bx)
+    state = thermal_state(p, temp)
+    f = _fidelity_column(p, temp)[0]
+    assert f == state.weights[0]
+    split = state.beta * (state.energies[1] - state.energies[0])  # w1 = w0 exp(-split)
+    assert 0.0 <= split <= 1e-11
+    assert abs(state.weights[1] - f) <= split + 1e-16
+    psi = np.cos(angle) * state.vectors[:, 0] + np.sin(angle) * state.vectors[:, 1]
+    assert abs(fidelity_pure(psi, state.rho) - f) <= split + 1e-15
 
 
 def _public_peak(epsilon, t, bz, bx):
@@ -513,15 +521,19 @@ def test_large_grid_points_equal_single_point_evaluation():
         assert values == {c: expected[c] for c in grid.columns()}
 
 
-def test_bad_point_error_names_the_first_in_row_major_order():
-    # at eps = 0 the ground level is degenerate where bz = 0: points 1 and 3
+def test_bad_point_error_names_the_first_in_row_major_order(monkeypatch):
+    # correlated coherence comes out negative where bz = 0: points 1 and 3
+    def ccc(rho, where):
+        return np.array([-1.0 if where(i)["bz"] == 0.0 else 0.0 for i in range(len(rho))])
+
+    monkeypatch.setattr(sweep, "_correlated_coherence", ccc)
     grid = SweepGrid(
         fixed={"epsilon": 0.0, "t": 7.0, "bx": 100.0},
         axis1=Axis("T", 1.0, 2.0, 2),
         axis2=Axis("bz", -1.0, 0.0, 2),
-        measures=("fidelity_pure",),
+        measures=("correlated_coherence",),
     )
-    with pytest.raises(DegenerateGroundState) as info:
+    with pytest.raises(ValidationError, match="negative correlated coherence") as info:
         sweep_columns(grid)
     assert info.value.index == 1
     assert str(info.value).endswith(f"at {grid_point(grid, 1)}")
@@ -669,7 +681,7 @@ def test_the_peak_search_batches_its_objective(monkeypatch):
     monkeypatch.setattr(sweep, "_correlated_coherence", counted)
     for args, pin in [
         ((1.0, 7.0, 16.0, 100.0), (5.972734177785605, 1.4504459841551927)),
-        ((1.0, 15.4, 24.0, 100.0), (9.762491670432018, 1.0853093275902626)),
+        ((1.0, 15.4, 24.0, 100.0), (9.762491670432018, 1.085309327590262)),
     ]:
         sizes.clear()
         assert find_coherence_peak(*args) == pin
@@ -681,5 +693,5 @@ def test_the_peak_search_diagonalizes_once(monkeypatch):
     assert find_coherence_peak(1.0, 7.0, 16.0, 100.0) == (5.972734177785605, 1.4504459841551927)
     assert calls == [1]
     calls.clear()
-    assert find_coherence_peak(1.0, 15.4, 24.0, 100.0) == (9.762491670432018, 1.0853093275902626)
+    assert find_coherence_peak(1.0, 15.4, 24.0, 100.0) == (9.762491670432018, 1.085309327590262)
     assert calls == [1]

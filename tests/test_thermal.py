@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dqdtherm import thermal
 from dqdtherm.model import ModelParams, build_hamiltonian, ground_state
 from dqdtherm.qmatrix import ValidationError, check_density_matrix, eig_sym
 from dqdtherm.thermal import (
@@ -65,6 +66,16 @@ def test_detuning_only_cold_state_localizes():
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_invalid_temperature_rejected(bad):
     with pytest.raises(ValidationError):
+        thermal_state(REF, bad)
+
+
+@pytest.mark.parametrize("bad", [[1.0, 2.0], np.array([1.0]), "warm", None])
+def test_a_temperature_that_is_not_a_number_is_refused_before_any_work(monkeypatch, bad):
+    def eig_sym(m):
+        raise AssertionError("diagonalized H before checking the temperature")
+
+    monkeypatch.setattr(thermal, "eig_sym", eig_sym)
+    with pytest.raises(ValidationError, match="temperature must be a real number"):
         thermal_state(REF, bad)
 
 

@@ -1,11 +1,16 @@
-import logging
 import math
 
 import numpy as np
 import pytest
 
 from dqdtherm import correlations, model, qmatrix, thermal, validate
-from dqdtherm.correlations import _rotations, concurrence, concurrence_closed_form, local_angles
+from dqdtherm.correlations import (
+    _rotations,
+    _schur_angles,
+    concurrence,
+    concurrence_closed_form,
+    local_angles,
+)
 from dqdtherm.model import (
     AnalyticUnavailable,
     ModelParams,
@@ -61,15 +66,16 @@ def per_sample_validation(samples, seed):
         )
 
         ra, rb = reduce_a(state), reduce_b(state)
+        ua, ub = (_rotations(_schur_angles(red[None])[0]) for red in (ra, rb))
+        _record(
+            results["rotation_diagonalization"],
+            max(abs(float((ua @ ra @ ua.T)[0, 1])), abs(float((ub @ rb @ ub.T)[0, 1]))),
+            point,
+        )
         angles = local_angles(ra, rb, rho)
         ua, ub = _rotations(angles.theta_a), _rotations(angles.theta_b)
         ra_rot = ua @ ra @ ua.T
         rb_rot = ub @ rb @ ub.T
-        _record(
-            results["rotation_diagonalization"],
-            max(abs(float(ra_rot[0, 1])), abs(float(rb_rot[0, 1]))),
-            point,
-        )
         spec_resid = 0.0
         for rot, red in ((ra_rot, ra), (rb_rot, rb)):
             got = np.sort(np.diag(rot))
@@ -179,18 +185,3 @@ def test_record_flags_nan_as_the_worst_residual():
     check.record(np.array([1e9]), lambda i: "later")
     assert math.isnan(check.max_residual) and check.worst_point == "p1"
     assert check.failed
-
-
-def test_fallbacks_are_logged_once_per_batch(monkeypatch, caplog):
-    # every angle falls back to the eigenvector route: one warning, not one per sample
-    real = correlations._diagonalizing_angles
-
-    def failing(chi, q, d0, off, d1):
-        return real(chi, q, d0, off + 1e-3, d1)
-
-    monkeypatch.setattr(correlations, "_diagonalizing_angles", failing)
-    with caplog.at_level(logging.WARNING, logger="dqdtherm.correlations"):
-        run_validation(20, 42)
-    fallbacks = [r for r in caplog.records if r.name == "dqdtherm.correlations"]
-    assert len(fallbacks) == 1
-    assert "at 20 of 20 points" in fallbacks[0].getMessage()
