@@ -6,12 +6,13 @@ anticrossing and peak searches in process, after one untimed call each,
 then times each sweep kernel alone (KERNELS) on the first N points of
 the 100x100 concurrence map of make_datasets.py, for each N in
 KERNEL_SIZES, the Gibbs stage with the eigensolve it makes in that
-tree's sweep; a kernel the tree lacks is recorded as null. A fresh
-interpreter then runs the whole script. Trees take turns over
-several rounds, the first tree leading in odd rounds, so host drift
-reaches every tree alike. After the rounds, the tier-1 test suite next to
-each tree (DIR/../tests) runs once, timed. Uses only the standard library
-and numpy:
+tree's sweep; a kernel the tree lacks under its name and under its
+former name (FORMER_NAMES) is recorded as null. A fresh interpreter
+then runs the whole script. Trees take turns over several rounds, the
+first tree leading in odd rounds, so host drift reaches every tree
+alike. After the rounds, the tier-1 test suite next to each tree
+(DIR/../tests) runs once, timed. Uses only the standard library and
+numpy:
 
     python3 scripts/bench_cli.py --label after
     python3 scripts/bench_cli.py --label cmp --src parent=../old/src --src change=src
@@ -52,11 +53,12 @@ KERNELS = (
     "thermal._gibbs",
     "correlations._concurrence",
     "correlations._gibbs_concurrence",
-    "qmatrix.check_gibbs_stack",
-    "qmatrix.check_density_stack",
+    "qmatrix.gibbs_stack_checks",
     "correlations._correlated_coherence",
     "sweep.write_table",
 )
+# a kernel's name in older trees, so that a comparison times it in both
+FORMER_NAMES = {"qmatrix.gibbs_stack_checks": "check_gibbs_stack"}
 
 
 def _operations(out_dir: pathlib.Path) -> dict:
@@ -113,14 +115,14 @@ def _kernels(n: int) -> dict:
         "model._hamiltonians": (eps, t, bz, bx),
         "correlations._concurrence": (vectors, roots),
         "correlations._gibbs_concurrence": shared,
-        "qmatrix.check_gibbs_stack": (g.rho, *shared),
-        "qmatrix.check_density_stack": (g.rho,),
+        "qmatrix.gibbs_stack_checks": (g.rho, *shared),
         "correlations._correlated_coherence": (g.rho,),
     }
     calls = {}
     for name in KERNELS:
         module, attr = name.split(".")
-        fn = getattr(modules[module], attr, None)
+        fn = getattr(modules[module], attr, None) or getattr(
+            modules[module], FORMER_NAMES.get(name, ""), None)
         if fn is None:
             calls[name] = None
         elif name == "thermal._gibbs":

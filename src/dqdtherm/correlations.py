@@ -20,7 +20,7 @@ from .qmatrix import (
     check_density_matrix,
     check_symmetric,
     eig_sym,
-    fail_first,
+    raise_first,
 )
 from .thermal import ThermalState, _reduce_a, _reduce_b
 
@@ -292,8 +292,13 @@ def _schur_angles(m: np.ndarray) -> np.ndarray:
     return 0.5 * np.arctan2(-2.0 * m[:, 0, 1], m[:, 0, 0] - m[:, 1, 1])
 
 
-def _correlated_coherence(r: np.ndarray, where=None) -> np.ndarray:
-    """Correlated coherence of each state of a stack; see correlated_coherence."""
+def _correlated_coherence(r: np.ndarray):
+    """Correlated coherence of each state of a stack; see correlated_coherence.
+
+    Returns (ccc, checks): checks are the (bad, error) pairs of a local
+    coherence that survived the rotation and of a negative Ccc, in that
+    order, for qmatrix.raise_first.
+    """
     ua = _rotations(_schur_angles(_reduce_a(r)))
     ub = _rotations(_schur_angles(_reduce_b(r)))
     u = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(-1, 4, 4)
@@ -302,14 +307,14 @@ def _correlated_coherence(r: np.ndarray, where=None) -> np.ndarray:
     # l1 coherence of the rotated reductions: twice their off-diagonal entry
     local_a = 2.0 * np.abs(rot[:, 0, 2] + rot[:, 1, 3])
     local_b = 2.0 * np.abs(rot[:, 0, 1] + rot[:, 2, 3])
-    fail_first(
-        (local_a > 1e-10) | (local_b > 1e-10),
-        lambda i: ValidationError(
-            f"local coherence survived the rotation: {local_a[i]:.3e}, {local_b[i]:.3e}"
-        ),
-        where,
-    )
-    return _l1(rot) - local_a - local_b
+    ccc = _l1(rot) - local_a - local_b
+    return ccc, [
+        ((local_a > 1e-10) | (local_b > 1e-10),
+         lambda i: ValidationError(
+             f"local coherence survived the rotation: {local_a[i]:.3e}, {local_b[i]:.3e}")),
+        (ccc < -1e-9,
+         lambda i: ValidationError(f"negative correlated coherence {float(ccc[i])!r}")),
+    ]
 
 
 def correlated_coherence(rho) -> float:
@@ -319,7 +324,9 @@ def correlated_coherence(rho) -> float:
     symmetric Schur rotation of its reduced state and returns
     l1(rho_rot) - l1(rho_rot_A) - l1(rho_rot_B).  The two local terms
     must vanish after the rotation; anything above 1e-10 means the
-    diagonalization failed and is raised, not silently absorbed.
+    diagonalization failed and is raised, not silently absorbed, and so
+    is a value below -1e-9.
     """
-    r = check_density_matrix(rho, dim=4)
-    return float(_correlated_coherence(r[None])[0])
+    ccc, checks = _correlated_coherence(check_density_matrix(rho, dim=4)[None])
+    raise_first(checks)
+    return float(ccc[0])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import ValidationError, eig_sym, fail_first
+from .qmatrix import ValidationError, eig_sym, raise_first
 
 __all__ = [
     "LEVEL_LABELS",
@@ -162,33 +162,32 @@ def _spectral_invariants(eps, t, bz, bx):
     return 4.0 * z2 * t2 + e2 * (z2 + x2), z2 + x2 + 4.0 * t2 + e2
 
 
-def _energies(eps, t, bz, bx, where=None) -> np.ndarray:
-    """Closed-form energies, shape (N, 4); each parameter is a float or N floats.
+def _energies(eps, t, bz, bx):
+    """Closed-form energies of N points; each parameter is a float or N floats.
 
-    Columns are (E1, E2, E3, E4) in label order; see analytic_energies.
-    An overflowing square raises FloatingPointError; an inner radicand
-    below the clamp tolerance raises ValidationError for the first such
-    point, named through where(i).
+    Returns (levels, checks): levels, shape (N, 4), has the columns
+    (E1, E2, E3, E4) in label order (see analytic_energies), and checks
+    the (bad, error) pair of an inner radicand below the clamp tolerance,
+    for qmatrix.raise_first.  An overflowing square raises
+    FloatingPointError at once.
     """
     eps, t, bz, bx = (np.asarray(x, dtype=float) for x in (eps, t, bz, bx))
     with np.errstate(over="raise"):
         omega, sigma = _spectral_invariants(eps, t, bz, bx)
         root = np.sqrt(omega)
         inner = np.atleast_1d(sigma - 2.0 * root)
-        fail_first(
-            inner < -1e-12 * np.maximum(1.0, sigma),
-            lambda i: ValidationError(
-                f"inner radicand {float(inner[i])!r} below clamp tolerance; "
-                "closed forms inconsistent"
-            ),
-            where,
-        )
+        bad = inner < -1e-12 * np.maximum(1.0, sigma)
         levels = np.empty(inner.shape + (4,))
         levels[:, 0] = 0.5 * np.sqrt(sigma + 2.0 * root)
         # clamp a hair-negative radicand; np.maximum keeps -0.0 as it is
         levels[:, 2] = 0.5 * np.sqrt(np.maximum(inner, 0.0))
     levels[:, 1], levels[:, 3] = -levels[:, 0], -levels[:, 2]
-    return levels
+    return levels, [
+        (bad,
+         lambda i: ValidationError(
+             f"inner radicand {float(inner[i])!r} below clamp tolerance; "
+             "closed forms inconsistent")),
+    ]
 
 
 def analytic_energies(p: ModelParams) -> np.ndarray:
@@ -199,7 +198,9 @@ def analytic_energies(p: ModelParams) -> np.ndarray:
     The inner radicand can round a hair negative when E3 -> 0; values in
     [-1e-12 * scale, 0) are clamped to zero.
     """
-    return _energies(p.epsilon, p.t, p.bz, p.bx)[0]
+    levels, checks = _energies(p.epsilon, p.t, p.bz, p.bx)
+    raise_first(checks)
+    return levels[0]
 
 
 def _sign_fixed(v: np.ndarray) -> np.ndarray:
@@ -208,15 +209,16 @@ def _sign_fixed(v: np.ndarray) -> np.ndarray:
     return np.where(np.take_along_axis(v, i, axis=-1) < 0.0, -v, v)
 
 
-def _match_levels(levels, values, vectors, where=None) -> np.ndarray:
-    """Eigenvectors in label order for N points, shape (N, 4, 4).
+def _match_levels(levels, values, vectors):
+    """Eigenvectors in label order for N points, and the check of the match.
 
     levels (N, 4) are the closed-form energies in label order, values
     (N, 4) and vectors (N, 4, 4) the eigensolver's, ascending.  Each label
-    takes the nearest remaining eigenvalue (the lower one on a tie); a
-    match farther than 1e-9 * max(1, E1) raises for the first such point,
-    named through where(i).  Each column's sign is fixed so that its
-    largest component is positive.
+    takes the nearest remaining eigenvalue (the lower one on a tie).
+    Returns (matched, checks): matched (N, 4, 4) holds the vectors in
+    label order, each column's sign fixed so that its largest component
+    is positive, and checks the (bad, error) pair of a match farther than
+    1e-9 * max(1, E1), for qmatrix.raise_first.
     """
     rows = np.arange(len(levels))
     free = np.ones(values.shape, dtype=bool)
@@ -228,16 +230,14 @@ def _match_levels(levels, values, vectors, where=None) -> np.ndarray:
         j = picked[:, k] = np.argmin(dist, axis=1)
         free[rows, j] = False
         miss[:, k] = dist[rows, j] > tol
-    fail_first(
-        miss.any(axis=1),
-        lambda i: ValidationError(
-            f"closed-form energy {float(levels[i, np.argmax(miss[i])])!r} does not "
-            "match any numerical eigenvalue of H"
-        ),
-        where,
-    )
     cols = np.take_along_axis(vectors, picked[:, None, :], axis=2)
-    return np.ascontiguousarray(_sign_fixed(cols.transpose(0, 2, 1)).transpose(0, 2, 1))
+    matched = np.ascontiguousarray(_sign_fixed(cols.transpose(0, 2, 1)).transpose(0, 2, 1))
+    return matched, [
+        (miss.any(axis=1),
+         lambda i: ValidationError(
+             f"closed-form energy {float(levels[i, np.argmax(miss[i])])!r} does not "
+             "match any numerical eigenvalue of H")),
+    ]
 
 
 def spectrum(p: ModelParams) -> SpectrumResult:
@@ -247,9 +247,11 @@ def spectrum(p: ModelParams) -> SpectrumResult:
     the match must agree within 1e-9 * max(1, |E1|) or the closed forms
     are considered inconsistent with the eigensolver.
     """
-    levels = _energies(p.epsilon, p.t, p.bz, p.bx)
+    levels, checks = _energies(p.epsilon, p.t, p.bz, p.bx)
+    raise_first(checks)
     dec = eig_sym(_hamiltonians(p.epsilon, p.t, p.bz, p.bx))
-    vectors = _match_levels(levels, dec.values, dec.vectors, lambda i: p)
+    vectors, checks = _match_levels(levels, dec.values, dec.vectors)
+    raise_first(checks, lambda i: p)
     omega, sigma = _spectral_invariants(p.epsilon, p.t, p.bz, p.bx)
     return SpectrumResult(
         energies=levels[0], vectors=vectors[0], omega=omega, sigma_cap=sigma
@@ -327,7 +329,8 @@ def analytic_coeffs(p: ModelParams) -> AnalyticCoeffs:
         raise AnalyticUnavailable(
             f"coefficient denominators singular at {p}; use numerical eigenvectors"
         )
-    *scalars, vectors, residuals = _coeffs(*x, _energies(*x), spectrum(p).vectors[None])
+    s = spectrum(p)
+    *scalars, vectors, residuals = _coeffs(*x, s.energies[None], s.vectors[None])
     return AnalyticCoeffs(*(float(v[0]) for v in scalars), vectors[0], residuals[0])
 
 
@@ -459,14 +462,14 @@ def find_anticrossing(
     t, bz, bx = fixed.t, fixed.bz, fixed.bx
 
     def gap(eps: np.ndarray) -> np.ndarray:
-        levels = _energies(eps, t, bz, bx)
+        levels, checks = _energies(eps, t, bz, bx)
+        raise_first(checks)
         return np.abs(levels[:, ia] - levels[:, ib])
 
     n = max(3, int(math.ceil((hi - lo) / grid_step)) + 1)
     k, best = 0, math.inf
     for start in range(0, n, _SCAN_BLOCK):
-        levels = _energies(_linspace_block(lo, hi, n, start, start + _SCAN_BLOCK), t, bz, bx)
-        gaps = np.abs(levels[:, ia] - levels[:, ib])
+        gaps = gap(_linspace_block(lo, hi, n, start, start + _SCAN_BLOCK))
         j = int(np.argmin(gaps))
         if gaps[j] < best:  # strict, so the first minimum wins as in np.argmin
             k, best = start + j, float(gaps[j])

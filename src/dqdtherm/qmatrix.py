@@ -4,7 +4,9 @@ Everything in the model lives in a real 4-dimensional Hilbert space
 (charge qubit x spin qubit).  Eigendecompositions go to LAPACK through
 numpy.linalg.eigh; this module adds the structural checks (shape,
 finiteness, symmetry, unit trace, positivity) that the public measures
-apply once to their inputs.
+apply once to their inputs.  A check over a batch is a (bad, error) pair,
+a boolean mask over the batch and the exception of element i, and
+raise_first is the one place that raises such checks.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ __all__ = [
     "ValidationError",
     "NotPositiveSemidefiniteError",
     "EigenDecomp",
-    "fail_first",
+    "raise_first",
     "check_symmetric",
-    "check_gibbs_stack",
+    "gibbs_stack_checks",
     "check_density_matrix",
     "eig_sym",
 ]
@@ -29,13 +31,7 @@ _PSD_CLAMP = 1e-12
 
 
 class ValidationError(ValueError):
-    """Input matrix fails a structural requirement (shape, symmetry, trace).
-
-    index is the position of the failing element when a check over a batch
-    raised the error, and None otherwise.
-    """
-
-    index = None
+    """Input matrix fails a structural requirement (shape, symmetry, trace)."""
 
 
 class NotPositiveSemidefiniteError(ValidationError):
@@ -50,21 +46,27 @@ class EigenDecomp:
     vectors: np.ndarray
 
 
-def fail_first(bad, error, where=None) -> None:
-    """Raise error(i) for the first flagged element i of a batched check.
+def raise_first(checks, where=None) -> None:
+    """Raise the error of the first flagged element over a batch's checks.
 
-    bad is a boolean mask over the batch.  where(i), when given, names
-    element i at the end of the message, and the exception carries i as
-    its index, so a caller running several checks over one batch can find
-    the element that fails first.
+    checks is a sequence of (bad, error) pairs: bad a boolean mask over
+    the batch, error(i) the exception for element i.  The lowest flagged
+    index wins, and of the checks flagging it, the earliest in checks.
+    where(i), when given, names element i at the end of the message.
+    Returns None when no check flags anything.
     """
-    if not np.count_nonzero(bad):
+    first = None
+    for bad, error in checks:
+        if bad.any():
+            i = int(np.argmax(bad))
+            if first is None or i < first[0]:
+                first = i, error
+    if first is None:
         return
-    i = int(np.argmax(bad))
+    i, error = first
     exc = error(i)
     if where is not None:
         exc.args = (f"{exc.args[0]} at {where(i)}",)
-    exc.index = i
     raise exc
 
 
@@ -77,7 +79,7 @@ def _as_real_square(m, name: str) -> np.ndarray:
     return a
 
 
-def _check_symmetric_stack(a: np.ndarray, name: str, where=None) -> np.ndarray:
+def _check_symmetric_stack(a: np.ndarray, name: str) -> np.ndarray:
     """Finiteness and symmetry of each matrix of an (N, n, n) stack.
 
     Symmetry is judged relative to each matrix's largest entry so that
@@ -85,16 +87,13 @@ def _check_symmetric_stack(a: np.ndarray, name: str, where=None) -> np.ndarray:
     treatment.
     """
     largest = np.abs(a.reshape(len(a), -1)).max(axis=1)  # NaN and inf carry through
-    fail_first(
-        ~np.isfinite(largest),
-        lambda i: ValidationError(f"{name} contains non-finite entries"),
-        where,
-    )
     scale = np.maximum(1.0, largest)
-    skew = np.abs(a - np.swapaxes(a, 1, 2)).reshape(len(a), -1).max(axis=1)
-    fail_first(
-        skew > 1e-12 * scale, lambda i: ValidationError(f"{name} is not symmetric"), where
-    )
+    with np.errstate(all="ignore"):  # inf - inf where a matrix is not finite
+        skew = np.abs(a - np.swapaxes(a, 1, 2)).reshape(len(a), -1).max(axis=1)
+    raise_first([
+        (~np.isfinite(largest), lambda i: ValidationError(f"{name} contains non-finite entries")),
+        (skew > 1e-12 * scale, lambda i: ValidationError(f"{name} is not symmetric")),
+    ])
     return a
 
 
@@ -109,38 +108,31 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def check_gibbs_stack(rho, vectors, weights, index, where=None) -> np.ndarray:
+def gibbs_stack_checks(rho, vectors, weights, index) -> list:
     """Density-matrix checks of a stack built as rho = V diag(w) V^T, without an eigensolve.
 
-    Three tests, each failing on NaN: the trace is 1 to 1e-9, every
-    weight is >= -1e-12 (the PSD tolerance), and V^T V = I to 1e-12,
+    Two (bad, error) pairs, each flagging NaN: the trace is 1 to 1e-9;
+    every weight is >= -1e-12 (the PSD tolerance) and V^T V = I to 1e-12,
     which LAPACK's eigenvectors meet with orders to spare.  Such a rho is
     congruent to diag(w), so it is PSD when the weights are and V is
-    invertible.  Nothing else is left to test: whenever the three pass,
+    invertible.  Nothing else is left to test: whenever the two pass,
     V and w are finite and so is rho, and thermal._gibbs makes rho
     symmetric bit for bit.  vectors holds the distinct eigenvector
     matrices and index the row of each matrix of rho, so V^T V is tested
-    once per distinct V.  The first failing matrix raises, named through
-    where(i).
+    once per distinct V.
     """
     tr = np.trace(rho, axis1=1, axis2=2)
-    fail_first(
-        ~(np.abs(tr - 1.0) <= 1e-9),
-        lambda i: ValidationError(f"density matrix trace is {float(tr[i])!r}, expected 1"),
-        where,
-    )
     low = weights.min(axis=1)
     gram = np.swapaxes(vectors, 1, 2) @ vectors - np.eye(vectors.shape[-1])
     skew = np.abs(gram).reshape(len(gram), -1).max(axis=1)[index]
-    fail_first(
-        ~(low >= -_PSD_CLAMP) | ~(skew <= _PSD_CLAMP),
-        lambda i: NotPositiveSemidefiniteError(
-            f"density matrix has Gibbs weight {float(low[i])!r} and eigenvectors "
-            f"off orthonormal by {float(skew[i])!r}"
-        ),
-        where,
-    )
-    return rho
+    return [
+        (~(np.abs(tr - 1.0) <= 1e-9),
+         lambda i: ValidationError(f"density matrix trace is {float(tr[i])!r}, expected 1")),
+        (~(low >= -_PSD_CLAMP) | ~(skew <= _PSD_CLAMP),
+         lambda i: NotPositiveSemidefiniteError(
+             f"density matrix has Gibbs weight {float(low[i])!r} and eigenvectors "
+             f"off orthonormal by {float(skew[i])!r}")),
+    ]
 
 
 def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:

@@ -11,10 +11,14 @@ with T outer or fixed, every point.  Each measure then runs once over
 the (N, 4, 4) stack of states, giving one array per output column.  That
 eigensolve is the sweep's only one: the density-matrix checks and the
 concurrence read the shared eigenvectors and the Gibbs weights instead.
-write_table prints those columns as CSV in fixed blocks of rows, each
-block formatted by one %-operation.  Each point gives the same bits
-alone or inside any grid, so reruns of the same input on one machine
-produce byte-identical CSV.
+Every check over the batch is a (bad, error) pair, and the grid is
+evaluated once: qmatrix.raise_first then raises the error of the first
+failing point in row-major order, at that point the earliest check's:
+the Gibbs inputs, then the Gibbs state, then each measure in the order
+requested.  write_table prints the columns as CSV in fixed blocks of
+rows, each block formatted by one %-operation.  Each point gives the
+same bits alone or inside any grid, so reruns of the same input on one
+machine produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from .correlations import _correlated_coherence, _gibbs_concurrence, _l1
 from .model import ModelParams, _energies, _hamiltonians, golden_section_min
-from .qmatrix import ValidationError, check_gibbs_stack, eig_sym, fail_first
+from .qmatrix import ValidationError, eig_sym, gibbs_stack_checks, raise_first
 from .thermal import _gibbs, _Gibbs
 
 __all__ = [
@@ -38,7 +42,6 @@ __all__ = [
     "SweepGrid",
     "sweep_columns",
     "write_table",
-    "format_csv_value",
     "load_config",
     "find_coherence_peak",
 ]
@@ -165,14 +168,14 @@ def _lookup(cols: dict):
     return lambda i: {k: float(v[i]) for k, v in cols.items()}
 
 
-def _gibbs_columns(cols: dict, where) -> _Gibbs:
-    """Checked Gibbs states of parameter columns, one eigensolve per distinct H.
+def _gibbs_columns(cols: dict) -> tuple[_Gibbs, list]:
+    """Gibbs states of parameter columns and their checks, one eigensolve per distinct H.
 
     Consecutive points whose (eps, t, bz, bx) are equal bit for bit
     (compared as int64, so -0.0 and 0.0 differ) share one Hamiltonian and
     its eigendecomposition.  So a grid whose T axis is innermost
     diagonalizes each distinct H once, and one with T outer or fixed,
-    once per point.
+    once per point.  The checks are _gibbs's, then gibbs_stack_checks's.
     """
     model = [cols[k] for k in ("epsilon", "t", "bz", "bx")]
     first = np.zeros(len(cols["T"]), dtype=bool)
@@ -181,36 +184,27 @@ def _gibbs_columns(cols: dict, where) -> _Gibbs:
         bits = c.view(np.int64)
         first[1:] |= bits[1:] != bits[:-1]
     dec = eig_sym(_hamiltonians(*(c[first] for c in model)))
-    state = _gibbs(dec, np.cumsum(first) - 1, cols["T"], where)
-    check_gibbs_stack(state.rho, dec.vectors, state.weights, state.index, where)
-    return state
+    state = _gibbs(dec, np.cumsum(first) - 1, cols["T"])
+    stack = gibbs_stack_checks(state.rho, dec.vectors, state.weights, state.index)
+    return state, state.checks + stack
 
 
-def _checked_ccc(rho, where) -> np.ndarray:
-    """Correlated coherence of each state of a checked stack, refusing a negative one."""
-    ccc = _correlated_coherence(rho, where)
-    fail_first(
-        ccc < -1e-9,
-        lambda i: ValidationError(f"negative correlated coherence {float(ccc[i])!r}"),
-        where,
-    )
-    return ccc
-
-
-def _evaluate(cols: dict, measures, where) -> dict:
+def _evaluate(cols: dict, measures) -> dict:
     """Every requested measure over parameter columns: one array per column.
 
-    Each check raises for its first failing point, named through where(i)
-    in the message and carried as the error's index.
+    Raises the error of the first failing point, named in the message
+    (see the module docstring).
     """
     model = (cols["epsilon"], cols["t"], cols["bz"], cols["bx"])
-    out = {}
+    out, checks = {}, []
     if any(m != "energies" for m in measures):
-        state = _gibbs_columns(cols, where)
+        state, checks = _gibbs_columns(cols)
         dec, index, rho = state.dec, state.index, state.rho
     for m in measures:
         if m == "energies":
-            out.update(zip(MEASURE_COLUMNS[m], _energies(*model, where=where).T))
+            levels, more = _energies(*model)
+            out.update(zip(MEASURE_COLUMNS[m], levels.T))
+            checks += more
         elif m == "populations":
             out.update(zip(MEASURE_COLUMNS[m], np.diagonal(rho, axis1=1, axis2=2).T))
         elif m == "concurrence":
@@ -222,7 +216,9 @@ def _evaluate(cols: dict, measures, where) -> dict:
         elif m == "l1":
             out["l1"] = _l1(rho)
         else:  # correlated_coherence
-            out["Ccc"] = _checked_ccc(rho, where)
+            out["Ccc"], more = _correlated_coherence(rho)
+            checks += more
+    raise_first(checks, _lookup(cols))
     return out
 
 
@@ -244,41 +240,10 @@ def _grid_columns(grid: SweepGrid) -> dict:
     return cols
 
 
-def _evaluate_first_failure(cols: dict, measures, where) -> dict:
-    """_evaluate, raising for the first failing point in row-major order.
-
-    A batch raises for the first point that fails its earliest failing
-    check, yet an earlier point may fail a later check.  So a failure at
-    point k reruns the batch on the points before k, until a prefix
-    passes; the last failure then belongs to the first failing point.
-    """
-    failure, n = None, len(cols["T"])
-    while n:
-        try:
-            out = _evaluate({k: v[:n] for k, v in cols.items()}, measures, where)
-        except ValidationError as exc:
-            if exc.index is None:
-                raise
-            failure, n = exc, exc.index
-        else:
-            break
-    if failure is not None:
-        raise failure
-    return out
-
-
 def sweep_columns(grid: SweepGrid) -> dict:
     """Evaluate the grid: each parameter and measure column as one array, row-major."""
     cols = _grid_columns(grid)
-    return {**cols, **_evaluate_first_failure(cols, grid.measures, _lookup(cols))}
-
-
-def format_csv_value(x) -> str:
-    """Fixed 12-significant-digit float formatting; -0 is normalized to 0."""
-    v = float(x)
-    if v == 0.0:
-        return "0"
-    return f"{v:.12g}"
+    return {**cols, **_evaluate(cols, grid.measures)}
 
 
 # rows formatted per write, so the text held at once stays bounded on any grid
@@ -288,8 +253,9 @@ _ROWS_PER_WRITE = 4096
 def write_table(stream, header, columns) -> None:
     """Write a header and equal-length float columns as comma-separated lines.
 
-    Each value prints as format_csv_value prints it: adding 0.0 turns -0
-    into 0, and each block of rows is one %-operation on a "%.12g" template.
+    Each value prints with 12 significant digits and -0 as 0: adding 0.0
+    turns -0 into 0, and each block of rows is one %-operation on a
+    "%.12g" template.
     """
     stream.write(",".join(header) + "\n")
     table = np.column_stack(columns) + 0.0
@@ -388,16 +354,18 @@ def find_coherence_peak(
     fixed = {"epsilon": p.epsilon, "t": p.t, "bz": p.bz, "bx": p.bx}
     scan = {k: np.full(grid.size, v) for k, v in fixed.items()}
     scan["T"] = np.array([10.0 ** float(x) for x in grid])  # libm pow, not numpy's
-    where = _lookup(scan)
-    state = _gibbs_columns(scan, where)
-    values = _checked_ccc(state.rho, where)
+    state, checks = _gibbs_columns(scan)
+    values, more = _correlated_coherence(state.rho)
+    raise_first(checks + more, _lookup(scan))
 
     def neg_ccc(log_t: np.ndarray) -> np.ndarray:
-        # the kernels of correlated_coherence(thermal_state(p, T).rho), unchecked,
-        # on the scan's one eigendecomposition
+        # the kernels of correlated_coherence(thermal_state(p, T).rho), without
+        # the density-matrix checks, on the scan's one eigendecomposition
         temps = np.array([10.0 ** float(x) for x in log_t])
-        rho = _gibbs(state.dec, np.zeros(temps.size, dtype=np.intp), temps).rho
-        return -_correlated_coherence(rho)
+        g = _gibbs(state.dec, np.zeros(temps.size, dtype=np.intp), temps)
+        ccc, more = _correlated_coherence(g.rho)
+        raise_first(g.checks + more)
+        return -ccc
 
     k = int(np.argmax(values))
     if k == 0 or k == len(grid) - 1:

@@ -11,9 +11,9 @@ from .qmatrix import (
     EigenDecomp,
     ValidationError,
     check_density_matrix,
-    check_gibbs_stack,
     eig_sym,
-    fail_first,
+    gibbs_stack_checks,
+    raise_first,
 )
 
 __all__ = [
@@ -52,6 +52,7 @@ class _Gibbs:
 
     dec holds the eigendecompositions of the distinct Hamiltonians the
     states were built from, and index maps each point to its row of dec.
+    checks are the (bad, error) pairs of the inputs; see _gibbs.
     """
 
     dec: EigenDecomp
@@ -61,62 +62,56 @@ class _Gibbs:
     z_shifted: np.ndarray
     e_shift: np.ndarray
     weights: np.ndarray
+    checks: list
 
 
-def _gibbs(dec: EigenDecomp, index, temperature, where=None) -> _Gibbs:
+def _gibbs(dec: EigenDecomp, index, temperature) -> _Gibbs:
     """Gibbs states of N points that share M eigendecompositions.
 
     dec is eig_sym of an (M, n, n) stack of Hamiltonians, so each distinct
     H is diagonalized once however many temperatures use it; index holds
     the row of dec of each point and temperature one value per point.
-    where(i) names point i in errors.  A temperature so small that 1/T
-    overflows, or a Hamiltonian whose eigenvalues overflow, raises
-    OverflowError.  Energies are shifted by each spectrum's minimum (see
-    ThermalState); a point gives the same bits whichever other points
-    share its decomposition.
+    Every point is computed, under np.errstate, and checks holds three
+    (bad, error) pairs for qmatrix.raise_first, in this order: a
+    temperature not positive and finite (ValidationError), one so small
+    that 1/T overflows, and a Hamiltonian whose eigenvalues overflow (both
+    OverflowError).  A flagged point may come out inf or NaN.  Energies
+    are shifted by each spectrum's minimum (see ThermalState); a point
+    gives the same bits whichever other points share its decomposition.
     """
     temp = np.asarray(temperature, dtype=float).reshape(-1)
-    fail_first(
-        ~(np.isfinite(temp) & (temp > 0.0)),
-        lambda i: ValidationError(
-            f"temperature must be positive and finite, got {float(temp[i])!r}"
-        ),
-        where,
-    )
-    with np.errstate(over="ignore"):
-        beta = 1.0 / temp
-    fail_first(
-        np.isinf(beta),
-        lambda i: OverflowError(f"1/T overflows for temperature {float(temp[i])!r}"),
-        where,
-    )
-    # the M distinct spectra, not the N points: the usual case costs M tests
-    finite = np.isfinite(dec.values).all(axis=1)
-    if not finite.all():
-        fail_first(
-            ~finite[index],
-            lambda i: OverflowError("the eigenvalues of H overflow"),
-            where,
-        )
     # fancy indexing copies C-contiguous, as eigh returns its stacks, so the
     # products below take the same kernels and give the same bits
     values, vectors = dec.values[index], dec.vectors[index]
-    e_shift = values[:, 0]
-    with np.errstate(over="ignore"):  # beta * gap beyond range: the weight is exp(-inf) = 0
+    # silent: beta * gap beyond range gives the exact weight exp(-inf) = 0,
+    # and a flagged point may give inf or NaN
+    with np.errstate(all="ignore"):
+        beta = 1.0 / temp
+        e_shift = values[:, 0]
         weights = np.exp(-beta[:, None] * (values - e_shift[:, None]))
-    z_shifted = weights.sum(axis=1)
-    weights = weights / z_shifted[:, None]
-    rho = (vectors * weights[:, None, :]) @ np.swapaxes(vectors, 1, 2)
-    rho = 0.5 * (rho + np.swapaxes(rho, 1, 2))
-    return _Gibbs(dec, index, beta, rho, z_shifted, e_shift, weights)
+        z_shifted = weights.sum(axis=1)
+        weights = weights / z_shifted[:, None]
+        rho = (vectors * weights[:, None, :]) @ np.swapaxes(vectors, 1, 2)
+        rho = 0.5 * (rho + np.swapaxes(rho, 1, 2))
+    checks = [
+        (~(np.isfinite(temp) & (temp > 0.0)),
+         lambda i: ValidationError(
+             f"temperature must be positive and finite, got {float(temp[i])!r}")),
+        (np.isinf(beta),
+         lambda i: OverflowError(f"1/T overflows for temperature {float(temp[i])!r}")),
+        # one test per distinct spectrum, then one lookup per point
+        (~np.isfinite(dec.values).all(axis=1)[index],
+         lambda i: OverflowError("the eigenvalues of H overflow")),
+    ]
+    return _Gibbs(dec, index, beta, rho, z_shifted, e_shift, weights, checks)
 
 
 def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
     """Thermal equilibrium state of the double dot at temperature T > 0.
 
-    The state passes the checks a sweep makes (see check_gibbs_stack), so
-    parameters whose Gibbs state is not a density matrix raise
-    ValidationError.
+    The state passes the checks a sweep makes (see _gibbs and
+    gibbs_stack_checks), so parameters whose Gibbs state is not a density
+    matrix raise ValidationError.
     """
     try:
         temperature = float(temperature)
@@ -124,7 +119,7 @@ def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
         raise ValidationError(f"temperature must be a real number, got {temperature!r}")
     dec = eig_sym(build_hamiltonian(p)[None])
     g = _gibbs(dec, np.zeros(1, dtype=np.intp), temperature)
-    check_gibbs_stack(g.rho, dec.vectors, g.weights, g.index)
+    raise_first(g.checks + gibbs_stack_checks(g.rho, dec.vectors, g.weights, g.index))
     return ThermalState(
         params=p,
         temperature=temperature,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .correlations import _closed_form, _concurrence, _local_angles, _rotations, _schur_angles
 from .model import _coeffs, _coeffs_singular, _energies, _hamiltonians, _match_levels
-from .qmatrix import eig_sym
+from .qmatrix import eig_sym, raise_first
 from .thermal import _gibbs, _reduce_a, _reduce_b
 
 __all__ = ["CheckResult", "run_validation", "hard_failed", "csv_rows"]
@@ -161,7 +161,8 @@ def _check_block(results: dict, rng, n: int) -> None:
 
     h = _hamiltonians(eps, t, bz, bx)
     h_dec = eig_sym(h)
-    state = _gibbs(h_dec, np.arange(n), temp, where)
+    state = _gibbs(h_dec, np.arange(n), temp)
+    raise_first(state.checks, where)
     rho = state.rho
     dec = eig_sym(rho)
 
@@ -181,7 +182,8 @@ def _check_block(results: dict, rng, n: int) -> None:
     results["rotation_diagonalization"].record(off, where)
     results["angle_formula"].record(spec_resid, where)
 
-    levels = _energies(eps, t, bz, bx, where=where)
+    levels, checks = _energies(eps, t, bz, bx)
+    raise_first(checks, where)
     e_closed = np.sort(levels, axis=1)
     scale = np.maximum(1.0, _max_abs(e_closed))
     results["energies_closed_form"].record(
@@ -190,9 +192,8 @@ def _check_block(results: dict, rng, n: int) -> None:
 
     # singular denominators: the formula has no value there, skip the point
     (ok,) = np.nonzero(~_coeffs_singular(eps, t, bz, bx))
-    numeric = _match_levels(
-        levels[ok], h_dec.values[ok], h_dec.vectors[ok], lambda i: where(ok[i])
-    )
+    numeric, checks = _match_levels(levels[ok], h_dec.values[ok], h_dec.vectors[ok])
+    raise_first(checks, lambda i: where(ok[i]))
     residuals = _coeffs(eps[ok], t[ok], bz[ok], bx[ok], levels[ok], numeric)[-1]
     results["coefficients_closed_form"].record(
         residuals.max(axis=1), lambda i: where(ok[i])

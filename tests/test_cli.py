@@ -5,7 +5,9 @@ import pytest
 
 from dqdtherm import cli
 from dqdtherm.cli import main
-from dqdtherm.sweep import PARAM_NAMES, Axis, SweepGrid, format_csv_value, sweep_columns
+from dqdtherm.sweep import PARAM_NAMES, Axis, SweepGrid, sweep_columns
+
+from csv_oracle import format_csv_value
 
 SPECTRUM = [
     "spectrum", "--t", "7", "--bz", "16", "--bx", "100",

@@ -7,9 +7,10 @@ from dqdtherm.qmatrix import (
     NotPositiveSemidefiniteError,
     ValidationError,
     check_density_matrix,
-    check_gibbs_stack,
     check_symmetric,
     eig_sym,
+    gibbs_stack_checks,
+    raise_first,
 )
 
 def random_symmetric(rng, n=4, scale=10.0):
@@ -135,16 +136,15 @@ def test_gibbs_stack_check_refuses_the_first_negative_weight_or_skewed_basis():
         return f"point {i}"
 
     rho, v, w = _gibbs_like_stack(weights, vectors)
-    assert np.array_equal(check_gibbs_stack(rho[:2], v[:2], w[:2], np.arange(2)), rho[:2])
+    assert raise_first(gibbs_stack_checks(rho[:2], v[:2], w[:2], np.arange(2))) is None
     skewed_msg = "weight 0.25 and eigenvectors off orthonormal by 1e-06"
     with pytest.raises(NotPositiveSemidefiniteError, match=skewed_msg) as info:
-        check_gibbs_stack(rho, v, w, np.arange(6), where)
-    assert info.value.index == 2
+        raise_first(gibbs_stack_checks(rho, v, w, np.arange(6)), where)
     assert str(info.value).endswith("at point 2")
     negative_msg = "weight -0.25 and eigenvectors off orthonormal by 0.0"
     with pytest.raises(NotPositiveSemidefiniteError, match=negative_msg) as info:
-        check_gibbs_stack(rho[3:], v[3:], w[3:], np.arange(3), where)
-    assert info.value.index == 1
+        raise_first(gibbs_stack_checks(rho[3:], v[3:], w[3:], np.arange(3)), where)
+    assert str(info.value).endswith("at point 1")
     # the eigensolver route flags the same matrix
     flagged = []
     for i, r in enumerate(rho[3:]):
@@ -158,11 +158,45 @@ def test_gibbs_stack_check_refuses_the_first_negative_weight_or_skewed_basis():
 def test_gibbs_stack_check_keeps_the_structural_checks():
     rho, v, w = _gibbs_like_stack([[0.25] * 4, [0.5] * 4], [np.eye(4)] * 2)
     with pytest.raises(ValidationError, match="trace") as info:
-        check_gibbs_stack(rho, v, w, np.arange(2))
+        raise_first(gibbs_stack_checks(rho, v, w, np.arange(2)), str)
     assert not isinstance(info.value, NotPositiveSemidefiniteError)
-    assert info.value.index == 1
+    assert str(info.value).endswith(" at 1")
     # NaN weights, as overflowing parameters give, fail the trace test
     rho, v, w = _gibbs_like_stack([[0.25] * 4, [np.nan] * 4], [np.eye(4)] * 2)
     with pytest.raises(ValidationError, match="trace is nan") as info:
-        check_gibbs_stack(rho, v, w, np.arange(2))
-    assert info.value.index == 1
+        raise_first(gibbs_stack_checks(rho, v, w, np.arange(2)), str)
+    assert str(info.value).endswith(" at 1")
+
+
+def _check(flags, name):
+    return np.array(flags, dtype=bool), lambda i: ValidationError(f"{name} fails at {i}")
+
+
+def test_raise_first_raises_the_lowest_flagged_index_over_all_checks():
+    checks = [_check([0, 0, 0, 1], "first"), _check([0, 1, 1, 0], "second")]
+    with pytest.raises(ValidationError, match="^second fails at 1$"):
+        raise_first(checks)
+
+
+def test_raise_first_takes_the_earliest_check_at_a_tied_index():
+    checks = [_check([0, 0, 1], "first"), _check([0, 0, 1], "second"), _check([0, 1, 0], "third")]
+    with pytest.raises(ValidationError, match="^third fails at 1$"):
+        raise_first(checks)
+    with pytest.raises(ValidationError, match="^first fails at 2$"):
+        raise_first(checks[:2])
+    with pytest.raises(ValidationError, match="^second fails at 2$"):
+        raise_first(checks[:2][::-1])
+
+
+def test_raise_first_returns_none_when_nothing_is_flagged():
+    assert raise_first([_check([0, 0], "first"), _check([0, 0], "second")]) is None
+    assert raise_first([]) is None
+
+
+def test_raise_first_names_the_element_through_where():
+    with pytest.raises(OverflowError) as info:
+        raise_first(
+            [(np.array([False, True]), lambda i: OverflowError("too large"))],
+            lambda i: {"T": [1.0, 2.0][i]},
+        )
+    assert str(info.value) == "too large at {'T': 2.0}"

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,6 @@ from dqdtherm.qmatrix import (
     NotPositiveSemidefiniteError,
     ValidationError,
     eig_sym,
-    fail_first,
 )
 from dqdtherm.sweep import (
     Axis,
@@ -35,12 +35,13 @@ from dqdtherm.sweep import (
     PARAM_NAMES,
     SweepGrid,
     find_coherence_peak,
-    format_csv_value,
     load_config,
     sweep_columns,
     write_table,
 )
 from dqdtherm.thermal import populations, thermal_state
+
+from csv_oracle import format_csv_value
 
 FIXED = {"t": 7.0, "bz": 16.0, "bx": 100.0, "T": 1.0}
 
@@ -521,54 +522,53 @@ def test_large_grid_points_equal_single_point_evaluation():
         assert values == {c: expected[c] for c in grid.columns()}
 
 
-def test_bad_point_error_names_the_first_in_row_major_order(monkeypatch):
-    # correlated coherence comes out negative where bz = 0: points 1 and 3
-    def ccc(rho, where):
-        return np.array([-1.0 if where(i)["bz"] == 0.0 else 0.0 for i in range(len(rho))])
+def negative_ccc(bad):
+    """A _correlated_coherence stub: Ccc is -1 at the points of bad and refused there."""
 
-    monkeypatch.setattr(sweep, "_correlated_coherence", ccc)
+    def ccc(rho):
+        values = np.where(bad, -1.0, 0.0)
+        refused = (values < -1e-9, lambda i: ValidationError(
+            f"negative correlated coherence {float(values[i])!r}"))
+        return values, [refused]
+
+    return ccc
+
+
+def test_bad_point_error_names_the_first_in_row_major_order(monkeypatch):
     grid = SweepGrid(
         fixed={"epsilon": 0.0, "t": 7.0, "bx": 100.0},
         axis1=Axis("T", 1.0, 2.0, 2),
         axis2=Axis("bz", -1.0, 0.0, 2),
         measures=("correlated_coherence",),
     )
+    # correlated coherence comes out negative where bz = 0: points 1 and 3
+    bz = sweep._grid_columns(grid)["bz"]
+    monkeypatch.setattr(sweep, "_correlated_coherence", negative_ccc(bz == 0.0))
     with pytest.raises(ValidationError, match="negative correlated coherence") as info:
         sweep_columns(grid)
-    assert info.value.index == 1
     assert str(info.value).endswith(f"at {grid_point(grid, 1)}")
 
 
 def test_later_check_at_an_earlier_point_wins(monkeypatch):
-    # the batch runs the density check over every point before any measure, so
-    # a density failure at a late point surfaces first; a point-by-point sweep
-    # would have stopped earlier, at the negative correlated coherence
-    def flagged(n, where, temp):
-        return np.array([where(i)["T"] > temp for i in range(n)])
-
-    def density(rho, vectors, weights, index, where):
-        fail_first(
-            flagged(len(rho), where, 50.0),
-            lambda i: NotPositiveSemidefiniteError("density check"),
-            where,
-        )
-        return rho
-
-    def ccc(rho, where):
-        return np.where(flagged(len(rho), where, 5.0), -1.0, 0.0)
-
-    monkeypatch.setattr(sweep, "check_gibbs_stack", density)
-    monkeypatch.setattr(sweep, "_correlated_coherence", ccc)
+    # the batch runs the density check over every point before any measure,
+    # yet the negative correlated coherence at an earlier point wins, where a
+    # point-by-point sweep would have stopped
     grid = SweepGrid(
         fixed={"t": 7.0, "bz": 16.0, "bx": 100.0},
         axis1=Axis("T", 1.0, 100.0, 3, "log"),
         axis2=Axis("epsilon", -1.0, 1.0, 2),
         measures=("correlated_coherence",),
     )
+    temp = sweep._grid_columns(grid)["T"]
+
+    def density(rho, vectors, weights, index):
+        return [(temp > 50.0, lambda i: NotPositiveSemidefiniteError("density check"))]
+
+    monkeypatch.setattr(sweep, "gibbs_stack_checks", density)
+    monkeypatch.setattr(sweep, "_correlated_coherence", negative_ccc(temp > 5.0))
     with pytest.raises(ValidationError, match="negative correlated coherence") as info:
         sweep_columns(grid)
     assert not isinstance(info.value, NotPositiveSemidefiniteError)
-    assert info.value.index == 2
     assert str(info.value).endswith(f"at {grid_point(grid, 2)}")
 
 
@@ -628,20 +628,25 @@ def test_a_signed_zero_gets_its_own_decomposition(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     cols = {"epsilon": np.array([0.0, -0.0, -0.0]), "t": np.full(3, 7.0),
             "bz": np.full(3, 16.0), "bx": np.full(3, 100.0), "T": np.array([1.0, 1.0, 2.0])}
-    out = sweep._evaluate(cols, ("concurrence", "correlated_coherence"), sweep._lookup(cols))
+    out = sweep._evaluate(cols, ("concurrence", "correlated_coherence"))
     assert calls == [2]
     for i in range(3):
         alone = sweep._evaluate({k: v[i : i + 1] for k, v in cols.items()},
-                                ("concurrence", "correlated_coherence"), sweep._lookup(cols))
+                                ("concurrence", "correlated_coherence"))
         for name, column in out.items():
             assert column[i : i + 1].view(np.int64) == alone[name].view(np.int64)
 
 
-def test_a_failing_gibbs_check_on_a_shared_hamiltonian_names_its_first_point(monkeypatch):
-    # the eigenvectors of the second Hamiltonian (bx = 2) come back off
-    # orthonormal by 1e-6, unit columns kept, so the Gibbs check fails on all
-    # four temperatures that share them
+def skew_eigensolves(monkeypatch):
+    """Make the sweep's eigenvectors of the second Hamiltonian (bx = 2) off orthonormal.
+
+    They come back skewed by 1e-6, unit columns kept.  Returns the stack
+    size of each eig_sym call from here on, in order.
+    """
+    calls = []
+
     def skewed(m):
+        calls.append(len(m))
         dec = eig_sym(m)
         v = dec.vectors.copy()
         bad = m[:, 0, 1] == 1.0
@@ -650,22 +655,47 @@ def test_a_failing_gibbs_check_on_a_shared_hamiltonian_names_its_first_point(mon
         return EigenDecomp(dec.values, v)
 
     monkeypatch.setattr(sweep, "eig_sym", skewed)
-    grid = SweepGrid(MAP_FIXED, Axis("bx", 1.0, 3.0, 3), Axis("T", 1.0, 100.0, 4, "log"),
-                     ("correlated_coherence",))
+    return calls
+
+
+SKEWED_GRID = SweepGrid(MAP_FIXED, Axis("bx", 1.0, 3.0, 3), Axis("T", 1.0, 100.0, 4, "log"),
+                        ("correlated_coherence",))
+
+
+def test_a_failing_gibbs_check_on_a_shared_hamiltonian_names_its_first_point(monkeypatch):
+    # the Gibbs check fails on all four temperatures that share the skewed vectors
+    skew_eigensolves(monkeypatch)
+    grid = SKEWED_GRID
     with pytest.raises(NotPositiveSemidefiniteError, match="off orthonormal by") as info:
         sweep_columns(grid)
-    assert info.value.index == 4
     assert str(info.value).endswith(f"at {grid_point(grid, 4)}")
 
     # a later check failing at an earlier point still wins
-    def ccc(rho, where):
-        return np.where([where(i)["T"] > 5.0 for i in range(len(rho))], -1.0, 0.0)
-
-    monkeypatch.setattr(sweep, "_correlated_coherence", ccc)
+    temp = sweep._grid_columns(grid)["T"]
+    monkeypatch.setattr(sweep, "_correlated_coherence", negative_ccc(temp > 5.0))
     with pytest.raises(ValidationError, match="negative correlated coherence") as info:
         sweep_columns(grid)
-    assert info.value.index == 2
     assert str(info.value).endswith(f"at {grid_point(grid, 2)}")
+
+
+def test_a_failing_sweep_diagonalizes_once(monkeypatch):
+    calls = skew_eigensolves(monkeypatch)
+    with pytest.raises(NotPositiveSemidefiniteError):
+        sweep_columns(SKEWED_GRID)
+    assert calls == [3]
+
+
+def test_an_overflowing_point_warns_of_nothing_while_every_measure_runs():
+    # the last point's eigenvalues overflow; every Gibbs measure still runs on
+    # its inf and NaN rows before the one error is raised
+    grid = SweepGrid({"t": 7.0, "bz": 1.7e308, "bx": 1.7e308},
+                     Axis("epsilon", 0.0, 1.7e308, 3), Axis("T", 1.0, 2.0, 2),
+                     THERMAL_MEASURES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="the eigenvalues of H overflow") as info:
+            sweep_columns(grid)
+    assert str(info.value).endswith(f"at {grid_point(grid, 4)}")
 
 
 def test_the_peak_search_batches_its_objective(monkeypatch):
@@ -673,9 +703,9 @@ def test_the_peak_search_batches_its_objective(monkeypatch):
     # one-point search makes 24
     sizes = []
 
-    def counted(r, where=None):
+    def counted(r):
         sizes.append(len(r))
-        return correlated(r, where)
+        return correlated(r)
 
     correlated = sweep._correlated_coherence
     monkeypatch.setattr(sweep, "_correlated_coherence", counted)

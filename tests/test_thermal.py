@@ -86,6 +86,27 @@ def test_temperature_whose_inverse_overflows_is_refused(temp):
         thermal_state(REF, temp)
 
 
+@pytest.mark.parametrize(
+    "temp, error, message",
+    [
+        (0.0, ValidationError, "temperature must be positive and finite, got 0.0"),
+        (-1.0, ValidationError, "temperature must be positive and finite, got -1.0"),
+        (float("nan"), ValidationError, "temperature must be positive and finite, got nan"),
+        (float("inf"), ValidationError, "temperature must be positive and finite, got inf"),
+        (1e-320, OverflowError, "1/T overflows for temperature 1e-320"),
+    ],
+)
+def test_a_bad_temperature_keeps_its_error_and_warns_of_nothing(temp, error, message):
+    # every point is computed before the checks raise; at T = 0, 1/T overflows
+    # too, and the temperature check, the earlier one, wins
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            thermal_state(REF, temp)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_a_gibbs_state_that_is_not_a_density_matrix_is_refused():
     # the squares in H's eigensolve overflow; the weights would come out NaN
     p = ModelParams(1.7e308, 1.7e308, 1.7e308, 1.7e308)
