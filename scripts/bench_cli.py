@@ -8,11 +8,12 @@ the 100x100 concurrence map of make_datasets.py, for each N in
 KERNEL_SIZES, the Gibbs stage with the eigensolve it makes in that
 tree's sweep; a kernel the tree lacks under its name and under its
 former name (FORMER_NAMES) is recorded as null. A fresh interpreter
-then runs the whole script. Trees take turns over several rounds, the
-first tree leading in odd rounds, so host drift reaches every tree
-alike. After the rounds, the tier-1 test suite next to each tree
-(DIR/../tests) runs once, timed. Uses only the standard library and
-numpy:
+then runs the whole script, and each case of RSS_CASES runs in a fresh
+interpreter of its own that reports its peak resident set size. Trees
+take turns over several rounds, the first tree leading in odd rounds, so
+host drift reaches every tree alike. After the rounds, the tier-1 test
+suite next to each tree (DIR/../tests) runs once, timed. Uses only the
+standard library and numpy:
 
     python3 scripts/bench_cli.py --label after
     python3 scripts/bench_cli.py --label cmp --src parent=../old/src --src change=src
@@ -20,10 +21,11 @@ numpy:
 The JSON holds, per tree and invocation, the median and quartiles in ms
 over ROUNDS * REPEATS in-process runs, per tree, kernel and N the median
 and quartiles in us per call over as many samples, the fresh-interpreter script
-times, a digest of the script's CSVs and stdout, the tier-1 wall time with
-pytest's exit code and summary line (the suite has one test that fails by
-design, so exit code 1 is recorded, not raised), and the host, Python,
-numpy and BLAS-thread settings.
+times, a digest of the script's CSVs and stdout, the peak RSS in MiB of each
+RSS_CASES run, the line count of the tree's dqdtherm/*.py, the tier-1 wall
+time with pytest's exit code and summary line (the suite has one test that
+fails by design, so exit code 1 is recorded, not raised), and the host,
+Python, numpy and BLAS-thread settings.
 """
 
 from __future__ import annotations
@@ -59,6 +61,42 @@ KERNELS = (
 )
 # a kernel's name in older trees, so that a comparison times it in both
 FORMER_NAMES = {"qmatrix.gibbs_stack_checks": "check_gibbs_stack"}
+# the README's sweep config, with its epsilon count left open
+README_CONFIG = """[fixed]
+t = 7.0
+bz = 16.0
+bx = 100.0
+
+[axis1]
+name = epsilon
+min = -5
+max = 5
+count = {count}
+
+[axis2]
+name = T
+min = 0.01
+max = 100
+count = 101
+scale = log
+
+[output]
+measures = concurrence, correlated_coherence
+"""
+# CLI runs whose peak RSS is recorded: a sweep config's epsilon count, or validate's argv
+RSS_CASES = {
+    "sweep README config 201x101": 201,
+    "sweep README config 801x101": 801,
+    "validate --samples 4096": ["validate", "--samples", "4096", "--seed", "42"],
+    "validate --samples 200000": ["validate", "--samples", "200000", "--seed", "42"],
+}
+# run in a fresh interpreter: the CLI on argv, then this process's own peak RSS in KiB
+RSS_PROBE = """import resource, sys
+from dqdtherm.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
 
 
 def _operations(out_dir: pathlib.Path) -> dict:
@@ -184,6 +222,25 @@ def _run_script(src: pathlib.Path) -> tuple[float, str]:
     return wall, digest.hexdigest()
 
 
+def _peak_rss_mib(src: pathlib.Path, case) -> float:
+    """Peak RSS of one RSS_CASES run in a fresh interpreter, in MiB; its output is discarded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(case, int):
+            config = pathlib.Path(tmp, "sweep.ini")
+            config.write_text(README_CONFIG.format(count=case), encoding="utf-8")
+            case = ["sweep", "--config", str(config)]
+        done = subprocess.run(
+            [sys.executable, "-c", RSS_PROBE, *case, "--out", str(pathlib.Path(tmp, "out.csv"))],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, check=True, text=True,
+        )
+    return int(done.stdout.split()[-1]) / 1024.0
+
+
+def _src_lines(src: pathlib.Path) -> int:
+    """Lines of the tree's dqdtherm/*.py, as wc -l counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in pathlib.Path(src, "dqdtherm").glob("*.py"))
+
+
 def _run_tier1(src: pathlib.Path) -> dict | None:
     """Wall time, exit code and summary line of one tier-1 run of the tests beside src."""
     root = src.parent
@@ -260,6 +317,7 @@ def main(argv=None) -> int:
     samples = {name: {} for name in trees}
     kernels = {name: {} for name in trees}
     fresh = {name: [] for name in trees}
+    rss = {name: {case: [] for case in RSS_CASES} for name in trees}
     digests = {name: set() for name in trees}
     for round_ in range(ROUNDS):
         order = list(trees) if round_ % 2 == 0 else list(trees)[::-1]
@@ -278,8 +336,10 @@ def main(argv=None) -> int:
             wall, digest = _run_script(trees[name])
             fresh[name].append(wall)
             digests[name].add(digest)
-            print(f"round {round_ + 1}/{ROUNDS} {name}: make_datasets.py {wall:.3f} s",
-                  file=sys.stderr)
+            for case, spec in RSS_CASES.items():
+                rss[name][case].append(_peak_rss_mib(trees[name], spec))
+            print(f"round {round_ + 1}/{ROUNDS} {name}: make_datasets.py {wall:.3f} s, "
+                  f"peak RSS {[r[-1] for r in rss[name].values()]} MiB", file=sys.stderr)
     tier1 = {}
     for name, src in trees.items():
         tier1[name] = _run_tier1(src)
@@ -293,7 +353,8 @@ def main(argv=None) -> int:
             f"interpreter runs each step {REPEATS} times in process after one untimed "
             f"call, then times each kernel {REPEATS} times at each N in {KERNEL_SIZES} "
             f"(one sample: the mean over {KERNEL_CALLS} / N calls, after one untimed "
-            "call), then one fresh interpreter runs the whole make_datasets.py; "
+            "call), then one fresh interpreter runs the whole make_datasets.py, then "
+            "one fresh interpreter per RSS_CASES run reads its own ru_maxrss; "
             "then the tier-1 suite of each tree runs once"
         ),
         "trees": {
@@ -308,6 +369,11 @@ def main(argv=None) -> int:
                     "runs": fresh[name], "median": statistics.median(fresh[name]),
                 },
                 "output_sha256": sorted(digests[name]),
+                "peak_rss_mib": {
+                    case: {"runs": runs, "median": statistics.median(runs)}
+                    for case, runs in rss[name].items()
+                },
+                "src_lines": _src_lines(trees[name]),
                 "tier1": tier1[name],
             }
             for name in trees

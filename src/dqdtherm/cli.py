@@ -23,27 +23,16 @@ from .sweep import (
     sweep_columns,
     write_table,
 )
-from .validate import csv_rows, hard_failed, run_validation
+from .validate import hard_failed, run_validation
 
 __all__ = ["main"]
-
-
-@contextlib.contextmanager
-def _out_stream(path):
-    if path:
-        handle = open(path, "w", encoding="utf-8", newline="")
-        try:
-            yield handle
-        finally:
-            handle.close()
-    else:
-        yield sys.stdout
 
 
 def _write_sweep(path, grid: SweepGrid, header) -> int:
     """Evaluate the grid, then write the columns the header names (eps is epsilon)."""
     columns = sweep_columns(grid)
-    with _out_stream(path) as stream:
+    with (open(path, "w", encoding="utf-8", newline="") if path
+          else contextlib.nullcontext(sys.stdout)) as stream:
         write_table(stream, header, [columns["epsilon" if h == "eps" else h] for h in header])
     return 0
 
@@ -100,9 +89,14 @@ def _cmd_validate(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     results = run_validation(samples=args.samples, seed=args.seed)
-    with _out_stream(args.out) as stream:
-        for line in csv_rows(results):
-            stream.write(line + "\n")
+    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as stream:
+        stream.write("check,samples,flagged,max_residual,tolerance,hard,status,worst_point\n")
+        for r in results:
+            stream.write(
+                f"{r.name},{r.samples},{r.flagged},{r.max_residual:.12g},{r.tolerance:.12g},"
+                f"{int(r.hard)},{'fail' if r.failed else 'ok'},{r.worst_point}\n"
+            )
     return 1 if hard_failed(results) else 0
 
 

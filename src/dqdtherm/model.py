@@ -167,15 +167,17 @@ def _energies(eps, t, bz, bx):
 
     Returns (levels, checks): levels, shape (N, 4), has the columns
     (E1, E2, E3, E4) in label order (see analytic_energies), and checks
-    the (bad, error) pair of an inner radicand below the clamp tolerance,
-    for qmatrix.raise_first.  An overflowing square raises
-    FloatingPointError at once.
+    the (bad, error) pairs, for qmatrix.raise_first, of an overflowing
+    square in the invariants, then of an inner radicand below the clamp
+    tolerance.  Every point is computed, an overflowing one without a
+    warning.
     """
     eps, t, bz, bx = (np.asarray(x, dtype=float) for x in (eps, t, bz, bx))
-    with np.errstate(over="raise"):
+    with np.errstate(all="ignore"):
         omega, sigma = _spectral_invariants(eps, t, bz, bx)
         root = np.sqrt(omega)
         inner = np.atleast_1d(sigma - 2.0 * root)
+        overflow = ~np.atleast_1d(np.isfinite(omega) & np.isfinite(sigma))
         bad = inner < -1e-12 * np.maximum(1.0, sigma)
         levels = np.empty(inner.shape + (4,))
         levels[:, 0] = 0.5 * np.sqrt(sigma + 2.0 * root)
@@ -183,6 +185,7 @@ def _energies(eps, t, bz, bx):
         levels[:, 2] = 0.5 * np.sqrt(np.maximum(inner, 0.0))
     levels[:, 1], levels[:, 3] = -levels[:, 0], -levels[:, 2]
     return levels, [
+        (overflow, lambda i: OverflowError("the closed-form energies overflow")),
         (bad,
          lambda i: ValidationError(
              f"inner radicand {float(inner[i])!r} below clamp tolerance; "

@@ -2,23 +2,25 @@
 
 A sweep walks one or two parameter axes, evaluates a set of measures at
 every grid point, and emits rows in row-major axis order.  The grid is
-held as columns, one float array per parameter, and evaluated as one
-batch.  Consecutive points with the same (eps, t, bz, bx) share one
-Hamiltonian, so the distinct Hamiltonians are stacked into one (M, 4, 4)
-array and one batched eigendecomposition serves every Gibbs state: a grid
-whose T axis is innermost diagonalizes each distinct H once, and a grid
-with T outer or fixed, every point.  Each measure then runs once over
-the (N, 4, 4) stack of states, giving one array per output column.  That
-eigensolve is the sweep's only one: the density-matrix checks and the
-concurrence read the shared eigenvectors and the Gibbs weights instead.
-Every check over the batch is a (bad, error) pair, and the grid is
-evaluated once: qmatrix.raise_first then raises the error of the first
-failing point in row-major order, at that point the earliest check's:
-the Gibbs inputs, then the Gibbs state, then each measure in the order
-requested.  write_table prints the columns as CSV in fixed blocks of
-rows, each block formatted by one %-operation.  Each point gives the
-same bits alone or inside any grid, so reruns of the same input on one
-machine produce byte-identical CSV.
+held as columns, one float array per parameter, and evaluated in blocks
+of whole rows of axis2, about _BLOCK points each, keeping only the output
+columns.  In a block, consecutive points with the same (eps, t, bz, bx)
+share one Hamiltonian, so the distinct Hamiltonians are stacked into one
+(M, 4, 4) array and one batched eigendecomposition serves every Gibbs
+state: a grid whose T axis is innermost diagonalizes each distinct H once
+(a one-axis T sweep, once per block), and one with T outer or fixed,
+every point.  Each measure then runs once over the block's stack of
+states.  That eigensolve is the block's only one: the density-matrix
+checks and the concurrence read the shared eigenvectors and the Gibbs
+weights instead.  Every check over a block is a (bad, error) pair, and
+qmatrix.raise_first raises the error of the block's first failing point
+in row-major order, at that point the earliest check's: the Gibbs
+inputs, then the Gibbs state, then each measure in the order requested.
+The blocks run in order, so the error names the grid's first failing
+point.  write_table prints the columns as CSV in blocks of _BLOCK rows,
+each formatted by one %-operation.  Each point gives the same bits alone
+or inside any grid, so reruns of the same input on one machine produce
+byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -240,14 +242,29 @@ def _grid_columns(grid: SweepGrid) -> dict:
     return cols
 
 
+# grid points evaluated, and table rows formatted, per block: bounds the
+# memory of any grid
+_BLOCK = 4096
+
+
 def sweep_columns(grid: SweepGrid) -> dict:
-    """Evaluate the grid: each parameter and measure column as one array, row-major."""
+    """Evaluate the grid: each parameter and measure column as one array, row-major.
+
+    The points are evaluated in blocks of whole rows of axis2, at most
+    _BLOCK points each unless one row is longer, and each block's output
+    columns are copied out before the next block runs.  The first failing
+    block raises, naming the first failing point in row-major order.
+    """
     cols = _grid_columns(grid)
-    return {**cols, **_evaluate(cols, grid.measures)}
-
-
-# rows formatted per write, so the text held at once stays bounded on any grid
-_ROWS_PER_WRITE = 4096
+    n = len(cols["T"])
+    row = grid.axis2.count if grid.axis2 is not None else 1
+    step = max(1, _BLOCK // row) * row
+    out = {c: np.empty(n) for c in grid.columns()}
+    for start in range(0, n, step):
+        block = _evaluate({k: v[start : start + step] for k, v in cols.items()}, grid.measures)
+        for c, column in out.items():
+            column[start : start + step] = block[c]
+    return {**cols, **out}
 
 
 def write_table(stream, header, columns) -> None:
@@ -260,8 +277,8 @@ def write_table(stream, header, columns) -> None:
     stream.write(",".join(header) + "\n")
     table = np.column_stack(columns) + 0.0
     template = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    for start in range(0, len(table), _ROWS_PER_WRITE):
-        block = table[start : start + _ROWS_PER_WRITE]
+    for start in range(0, len(table), _BLOCK):
+        block = table[start : start + _BLOCK]
         stream.write(template * len(block) % tuple(block.ravel().tolist()))
 
 

@@ -9,17 +9,17 @@ oracle-equivalence reports comparing the printed closed-form expressions
 angles) with the numerical path.  Soft disagreements are flagged, never
 fatal: several of the printed formulas are known to disagree with the
 eigensolver and the point of the report is to quantify that.  Each check
-with flags logs one warning summarizing them; the flagged points
-themselves are kept on the CheckResult.
+with flags logs one warning summarizing them.  A CheckResult keeps only
+counts and the worst point, and the samples are drawn and checked in
+blocks of _BLOCK, so a run's memory is bounded by one block at any
+sample count.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .model import _coeffs, _coeffs_singular, _energies, _hamiltonians, _match_l
 from .qmatrix import eig_sym, raise_first
 from .thermal import _gibbs, _reduce_a, _reduce_b
 
-__all__ = ["CheckResult", "run_validation", "hard_failed", "csv_rows"]
+__all__ = ["CheckResult", "run_validation", "hard_failed"]
 
 log = logging.getLogger(__name__)
 
@@ -52,49 +52,9 @@ _LOW = np.array([-50.0, 0.0, -40.0, -100.0, math.log10(0.05)])
 _HIGH = np.array([50.0, 30.0, 40.0, 100.0, 2.0])
 
 
-class _FlaggedPoints(Sequence):
-    """The names of a check's flagged samples in sample order, each formatted when read.
-
-    Each recorded batch keeps its where(i) and the indices it flagged, so
-    a run holds one index per flagged sample rather than one string.
-    """
-
-    def __init__(self):
-        self._batches = []  # (where, flagged indices) per recorded batch
-        self._ends = []  # the flagged count up to the end of each batch
-
-    def add(self, where, indices: np.ndarray) -> None:
-        if indices.size:
-            self._batches.append((where, indices))
-            self._ends.append(len(self) + indices.size)
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[j] for j in range(len(self))[k]]
-        k = range(len(self))[k]  # a negative k counts from the end; IndexError outside
-        b = bisect.bisect_right(self._ends, k)
-        where, indices = self._batches[b]
-        return where(int(indices[k - (self._ends[b - 1] if b else 0)]))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} flagged points>"
-
-
 @dataclass
 class CheckResult:
-    """Outcome of one check over all sampled states.
-
-    flagged_points is a Sequence of the flagged samples' names, as long as
-    flagged; a name is formatted only when it is read.
-    """
+    """Outcome of one check over all sampled states: counts and the worst point."""
 
     name: str
     hard: bool
@@ -103,7 +63,6 @@ class CheckResult:
     flagged: int = 0
     max_residual: float = 0.0
     worst_point: str = ""
-    flagged_points: Sequence = field(default_factory=_FlaggedPoints)
 
     @property
     def failed(self) -> bool:
@@ -115,12 +74,11 @@ class CheckResult:
         A residual above the tolerance or NaN is flagged.  The worst point
         is the first sample at the largest residual, a NaN counting as
         larger than any number; it stays "" while every residual is 0.
+        where is called only to name a new worst point.
         """
         r = np.asarray(residuals, dtype=float).reshape(-1)
         self.samples += r.size
-        bad = np.flatnonzero(np.isnan(r) | (r > self.tolerance))
-        self.flagged += bad.size
-        self.flagged_points.add(where, bad)
+        self.flagged += int(np.count_nonzero(np.isnan(r) | (r > self.tolerance)))
         if not r.size or math.isnan(self.max_residual):
             return
         i = int(np.argmax(r))  # the first NaN, if there is one
@@ -224,18 +182,3 @@ def run_validation(samples: int = 200, seed: int = 42) -> list[CheckResult]:
 
 def hard_failed(results) -> bool:
     return any(r.failed for r in results)
-
-
-def csv_rows(results):
-    """Summary rows for CSV output (one per check)."""
-    header = (
-        "check,samples,flagged,max_residual,tolerance,hard,status,worst_point"
-    )
-    lines = [header]
-    for r in results:
-        status = "fail" if r.failed else "ok"
-        lines.append(
-            f"{r.name},{r.samples},{r.flagged},{r.max_residual:.12g},"
-            f"{r.tolerance:.12g},{int(r.hard)},{status},{r.worst_point}"
-        )
-    return lines

@@ -230,14 +230,14 @@ def test_write_table_equals_per_value_formatting(table, block):
     header = [f"c{j}" for j in range(k)]
     columns = [np.array([row[j] for row in rows], dtype=float) for j in range(k)]
     stream = io.StringIO()
-    with mock.patch.object(sweep, "_ROWS_PER_WRITE", block):
+    with mock.patch.object(sweep, "_BLOCK", block):
         write_table(stream, header, columns)
     assert stream.getvalue() == per_value_text(header, rows)
 
 
 def test_write_table_formats_each_block_of_rows_at_once(monkeypatch):
     # 11 rows in blocks of 4: one write for the header and one per block
-    monkeypatch.setattr(sweep, "_ROWS_PER_WRITE", 4)
+    monkeypatch.setattr(sweep, "_BLOCK", 4)
     writes = []
 
     class Stream:
@@ -251,7 +251,7 @@ def test_write_table_formats_each_block_of_rows_at_once(monkeypatch):
 
 def test_sweep_csv_across_block_boundaries_equals_per_value_formatting(monkeypatch):
     # a 3 x 4 grid written 5 rows at a time; bx = 0 makes C exactly 0 at every point
-    monkeypatch.setattr(sweep, "_ROWS_PER_WRITE", 5)
+    monkeypatch.setattr(sweep, "_BLOCK", 5)
     grid = SweepGrid(
         fixed={"t": 7.0, "bz": 16.0, "bx": 0.0},
         axis1=Axis("epsilon", -1.0, 1.0, 3),
@@ -420,10 +420,11 @@ def grids(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(grids())
-def test_batched_sweep_equals_scalar_api_bitwise(grid):
+@given(grids(), st.integers(1, 30))
+def test_batched_sweep_equals_scalar_api_bitwise(grid, block):
     points = [grid_point(grid, i) for i in range(grid.axis1.count * grid.axis2.count)]
-    rows = grid_rows(grid)
+    with mock.patch.object(sweep, "_BLOCK", block):
+        rows = grid_rows(grid)
     assert [params for params, _ in rows] == [{k: d[k] for k in PARAM_NAMES} for d in points]
     for params, values in rows:
         expected = scalar_measures(params)
@@ -613,6 +614,17 @@ def test_a_grid_at_fixed_temperature_diagonalizes_every_point(monkeypatch):
     assert calls == [21 * 21]
 
 
+@pytest.mark.parametrize("block, stacks", [(7, [1] * 100), (1000, [10] * 10), (4096, [40, 40, 20])])
+def test_blocks_of_whole_rows_diagonalize_each_distinct_hamiltonian_once(monkeypatch, block,
+                                                                         stacks):
+    # a block of whole T rows never splits the run of points sharing one H
+    monkeypatch.setattr(sweep, "_BLOCK", block)
+    calls = count_eigensolves(monkeypatch)
+    sweep_columns(SweepGrid(MAP_FIXED, Axis("bx", 1.0, 100.0, 100),
+                            Axis("T", 0.01, 100.0, 100, "log"), ("concurrence",)))
+    assert calls == stacks
+
+
 def test_temperature_outer_and_inner_grids_give_the_same_bits(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     grid = SweepGrid(MAP_FIXED, BX_AXIS, T_AXIS, THERMAL_MEASURES)
@@ -685,17 +697,53 @@ def test_a_failing_sweep_diagonalizes_once(monkeypatch):
     assert calls == [3]
 
 
+# the eigenvalues of H overflow only at the last row, eps = 1.7e308
+OVERFLOW_GRID = SweepGrid({"t": 7.0, "bz": 1.7e308, "bx": 1.7e308},
+                          Axis("epsilon", 0.0, 1.7e308, 3), Axis("T", 1.0, 2.0, 2),
+                          THERMAL_MEASURES)
+
+
 def test_an_overflowing_point_warns_of_nothing_while_every_measure_runs():
-    # the last point's eigenvalues overflow; every Gibbs measure still runs on
-    # its inf and NaN rows before the one error is raised
-    grid = SweepGrid({"t": 7.0, "bz": 1.7e308, "bx": 1.7e308},
-                     Axis("epsilon", 0.0, 1.7e308, 3), Axis("T", 1.0, 2.0, 2),
-                     THERMAL_MEASURES)
+    # every Gibbs measure still runs on the inf and NaN rows of the last
+    # point before the one error is raised
+    grid = OVERFLOW_GRID
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="the eigenvalues of H overflow") as info:
             sweep_columns(grid)
     assert str(info.value).endswith(f"at {grid_point(grid, 4)}")
+
+
+def test_a_failing_point_in_a_later_block_is_named(monkeypatch):
+    # one row per block: the first two blocks pass, the third fails at point 4
+    monkeypatch.setattr(sweep, "_BLOCK", 3)
+    calls = count_eigensolves(monkeypatch)
+    with pytest.raises(OverflowError, match="the eigenvalues of H overflow") as info:
+        sweep_columns(OVERFLOW_GRID)
+    assert str(info.value).endswith(f"at {grid_point(OVERFLOW_GRID, 4)}")
+    assert calls == [1, 1, 1]
+
+
+def test_an_earlier_blocks_failure_wins(monkeypatch):
+    # the closed-form energies overflow at every point (bz ** 2 does), so the
+    # first block raises, a later check than the third block's, and no later
+    # block is evaluated
+    monkeypatch.setattr(sweep, "_BLOCK", 3)
+    calls = count_eigensolves(monkeypatch)
+    grid = dataclasses.replace(OVERFLOW_GRID, measures=THERMAL_MEASURES + ("energies",))
+    with pytest.raises(OverflowError, match="the closed-form energies overflow") as info:
+        sweep_columns(grid)
+    assert str(info.value).endswith(f"at {grid_point(grid, 0)}")
+    assert calls == [1]
+
+
+def test_an_earlier_gibbs_failure_beats_a_later_closed_form_overflow():
+    # 1/T overflows at point 0; the closed-form energies overflow from point 2
+    grid = SweepGrid({"epsilon": 0.0, "t": 7.0, "bx": 1.0}, Axis("bz", 1.0, 1e200, 2),
+                     Axis("T", 1e-320, 1.0, 2), ("populations", "energies"))
+    with pytest.raises(OverflowError, match="1/T overflows for temperature 1e-320") as info:
+        sweep_columns(grid)
+    assert str(info.value).endswith(f"at {grid_point(grid, 0)}")
 
 
 def test_the_peak_search_batches_its_objective(monkeypatch):

@@ -32,14 +32,13 @@ def _record(check, residual, point):
         check.worst_point = point
     if residual > check.tolerance:
         check.flagged += 1
-        check.flagged_points.append(point)
 
 
 def per_sample_validation(samples, seed):
     """The validation report sample by sample through the public API: the oracle."""
     rng = np.random.default_rng(seed)
     results = {
-        name: CheckResult(name, hard, tol, flagged_points=[])
+        name: CheckResult(name, hard, tol)
         for name, hard, tol in validate._CHECKS
     }
     for _ in range(samples):
@@ -150,13 +149,13 @@ def test_record_keeps_order_and_the_first_worst_point():
     assert (check.samples, check.flagged, check.max_residual, check.worst_point) == (3, 0, 0.0, "")
     check.record(np.array([1e-9, 2.0, 0.5, 2.0]), lambda i: f"p{i}")
     assert check.samples == 7
-    assert check.flagged_points == ["p1", "p2", "p3"]
+    assert check.flagged == 3
     assert (check.max_residual, check.worst_point) == (2.0, "p1")
     check.record(np.array([2.0]), lambda i: "later")  # a tie keeps the earlier point
     assert check.worst_point == "p1"
 
 
-def test_flagged_points_are_named_only_when_read():
+def test_record_names_only_a_new_worst_point():
     named = []
 
     def where(i):
@@ -164,24 +163,20 @@ def test_flagged_points_are_named_only_when_read():
         return f"p{i}"
 
     check = CheckResult("x", False, 1e-8)
+    check.record(np.zeros(2), where)  # no residual above 0: no worst point
     check.record(np.array([2.0, 0.0, 3.0, 1e-9, 0.5]), where)
-    check.record(np.array([0.0, 5.0]), lambda i: f"q{i}")
-    assert named == [2]  # the worst point only
-    points = check.flagged_points
-    assert len(points) == check.flagged == 4
-    assert (points[1], points[-1], points[:3]) == ("p2", "q1", ["p0", "p2", "p4"])
-    assert named == [2, 2, 0, 2, 4]
-    assert list(points) == ["p0", "p2", "p4", "q1"]
-    with pytest.raises(IndexError):
-        points[4]
+    check.record(np.array([0.0, 3.0, 1.0]), where)  # a tie is not a new worst
+    check.record(np.array([0.0, 5.0]), where)
+    assert named == [2, 1]
+    assert (check.flagged, check.max_residual, check.worst_point) == (6, 5.0, "p1")
 
 
 def test_record_flags_nan_as_the_worst_residual():
     check = CheckResult("x", True, 1e-8)
     check.record(np.array([0.5, math.nan, 3.0, math.nan]), lambda i: f"p{i}")
     assert check.flagged == 4
-    assert check.flagged_points == ["p0", "p1", "p2", "p3"]
     assert math.isnan(check.max_residual) and check.worst_point == "p1"
     check.record(np.array([1e9]), lambda i: "later")
+    assert check.flagged == 5
     assert math.isnan(check.max_residual) and check.worst_point == "p1"
     assert check.failed
