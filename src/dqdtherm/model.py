@@ -41,6 +41,8 @@ __all__ = [
 LEVEL_LABELS = ("E1", "E2", "E3", "E4")
 
 _ANTICROSSING_PAIRS = {("E1", "E3"), ("E2", "E4"), ("E3", "E4")}
+# the most coarse-scan points find_anticrossing evaluates, as one batch
+_SCAN_POINTS = 65536
 
 class AnalyticUnavailable(ValidationError):
     """Closed-form eigenvector coefficients are singular at these parameters."""
@@ -440,11 +442,11 @@ def find_anticrossing(
     """Locate the detuning minimizing the gap between two labelled levels.
 
     Coarse scan with step <= grid_step through the closed-form energies,
-    evaluated in blocks of _SCAN_BLOCK points so that memory stays
-    bounded on any step, then golden-section refinement of the
-    bracketing interval down to tol in epsilon.  A minimum on the
-    interval boundary means the gap is monotonic there and raises
-    NoAnticrossing.
+    np.linspace(lo, hi, n) evaluated as one batch of at most _SCAN_POINTS
+    points, then golden-section refinement of the bracketing interval
+    down to tol in epsilon.  A finer grid_step raises ValidationError.  A
+    minimum on the interval boundary means the gap is monotonic there
+    and raises NoAnticrossing.
     """
     grid_step, tol = _positive("grid_step", grid_step), _positive("tol", tol)
     key = tuple(sorted(pair))
@@ -455,9 +457,11 @@ def find_anticrossing(
     lo, hi = float(eps_range[0]), float(eps_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValidationError(f"eps_range must be a finite interval, got {eps_range!r}")
-    if not math.isfinite((hi - lo) / grid_step):
+    steps = (hi - lo) / grid_step  # the scan takes ceil(steps) + 1 points
+    if steps > _SCAN_POINTS - 1:  # inf included
         raise ValidationError(
-            f"eps_range {eps_range!r} has too many points at grid_step {grid_step!r}"
+            f"eps_range {eps_range!r} has too many points at grid_step {grid_step!r}: "
+            f"the scan takes at most {_SCAN_POINTS}"
         )
     ia = LEVEL_LABELS.index(key[0])
     ib = LEVEL_LABELS.index(key[1])
@@ -469,36 +473,11 @@ def find_anticrossing(
         raise_first(checks)
         return np.abs(levels[:, ia] - levels[:, ib])
 
-    n = max(3, int(math.ceil((hi - lo) / grid_step)) + 1)
-    k, best = 0, math.inf
-    for start in range(0, n, _SCAN_BLOCK):
-        gaps = gap(_linspace_block(lo, hi, n, start, start + _SCAN_BLOCK))
-        j = int(np.argmin(gaps))
-        if gaps[j] < best:  # strict, so the first minimum wins as in np.argmin
-            k, best = start + j, float(gaps[j])
-    if k == 0 or k == n - 1:
+    eps = np.linspace(lo, hi, max(3, math.ceil(steps) + 1))
+    k = int(np.argmin(gap(eps)))
+    if k == 0 or k == len(eps) - 1:
         raise NoAnticrossing(
             f"|{key[0]} - {key[1]}| is monotonic on [{lo}, {hi}]"
         )
-    left, _, right = _linspace_block(lo, hi, n, k - 1, k + 2)
-    x, g = golden_section_min(gap, float(left), float(right), tol)
+    x, g = golden_section_min(gap, float(eps[k - 1]), float(eps[k + 1]), tol)
     return Anticrossing(eps=float(x), gap=float(g))
-
-
-# coarse-scan points evaluated at once: bounds find_anticrossing's memory
-_SCAN_BLOCK = 65536
-
-
-def _linspace_block(lo: float, hi: float, n: int, start: int, stop: int) -> np.ndarray:
-    """np.linspace(lo, hi, n)[start:stop], without the points outside the slice.
-
-    Point i is i * step + lo with step = (hi - lo) / (n - 1), and the last
-    point is hi, which is how np.linspace computes them, so the values
-    are the same doubles.
-    """
-    i = np.arange(start, min(stop, n), dtype=float)
-    step = (hi - lo) / (n - 1)
-    x = (i * step if step else i / (n - 1) * (hi - lo)) + lo
-    if stop >= n:
-        x[-1] = hi
-    return x

@@ -4,7 +4,8 @@ Everything in the model lives in a real 4-dimensional Hilbert space
 (charge qubit x spin qubit).  Eigendecompositions go to LAPACK through
 numpy.linalg.eigh; this module adds the structural checks (shape,
 finiteness, symmetry, unit trace, positivity) that the public measures
-apply once to their inputs.  A check over a batch is a (bad, error) pair,
+apply once to their inputs; check_symmetric serves a matrix or a stack
+and refuses complex input.  A check over a batch is a (bad, error) pair,
 a boolean mask over the batch and the exception of element i, and
 raise_first is the one place that raises such checks.
 """
@@ -70,41 +71,28 @@ def raise_first(checks, where=None) -> None:
     raise exc
 
 
-def _as_real_square(m, name: str) -> np.ndarray:
+def check_symmetric(m, name: str = "matrix") -> np.ndarray:
+    """Validate one real (n, n) matrix or an (N, n, n) stack; return it as ndarray.
+
+    Each matrix must be finite and symmetric, judged relative to its
+    largest entry so that large Hamiltonians and unit-trace density
+    matrices get the same treatment.  Complex input is refused, not cast.
+    """
+    if np.iscomplexobj(m):
+        raise ValidationError(f"{name} must be real")
     # C order: numpy picks BLAS or its own loops by memory layout, and the
     # kernels give the same bits for a matrix only in the same layout
     a = np.ascontiguousarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
-    return a
-
-
-def _check_symmetric_stack(a: np.ndarray, name: str) -> np.ndarray:
-    """Finiteness and symmetry of each matrix of an (N, n, n) stack.
-
-    Symmetry is judged relative to each matrix's largest entry so that
-    large Hamiltonians and unit-trace density matrices get the same
-    treatment.
-    """
-    largest = np.abs(a.reshape(len(a), -1)).max(axis=1)  # NaN and inf carry through
+    largest = np.abs(a).max(axis=(-2, -1))  # NaN and inf carry through
     scale = np.maximum(1.0, largest)
     with np.errstate(all="ignore"):  # inf - inf where a matrix is not finite
-        skew = np.abs(a - np.swapaxes(a, 1, 2)).reshape(len(a), -1).max(axis=1)
+        skew = np.abs(a - np.swapaxes(a, -2, -1)).max(axis=(-2, -1))
     raise_first([
         (~np.isfinite(largest), lambda i: ValidationError(f"{name} contains non-finite entries")),
         (skew > 1e-12 * scale, lambda i: ValidationError(f"{name} is not symmetric")),
     ])
-    return a
-
-
-def check_symmetric(m, name: str = "matrix") -> np.ndarray:
-    """Validate that m is real, square, finite and symmetric; return it as ndarray.
-
-    Symmetry is judged relative to the largest entry so that large
-    Hamiltonians and unit-trace density matrices get the same treatment.
-    """
-    a = _as_real_square(m, name)
-    _check_symmetric_stack(a[None], name)
     return a
 
 
@@ -142,12 +130,13 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     finiteness, symmetry or trace problems and
     NotPositiveSemidefiniteError if any eigenvalue falls below -1e-12.
     """
-    a = _as_real_square(rho, "density matrix")
+    a = check_symmetric(rho, "density matrix")
+    if a.ndim != 2:
+        raise ValidationError(f"density matrix must be a square matrix, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
         raise ValidationError(
             f"density matrix must be {dim}x{dim}, got {a.shape[0]}x{a.shape[0]}"
         )
-    _check_symmetric_stack(a[None], "density matrix")
     tr = float(np.trace(a))
     if abs(tr - 1.0) > 1e-9:
         raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
@@ -167,10 +156,5 @@ def eig_sym(m) -> EigenDecomp:
     returns; a matrix gives the same bits alone or inside any stack, and
     reruns on one machine give identical results.
     """
-    a = np.asarray(m, dtype=float)
-    if a.ndim == 3 and a.shape[1] == a.shape[2]:
-        a = _check_symmetric_stack(a, "matrix")
-    else:
-        a = check_symmetric(a, "matrix")
-    values, vectors = np.linalg.eigh(a)
+    values, vectors = np.linalg.eigh(check_symmetric(m))
     return EigenDecomp(values=values, vectors=vectors)

@@ -3,24 +3,24 @@
 A sweep walks one or two parameter axes, evaluates a set of measures at
 every grid point, and emits rows in row-major axis order.  The grid is
 held as columns, one float array per parameter, and evaluated in blocks
-of whole rows of axis2, about _BLOCK points each, keeping only the output
-columns.  In a block, consecutive points with the same (eps, t, bz, bx)
-share one Hamiltonian, so the distinct Hamiltonians are stacked into one
-(M, 4, 4) array and one batched eigendecomposition serves every Gibbs
-state: a grid whose T axis is innermost diagonalizes each distinct H once
-(a one-axis T sweep, once per block), and one with T outer or fixed,
-every point.  Each measure then runs once over the block's stack of
-states.  That eigensolve is the block's only one: the density-matrix
-checks and the concurrence read the shared eigenvectors and the Gibbs
-weights instead.  Every check over a block is a (bad, error) pair, and
-qmatrix.raise_first raises the error of the block's first failing point
-in row-major order, at that point the earliest check's: the Gibbs
-inputs, then the Gibbs state, then each measure in the order requested.
-The blocks run in order, so the error names the grid's first failing
-point.  write_table prints the columns as CSV in blocks of _BLOCK rows,
-each formatted by one %-operation.  Each point gives the same bits alone
-or inside any grid, so reruns of the same input on one machine produce
-byte-identical CSV.
+of whole rows of axis2, about _BLOCK points each, keeping only the
+output columns.  In a block, consecutive points with the same (eps, t,
+bz, bx) share one Hamiltonian, so thermal._gibbs_columns stacks the
+distinct Hamiltonians into one (M, 4, 4) array and one batched
+eigendecomposition serves every Gibbs state: a grid whose T axis is
+innermost diagonalizes each distinct H once (a one-axis T sweep, once
+per block), and one with T outer or fixed, every point.  Each measure
+then runs once over the block's stack of states.  That eigensolve is the
+block's only one: the density-matrix checks and the concurrence read the
+shared eigenvectors and the Gibbs weights instead.  Every check over a
+block is a (bad, error) pair, and qmatrix.raise_first raises the error
+of the block's first failing point in row-major order, at that point the
+earliest check's: the Gibbs inputs, then the Gibbs state, then each
+measure in the order requested.  The blocks run in order, so the error
+names the grid's first failing point.  write_table prints the columns as
+CSV in blocks of _BLOCK rows, each formatted by one %-operation.  Each
+point gives the same bits alone or inside any grid, so reruns of the
+same input on one machine produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import _correlated_coherence, _gibbs_concurrence, _l1
-from .model import ModelParams, _energies, _hamiltonians, golden_section_min
-from .qmatrix import ValidationError, eig_sym, gibbs_stack_checks, raise_first
-from .thermal import _gibbs, _Gibbs
+from .model import ModelParams, _energies, golden_section_min
+from .qmatrix import ValidationError, raise_first
+from .thermal import _gibbs, _gibbs_columns
 
 __all__ = [
     "PARAM_NAMES",
@@ -168,27 +168,6 @@ class SweepGrid:
 def _lookup(cols: dict):
     """where(i) over parameter columns: point i as a dict, in the columns' key order."""
     return lambda i: {k: float(v[i]) for k, v in cols.items()}
-
-
-def _gibbs_columns(cols: dict) -> tuple[_Gibbs, list]:
-    """Gibbs states of parameter columns and their checks, one eigensolve per distinct H.
-
-    Consecutive points whose (eps, t, bz, bx) are equal bit for bit
-    (compared as int64, so -0.0 and 0.0 differ) share one Hamiltonian and
-    its eigendecomposition.  So a grid whose T axis is innermost
-    diagonalizes each distinct H once, and one with T outer or fixed,
-    once per point.  The checks are _gibbs's, then gibbs_stack_checks's.
-    """
-    model = [cols[k] for k in ("epsilon", "t", "bz", "bx")]
-    first = np.zeros(len(cols["T"]), dtype=bool)
-    first[:1] = True
-    for c in model:
-        bits = c.view(np.int64)
-        first[1:] |= bits[1:] != bits[:-1]
-    dec = eig_sym(_hamiltonians(*(c[first] for c in model)))
-    state = _gibbs(dec, np.cumsum(first) - 1, cols["T"])
-    stack = gibbs_stack_checks(state.rho, dec.vectors, state.weights, state.index)
-    return state, state.checks + stack
 
 
 def _evaluate(cols: dict, measures) -> dict:
@@ -358,18 +337,19 @@ def find_coherence_peak(
 ):
     """Temperature maximizing correlated coherence, with the peak value.
 
-    Scans a logarithmic temperature grid as one batch, then golden-section
-    refines around the grid maximum in log10(T) through the same kernels
-    and the scan's one eigendecomposition of H, each objective call a
-    batch of the search's next probes.
+    Scans a logarithmic temperature grid of count <= _BLOCK points as one
+    batch, then golden-section refines around the grid maximum in log10(T)
+    through the same kernels and the scan's one eigendecomposition of H,
+    each objective call a batch of the search's next probes.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)) or t_lo <= 0.0 or t_hi <= t_lo:
         raise ConfigError(f"need finite 0 < t_lo < t_hi, got [{t_lo}, {t_hi}]")
     count = _point_count(count, "count")
+    if count > _BLOCK:
+        raise ConfigError(f"count must be <= {_BLOCK}, one sweep block, got {count}")
     p = ModelParams(epsilon, t, bz, bx)
     grid = np.linspace(math.log10(t_lo), math.log10(t_hi), count)
-    fixed = {"epsilon": p.epsilon, "t": p.t, "bz": p.bz, "bx": p.bx}
-    scan = {k: np.full(grid.size, v) for k, v in fixed.items()}
+    scan = {k: np.full(grid.size, getattr(p, k)) for k in ("epsilon", "t", "bz", "bx")}
     scan["T"] = np.array([10.0 ** float(x) for x in grid])  # libm pow, not numpy's
     state, checks = _gibbs_columns(scan)
     values, more = _correlated_coherence(state.rho)

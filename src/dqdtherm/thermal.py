@@ -1,4 +1,8 @@
-"""Gibbs states of the double-dot Hamiltonian and subsystem reductions."""
+"""Gibbs states of the double-dot Hamiltonian and subsystem reductions.
+
+_gibbs_columns is the one Gibbs entry point: thermal_state is its
+one-point case, and the sweeps and the coherence-peak search run it.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, build_hamiltonian
+from .model import ModelParams, _hamiltonians
 from .qmatrix import (
     EigenDecomp,
     ValidationError,
@@ -106,20 +110,41 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> _Gibbs:
     return _Gibbs(dec, index, beta, rho, z_shifted, e_shift, weights, checks)
 
 
+def _gibbs_columns(cols: dict) -> tuple[_Gibbs, list]:
+    """Gibbs states of parameter columns and their checks, one eigensolve per distinct H.
+
+    Consecutive points whose (eps, t, bz, bx) are equal bit for bit
+    (compared as int64, so -0.0 and 0.0 differ) share one Hamiltonian and
+    its eigendecomposition.  So a grid whose T axis is innermost
+    diagonalizes each distinct H once, and one with T outer or fixed,
+    once per point.  The checks are _gibbs's, then gibbs_stack_checks's.
+    """
+    model = [cols[k] for k in ("epsilon", "t", "bz", "bx")]
+    first = np.zeros(len(cols["T"]), dtype=bool)
+    first[:1] = True
+    for c in model:
+        bits = c.view(np.int64)
+        first[1:] |= bits[1:] != bits[:-1]
+    dec = eig_sym(_hamiltonians(*(c[first] for c in model)))
+    state = _gibbs(dec, np.cumsum(first) - 1, cols["T"])
+    stack = gibbs_stack_checks(state.rho, dec.vectors, state.weights, state.index)
+    return state, state.checks + stack
+
+
 def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
     """Thermal equilibrium state of the double dot at temperature T > 0.
 
-    The state passes the checks a sweep makes (see _gibbs and
-    gibbs_stack_checks), so parameters whose Gibbs state is not a density
-    matrix raise ValidationError.
+    The state is the one-point case of _gibbs_columns and passes the
+    checks a sweep makes, so parameters whose Gibbs state is not a
+    density matrix raise ValidationError.
     """
     try:
         temperature = float(temperature)
     except (TypeError, ValueError):
         raise ValidationError(f"temperature must be a real number, got {temperature!r}")
-    dec = eig_sym(build_hamiltonian(p)[None])
-    g = _gibbs(dec, np.zeros(1, dtype=np.intp), temperature)
-    raise_first(g.checks + gibbs_stack_checks(g.rho, dec.vectors, g.weights, g.index))
+    cols = {k: np.array([getattr(p, k)]) for k in ("epsilon", "t", "bz", "bx")}
+    g, checks = _gibbs_columns({**cols, "T": np.array([temperature])})
+    raise_first(checks)
     return ThermalState(
         params=p,
         temperature=temperature,
@@ -127,8 +152,8 @@ def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
         rho=g.rho[0],
         z_shifted=float(g.z_shifted[0]),
         e_shift=float(g.e_shift[0]),
-        energies=dec.values[0],
-        vectors=dec.vectors[0],
+        energies=g.dec.values[0],
+        vectors=g.dec.vectors[0],
         weights=g.weights[0],
     )
 

@@ -368,35 +368,25 @@ def test_anticrossing_rejects_a_bad_grid_step(grid_step):
 
 @pytest.mark.parametrize(
     "eps_range, grid_step",
-    [((-1e308, 1e308), 0.1), ((50.0, 150.0), 5e-324)],  # hi - lo, or the point count, is inf
+    [
+        ((-1e308, 1e308), 0.1),  # hi - lo is inf
+        ((50.0, 150.0), 5e-324),  # the point count is inf
+        ((50.0, 150.0), 1e-300),  # ~1e302 points, finite
+    ],
 )
 def test_anticrossing_rejects_a_scan_too_long_to_count(eps_range, grid_step):
     with pytest.raises(ValidationError, match="too many points"):
         find_anticrossing(7, 16, 100, ("E3", "E4"), eps_range, grid_step=grid_step)
 
 
-@pytest.mark.parametrize(
-    "lo, hi, n",
-    [
-        (50.0, 150.0, 1001),
-        (-1.7, 2.9, 33),  # (n - 1) * step + lo misses hi: the last point is pinned
-        (-3.3, 7.7, 10007),
-        (-1e-300, 1e-300, 40),
-        (5e-324, 1e-323, 100),  # the step underflows to 0: numpy's other branch
-    ],
-)
-def test_scan_blocks_are_the_points_of_linspace(lo, hi, n):
-    blocks = [model._linspace_block(lo, hi, n, s, s + 7) for s in range(0, n, 7)]
-    assert np.concatenate(blocks).tobytes() == np.linspace(lo, hi, n).tobytes()
-
-
-@pytest.mark.parametrize(
-    "pair, eps_range", [(("E3", "E4"), (50.0, 150.0)), (("E2", "E4"), (-50.0, 50.0))]
-)
-def test_anticrossing_scan_in_small_blocks_gives_the_same_bits(monkeypatch, pair, eps_range):
-    whole = find_anticrossing(7, 16, 100, pair, eps_range, grid_step=0.01)
-    monkeypatch.setattr(model, "_SCAN_BLOCK", 7)
-    assert find_anticrossing(7, 16, 100, pair, eps_range, grid_step=0.01) == whole
+def test_anticrossing_scan_is_bounded_by_its_point_count():
+    # steps of 2^-9 make (hi - lo) / grid_step exact: _SCAN_POINTS - 1 steps, then one more
+    step = 2.0**-9
+    hi = 50.0 + (model._SCAN_POINTS - 1) * step
+    found = find_anticrossing(7, 16, 100, ("E3", "E4"), (50.0, hi), grid_step=step)
+    assert (found.eps, found.gap) == (101.24775311753578, 13.82416884683386)
+    with pytest.raises(ValidationError, match=f"too many points .* at most {model._SCAN_POINTS}"):
+        find_anticrossing(7, 16, 100, ("E3", "E4"), (50.0, hi + step), grid_step=step)
 
 
 def test_anticrossing_pin():

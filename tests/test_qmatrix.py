@@ -87,6 +87,7 @@ def test_eig_property_reconstruction(entries):
         np.array([[1.0, 2.0], [3.0, 4.0]]),
         np.full((4, 4), np.nan),
         np.ones((2, 3)),
+        1j * np.eye(2),  # cast to float, it was the zero matrix
     ],
 )
 def test_eig_rejects_invalid(bad):
@@ -109,6 +110,10 @@ def test_check_density_matrix():
         check_density_matrix(np.eye(2) / 2.0, dim=4)  # wrong size
     with pytest.raises(NotPositiveSemidefiniteError):
         check_density_matrix(np.diag([0.75, 0.75, -0.25, -0.25]))
+    hermitian = np.eye(4, dtype=complex) / 4.0
+    hermitian[0, 1], hermitian[1, 0] = 0.1j, -0.1j
+    with pytest.raises(ValidationError, match="density matrix must be real"):
+        check_density_matrix(hermitian)  # cast to float, its coherence was dropped
 
 
 def test_check_density_matrix_accepts_roundoff_negatives_only():

@@ -185,7 +185,7 @@ def test_energies_measure_skips_thermal_state(monkeypatch):
     def no_gibbs(*args, **kwargs):
         raise AssertionError("the energies measure built a Gibbs state")
 
-    monkeypatch.setattr(sweep, "_gibbs", no_gibbs)
+    monkeypatch.setattr(thermal, "_gibbs", no_gibbs)
     params, values = grid_rows(small_grid(measures=("energies",)))[1]
     assert params["epsilon"] == 0.0
     assert values["E1"] == pytest.approx(52.2015, abs=1e-4)
@@ -297,6 +297,7 @@ def test_find_coherence_peak_smoke():
         dict(count=1),
         dict(count=2.5),
         dict(count=float("nan")),
+        dict(count=sweep._BLOCK + 1),
         dict(t_lo=float("nan")),
         dict(t_hi=float("inf")),
         dict(t_lo=float("-inf")),
@@ -565,7 +566,7 @@ def test_later_check_at_an_earlier_point_wins(monkeypatch):
     def density(rho, vectors, weights, index):
         return [(temp > 50.0, lambda i: NotPositiveSemidefiniteError("density check"))]
 
-    monkeypatch.setattr(sweep, "gibbs_stack_checks", density)
+    monkeypatch.setattr(thermal, "gibbs_stack_checks", density)
     monkeypatch.setattr(sweep, "_correlated_coherence", negative_ccc(temp > 5.0))
     with pytest.raises(ValidationError, match="negative correlated coherence") as info:
         sweep_columns(grid)
@@ -581,7 +582,7 @@ def count_eigensolves(monkeypatch):
         calls.append(len(m))
         return eig_sym(m)
 
-    for module in (sweep, thermal, correlations):
+    for module in (thermal, correlations):
         monkeypatch.setattr(module, "eig_sym", counted)
     return calls
 
@@ -666,7 +667,7 @@ def skew_eigensolves(monkeypatch):
         v[bad, :, 1] /= np.linalg.norm(v[bad, :, 1], axis=1)[:, None]
         return EigenDecomp(dec.values, v)
 
-    monkeypatch.setattr(sweep, "eig_sym", skewed)
+    monkeypatch.setattr(thermal, "eig_sym", skewed)
     return calls
 
 
