@@ -53,6 +53,7 @@ KERNEL_CALLS = 20_000  # points per timed sample: N = 1 repeats a kernel this ma
 KERNELS = (
     "model._hamiltonians",
     "thermal._gibbs",
+    "thermal._rho",
     "correlations._concurrence",
     "correlations._gibbs_concurrence",
     "qmatrix.gibbs_stack_checks",
@@ -125,9 +126,12 @@ def _kernels(n: int) -> dict:
 
     The Gibbs-state kernels are called as the tree's sweep calls them:
     the 100 bx values of the map are the distinct Hamiltonians, and the
-    timed thermal._gibbs call includes their eigensolve.
+    timed thermal._gibbs call includes their eigensolve.  In a tree whose
+    _gibbs forms rho, the kernels read that rho, and the Gibbs-stack
+    check takes it first; in the others thermal._rho forms it.
     """
     import importlib
+    import inspect
 
     import numpy as np
 
@@ -146,15 +150,17 @@ def _kernels(n: int) -> dict:
         return thermal._gibbs(qmatrix.eig_sym(h_distinct), index, temp)
 
     g = gibbs()
+    rho = g.rho if hasattr(g, "rho") else thermal._rho(g)
     shared = (g.dec.vectors, g.weights, index)
     vectors = np.linalg.eigh(h)[1]
     roots = np.sqrt(g.weights)
     args = {
         "model._hamiltonians": (eps, t, bz, bx),
+        "thermal._rho": (g,),
         "correlations._concurrence": (vectors, roots),
         "correlations._gibbs_concurrence": shared,
-        "qmatrix.gibbs_stack_checks": (g.rho, *shared),
-        "correlations._correlated_coherence": (g.rho,),
+        "qmatrix.gibbs_stack_checks": shared,
+        "correlations._correlated_coherence": (rho,),
     }
     calls = {}
     for name in KERNELS:
@@ -163,7 +169,10 @@ def _kernels(n: int) -> dict:
             modules[module], FORMER_NAMES.get(name, ""), None)
         if fn is None:
             calls[name] = None
-        elif name == "thermal._gibbs":
+            continue
+        if name == "qmatrix.gibbs_stack_checks" and "rho" in inspect.signature(fn).parameters:
+            args[name] = (rho, *args[name])
+        if name == "thermal._gibbs":
             calls[name] = gibbs
         elif name == "sweep.write_table":
             cols = [bx, temp, roots[:, 0]]

@@ -69,17 +69,20 @@ _SPIN_Z = np.array([1.0, -1.0, 1.0, -1.0])
 def _gibbs_concurrence(vectors: np.ndarray, weights: np.ndarray, index) -> np.ndarray:
     """Wootters C of each Gibbs state of a stack, from eigh vectors and Gibbs weights.
 
-    No eigensolve: see concurrence for the derivation.  vectors holds the
-    distinct eigenvector matrices (eigenvalues ascending), index the row
-    of each state, and weights each state's Gibbs weights, as _gibbs
-    returns them; V^T Z V is formed once per distinct V.
+    No eigensolve and no rho: see concurrence for the derivation.
+    vectors holds the distinct eigenvector matrices (eigenvalues
+    ascending), index the row of each state, and weights each state's
+    Gibbs weights, as _gibbs returns them; V^T Z V is formed once per
+    distinct V, and of A only the six entries that p and q read.
     """
-    z = (_swap(vectors) @ (vectors * _SPIN_Z[:, None]))[index]
+    zh = 0.5 * (_swap(vectors) @ (vectors * _SPIN_Z[:, None]))
     r = np.sqrt(weights)
-    k = r[:, :, None] * r[:, None, ::-1]
-    a = 0.5 * z * (k - _swap(k))  # (W - W^T) / 2, as z is symmetric
-    p = np.stack([a[:, 0, 1] + a[:, 2, 3], a[:, 0, 2] - a[:, 1, 3], a[:, 0, 3] + a[:, 1, 2]])
-    q = np.stack([a[:, 0, 1] - a[:, 2, 3], a[:, 0, 2] + a[:, 1, 3], a[:, 0, 3] - a[:, 1, 2]])
+    # entry (i, j) of A = (W - W^T) / 2, as V^T Z V is symmetric
+    a01, a23, a02, a13, a03, a12 = (
+        zh[:, i, j][index] * (r[:, i] * r[:, 3 - j] - r[:, j] * r[:, 3 - i])
+        for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)))
+    p = np.stack([a01 + a23, a02 - a13, a03 + a12])
+    q = np.stack([a01 - a23, a02 + a13, a03 - a12])
     p, q = np.sqrt((p * p).sum(axis=0)), np.sqrt((q * q).sum(axis=0))
     pi = weights[:, 0] * weights[:, 3]
     return np.maximum(0.0, p + q - np.sqrt((p - q) ** 2 + 4.0 * pi))

@@ -85,10 +85,10 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     a = np.ascontiguousarray(m, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
-    largest = np.abs(a).max(axis=(-2, -1))  # NaN and inf carry through
+    largest = np.abs(a).max(axis=(-2, -1), initial=0.0)  # NaN and inf carry through
     scale = np.maximum(1.0, largest)
     with np.errstate(all="ignore"):  # inf - inf where a matrix is not finite
-        skew = np.abs(a - np.swapaxes(a, -2, -1)).max(axis=(-2, -1))
+        skew = np.abs(a - np.swapaxes(a, -2, -1)).max(axis=(-2, -1), initial=0.0)
     raise_first([
         (~np.isfinite(largest), lambda i: ValidationError(f"{name} contains non-finite entries")),
         (skew > 1e-12 * scale, lambda i: ValidationError(f"{name} is not symmetric")),
@@ -96,20 +96,20 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def gibbs_stack_checks(rho, vectors, weights, index) -> list:
-    """Density-matrix checks of a stack built as rho = V diag(w) V^T, without an eigensolve.
+def gibbs_stack_checks(vectors, weights, index) -> list:
+    """Density-matrix checks of a stack rho = V diag(w) V^T, read from V and w with no eigensolve.
 
-    Two (bad, error) pairs, each flagging NaN: the trace is 1 to 1e-9;
-    every weight is >= -1e-12 (the PSD tolerance) and V^T V = I to 1e-12,
-    which LAPACK's eigenvectors meet with orders to spare.  Such a rho is
-    congruent to diag(w), so it is PSD when the weights are and V is
-    invertible.  Nothing else is left to test: whenever the two pass,
-    V and w are finite and so is rho, and thermal._gibbs makes rho
-    symmetric bit for bit.  vectors holds the distinct eigenvector
-    matrices and index the row of each matrix of rho, so V^T V is tested
-    once per distinct V.
+    Two (bad, error) pairs, each flagging NaN: the trace, sum(w), is 1 to
+    1e-9; every weight is >= -1e-12 (the PSD tolerance) and V^T V = I to
+    1e-12, which LAPACK's eigenvectors meet with orders to spare and
+    which ties tr rho to sum(w).  Such a rho is congruent to diag(w), so
+    it is PSD when the weights are and V is invertible.  Nothing else is
+    left to test: whenever the two pass, V and w are finite and so is
+    rho, and thermal._rho forms rho symmetric bit for bit.  vectors holds
+    the distinct eigenvector matrices and index the row of each point,
+    so V^T V is tested once per distinct V.
     """
-    tr = np.trace(rho, axis1=1, axis2=2)
+    tr = weights.sum(axis=1)
     low = weights.min(axis=1)
     gram = np.swapaxes(vectors, 1, 2) @ vectors - np.eye(vectors.shape[-1])
     skew = np.abs(gram).reshape(len(gram), -1).max(axis=1)[index]

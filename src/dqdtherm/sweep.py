@@ -11,8 +11,10 @@ eigendecomposition serves every Gibbs state: a grid whose T axis is
 innermost diagonalizes each distinct H once (a one-axis T sweep, once
 per block), and one with T outer or fixed, every point.  Each measure
 then runs once over the block's stack of states.  That eigensolve is the
-block's only one: the density-matrix checks and the concurrence read the
-shared eigenvectors and the Gibbs weights instead.  Every check over a
+block's only one: the density-matrix checks, the concurrence and the
+fidelity read the shared eigenvectors and the Gibbs weights, and the
+block's (N, 4, 4) density matrices are formed, once, only for the
+populations, l1 and correlated coherence.  Every check over a
 block is a (bad, error) pair, and qmatrix.raise_first raises the error
 of the block's first failing point in row-major order, at that point the
 earliest check's: the Gibbs inputs, then the Gibbs state, then each
@@ -34,7 +36,7 @@ import numpy as np
 from .correlations import _correlated_coherence, _gibbs_concurrence, _l1
 from .model import ModelParams, _energies, golden_section_min
 from .qmatrix import ValidationError, raise_first
-from .thermal import _gibbs, _gibbs_columns
+from .thermal import _gibbs, _gibbs_columns, _rho
 
 __all__ = [
     "PARAM_NAMES",
@@ -180,7 +182,8 @@ def _evaluate(cols: dict, measures) -> dict:
     out, checks = {}, []
     if any(m != "energies" for m in measures):
         state, checks = _gibbs_columns(cols)
-        dec, index, rho = state.dec, state.index, state.rho
+    if {"populations", "l1", "correlated_coherence"} & set(measures):  # the ones reading rho
+        rho = _rho(state)
     for m in measures:
         if m == "energies":
             levels, more = _energies(*model)
@@ -189,7 +192,7 @@ def _evaluate(cols: dict, measures) -> dict:
         elif m == "populations":
             out.update(zip(MEASURE_COLUMNS[m], np.diagonal(rho, axis1=1, axis2=2).T))
         elif m == "concurrence":
-            out["C"] = _gibbs_concurrence(dec.vectors, state.weights, index)
+            out["C"] = _gibbs_concurrence(state.dec.vectors, state.weights, state.index)
         elif m == "fidelity_pure":
             # <psi|rho|psi> for every psi of the ground level, as rho is diagonal
             # in H's eigenbasis: so F is defined at a degenerate level too
@@ -352,7 +355,7 @@ def find_coherence_peak(
     scan = {k: np.full(grid.size, getattr(p, k)) for k in ("epsilon", "t", "bz", "bx")}
     scan["T"] = np.array([10.0 ** float(x) for x in grid])  # libm pow, not numpy's
     state, checks = _gibbs_columns(scan)
-    values, more = _correlated_coherence(state.rho)
+    values, more = _correlated_coherence(_rho(state))
     raise_first(checks + more, _lookup(scan))
 
     def neg_ccc(log_t: np.ndarray) -> np.ndarray:
@@ -360,7 +363,7 @@ def find_coherence_peak(
         # the density-matrix checks, on the scan's one eigendecomposition
         temps = np.array([10.0 ** float(x) for x in log_t])
         g = _gibbs(state.dec, np.zeros(temps.size, dtype=np.intp), temps)
-        ccc, more = _correlated_coherence(g.rho)
+        ccc, more = _correlated_coherence(_rho(g))
         raise_first(g.checks + more)
         return -ccc
 

@@ -2,6 +2,7 @@
 
 _gibbs_columns is the one Gibbs entry point: thermal_state is its
 one-point case, and the sweeps and the coherence-peak search run it.
+_rho forms the density matrices, only where a caller reads them.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class ThermalState:
 
 @dataclass(frozen=True)
 class _Gibbs:
-    """Gibbs states of N points: ThermalState's fields, stacked on axis 0.
+    """Gibbs states of N points: ThermalState's fields but rho and vectors, on axis 0.
 
     dec holds the eigendecompositions of the distinct Hamiltonians the
     states were built from, and index maps each point to its row of dec.
@@ -62,7 +63,6 @@ class _Gibbs:
     dec: EigenDecomp
     index: np.ndarray
     beta: np.ndarray
-    rho: np.ndarray
     z_shifted: np.ndarray
     e_shift: np.ndarray
     weights: np.ndarray
@@ -84,9 +84,7 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> _Gibbs:
     gives the same bits whichever other points share its decomposition.
     """
     temp = np.asarray(temperature, dtype=float).reshape(-1)
-    # fancy indexing copies C-contiguous, as eigh returns its stacks, so the
-    # products below take the same kernels and give the same bits
-    values, vectors = dec.values[index], dec.vectors[index]
+    values = dec.values[index]
     # silent: beta * gap beyond range gives the exact weight exp(-inf) = 0,
     # and a flagged point may give inf or NaN
     with np.errstate(all="ignore"):
@@ -95,8 +93,6 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> _Gibbs:
         weights = np.exp(-beta[:, None] * (values - e_shift[:, None]))
         z_shifted = weights.sum(axis=1)
         weights = weights / z_shifted[:, None]
-        rho = (vectors * weights[:, None, :]) @ np.swapaxes(vectors, 1, 2)
-        rho = 0.5 * (rho + np.swapaxes(rho, 1, 2))
     checks = [
         (~(np.isfinite(temp) & (temp > 0.0)),
          lambda i: ValidationError(
@@ -107,7 +103,7 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> _Gibbs:
         (~np.isfinite(dec.values).all(axis=1)[index],
          lambda i: OverflowError("the eigenvalues of H overflow")),
     ]
-    return _Gibbs(dec, index, beta, rho, z_shifted, e_shift, weights, checks)
+    return _Gibbs(dec, index, beta, z_shifted, e_shift, weights, checks)
 
 
 def _gibbs_columns(cols: dict) -> tuple[_Gibbs, list]:
@@ -127,8 +123,18 @@ def _gibbs_columns(cols: dict) -> tuple[_Gibbs, list]:
         first[1:] |= bits[1:] != bits[:-1]
     dec = eig_sym(_hamiltonians(*(c[first] for c in model)))
     state = _gibbs(dec, np.cumsum(first) - 1, cols["T"])
-    stack = gibbs_stack_checks(state.rho, dec.vectors, state.weights, state.index)
+    stack = gibbs_stack_checks(dec.vectors, state.weights, state.index)
     return state, state.checks + stack
+
+
+def _rho(g: _Gibbs) -> np.ndarray:
+    """The density matrices of g's points, 0.5 (M + M^T) with M = V diag(w) V^T."""
+    # fancy indexing copies C-contiguous, as eigh returns its stacks, so the
+    # products below take the same kernels and give the same bits
+    vectors = g.dec.vectors[g.index]
+    with np.errstate(all="ignore"):  # a flagged point may give inf or NaN
+        rho = (vectors * g.weights[:, None, :]) @ np.swapaxes(vectors, 1, 2)
+        return 0.5 * (rho + np.swapaxes(rho, 1, 2))
 
 
 def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
@@ -149,7 +155,7 @@ def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
         params=p,
         temperature=temperature,
         beta=float(g.beta[0]),
-        rho=g.rho[0],
+        rho=_rho(g)[0],
         z_shifted=float(g.z_shifted[0]),
         e_shift=float(g.e_shift[0]),
         energies=g.dec.values[0],

@@ -26,7 +26,7 @@ import numpy as np
 from .correlations import _closed_form, _concurrence, _local_angles, _rotations, _schur_angles
 from .model import _coeffs, _coeffs_singular, _energies, _hamiltonians, _match_levels
 from .qmatrix import eig_sym, raise_first
-from .thermal import _gibbs, _reduce_a, _reduce_b
+from .thermal import _gibbs, _reduce_a, _reduce_b, _rho
 
 __all__ = ["CheckResult", "run_validation", "hard_failed"]
 
@@ -121,7 +121,7 @@ def _check_block(results: dict, rng, n: int) -> None:
     h_dec = eig_sym(h)
     state = _gibbs(h_dec, np.arange(n), temp)
     raise_first(state.checks, where)
-    rho = state.rho
+    rho = _rho(state)
     dec = eig_sym(rho)
 
     results["trace"].record(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0), where)

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from dqdtherm.correlations import (
     SPIN_FLIP,
+    _SPIN_Z,
     _concurrence,
+    _gibbs_concurrence,
     _rotations,
     _schur_angles,
     concurrence,
@@ -374,6 +376,34 @@ def test_closed_form_gibbs_concurrence_at_special_points(point):
         assert state.weights[0] * state.weights[3] == 0.0
         g = state.vectors[:, 0]
         assert c == pytest.approx(abs(g @ SPIN_FLIP @ g), abs=1e-14)
+
+
+def _full_matrix_gibbs_concurrence(vectors, weights, index):
+    """_gibbs_concurrence through the full (N, 4, 4) A = (W - W^T) / 2 of every state."""
+    z = (np.swapaxes(vectors, 1, 2) @ (vectors * _SPIN_Z[:, None]))[index]
+    r = np.sqrt(weights)
+    k = r[:, :, None] * r[:, None, ::-1]
+    a = 0.5 * z * (k - np.swapaxes(k, 1, 2))
+    p = np.stack([a[:, 0, 1] + a[:, 2, 3], a[:, 0, 2] - a[:, 1, 3], a[:, 0, 3] + a[:, 1, 2]])
+    q = np.stack([a[:, 0, 1] - a[:, 2, 3], a[:, 0, 2] + a[:, 1, 3], a[:, 0, 3] - a[:, 1, 2]])
+    p, q = np.sqrt((p * p).sum(axis=0)), np.sqrt((q * q).sum(axis=0))
+    pi = weights[:, 0] * weights[:, 3]
+    return np.maximum(0.0, p + q - np.sqrt((p - q) ** 2 + 4.0 * pi))
+
+
+@settings(max_examples=64, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40))
+def test_gibbs_concurrence_reads_six_entries_bit_for_bit(seed, distinct, points):
+    # random orthonormal bases, shared by points in any order, and weights
+    # with exact zeros, as cold states have
+    rng = np.random.default_rng(seed)
+    vectors = np.linalg.qr(rng.standard_normal((distinct, 4, 4)))[0]
+    index = rng.integers(0, distinct, size=points)
+    weights = rng.random((points, 4)) * (rng.random((points, 4)) > 0.2)
+    weights /= np.maximum(weights.sum(axis=1, keepdims=True), 1e-300)
+    got = _gibbs_concurrence(vectors, weights, index)
+    want = _full_matrix_gibbs_concurrence(vectors, weights, index)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_concurrence_of_thermal_state_matches_its_matrix():

@@ -88,11 +88,25 @@ def test_eig_property_reconstruction(entries):
         np.full((4, 4), np.nan),
         np.ones((2, 3)),
         1j * np.eye(2),  # cast to float, it was the zero matrix
+        np.full((2, 3, 3), np.nan),
     ],
 )
 def test_eig_rejects_invalid(bad):
     with pytest.raises(ValidationError):
         eig_sym(bad)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 4, 4)])
+def test_an_empty_matrix_or_stack_decomposes_to_an_empty_decomposition(shape):
+    dec = eig_sym(np.zeros(shape))
+    assert dec.values.shape == shape[:-1] and dec.vectors.shape == shape
+
+
+def test_empty_matrices_are_refused_as_density_matrices():
+    with pytest.raises(ValidationError, match="trace is 0.0, expected 1"):
+        check_density_matrix(np.zeros((0, 0)))
+    with pytest.raises(ValidationError, match=r"got shape \(3, 0, 0\)"):
+        check_density_matrix(np.zeros((3, 0, 0)))
 
 
 def test_check_symmetric_scale_relative():
@@ -134,21 +148,21 @@ def test_gibbs_stack_check_refuses_the_first_negative_weight_or_skewed_basis():
     vectors = [np.eye(4)] * 6
     weights[4] = [0.5, 0.5, 0.25, -0.25]  # unit trace, one negative eigenvalue
     skewed = np.eye(4)
-    skewed[0, 1] = 1e-6  # V^T V - I of order 1e-6, trace still 1 to 1e-9
+    skewed[0, 1] = 1e-6  # V^T V - I of order 1e-6, the weights still sum to 1
     vectors[2] = vectors[5] = skewed
 
     def where(i):
         return f"point {i}"
 
     rho, v, w = _gibbs_like_stack(weights, vectors)
-    assert raise_first(gibbs_stack_checks(rho[:2], v[:2], w[:2], np.arange(2))) is None
+    assert raise_first(gibbs_stack_checks(v[:2], w[:2], np.arange(2))) is None
     skewed_msg = "weight 0.25 and eigenvectors off orthonormal by 1e-06"
     with pytest.raises(NotPositiveSemidefiniteError, match=skewed_msg) as info:
-        raise_first(gibbs_stack_checks(rho, v, w, np.arange(6)), where)
+        raise_first(gibbs_stack_checks(v, w, np.arange(6)), where)
     assert str(info.value).endswith("at point 2")
     negative_msg = "weight -0.25 and eigenvectors off orthonormal by 0.0"
     with pytest.raises(NotPositiveSemidefiniteError, match=negative_msg) as info:
-        raise_first(gibbs_stack_checks(rho[3:], v[3:], w[3:], np.arange(3)), where)
+        raise_first(gibbs_stack_checks(v[3:], w[3:], np.arange(3)), where)
     assert str(info.value).endswith("at point 1")
     # the eigensolver route flags the same matrix
     flagged = []
@@ -161,15 +175,26 @@ def test_gibbs_stack_check_refuses_the_first_negative_weight_or_skewed_basis():
 
 
 def test_gibbs_stack_check_keeps_the_structural_checks():
-    rho, v, w = _gibbs_like_stack([[0.25] * 4, [0.5] * 4], [np.eye(4)] * 2)
-    with pytest.raises(ValidationError, match="trace") as info:
-        raise_first(gibbs_stack_checks(rho, v, w, np.arange(2)), str)
+    _, v, w = _gibbs_like_stack([[0.25] * 4, [0.5] * 4], [np.eye(4)] * 2)
+    with pytest.raises(ValidationError, match="trace is 2.0, expected 1") as info:
+        raise_first(gibbs_stack_checks(v, w, np.arange(2)), str)
     assert not isinstance(info.value, NotPositiveSemidefiniteError)
     assert str(info.value).endswith(" at 1")
     # NaN weights, as overflowing parameters give, fail the trace test
-    rho, v, w = _gibbs_like_stack([[0.25] * 4, [np.nan] * 4], [np.eye(4)] * 2)
+    _, v, w = _gibbs_like_stack([[0.25] * 4, [np.nan] * 4], [np.eye(4)] * 2)
     with pytest.raises(ValidationError, match="trace is nan") as info:
-        raise_first(gibbs_stack_checks(rho, v, w, np.arange(2)), str)
+        raise_first(gibbs_stack_checks(v, w, np.arange(2)), str)
+    assert str(info.value).endswith(" at 1")
+
+
+def test_gibbs_stack_check_refuses_a_basis_of_unnormalized_columns_as_off_orthonormal():
+    # the trace is the weights' sum, 1 here; the column of norm 1 + 1e-6 gives
+    # tr(V diag(w) V^T) = 1.0000005, which V^T V = I to 1e-12 already refuses
+    stretched = np.eye(4)
+    stretched[0, 0] = 1.0 + 1e-6
+    _, v, w = _gibbs_like_stack([[0.25] * 4] * 2, [np.eye(4), stretched])
+    with pytest.raises(NotPositiveSemidefiniteError, match="off orthonormal by 2.0") as info:
+        raise_first(gibbs_stack_checks(v, w, np.arange(2)), str)
     assert str(info.value).endswith(" at 1")
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dqdtherm import correlations, sweep, thermal
+from dqdtherm import correlations, sweep, thermal, validate
+from dqdtherm.cli import main
 from dqdtherm.correlations import (
     concurrence,
     correlated_coherence,
@@ -563,7 +564,7 @@ def test_later_check_at_an_earlier_point_wins(monkeypatch):
     )
     temp = sweep._grid_columns(grid)["T"]
 
-    def density(rho, vectors, weights, index):
+    def density(vectors, weights, index):
         return [(temp > 50.0, lambda i: NotPositiveSemidefiniteError("density check"))]
 
     monkeypatch.setattr(thermal, "gibbs_stack_checks", density)
@@ -584,6 +585,20 @@ def count_eigensolves(monkeypatch):
 
     for module in (thermal, correlations):
         monkeypatch.setattr(module, "eig_sym", counted)
+    return calls
+
+
+def count_density_matrices(monkeypatch):
+    """The stack size of each call of thermal._rho from here on, in order."""
+    calls = []
+    rho = thermal._rho
+
+    def counted(g):
+        calls.append(len(g.index))
+        return rho(g)
+
+    for module in (thermal, sweep, validate):
+        monkeypatch.setattr(module, "_rho", counted)
     return calls
 
 
@@ -635,6 +650,28 @@ def test_temperature_outer_and_inner_grids_give_the_same_bits(monkeypatch):
     for name in PARAM_NAMES + grid.columns():
         transposed = outer[name].reshape(25, 25).T.ravel()
         assert np.array_equal(inner[name].view(np.int64), transposed.view(np.int64)), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["concurrence-map", "--t", "7", "--bz", "16", "--bx-min", "1", "--bx-max", "100",
+     "--bx-n", "5", "--eps", "1", "--t-min", "0.01", "--t-max", "100", "--t-n", "5", "--log"],
+    ["fidelity", "--eps", "0", "--t", "7", "--bz", "16", "--bx", "100",
+     "--t-min", "0.01", "--t-max", "1e4", "--n", "5", "--log"],
+    ["spectrum", "--t", "7", "--bz", "16", "--bx", "100", "--eps-min", "-5", "--eps-max", "5",
+     "--n", "5"],
+], ids=["concurrence-map", "fidelity", "spectrum"])
+def test_measures_that_read_no_density_matrix_form_none(monkeypatch, tmp_path, argv):
+    calls = count_density_matrices(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert calls == []
+
+
+def test_measures_that_read_rho_form_it_once_per_block(monkeypatch):
+    # 625 points in blocks of 4 rows of 25: six of 100 points and one of 25
+    monkeypatch.setattr(sweep, "_BLOCK", 100)
+    calls = count_density_matrices(monkeypatch)
+    sweep_columns(SweepGrid(MAP_FIXED, BX_AXIS, T_AXIS, THERMAL_MEASURES))
+    assert calls == [100] * 6 + [25]
 
 
 def test_a_signed_zero_gets_its_own_decomposition(monkeypatch):

@@ -8,6 +8,7 @@ from dqdtherm.model import ModelParams, build_hamiltonian, ground_state
 from dqdtherm.qmatrix import ValidationError, check_density_matrix, eig_sym
 from dqdtherm.thermal import (
     _gibbs,
+    _rho,
     populations,
     reduce_a,
     reduce_b,
@@ -19,7 +20,7 @@ REF = ModelParams(0.5, 7.0, 16.0, 100.0)
 
 def gibbs_rho(h, temperature):
     """The Gibbs state of one Hamiltonian through the batched kernel."""
-    return _gibbs(eig_sym(h[None]), np.zeros(1, dtype=np.intp), temperature).rho[0]
+    return _rho(_gibbs(eig_sym(h[None]), np.zeros(1, dtype=np.intp), temperature))[0]
 
 
 def random_params(rng):
