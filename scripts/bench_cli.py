@@ -51,6 +51,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 KERNEL_SIZES = (1, 10_000)
 KERNEL_CALLS = 20_000  # points per timed sample: N = 1 repeats a kernel this many times
 KERNELS = (
+    "model._energies",
     "model._hamiltonians",
     "thermal._gibbs",
     "thermal._rho",
@@ -155,6 +156,7 @@ def _kernels(n: int) -> dict:
     vectors = np.linalg.eigh(h)[1]
     roots = np.sqrt(g.weights)
     args = {
+        "model._energies": (eps, t, bz, bx),
         "model._hamiltonians": (eps, t, bz, bx),
         "thermal._rho": (g,),
         "correlations._concurrence": (vectors, roots),

@@ -40,7 +40,7 @@ __all__ = [
 # is always (E2, E4, E3, E1).
 LEVEL_LABELS = ("E1", "E2", "E3", "E4")
 
-_ANTICROSSING_PAIRS = {("E1", "E3"), ("E2", "E4"), ("E3", "E4")}
+_ANTICROSSING_PAIRS = (("E1", "E3"), ("E2", "E4"), ("E3", "E4"))
 # the most coarse-scan points find_anticrossing evaluates, as one batch
 _SCAN_POINTS = 65536
 
@@ -159,39 +159,38 @@ def build_hamiltonian(p: ModelParams) -> np.ndarray:
     return _hamiltonians(p.epsilon, p.t, p.bz, p.bx)[0]
 
 
-def _spectral_invariants(eps, t, bz, bx):
-    e2, t2, z2, x2 = eps**2, t**2, bz**2, bx**2
-    return 4.0 * z2 * t2 + e2 * (z2 + x2), z2 + x2 + 4.0 * t2 + e2
+def _scaled(eps, t, bz, bx):
+    """(k, eps / 2^k, t / 2^k, bz / 2^k, bx / 2^k), k per point the frexp exponent of max |x|.
+
+    Exact, bar a parameter falling below the smallest normal, which rounds
+    alike at every scale; the largest scaled magnitude is in [0.5, 1).
+    """
+    x = [np.asarray(v, dtype=float) for v in (eps, t, bz, bx)]
+    k = np.frexp(np.maximum(np.maximum(abs(x[0]), abs(x[1])), np.maximum(abs(x[2]), abs(x[3]))))[1]
+    return (np.atleast_1d(k), *(np.ldexp(v, -k) for v in x))
 
 
 def _energies(eps, t, bz, bx):
     """Closed-form energies of N points; each parameter is a float or N floats.
 
-    Returns (levels, checks): levels, shape (N, 4), has the columns
-    (E1, E2, E3, E4) in label order (see analytic_energies), and checks
-    the (bad, error) pairs, for qmatrix.raise_first, of an overflowing
-    square in the invariants, then of an inner radicand below the clamp
-    tolerance.  Every point is computed, an overflowing one without a
-    warning.
+    On the parameters scaled by _scaled: sqrt(Omega) = hypot(2 bz t, eps
+    hypot(bz, bx)), E1 = (1/2) sqrt(Sigma + 2 sqrt(Omega)) and, as E1 E3 =
+    (1/4) hypot(alpha, 4 bx t) with alpha = bz^2 + bx^2 - 4t^2 - eps^2,
+    E3 = min(E1, hypot(alpha, 4 bx t) / (4 E1)).  Returns (levels, checks):
+    levels (N, 4) in label order, and the (bad, error) pair of a level
+    beyond the largest double, for qmatrix.raise_first.
     """
-    eps, t, bz, bx = (np.asarray(x, dtype=float) for x in (eps, t, bz, bx))
+    k, eps, t, bz, bx = _scaled(eps, t, bz, bx)
     with np.errstate(all="ignore"):
-        omega, sigma = _spectral_invariants(eps, t, bz, bx)
-        root = np.sqrt(omega)
-        inner = np.atleast_1d(sigma - 2.0 * root)
-        overflow = ~np.atleast_1d(np.isfinite(omega) & np.isfinite(sigma))
-        bad = inner < -1e-12 * np.maximum(1.0, sigma)
-        levels = np.empty(inner.shape + (4,))
-        levels[:, 0] = 0.5 * np.sqrt(sigma + 2.0 * root)
-        # clamp a hair-negative radicand; np.maximum keeps -0.0 as it is
-        levels[:, 2] = 0.5 * np.sqrt(np.maximum(inner, 0.0))
-    levels[:, 1], levels[:, 3] = -levels[:, 0], -levels[:, 2]
-    return levels, [
-        (overflow, lambda i: OverflowError("the closed-form energies overflow")),
-        (bad,
-         lambda i: ValidationError(
-             f"inner radicand {float(inner[i])!r} below clamp tolerance; "
-             "closed forms inconsistent")),
+        root = np.hypot(2.0 * bz * t, eps * np.hypot(bz, bx))
+        zx, t4, e2 = bz * bz + bx * bx, 4.0 * t * t, eps * eps
+        e1 = 0.5 * np.sqrt(zx + t4 + e2 + 2.0 * root)
+        alpha = zx - t4 - e2
+        # fmin: at H = 0 the quotient is 0 / 0 = NaN, and E3 = E1 = 0
+        e3 = np.fmin(e1, np.hypot(alpha, 4.0 * bx * t) / (4.0 * e1))
+        e1, e3 = np.ldexp(e1, k), np.ldexp(e3, k)
+    return np.stack([e1, -e1, e3, -e3], axis=1), [
+        (~np.isfinite(e1), lambda i: OverflowError("the closed-form energies overflow")),
     ]
 
 
@@ -199,9 +198,9 @@ def analytic_energies(p: ModelParams) -> np.ndarray:
     """Closed-form energies (E1, E2, E3, E4) in label order.
 
     E1 = +(1/2) sqrt(Sigma + 2 sqrt(Omega)), E2 = -E1,
-    E3 = +(1/2) sqrt(Sigma - 2 sqrt(Omega)), E4 = -E3.
-    The inner radicand can round a hair negative when E3 -> 0; values in
-    [-1e-12 * scale, 0) are clamped to zero.
+    E3 = +(1/2) sqrt(Sigma - 2 sqrt(Omega)), E4 = -E3, evaluated without
+    cancellation (see _energies); the levels of p * 2^j are those of p times
+    2^j bit for bit, both normal.  OverflowError where E1 exceeds every double.
     """
     levels, checks = _energies(p.epsilon, p.t, p.bz, p.bx)
     raise_first(checks)
@@ -223,13 +222,13 @@ def _match_levels(levels, values, vectors):
     Returns (matched, checks): matched (N, 4, 4) holds the vectors in
     label order, each column's sign fixed so that its largest component
     is positive, and checks the (bad, error) pair of a match farther than
-    1e-9 * max(1, E1), for qmatrix.raise_first.
+    1e-9 * E1, for qmatrix.raise_first.
     """
     rows = np.arange(len(levels))
     free = np.ones(values.shape, dtype=bool)
     miss = np.empty(values.shape, dtype=bool)
     picked = np.empty(values.shape, dtype=int)
-    tol = 1e-9 * np.maximum(1.0, levels[:, 0])
+    tol = 1e-9 * levels[:, 0]
     for k in range(4):
         dist = np.where(free, np.abs(values - levels[:, k, None]), np.inf)
         j = picked[:, k] = np.argmin(dist, axis=1)
@@ -249,27 +248,28 @@ def spectrum(p: ModelParams) -> SpectrumResult:
     """Closed-form energies matched to numerical eigenvectors.
 
     Each label is assigned the nearest remaining numerical eigenvalue;
-    the match must agree within 1e-9 * max(1, |E1|) or the closed forms
-    are considered inconsistent with the eigensolver.
+    the match must agree within 1e-9 * E1 or the closed forms are
+    considered inconsistent with the eigensolver.  omega and sigma_cap
+    are inf or 0 where they leave the double range.
     """
     levels, checks = _energies(p.epsilon, p.t, p.bz, p.bx)
     raise_first(checks)
     dec = eig_sym(_hamiltonians(p.epsilon, p.t, p.bz, p.bx))
     vectors, checks = _match_levels(levels, dec.values, dec.vectors)
     raise_first(checks, lambda i: p)
-    omega, sigma = _spectral_invariants(p.epsilon, p.t, p.bz, p.bx)
-    return SpectrumResult(
-        energies=levels[0], vectors=vectors[0], omega=omega, sigma_cap=sigma
-    )
+    e, t, z, x = p.epsilon, p.t, p.bz, p.bx  # float products overflow to inf, no error
+    u, v, w = 2.0 * z * t, e * z, e * x  # Omega = u^2 + v^2 + w^2, with no inf * 0
+    return SpectrumResult(energies=levels[0], vectors=vectors[0], omega=u * u + v * v + w * w,
+                          sigma_cap=z * z + x * x + 4.0 * t * t + e * e)
 
 
 def ground_state(p: ModelParams) -> GroundState:
-    """Minimal eigenpair of H; flags a gap below 1e-10 as degenerate."""
+    """Minimal eigenpair of H; a gap of at most 1e-10 of the spectrum's span is degenerate."""
     dec = eig_sym(build_hamiltonian(p))
     return GroundState(
         energy=float(dec.values[0]),
         vector=_sign_fixed(dec.vectors[:, 0]),
-        degenerate=bool(dec.values[1] - dec.values[0] < 1e-10),
+        degenerate=bool(np.diff(dec.values)[0] <= 1e-10 * np.ptp(dec.values)),
     )
 
 
@@ -278,9 +278,14 @@ def _denominators(eps, t, bz, bx):
     return 2.0 * t * (bz + eps), bx * t * (bz + eps), (bz + eps) * bx
 
 
-def _coeffs_singular(eps, t, bz, bx) -> np.ndarray:
-    """Where a coefficient denominator is at most 1e-10 in magnitude."""
-    return np.abs(_denominators(eps, t, bz, bx)).min(axis=0) <= 1e-10
+def _coeffs_singular(eps, t, bz, bx, e1) -> np.ndarray:
+    """Where 2t(bz+eps) or (bz+eps)*bx is at most 1e-10 * E1^2 in magnitude.
+
+    Tested scaled by _scaled.  The third denominator is their product over 2(bz+eps).
+    """
+    k, *x = _scaled(eps, t, bz, bx)
+    den_a, _, den_c = _denominators(*x)
+    return np.minimum(np.abs(den_a), np.abs(den_c)) <= 1e-10 * np.ldexp(e1, -k) ** 2
 
 
 def _coeffs(eps, t, bz, bx, levels, numeric):
@@ -288,13 +293,14 @@ def _coeffs(eps, t, bz, bx, levels, numeric):
 
     eps, t, bz, bx are N floats each, none singular (see
     _coeffs_singular); levels (N, 4) are their closed-form energies and
-    numeric (N, 4, 4) the matched eigenvectors in label order.  Returns
-    AnalyticCoeffs' fields in their order: the 17 scalar fields as N
-    floats each, then the (N, 4, 4) closed-form unit vectors and the
-    (N, 4) residuals.
+    numeric (N, 4, 4) the matched eigenvectors in label order, all
+    evaluated scaled by _scaled.  Returns AnalyticCoeffs' fields in their
+    order: the 17 scalar fields as N floats each, then the (N, 4, 4)
+    closed-form unit vectors and the (N, 4) residuals.
     """
+    k, eps, t, bz, bx = _scaled(eps, t, bz, bx)
     den_a, den_b, den_c = _denominators(eps, t, bz, bx)
-    e1, e3 = levels[:, 0], levels[:, 2]
+    e1, e3 = np.ldexp(levels[:, 0], -k), np.ldexp(levels[:, 2], -k)
     alpha_sq = bz**2 + bx**2 - eps**2 - 4.0 * t**2
     tail = alpha_sq / (4.0 * bx * t)
 
@@ -319,22 +325,24 @@ def _coeffs(eps, t, bz, bx, levels, numeric):
     residuals = np.minimum(
         np.abs(vectors - numeric).max(axis=1), np.abs(vectors + numeric).max(axis=1)
     )
+    with np.errstate(over="ignore"):
+        alpha_sq = np.ldexp(alpha_sq, 2 * k)
     return (*(x for abc in sets for x in abc), *norms, alpha_sq, vectors, residuals)
 
 
 def analytic_coeffs(p: ModelParams) -> AnalyticCoeffs:
     """Evaluate the printed eigenvector coefficients and their residuals.
 
-    Raises AnalyticUnavailable when any denominator (2t(bz+eps),
-    bx*t*(bz+eps), (bz+eps)*bx) falls below 1e-10 in magnitude; callers
-    should fall back to the numerical eigenvectors in that case.
+    Raises AnalyticUnavailable when a denominator (2t(bz+eps),
+    bx*t*(bz+eps), (bz+eps)*bx) is singular (see _coeffs_singular);
+    callers should fall back to the numerical eigenvectors in that case.
     """
     x = tuple(np.array([v]) for v in (p.epsilon, p.t, p.bz, p.bx))
-    if _coeffs_singular(*x)[0]:
+    s = spectrum(p)
+    if _coeffs_singular(*x, s.energies[:1])[0]:
         raise AnalyticUnavailable(
             f"coefficient denominators singular at {p}; use numerical eigenvectors"
         )
-    s = spectrum(p)
     *scalars, vectors, residuals = _coeffs(*x, s.energies[None], s.vectors[None])
     return AnalyticCoeffs(*(float(v[0]) for v in scalars), vectors[0], residuals[0])
 
@@ -449,12 +457,13 @@ def find_anticrossing(
     and raises NoAnticrossing.
     """
     grid_step, tol = _positive("grid_step", grid_step), _positive("tol", tol)
-    key = tuple(sorted(pair))
-    if key not in _ANTICROSSING_PAIRS:
-        raise ValidationError(
-            f"pair must be one of {sorted(_ANTICROSSING_PAIRS)}, got {pair!r}"
-        )
-    lo, hi = float(eps_range[0]), float(eps_range[1])
+    labels = tuple(pair) if isinstance(pair, (tuple, list)) else ()
+    if not any(labels in (k, k[::-1]) for k in _ANTICROSSING_PAIRS):
+        raise ValidationError(f"pair must be one of {list(_ANTICROSSING_PAIRS)}, got {pair!r}")
+    try:
+        lo, hi = (float(x) for x in eps_range)
+    except (TypeError, ValueError, OverflowError):
+        lo = hi = math.nan
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValidationError(f"eps_range must be a finite interval, got {eps_range!r}")
     steps = (hi - lo) / grid_step  # the scan takes ceil(steps) + 1 points
@@ -463,8 +472,7 @@ def find_anticrossing(
             f"eps_range {eps_range!r} has too many points at grid_step {grid_step!r}: "
             f"the scan takes at most {_SCAN_POINTS}"
         )
-    ia = LEVEL_LABELS.index(key[0])
-    ib = LEVEL_LABELS.index(key[1])
+    ia, ib = (LEVEL_LABELS.index(label) for label in labels)
     fixed = ModelParams(lo, t, bz, bx)  # validates the fixed parameters once
     t, bz, bx = fixed.t, fixed.bz, fixed.bx
 
@@ -477,7 +485,7 @@ def find_anticrossing(
     k = int(np.argmin(gap(eps)))
     if k == 0 or k == len(eps) - 1:
         raise NoAnticrossing(
-            f"|{key[0]} - {key[1]}| is monotonic on [{lo}, {hi}]"
+            f"|{labels[0]} - {labels[1]}| is monotonic on [{lo}, {hi}]"
         )
     x, g = golden_section_min(gap, float(eps[k - 1]), float(eps[k + 1]), tol)
     return Anticrossing(eps=float(x), gap=float(g))

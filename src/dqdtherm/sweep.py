@@ -92,9 +92,12 @@ class Axis:
     def __post_init__(self):
         if self.name not in PARAM_NAMES:
             raise ConfigError(f"unknown axis parameter {self.name!r}")
-        lo, hi = float(self.lo), float(self.hi)
+        try:
+            lo, hi = float(self.lo), float(self.hi)
+        except (TypeError, ValueError, OverflowError):
+            lo = hi = math.nan
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-            raise ConfigError(f"axis {self.name}: need finite lo < hi, got [{lo}, {hi}]")
+            raise ConfigError(f"axis {self.name}: need finite lo < hi, got {[self.lo, self.hi]}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "count", _point_count(self.count, f"axis {self.name}: count"))
@@ -345,13 +348,11 @@ def find_coherence_peak(
     through the same kernels and the scan's one eigendecomposition of H,
     each objective call a batch of the search's next probes.
     """
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi)) or t_lo <= 0.0 or t_hi <= t_lo:
-        raise ConfigError(f"need finite 0 < t_lo < t_hi, got [{t_lo}, {t_hi}]")
-    count = _point_count(count, "count")
-    if count > _BLOCK:
+    scan = Axis("T", t_lo, t_hi, count, "log")
+    if scan.count > _BLOCK:
         raise ConfigError(f"count must be <= {_BLOCK}, one sweep block, got {count}")
     p = ModelParams(epsilon, t, bz, bx)
-    grid = np.linspace(math.log10(t_lo), math.log10(t_hi), count)
+    grid = np.linspace(math.log10(scan.lo), math.log10(scan.hi), scan.count)
     scan = {k: np.full(grid.size, getattr(p, k)) for k in ("epsilon", "t", "bz", "bx")}
     scan["T"] = np.array([10.0 ** float(x) for x in grid])  # libm pow, not numpy's
     state, checks = _gibbs_columns(scan)

@@ -149,7 +149,7 @@ def _check_block(results: dict, rng, n: int) -> None:
     )
 
     # singular denominators: the formula has no value there, skip the point
-    (ok,) = np.nonzero(~_coeffs_singular(eps, t, bz, bx))
+    (ok,) = np.nonzero(~_coeffs_singular(eps, t, bz, bx, levels[:, 0]))
     numeric, checks = _match_levels(levels[ok], h_dec.values[ok], h_dec.vectors[ok])
     raise_first(checks, lambda i: where(ok[i]))
     residuals = _coeffs(eps[ok], t[ok], bz[ok], bx[ok], levels[ok], numeric)[-1]

@@ -1,7 +1,8 @@
 """A 40-digit reference for the Gibbs-state measures, in mpmath.
 
 H is built from the double inputs exactly and diagonalized with
-mp.eigsy at 40 significant digits.  From its eigenpairs come the Gibbs
+mp.eigsy at 40 significant digits.  Its eigenvalues are the reference
+of the closed-form levels.  From its eigenpairs come the Gibbs
 weights, the ground-state fidelity F = <psi0|rho|psi0> and the correlated
 coherence Ccc (Tan, Kwon, Park, Jeong, PRA 94, 022329 (2016)), each
 qubit rotated into the eigenbasis of its reduced state.  Nothing here
@@ -56,6 +57,13 @@ def _l1(m):
     """Sum of the absolute off-diagonal entries of m."""
     n = m.rows
     return sum(abs(m[i, j]) for i in range(n) for j in range(n) if i != j)
+
+
+def energies(eps: float, t: float, bz: float, bx: float) -> tuple[float, float, float, float]:
+    """The eigenvalues of H at (eps, t, bz, bx), ascending, to 40 digits."""
+    with mpmath.workdps(DIGITS):
+        values = mpmath.eigsy(_hamiltonian(eps, t, bz, bx), eigvals_only=True)
+        return tuple(sorted(float(e) for e in values))
 
 
 def reference(eps: float, t: float, bz: float, bx: float, temperature: float) -> Reference:

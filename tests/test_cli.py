@@ -212,15 +212,50 @@ def test_unwritable_output_is_usage_error(tmp_path):
 
 
 def test_overflowing_inputs_are_usage_error(capsys):
-    # squares of 1e200 overflow a float; the CLI must refuse cleanly
+    # E1 is about 2e308 here, beyond the largest double; the CLI must refuse cleanly
+    big = ["--t", "1.7e308", "--bz", "1.7e308", "--bx", "1.7e308"]
+    argv = ["spectrum", *big, "--eps-min", "1.6e308", "--eps-max", "1.7e308", "--n", "3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "error: inputs out of floating-point range: the closed-form energies overflow at "
+    )
+    assert "Traceback" not in err
+
+
+def spectrum_rows(capsys, scale):
+    """The rows of a small spectrum whose parameters are (1, 7, 16, 100) times scale."""
+    argv = [
+        "spectrum", "--t", repr(7 * scale), "--bz", repr(16 * scale),
+        "--bx", repr(100 * scale), f"--eps-min={-scale!r}", f"--eps-max={scale!r}", "--n", "3",
+    ]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+def test_levels_are_printed_at_every_scale_where_they_are_doubles(capsys, scale):
+    # the squares of these parameters leave the double range, the levels do not
+    want = spectrum_rows(capsys, 1.0) * scale
+    got = spectrum_rows(capsys, scale)
+    assert np.all(np.abs(got[:, 1:]) > 0.0)
+    assert np.allclose(got, want, rtol=1e-11, atol=0.0)
+
+
+def test_squares_beyond_the_double_range_are_no_error(capsys):
     argv = [
         "spectrum", "--t", "1", "--bz", "1", "--bx", "1",
         "--eps-min", "1e199", "--eps-max", "1e200", "--n", "3",
     ]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+    # E1 and E3 are |eps| / 2 to far more digits than are printed
+    assert np.array_equal(rows[:, 1:], rows[:, :1] / 2 * [1, -1, 1, -1])
 
 
 def test_temperature_whose_inverse_overflows_is_usage_error(capsys):

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dqdtherm import model
@@ -99,6 +100,7 @@ def test_analytic_matches_numeric_random():
 
 @settings(max_examples=60, deadline=None)
 @given(params_strategy)
+@example(ModelParams(0.0, 0.0, 1.0, 143.0))  # E3 = E1: the quotient rounds one ulp above E1
 def test_spectral_symmetries(p):
     e = analytic_energies(p)
     # spectrum symmetric about zero
@@ -111,6 +113,53 @@ def test_spectral_symmetries(p):
     # Frobenius norm^2 of H equals the sum of squared energies
     h = build_hamiltonian(p)
     assert abs(np.sum(h * h) - np.sum(e * e)) <= 1e-9 * max(1.0, np.sum(e * e))
+
+
+def exactly_scaled(values, k):
+    """values times 2^k, or None where a product rounds: outside the normal doubles."""
+    scaled = np.ldexp(np.asarray(values, dtype=float), k)
+    exact = (np.abs(values) >= sys.float_info.min) & (np.abs(scaled) >= sys.float_info.min)
+    if not np.all(exact | (np.asarray(values) == 0.0)) or not np.isfinite(scaled).all():
+        return None
+    return scaled
+
+
+@settings(max_examples=64, deadline=None)
+@given(params_strategy, st.integers(-900, 900))
+@example(ModelParams(1.0, 7.0, 16.0, 100.0), -900)
+@example(ModelParams(1.0, 7.0, 16.0, 100.0), 900)
+def test_levels_scale_bit_for_bit_by_powers_of_two(p, k):
+    # the kernel divides each point by the power of two of its largest
+    # parameter, exactly, so a point and its multiple by 2^k share every bit
+    # of the computation
+    x = (p.epsilon, p.t, p.bz, p.bx)
+    e = analytic_energies(p)
+    scaled, want = exactly_scaled(x, k), exactly_scaled(e, k)
+    assume(scaled is not None and want is not None)
+    assert analytic_energies(ModelParams(*scaled)).tobytes() == want.tobytes()
+
+
+def test_a_point_keeps_its_level_bits_inside_any_batch():
+    # the scale is chosen per point, so a batch that mixes scales from 2^-1000
+    # to 2^1000 gives each point the bits it has alone
+    points = [np.array([1.0, 7.0, 16.0, 100.0]) * 2.0**j for j in (-1000, -7, 0, 500, 1000)]
+    batch = model._energies(*np.array(points).T)[0]
+    for p, row in zip(points, batch):
+        assert row.tobytes() == analytic_energies(ModelParams(*p)).tobytes()
+
+
+@settings(max_examples=32, deadline=None)
+@given(st.integers(-900, 900))
+@example(-900)
+@example(900)
+def test_the_anticrossing_scales_bit_for_bit_by_powers_of_two(k):
+    base = find_anticrossing(7.0, 16.0, 100.0, ("E3", "E4"), (50.0, 150.0))
+    t, bz, bx, lo, hi, step, tol = (
+        math.ldexp(v, k) for v in (7.0, 16.0, 100.0, 50.0, 150.0, 0.1, 1e-6)
+    )
+    found = find_anticrossing(t, bz, bx, ("E3", "E4"), (lo, hi), grid_step=step, tol=tol)
+    assert bits(found.eps) == bits(math.ldexp(base.eps, k))
+    assert bits(found.gap) == bits(math.ldexp(base.gap, k))
 
 
 def test_zero_transverse_field_sector_energies():
@@ -173,6 +222,28 @@ def test_analytic_coeffs_reference_residuals():
         ** -0.5
     )
     assert coeffs.alpha_sq == pytest.approx(16.0**2 + 100.0**2 - 1.0 - 4.0 * 49.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-12, 1e150, 1e300])
+def test_spectrum_coefficients_and_ground_state_hold_at_every_scale(scale):
+    # their tolerances are relative to the spectrum, so they read the same at
+    # every scale, and the squares that leave the double range are not formed
+    unit = (1.0, 7.0, 16.0, 100.0)
+    p = ModelParams(*(scale * x for x in unit))
+    want = spectrum(ModelParams(*unit))
+    assert np.allclose(spectrum(p).energies / scale, want.energies, rtol=1e-13, atol=0.0)
+    coeffs, unit_coeffs = analytic_coeffs(p), analytic_coeffs(ModelParams(*unit))
+    assert np.max(coeffs.residuals) <= 1e-10
+    assert coeffs.b_tilde_minus == pytest.approx(unit_coeffs.b_tilde_minus, rel=1e-12)
+    gs = ground_state(p)
+    assert not gs.degenerate
+    assert gs.energy / scale == pytest.approx(want.energies[1], rel=1e-13)
+
+
+def test_a_zero_hamiltonian_has_a_degenerate_ground_state():
+    gs = ground_state(ModelParams(0, 0, 0, 0))
+    assert gs.energy == 0.0 and gs.degenerate
 
 
 @pytest.mark.parametrize(
@@ -334,11 +405,20 @@ def test_a_search_of_24_points_makes_5_objective_calls():
     assert (len(want_calls), len(got_calls)) == (24, 5)
 
 
+# the inner-pair gap minimum at (t, bz, bx) = (7, 16, 100), to 50 digits (mpmath
+# findroot on the derivative of the gap 2 * E3): at eps = 101.2477537741246496...
+GAP_MINIMUM = 13.824168846833875057
+# the refinement stops at tol = 1e-6 in eps, where the gap is flat to ~1e-17; what
+# is left is the rounding of the closed form, a few ulps of the gap
+GAP_BOUND = 4e-15
+
+
 def test_anticrossing_refinement_makes_at_most_6_energy_calls(monkeypatch):
     energies, calls = counted(model._energies)
     monkeypatch.setattr(model, "_energies", energies)
     found = find_anticrossing(7.0, 16.0, 100.0, ("E3", "E4"), (50.0, 150.0))
-    assert (found.eps, found.gap) == (101.24775286608813, 13.824168846833992)
+    assert (found.eps, found.gap) == (101.24775360289107, 13.824168846833876)
+    assert abs(found.gap - GAP_MINIMUM) <= GAP_BOUND
     sizes = [np.size(args[0]) for args in calls]
     assert sizes[0] == 1001 and len(sizes) <= 1 + 6  # the coarse scan, then the refinement
 
@@ -384,14 +464,16 @@ def test_anticrossing_scan_is_bounded_by_its_point_count():
     step = 2.0**-9
     hi = 50.0 + (model._SCAN_POINTS - 1) * step
     found = find_anticrossing(7, 16, 100, ("E3", "E4"), (50.0, hi), grid_step=step)
-    assert (found.eps, found.gap) == (101.24775311753578, 13.82416884683386)
+    assert (found.eps, found.gap) == (101.24775353536123, 13.824168846833878)
+    assert abs(found.gap - GAP_MINIMUM) <= GAP_BOUND
     with pytest.raises(ValidationError, match=f"too many points .* at most {model._SCAN_POINTS}"):
         find_anticrossing(7, 16, 100, ("E3", "E4"), (50.0, hi + step), grid_step=step)
 
 
 def test_anticrossing_pin():
     found = find_anticrossing(7.0, 16.0, 100.0, ("E3", "E4"), (50.0, 150.0))
-    assert (found.eps, found.gap) == (101.24775286608813, 13.824168846833992)
+    assert (found.eps, found.gap) == (101.24775360289107, 13.824168846833876)
+    assert abs(found.gap - GAP_MINIMUM) <= GAP_BOUND
 
 
 def test_anticrossing_inner_pair():

@@ -311,6 +311,38 @@ def test_find_coherence_peak_rejects_bad_scan_arguments(kwargs):
         find_coherence_peak(1.0, 7.0, 16.0, 100.0, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "search, kwargs, error",
+    [
+        pytest.param(find_coherence_peak, dict(t_lo="x"), ConfigError, id="peak-t_lo-str"),
+        pytest.param(find_coherence_peak, dict(t_lo=None), ConfigError, id="peak-t_lo-None"),
+        pytest.param(find_coherence_peak, dict(t_hi=[100.0]), ConfigError, id="peak-t_hi-list"),
+        pytest.param(find_coherence_peak, dict(t_hi=10**400), ConfigError, id="peak-t_hi-huge-int"),
+        pytest.param(find_anticrossing, dict(eps_range=("a", 1)), ValidationError,
+                     id="gap-range-str"),
+        pytest.param(find_anticrossing, dict(eps_range=(1,)), ValidationError,
+                     id="gap-range-short"),
+        pytest.param(find_anticrossing, dict(eps_range=(50, 150, 250)), ValidationError,
+                     id="gap-range-long"),
+        pytest.param(find_anticrossing, dict(eps_range=None), ValidationError, id="gap-range-None"),
+        pytest.param(find_anticrossing, dict(eps_range=(50, 10**400)), ValidationError,
+                     id="gap-range-huge-int"),
+        pytest.param(find_anticrossing, dict(pair=3), ValidationError, id="gap-pair-int"),
+        pytest.param(find_anticrossing, dict(pair=("E3", 4)), ValidationError, id="gap-pair-mixed"),
+        pytest.param(find_anticrossing, dict(pair=np.array(["E3", "E4"])), ValidationError,
+                     id="gap-pair-array"),
+    ],
+)
+def test_a_search_given_an_argument_of_the_wrong_type_raises_its_api_error(search, kwargs, error):
+    if search is find_coherence_peak:
+        args = (1, 7, 16, 100)
+    else:
+        args = (7, 16, 100)
+        kwargs = {"pair": ("E3", "E4"), "eps_range": (50, 150), **kwargs}
+    with pytest.raises(error):
+        search(*args, **kwargs)
+
+
 CONFIG = """
 [fixed]
 t = 7.0
@@ -763,21 +795,28 @@ def test_a_failing_point_in_a_later_block_is_named(monkeypatch):
 
 
 def test_an_earlier_blocks_failure_wins(monkeypatch):
-    # the closed-form energies overflow at every point (bz ** 2 does), so the
-    # first block raises, a later check than the third block's, and no later
-    # block is evaluated
+    # E1 is beyond the largest double at every point (about 2e308 at
+    # eps = -1.6e308, more at -1.7e308), so the first block, one row, raises
+    # and no later block is evaluated.  The grid has no Gibbs measure: where
+    # the closed-form levels overflow, so do the eigenvalues of H, and that
+    # earlier check would win
     monkeypatch.setattr(sweep, "_BLOCK", 3)
-    calls = count_eigensolves(monkeypatch)
-    grid = dataclasses.replace(OVERFLOW_GRID, measures=THERMAL_MEASURES + ("energies",))
+    sizes = []
+    energies = sweep._energies
+    monkeypatch.setattr(sweep, "_energies", lambda *x: sizes.append(x[0].size) or energies(*x))
+    grid = SweepGrid({"t": 7.0, "bz": 1.7e308, "bx": 1.7e308},
+                     Axis("epsilon", -1.7e308, -1.6e308, 3), Axis("T", 1.0, 2.0, 2),
+                     ("energies",))
     with pytest.raises(OverflowError, match="the closed-form energies overflow") as info:
         sweep_columns(grid)
     assert str(info.value).endswith(f"at {grid_point(grid, 0)}")
-    assert calls == [1]
+    assert sizes == [2]
 
 
 def test_an_earlier_gibbs_failure_beats_a_later_closed_form_overflow():
-    # 1/T overflows at point 0; the closed-form energies overflow from point 2
-    grid = SweepGrid({"epsilon": 0.0, "t": 7.0, "bx": 1.0}, Axis("bz", 1.0, 1e200, 2),
+    # 1/T overflows at point 0; the closed-form energies overflow from point 2,
+    # where E1 is about 2e308
+    grid = SweepGrid({"epsilon": 1.7e308, "t": 7.0, "bx": 1.7e308}, Axis("bz", 1.0, 1.7e308, 2),
                      Axis("T", 1e-320, 1.0, 2), ("populations", "energies"))
     with pytest.raises(OverflowError, match="1/T overflows for temperature 1e-320") as info:
         sweep_columns(grid)
