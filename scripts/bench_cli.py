@@ -7,9 +7,11 @@ then times each sweep kernel alone (KERNELS) on the first N points of
 the 100x100 concurrence map of make_datasets.py, for each N in
 KERNEL_SIZES, the Gibbs stage with the eigensolve it makes in that
 tree's sweep; a kernel the tree lacks under its name and under its
-former name (FORMER_NAMES) is recorded as null. A fresh interpreter
-then runs the whole script, and each case of RSS_CASES runs in a fresh
-interpreter of its own that reports its peak resident set size. Trees
+former name (FORMER_NAMES) is recorded as null, and so is a grid-aware
+sweep.write_table at an N that is not whole runs of the map's 100
+temperatures. A fresh interpreter then runs the whole script, and each
+case of RSS_CASES runs in a fresh interpreter of its own that reports
+its peak resident set size. Trees
 take turns over several rounds, the first tree leading in odd rounds, so
 host drift reaches every tree alike. After the rounds, the tier-1 test
 suite next to each tree (DIR/../tests) runs once, timed. Uses only the
@@ -177,8 +179,20 @@ def _kernels(n: int) -> dict:
         if name == "thermal._gibbs":
             calls[name] = gibbs
         elif name == "sweep.write_table":
-            cols = [bx, temp, roots[:, 0]]
-            calls[name] = lambda fn=fn, cols=cols: fn(io.StringIO(), ("bx", "T", "C"), cols)
+            cols = {"bx": bx, "T": temp, "C": roots[:, 0]}
+            if "grid" not in inspect.signature(fn).parameters:  # the per-cell writer
+                calls[name] = lambda fn=fn, c=cols: fn(io.StringIO(), tuple(c), list(c.values()))
+            elif n % 100 == 0:  # the grid-aware writer takes whole runs of the map's T axis
+                sweep = modules["sweep"]
+                grid = sweep.SweepGrid(
+                    fixed={"epsilon": 1.0, "t": 7.0, "bz": 16.0},
+                    axis1=sweep.Axis("bx", 1.0, 100.0, 100),
+                    axis2=sweep.Axis("T", 0.01, 100.0, 100, "log"),
+                    measures=("concurrence",),
+                )
+                calls[name] = lambda fn=fn, g=grid, c=cols: fn(io.StringIO(), g, c, tuple(c))
+            else:
+                calls[name] = None
         else:
             calls[name] = lambda fn=fn, a=args[name]: fn(*a)
     return calls

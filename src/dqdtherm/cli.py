@@ -33,7 +33,7 @@ def _write_sweep(path, grid: SweepGrid, header) -> int:
     columns = sweep_columns(grid)
     with (open(path, "w", encoding="utf-8", newline="") if path
           else contextlib.nullcontext(sys.stdout)) as stream:
-        write_table(stream, header, [columns["epsilon" if h == "eps" else h] for h in header])
+        write_table(stream, grid, columns, header)
     return 0
 
 

@@ -70,7 +70,7 @@ class ModelParams:
             v = getattr(self, name)
             try:
                 v = float(v)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValidationError(f"{name} must be a real number, got {v!r}")
             if not math.isfinite(v):
                 raise ValidationError(f"{name} must be finite, got {v!r}")
@@ -351,7 +351,7 @@ def _positive(name: str, value) -> float:
     """value as a float; it must be finite and > 0."""
     try:
         v = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(v) and v > 0.0):
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")

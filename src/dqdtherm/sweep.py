@@ -20,7 +20,10 @@ of the block's first failing point in row-major order, at that point the
 earliest check's: the Gibbs inputs, then the Gibbs state, then each
 measure in the order requested.  The blocks run in order, so the error
 names the grid's first failing point.  write_table prints the columns as
-CSV in blocks of _BLOCK rows, each formatted by one %-operation.  Each
+CSV, formatting each fixed value and each axis value of a two-axis grid
+once and splicing that text into a row template per run of rows that
+share an axis1 value; the values that differ per row are formatted in
+blocks of whole runs, about _BLOCK rows, each by one %-operation.  Each
 point gives the same bits alone or inside any grid, so reruns of the
 same input on one machine produce byte-identical CSV.
 """
@@ -252,19 +255,49 @@ def sweep_columns(grid: SweepGrid) -> dict:
     return {**cols, **out}
 
 
-def write_table(stream, header, columns) -> None:
-    """Write a header and equal-length float columns as comma-separated lines.
+def _text(value) -> str:
+    """A parameter value as CSV text: 12 significant digits, -0 as 0."""
+    return "%.12g" % (value + 0.0)
 
-    Each value prints with 12 significant digits and -0 as 0: adding 0.0
-    turns -0 into 0, and each block of rows is one %-operation on a
-    "%.12g" template.
+
+def write_table(stream, grid: SweepGrid, columns: dict, header) -> None:
+    """Write the header and the grid's columns it names as comma-separated lines.
+
+    columns is sweep_columns(grid); each label of header is one of its
+    keys, or eps for epsilon.  Each value prints with 12 significant
+    digits and -0 as 0.  A parameter that repeats is formatted once per
+    value: a fixed value once, and each axis value of a two-axis grid
+    once.  Rows come in runs of axis2.count rows that share one axis1
+    value u, so a run's row template is u.join(pieces), where the pieces
+    hold the text between the run's axis1 cells: axis2's and the fixed
+    values' text, and a "%.12g" field for each value that differs per
+    row (the measures, and the axis of a one-axis grid).  Each block of
+    whole runs, about _BLOCK rows, is one %-operation over those fields.
     """
+    names = ["epsilon" if h == "eps" else h for h in header]
     stream.write(",".join(header) + "\n")
-    table = np.column_stack(columns) + 0.0
-    template = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    for start in range(0, len(table), _BLOCK):
-        block = table[start : start + _BLOCK]
-        stream.write(template * len(block) % tuple(block.ravel().tolist()))
+    run = grid.axis2.count if grid.axis2 is not None else 1
+    # each column's cell in row j of a run; "\0" marks where the run's axis1 text goes
+    cells = {k: [_text(v)] * run for k, v in grid.fixed.items() if k in names}
+    outer = None
+    if grid.axis2 is not None:
+        a1, a2 = grid.axis1.name, grid.axis2.name
+        cells[a2] = [_text(v) for v in columns[a2][:run]]
+        cells[a1] = ["\0"] * run
+        outer = [_text(v) for v in columns[a1][::run]]
+    fields = [n for n in names if n not in cells]
+    cells.update((n, ["%.12g"] * run) for n in fields)
+    pieces = "".join(",".join(cells[n][j] for n in names) + "\n" for j in range(run)).split("\0")
+    rows = len(columns["T"])
+    step = max(1, _BLOCK // run) * run
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        if outer is None:  # a one-axis grid: one template for every row
+            template = pieces[0] * (stop - start)
+        else:
+            template = "".join([u.join(pieces) for u in outer[start // run : stop // run]])
+        values = np.array([columns[f][start:stop] for f in fields]).T + 0.0
+        stream.write(template % tuple(values.ravel().tolist()))
 
 
 def _axis_from_section(section) -> Axis:

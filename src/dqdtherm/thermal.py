@@ -146,7 +146,7 @@ def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
     """
     try:
         temperature = float(temperature)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"temperature must be a real number, got {temperature!r}")
     cols = {k: np.array([getattr(p, k)]) for k in ("epsilon", "t", "bz", "bx")}
     g, checks = _gibbs_columns({**cols, "T": np.array([temperature])})

@@ -20,6 +20,7 @@ from dqdtherm.model import (
     spectrum,
 )
 from dqdtherm.qmatrix import ValidationError, eig_sym
+from dqdtherm.thermal import thermal_state
 
 params_strategy = st.builds(
     ModelParams,
@@ -457,6 +458,25 @@ def test_anticrossing_rejects_a_bad_grid_step(grid_step):
 def test_anticrossing_rejects_a_scan_too_long_to_count(eps_range, grid_step):
     with pytest.raises(ValidationError, match="too many points"):
         find_anticrossing(7, 16, 100, ("E3", "E4"), eps_range, grid_step=grid_step)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: ModelParams(10**400, 1, 1, 1), "epsilon", id="params"),
+        pytest.param(lambda: thermal_state(ModelParams(1, 7, 16, 100), 10**400), "temperature",
+                     id="temperature"),
+        pytest.param(lambda: golden_section_min(lambda x: x * x, 0.0, 1.0, tol=10**400), "tol",
+                     id="golden-tol"),
+        pytest.param(lambda: find_anticrossing(7, 16, 100, ("E3", "E4"), (50, 150),
+                                               grid_step=10**400), "grid_step", id="gap-grid_step"),
+        pytest.param(lambda: find_anticrossing(7, 16, 100, ("E3", "E4"), (50, 150), tol=10**400),
+                     "tol", id="gap-tol"),
+    ],
+)
+def test_an_integer_beyond_the_doubles_raises_validation_error(call, name):
+    with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+        call()
 
 
 def test_anticrossing_scan_is_bounded_by_its_point_count():

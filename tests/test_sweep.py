@@ -163,7 +163,7 @@ def sweep_csv(grid):
     """The CSV the sweep subcommand writes for grid."""
     columns = sweep_columns(grid)
     stream = io.StringIO()
-    write_table(stream, PARAM_NAMES + grid.columns(), [columns[c] for c in PARAM_NAMES + grid.columns()])
+    write_table(stream, grid, columns, PARAM_NAMES + grid.columns())
     return stream.getvalue()
 
 
@@ -218,36 +218,117 @@ CSV_FLOATS = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 6).flatmap(
-        lambda k: st.lists(st.lists(CSV_FLOATS, min_size=k, max_size=k), max_size=12)
-        .map(lambda rows: (k, rows))
-    ),
-    st.integers(1, 5),
-)
-def test_write_table_equals_per_value_formatting(table, block):
-    k, rows = table
-    header = [f"c{j}" for j in range(k)]
-    columns = [np.array([row[j] for row in rows], dtype=float) for j in range(k)]
+# fixed values, and axis ends, that each parameter admits
+GRID_VALUES = {
+    "epsilon": [-0.0, 1e-30, 1e20, 1.0, -3.5],
+    "t": [-0.0, 1e-30, 1e20, 7.0],
+    "bz": [-0.0, 1e-30, 1e20, 16.0, -2.0],
+    "bx": [-0.0, 1e-30, 1e20, 100.0, -1.0],
+    "T": [1e-30, 1e20, 0.2, 1.5],
+}
+
+
+@st.composite
+def grids_and_headers(draw):
+    """A one- or two-axis grid with a header: the sweep or the concurrence-map layout."""
+    if draw(st.booleans()):  # concurrence-map: bx by T (eps fixed) or by eps (T fixed)
+        names = ["bx", draw(st.sampled_from(["T", "epsilon"]))]
+        measures = ("concurrence",)
+    else:
+        names = draw(st.permutations(PARAM_NAMES))[: draw(st.integers(1, 2))]
+        measures = draw(st.lists(st.sampled_from(list(MEASURE_COLUMNS)), min_size=1, unique=True))
+    axes = []
+    for name in names:
+        lo = draw(st.sampled_from(GRID_VALUES[name]))
+        hi = max(lo + draw(st.sampled_from([1.0, 3.3, 1e20])), 2.0 * lo)  # 1e20 + 1 is 1e20
+        scale = draw(st.sampled_from(["linear", "log"] if lo > 0 else ["linear"]))
+        axes.append(Axis(name, lo, hi, draw(st.integers(2, 7)), scale))
+    fixed = {k: draw(st.sampled_from(GRID_VALUES[k])) for k in PARAM_NAMES if k not in names}
+    grid = SweepGrid(fixed, axes[0], axes[1] if len(axes) > 1 else None, measures)
+    if measures == ("concurrence",) and names[0] == "bx" and len(names) == 2 and draw(st.booleans()):
+        header = ("bx", "T" if names[1] == "T" else "eps", "C")
+    else:
+        header = PARAM_NAMES + grid.columns()
+    return grid, header
+
+
+def csv_of_columns(grid, columns, header):
+    """The CSV write_table prints, and the per-value formatting of the same columns."""
     stream = io.StringIO()
+    write_table(stream, grid, columns, header)
+    keys = ["epsilon" if h == "eps" else h for h in header]
+    rows = zip(*(columns[k] for k in keys))
+    return stream.getvalue(), per_value_text(header, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_and_headers(), st.integers(1, 20), st.data())
+def test_write_table_equals_per_value_formatting(grid_header, block, data):
+    # the measure columns hold any double: -0, subnormals, inf and nan among them
+    grid, header = grid_header
+    columns = sweep._grid_columns(grid)
+    n = len(columns["T"])
+    for c in grid.columns():
+        columns[c] = np.array(data.draw(st.lists(CSV_FLOATS, min_size=n, max_size=n)), dtype=float)
     with mock.patch.object(sweep, "_BLOCK", block):
-        write_table(stream, header, columns)
-    assert stream.getvalue() == per_value_text(header, rows)
+        written, expected = csv_of_columns(grid, columns, header)
+    assert written == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids_and_headers(), st.integers(1, 20))
+def test_write_table_of_sweep_columns_equals_per_value_formatting(grid_header, block):
+    # blocks that split runs, do not divide axis2.count, or are shorter than one row
+    grid, header = grid_header
+    with mock.patch.object(sweep, "_BLOCK", block):
+        written, expected = csv_of_columns(grid, sweep_columns(grid), header)
+    assert written == expected
 
 
 def test_write_table_formats_each_block_of_rows_at_once(monkeypatch):
-    # 11 rows in blocks of 4: one write for the header and one per block
-    monkeypatch.setattr(sweep, "_BLOCK", 4)
+    # one write for the header, then one per block of whole runs of axis2.count rows
     writes = []
 
     class Stream:
         write = writes.append
 
-    column = np.arange(11.0) - 5.0
-    write_table(Stream(), ("x", "y"), [column, -column])
-    assert [w.count("\n") for w in writes] == [1, 4, 4, 3]
-    assert "".join(writes) == per_value_text(("x", "y"), zip(column, -column))
+    for block, axis2, lines in [
+        (4, None, [1, 4, 4, 3]),  # 11 one-row runs in blocks of 4
+        (5, Axis("T", 0.1, 10.0, 4, "log"), [1, 4, 4, 4]),  # runs of 4 never split
+        (3, Axis("T", 0.1, 10.0, 4, "log"), [1, 4, 4, 4]),  # a block shorter than a run
+        (9, Axis("T", 0.1, 10.0, 4, "log"), [1, 8, 4]),  # two runs per block
+    ]:
+        monkeypatch.setattr(sweep, "_BLOCK", block)
+        grid = SweepGrid(
+            fixed={k: v for k, v in FIXED.items() if axis2 is None or k != axis2.name},
+            axis1=Axis("epsilon", -5.0, 5.0, 11 if axis2 is None else 3),
+            axis2=axis2,
+            measures=("concurrence",),
+        )
+        columns = sweep_columns(grid)
+        writes.clear()
+        write_table(Stream(), grid, columns, PARAM_NAMES + ("C",))
+        assert [w.count("\n") for w in writes] == lines
+        assert "".join(writes) == csv_of_columns(grid, columns, PARAM_NAMES + ("C",))[1]
+
+
+def test_write_table_formats_each_repeated_parameter_value_once(monkeypatch):
+    # a 25 x 25 map prints 25 bx and 25 T values, not 625 of each
+    grid = SweepGrid(
+        fixed={"epsilon": 1.0, "t": 7.0, "bz": 16.0},
+        axis1=Axis("bx", 1.0, 100.0, 25),
+        axis2=Axis("T", 0.01, 100.0, 25, "log"),
+        measures=("concurrence",),
+    )
+    columns = sweep_columns(grid)
+    formatted = []
+    text = sweep._text
+    monkeypatch.setattr(sweep, "_text", lambda v: formatted.append(v) or text(v))
+    for header, count in [(("bx", "T", "C"), 50), (PARAM_NAMES + ("C",), 53)]:
+        formatted.clear()
+        written, expected = csv_of_columns(grid, columns, header)
+        assert written == expected
+        assert len(formatted) == count
 
 
 def test_sweep_csv_across_block_boundaries_equals_per_value_formatting(monkeypatch):
