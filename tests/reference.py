@@ -31,7 +31,9 @@ class Reference:
 
 def _hamiltonian(eps, t, bz, bx):
     """H = (eps/2) tau_z + t tau_x + (bz/2) sigma_z + (bx/2) tau_z sigma_x, basis (L0, L1, R0, R1)."""
-    e, z, x, t = (mpmath.mpf(v) for v in (eps / 2, bz / 2, bx / 2, t))  # halving is exact
+    # halved in mpmath: a float halving rounds an odd subnormal (5e-324 / 2 is 0)
+    e, z, x = (mpmath.mpf(v) / 2 for v in (eps, bz, bx))
+    t = mpmath.mpf(t)
     return mpmath.matrix([
         [e + z, x, t, 0],
         [x, e - z, 0, t],
