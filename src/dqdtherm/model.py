@@ -1,4 +1,4 @@
-"""Double-dot Hamiltonian, closed-form spectrum, and level-gap search.
+"""Double-dot Hamiltonian, closed-form spectrum, and the closed-form anticrossing.
 
 Basis ordering everywhere is (|L0>, |L1>, |R0>, |R1>): first index the
 occupied dot (left/right), second the spin projection (0 = up, 1 = down).
@@ -9,7 +9,6 @@ spin index.  All couplings share one arbitrary energy unit with k_B = 1.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "ground_state",
     "analytic_coeffs",
     "find_anticrossing",
-    "golden_section_min",
 ]
 
 # Level labels follow the branch convention E1 = +(large root),
@@ -41,8 +39,7 @@ __all__ = [
 LEVEL_LABELS = ("E1", "E2", "E3", "E4")
 
 _ANTICROSSING_PAIRS = (("E1", "E3"), ("E2", "E4"), ("E3", "E4"))
-# the most coarse-scan points find_anticrossing evaluates, as one batch
-_SCAN_POINTS = 65536
+
 
 class AnalyticUnavailable(ValidationError):
     """Closed-form eigenvector coefficients are singular at these parameters."""
@@ -347,116 +344,24 @@ def analytic_coeffs(p: ModelParams) -> AnalyticCoeffs:
     return AnalyticCoeffs(*(float(v[0]) for v in scalars), vectors[0], residuals[0])
 
 
-def _positive(name: str, value) -> float:
-    """value as a float; it must be finite and > 0."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(v) and v > 0.0):
-        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-    return v
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# search steps whose probes one objective call covers
-_LOOKAHEAD = 4
-
-_float_bits = struct.Struct("<d").pack
-
-
-def _lookahead(a: float, b: float, c: float, d: float, depth: int, out: list) -> list:
-    """out, extended by the points golden_section_min may read within depth steps.
-
-    These are the midpoint of the bracket (a, b) with probes c < d and,
-    for each branch of each step, the probe the step makes and the
-    points read from its bracket.  The arithmetic is the search's own, so
-    the points are the same doubles.
-    """
-    out.append(0.5 * (a + b))
-    if depth:
-        c_left = d - _INVPHI * (d - a)
-        out.append(c_left)
-        _lookahead(a, d, c_left, c, depth - 1, out)
-        d_right = c + _INVPHI * (b - c)
-        out.append(d_right)
-        _lookahead(c, b, d, d_right, depth - 1, out)
-    return out
-
-
-def golden_section_min(f, lo: float, hi: float, tol: float = 1e-6):
-    """Golden-section minimum of a unimodal function on [lo, hi].
-
-    f is batched: it maps a 1-D float array of points to a sequence of
-    their values, one per point.  The search reads each value from a
-    table; on a miss, one f call covers every point the next _LOOKAHEAD
-    steps could read, on both branches of each step (at most 63 points,
-    fewer where they coincide).  So f also sees points the one-point
-    search never visits, all in [lo, hi], and must be a pure function of
-    each point, defined on all of [lo, hi], whose value does not depend
-    on the other points of the batch.  The steps, comparisons and result
-    are those of the one-point search: 5 f calls where it makes 24.
-
-    Returns (x, f(x)) with x located to within tol, or as closely as
-    rounding allows: the search stops once the bracket stops shrinking.
-    f(x) is the element f returned for x.
-    """
-    tol = _positive("tol", tol)
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    table = {}  # float bits -> value
-
-    def value(x: float):
-        # a miss fills the table from the bracket the search holds now
-        key = _float_bits(x)
-        if key not in table:
-            todo = {}
-            for p in _lookahead(a, b, c, d, _LOOKAHEAD, [c, d]):
-                k = _float_bits(p)
-                if k not in table:
-                    todo.setdefault(k, p)
-            table.update(zip(todo, f(np.array(list(todo.values())))))
-        return table[key]
-
-    fc, fd = value(c), value(d)
-    width = b - a
-    while width > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = value(d)
-        if not b - a < width:
-            break
-        width = b - a
-    x = 0.5 * (a + b)
-    return x, value(x)
-
-
 def find_anticrossing(
     t: float,
     bz: float,
     bx: float,
     pair: tuple[str, str],
     eps_range: tuple[float, float],
-    grid_step: float = 0.1,
-    tol: float = 1e-6,
 ) -> Anticrossing:
-    """Locate the detuning minimizing the gap between two labelled levels.
+    """The detuning minimizing the gap between two labelled levels, in closed form.
 
-    Coarse scan with step <= grid_step through the closed-form energies,
-    np.linspace(lo, hi, n) evaluated as one batch of at most _SCAN_POINTS
-    points, then golden-section refinement of the bracketing interval
-    down to tol in epsilon.  A finer grid_step raises ValidationError.  A
-    minimum on the interval boundary means the gap is monotonic there
-    and raises NoAnticrossing.
+    With u = eps^2, b = bz^2 + bx^2 and a = (2 bz t)^2, 4 E3^2 = Sigma -
+    2 sqrt(Omega) has its minimum in u where sqrt(Omega) = b: eps*^2 = (h -
+    2|bz|t/h)(h + 2|bz|t/h), h = hypot(bz, bx), evaluated scaled by _scaled.
+    Where that is <= 0 (or h = 0) the inner minimum is at eps = 0, as it is
+    for the outer pairs, whose gap does not decrease in u.  Of +eps* and
+    -eps*, the first strictly inside eps_range is returned; the gap is that
+    of the closed-form levels there.  A minimum not strictly inside the
+    interval raises NoAnticrossing.
     """
-    grid_step, tol = _positive("grid_step", grid_step), _positive("tol", tol)
     labels = tuple(pair) if isinstance(pair, (tuple, list)) else ()
     if not any(labels in (k, k[::-1]) for k in _ANTICROSSING_PAIRS):
         raise ValidationError(f"pair must be one of {list(_ANTICROSSING_PAIRS)}, got {pair!r}")
@@ -466,26 +371,20 @@ def find_anticrossing(
         lo = hi = math.nan
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValidationError(f"eps_range must be a finite interval, got {eps_range!r}")
-    steps = (hi - lo) / grid_step  # the scan takes ceil(steps) + 1 points
-    if steps > _SCAN_POINTS - 1:  # inf included
-        raise ValidationError(
-            f"eps_range {eps_range!r} has too many points at grid_step {grid_step!r}: "
-            f"the scan takes at most {_SCAN_POINTS}"
-        )
     ia, ib = (LEVEL_LABELS.index(label) for label in labels)
     fixed = ModelParams(lo, t, bz, bx)  # validates the fixed parameters once
-    t, bz, bx = fixed.t, fixed.bz, fixed.bx
-
-    def gap(eps: np.ndarray) -> np.ndarray:
-        levels, checks = _energies(eps, t, bz, bx)
-        raise_first(checks)
-        return np.abs(levels[:, ia] - levels[:, ib])
-
-    eps = np.linspace(lo, hi, max(3, math.ceil(steps) + 1))
-    k = int(np.argmin(gap(eps)))
-    if k == 0 or k == len(eps) - 1:
+    k, _, ts, zs, xs = np.hstack(_scaled(0.0, fixed.t, fixed.bz, fixed.bx)).tolist()
+    h = math.hypot(zs, xs)
+    eps = 0.0
+    if set(labels) == {"E3", "E4"} and h > 0.0:
+        s = 2.0 * ts * (abs(zs) / h)
+        with np.errstate(over="ignore"):
+            eps = float(np.ldexp(math.sqrt(max(0.0, (h - s) * (h + s))), int(k)))
+    eps = next((x for x in (eps, -eps) if lo < x < hi), None)
+    if eps is None:
         raise NoAnticrossing(
-            f"|{labels[0]} - {labels[1]}| is monotonic on [{lo}, {hi}]"
+            f"|{labels[0]} - {labels[1]}| has no minimum inside ({lo}, {hi})"
         )
-    x, g = golden_section_min(gap, float(eps[k - 1]), float(eps[k + 1]), tol)
-    return Anticrossing(eps=float(x), gap=float(g))
+    levels, checks = _energies(eps, fixed.t, fixed.bz, fixed.bx)
+    raise_first(checks)
+    return Anticrossing(eps=eps, gap=float(abs(levels[0, ia] - levels[0, ib])))

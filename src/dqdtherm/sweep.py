@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import _correlated_coherence, _gibbs_concurrence, _l1
-from .model import ModelParams, _energies, golden_section_min
+from .model import ModelParams, _energies
 from .qmatrix import ValidationError, raise_first
 from .thermal import _gibbs, _gibbs_columns, _rho
 
@@ -377,9 +377,12 @@ def find_coherence_peak(
     """Temperature maximizing correlated coherence, with the peak value.
 
     Scans a logarithmic temperature grid of count <= _BLOCK points as one
-    batch, then golden-section refines around the grid maximum in log10(T)
-    through the same kernels and the scan's one eigendecomposition of H,
-    each objective call a batch of the search's next probes.
+    batch, then refines the bracket grid[k-1], grid[k+1] around the grid
+    maximum in log10(T): each pass evaluates 33 evenly spaced points of the
+    bracket as one batch and narrows it to the two neighbours of their
+    maximum (the first on a tie), until it is at most 1e-6 wide, 4 passes
+    from the default grid.  All on the scan's one eigendecomposition of H.
+    Returns the best temperature evaluated and its own Ccc.
     """
     scan = Axis("T", t_lo, t_hi, count, "log")
     if scan.count > _BLOCK:
@@ -391,18 +394,21 @@ def find_coherence_peak(
     state, checks = _gibbs_columns(scan)
     values, more = _correlated_coherence(_rho(state))
     raise_first(checks + more, _lookup(scan))
-
-    def neg_ccc(log_t: np.ndarray) -> np.ndarray:
+    k = int(np.argmax(values))
+    best, top = float(grid[k]), float(values[k])
+    if k == 0 or k == len(grid) - 1:
+        return 10.0**best, top
+    lo, hi = float(grid[k - 1]), float(grid[k + 1])
+    while hi - lo > 1e-6:
         # the kernels of correlated_coherence(thermal_state(p, T).rho), without
         # the density-matrix checks, on the scan's one eigendecomposition
-        temps = np.array([10.0 ** float(x) for x in log_t])
-        g = _gibbs(state.dec, np.zeros(temps.size, dtype=np.intp), temps)
+        log_t = np.linspace(lo, hi, 33)
+        g = _gibbs(state.dec, np.zeros(log_t.size, dtype=np.intp),
+                   np.array([10.0 ** float(x) for x in log_t]))
         ccc, more = _correlated_coherence(_rho(g))
         raise_first(g.checks + more)
-        return -ccc
-
-    k = int(np.argmax(values))
-    if k == 0 or k == len(grid) - 1:
-        return float(10.0 ** grid[k]), float(values[k])
-    x, neg = golden_section_min(neg_ccc, float(grid[k - 1]), float(grid[k + 1]), tol=1e-6)
-    return float(10.0**x), float(-neg)
+        j = int(np.argmax(ccc))
+        if ccc[j] > top:
+            best, top = float(log_t[j]), float(ccc[j])
+        lo, hi = float(log_t[max(j - 1, 0)]), float(log_t[min(j + 1, 32)])
+    return 10.0**best, top

@@ -3,11 +3,14 @@
 H is built from the double inputs exactly and diagonalized with
 mp.eigsy at 40 significant digits.  Its eigenvalues are the reference
 of the closed-form levels.  From its eigenpairs come the Gibbs
-weights, the ground-state fidelity F = <psi0|rho|psi0> and the correlated
-coherence Ccc (Tan, Kwon, Park, Jeong, PRA 94, 022329 (2016)), each
-qubit rotated into the eigenbasis of its reduced state.  Nothing here
-shares code with the package: the reference is only as good as these
-definitions, not as the package's round-off.
+weights, the ground-state fidelity F = <psi0|rho|psi0>, the Wootters
+concurrence C (PRL 80, 2245 (1998)) and the correlated coherence Ccc
+(Tan, Kwon, Park, Jeong, PRA 94, 022329 (2016)), each qubit rotated into
+the eigenbasis of its reduced state.  Two extrema come from the same
+definitions: the maximum of Ccc in log10 T, and, at 50 digits, the
+minimum of a level gap in the detuning.  Nothing here shares code with
+the package: the reference is only as good as these definitions, not as
+the package's round-off.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ class Reference:
 
     weights: tuple[float, float, float, float]
     fidelity: float
+    concurrence: float
     ccc: float
     reduced_gaps: tuple[float, float]  # eigenvalue gaps of the charge and spin reductions
 
@@ -68,32 +72,92 @@ def energies(eps: float, t: float, bz: float, bx: float) -> tuple[float, float, 
         return tuple(sorted(float(e) for e in values))
 
 
+def _gibbs(energies, vectors, temperature):
+    """The Gibbs weights and rho of H's eigenpairs at temperature, in mpmath."""
+    boltzmann = [mpmath.exp(-(e - energies[0]) / temperature) for e in energies]
+    z = sum(boltzmann)
+    weights = [b / z for b in boltzmann]
+    return weights, vectors * mpmath.diag(weights) * vectors.T
+
+
+def _concurrence(rho):
+    """Wootters C of rho: the square roots of the spectrum of sqrt(rho) S rho S sqrt(rho)."""
+    values, vectors = mpmath.eigsy(rho)
+    root = vectors * mpmath.diag([mpmath.sqrt(max(w, 0)) for w in values]) * vectors.T
+    flip = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+    mu = mpmath.eigsy(root * flip * rho * flip * root, eigvals_only=True)
+    s = sorted((mpmath.sqrt(max(m, 0)) for m in mu), reverse=True)
+    return max(0, s[0] - s[1] - s[2] - s[3])
+
+
+def _ccc(rho):
+    """Ccc of rho and the eigenvalue gaps of its charge and spin reductions."""
+    (gap_a, va), (gap_b, vb) = (
+        (values[1] - values[0], basis)
+        for values, basis in (mpmath.eigsy(m) for m in _reductions(rho))
+    )
+    # kron(va, vb): the charge index is the outer one of the basis
+    u = mpmath.matrix(4, 4)
+    for i in range(4):
+        for j in range(4):
+            u[i, j] = va[i // 2, j // 2] * vb[i % 2, j % 2]
+    rotated = u.T * rho * u
+    local_a, local_b = _reductions(rotated)
+    return _l1(rotated) - _l1(local_a) - _l1(local_b), gap_a, gap_b
+
+
 def reference(eps: float, t: float, bz: float, bx: float, temperature: float) -> Reference:
-    """Gibbs weights, F and Ccc of the Gibbs state at (eps, t, bz, bx, T), to 40 digits."""
+    """Gibbs weights, F, C and Ccc of the Gibbs state at (eps, t, bz, bx, T), to 40 digits."""
     with mpmath.workdps(DIGITS):
         energies, vectors = mpmath.eigsy(_hamiltonian(eps, t, bz, bx))
-        boltzmann = [mpmath.exp(-(e - energies[0]) / mpmath.mpf(temperature)) for e in energies]
-        z = sum(boltzmann)
-        weights = [b / z for b in boltzmann]
-        rho = vectors * mpmath.diag(weights) * vectors.T
+        weights, rho = _gibbs(energies, vectors, mpmath.mpf(temperature))
         ground = vectors[:, 0]
         fidelity = (ground.T * rho * ground)[0, 0]
-
-        (gap_a, va), (gap_b, vb) = (
-            (values[1] - values[0], basis)
-            for values, basis in (mpmath.eigsy(m) for m in _reductions(rho))
-        )
-        # kron(va, vb): the charge index is the outer one of the basis
-        u = mpmath.matrix(4, 4)
-        for i in range(4):
-            for j in range(4):
-                u[i, j] = va[i // 2, j // 2] * vb[i % 2, j % 2]
-        rotated = u.T * rho * u
-        local_a, local_b = _reductions(rotated)
-        ccc = _l1(rotated) - _l1(local_a) - _l1(local_b)
+        ccc, gap_a, gap_b = _ccc(rho)
         return Reference(
             weights=tuple(float(w) for w in weights),
             fidelity=float(fidelity),
+            concurrence=float(_concurrence(rho)),
             ccc=float(ccc),
             reduced_gaps=(float(gap_a), float(gap_b)),
         )
+
+
+def coherence_peak(eps: float, t: float, bz: float, bx: float, log_t: float) -> tuple[float, float]:
+    """(log10 T, Ccc) at the maximum of Ccc in log10 T nearest log_t, to 40 digits.
+
+    A root of the central difference of Ccc with step 1e-10 (error ~1e-20),
+    found by mp.findroot from log_t.
+    """
+    with mpmath.workdps(DIGITS):
+        energies, vectors = mpmath.eigsy(_hamiltonian(eps, t, bz, bx))
+
+        def ccc(x):
+            return _ccc(_gibbs(energies, vectors, mpmath.power(10, x))[1])[0]
+
+        step = mpmath.mpf("1e-10")
+        x = mpmath.findroot(lambda x: ccc(x + step) - ccc(x - step), mpmath.mpf(log_t))
+        return float(x), float(ccc(x))
+
+
+ANTICROSSING_DIGITS = 50
+
+
+def anticrossing(t: float, bz: float, bx: float, pair: tuple[str, str]):
+    """(eps, gap) at the minimum over eps >= 0 of the gap between two labelled levels, as mpf.
+
+    50 digits.  With u = eps^2, b = bz^2 + bx^2 and a = (2 bz t)^2, the
+    inner gap 2 E3 has 4 E3^2 = Sigma - 2 sqrt(Omega), Omega = a + b u, whose
+    u-derivative 1 - b / sqrt(Omega) vanishes at u = b - a / b; where that
+    is <= 0, and for the outer pairs, the minimum is at eps = 0.  The gap is
+    read off mp.eigsy of H there.  The labels are those of the package:
+    E1 >= E3 >= 0 and E2 = -E1, E4 = -E3.
+    """
+    with mpmath.workdps(ANTICROSSING_DIGITS):
+        t, bz, bx = (mpmath.mpf(v) for v in (t, bz, bx))
+        b = bz * bz + bx * bx
+        u = b - (2 * bz * t) ** 2 / b if b and set(pair) == {"E3", "E4"} else 0
+        eps = mpmath.sqrt(max(u, 0))
+        levels = sorted(mpmath.eigsy(_hamiltonian(eps, t, bz, bx), eigvals_only=True))
+        level = dict(zip(("E2", "E4", "E3", "E1"), levels))
+        return eps, abs(level[pair[0]] - level[pair[1]])

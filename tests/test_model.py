@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,12 +16,12 @@ from dqdtherm.model import (
     analytic_energies,
     build_hamiltonian,
     find_anticrossing,
-    golden_section_min,
     ground_state,
     spectrum,
 )
 from dqdtherm.qmatrix import ValidationError, eig_sym
 from dqdtherm.thermal import thermal_state
+from reference import anticrossing
 
 params_strategy = st.builds(
     ModelParams,
@@ -155,10 +156,8 @@ def test_a_point_keeps_its_level_bits_inside_any_batch():
 @example(900)
 def test_the_anticrossing_scales_bit_for_bit_by_powers_of_two(k):
     base = find_anticrossing(7.0, 16.0, 100.0, ("E3", "E4"), (50.0, 150.0))
-    t, bz, bx, lo, hi, step, tol = (
-        math.ldexp(v, k) for v in (7.0, 16.0, 100.0, 50.0, 150.0, 0.1, 1e-6)
-    )
-    found = find_anticrossing(t, bz, bx, ("E3", "E4"), (lo, hi), grid_step=step, tol=tol)
+    t, bz, bx, lo, hi = (math.ldexp(v, k) for v in (7.0, 16.0, 100.0, 50.0, 150.0))
+    found = find_anticrossing(t, bz, bx, ("E3", "E4"), (lo, hi))
     assert bits(found.eps) == bits(math.ldexp(base.eps, k))
     assert bits(found.gap) == bits(math.ldexp(base.gap, k))
 
@@ -260,204 +259,121 @@ def test_analytic_coeffs_singular_inputs(p):
         analytic_coeffs(p)
 
 
-def test_golden_section_min_quadratic():
-    x, fx = golden_section_min(lambda u: (u - 2.0) ** 2, 0.0, 5.0, tol=1e-6)
-    assert x == pytest.approx(2.0, abs=1e-5)
-    assert fx == pytest.approx(0.0, abs=1e-10)
-
-
-def counted(f, budget=10_000):
-    """f with a log of its arguments; past budget calls it raises, so no search can hang."""
-    calls = []
-
-    def objective(*args):
-        calls.append(args)
-        if len(calls) > budget:
-            raise RuntimeError(f"objective called more than {budget} times")
-        return f(*args)
-
-    return objective, calls
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), "tight", None])
-def test_golden_section_min_rejects_a_non_positive_tol(tol):
-    f, calls = counted(lambda u: (u - 2.0) ** 2)
-    with pytest.raises(ValidationError, match="tol"):
-        golden_section_min(f, 0.0, 5.0, tol=tol)
-    assert not calls
-
-
-@pytest.mark.parametrize("lo, hi, at", [(0.0, 5.0, 2.0), (50.0, 150.0, 101.25), (-1.0, 1.0, 0.0)])
-@pytest.mark.parametrize("tol", [1e-300, 5e-324])
-def test_golden_section_min_stops_at_the_float_spacing(lo, hi, at, tol):
-    # a tol finer than rounding allows cannot be met; the search ends once the
-    # bracket stops shrinking (15, 15 and 37 batched calls for these brackets,
-    # where a one-point search makes 81, 80 and 190)
-    f, calls = counted(lambda u: abs(u - at))
-    x, fx = golden_section_min(f, lo, hi, tol=tol)
-    assert len(calls) <= 300
-    assert abs(x - at) <= 1e-15 * (hi - lo)
-    assert fx == f(x)
-
-
-def sequential_golden_section_min(f, lo, hi, tol):
-    """The one-point-at-a-time golden-section search: the oracle of the batched one."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    width = b - a
-    while width > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if not b - a < width:
-            break
-        width = b - a
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-class Logged:
-    """A float value that records each `<=` it takes part in, as the bits of both sides."""
-
-    def __init__(self, value, log):
-        self.value, self.log = value, log
-
-    def __le__(self, other):
-        self.log.append((bits(self.value), bits(other.value)))
-        return self.value <= other.value
-
-
 def bits(x):
     return np.float64(x).tobytes()
 
 
-def kinked(at, quantum, nan_lo, nan_hi):
-    """|x - at| cut to steps of quantum (a plateau when it is large), NaN on [nan_lo, nan_hi]."""
-
-    def g(x):
-        if nan_lo <= x <= nan_hi:
-            return math.nan
-        v = abs(x - at)
-        return math.floor(v / quantum) if quantum else v
-
-    return g
-
-
-@st.composite
-def searches(draw):
-    lo = draw(st.floats(-1e6, 1e6))
-    width = draw(st.one_of(st.floats(1e-12, 1e3), st.sampled_from([1e-300, 5e-324, 1e-3])))
-    hi = lo + width
-    if not hi > lo:
-        hi = np.nextafter(lo, math.inf)
-    at = lo + draw(st.floats(-0.5, 1.5)) * (hi - lo)
-    quantum = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0])) * (hi - lo)
-    u, v = sorted(draw(st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=2)))
-    if draw(st.booleans()):  # no NaN anywhere
-        u, v = 2.0, 1.0
-    nan_band = (lo + u * (hi - lo), lo + v * (hi - lo))
-    tol = draw(st.one_of(st.floats(5e-324, 1e-3), st.sampled_from([5e-324, 1e-300, 1e-3])))
-    return float(lo), float(hi), kinked(at, quantum, *nan_band), tol
-
-
-@settings(max_examples=100, deadline=None)
-@given(searches())
-# the search asks for both 0.0 and -0.0 here: distinct bits, so distinct points
-@example((-5e-324, 1.0, kinked(-5e-324, 0.0, 2.0, 1.0), 5e-324))
-def test_batched_search_equals_the_sequential_one(search):
-    lo, hi, g, tol = search
-    want_log, got_log, batches = [], [], []
-    want_x, want_fx = sequential_golden_section_min(lambda x: Logged(g(x), want_log), lo, hi, tol)
-
-    def batched(xs):
-        assert xs.dtype == float and xs.ndim == 1
-        batches.append(xs)
-        return np.array([Logged(g(float(x)), got_log) for x in xs], dtype=object)
-
-    got_x, got_fx = golden_section_min(batched, lo, hi, tol)
-    assert (bits(got_x), bits(got_fx.value)) == (bits(want_x), bits(want_fx.value))
-    assert got_log == want_log
-    seen = np.concatenate(batches)
-    assert ((lo <= seen) & (seen <= hi)).all()
-    # no point is asked for twice; points are compared by their bits, as the search keys them
-    assert len(np.unique(seen.view(np.int64))) == len(seen)
-    assert all(len(xs) <= 63 for xs in batches)
-    # one batch to start, then one per _LOOKAHEAD + 1 steps at most
-    assert len(batches) <= 1 + len(want_log) // 5
-
-
-def test_a_search_of_24_points_makes_5_objective_calls():
-    # the bracket and tol of a peak search: two steps of its 400-point log10(T) grid
-    want_calls, got_calls = [], []
-
-    def f(u):
-        return (u - 0.007) ** 2
-
-    sequential_golden_section_min(lambda x: want_calls.append(x) or f(x), 0.0, 0.02, 1e-6)
-    golden_section_min(lambda xs: got_calls.append(xs) or f(xs), 0.0, 0.02, 1e-6)
-    assert (len(want_calls), len(got_calls)) == (24, 5)
-
-
 # the inner-pair gap minimum at (t, bz, bx) = (7, 16, 100), to 50 digits (mpmath
-# findroot on the derivative of the gap 2 * E3): at eps = 101.2477537741246496...
+# findroot on the derivative of the gap 2 * E3)
+EPS_MINIMUM = 101.2477537741246496
 GAP_MINIMUM = 13.824168846833875057
-# the refinement stops at tol = 1e-6 in eps, where the gap is flat to ~1e-17; what
-# is left is the rounding of the closed form, a few ulps of the gap
-GAP_BOUND = 4e-15
 
 
-def test_anticrossing_refinement_makes_at_most_6_energy_calls(monkeypatch):
-    energies, calls = counted(model._energies)
-    monkeypatch.setattr(model, "_energies", energies)
+def ulps(x, want):
+    return abs(x - want) / math.ulp(want)
+
+
+def test_anticrossing_pin():
     found = find_anticrossing(7.0, 16.0, 100.0, ("E3", "E4"), (50.0, 150.0))
-    assert (found.eps, found.gap) == (101.24775360289107, 13.824168846833876)
-    assert abs(found.gap - GAP_MINIMUM) <= GAP_BOUND
-    sizes = [np.size(args[0]) for args in calls]
-    assert sizes[0] == 1001 and len(sizes) <= 1 + 6  # the coarse scan, then the refinement
+    assert (found.eps, found.gap) == (101.24775377412466, 13.824168846833874)
+    assert ulps(found.eps, EPS_MINIMUM) <= 1.0
+    assert ulps(found.gap, GAP_MINIMUM) <= 1.0
 
 
-@pytest.mark.parametrize("tol", [0, -1, 1e-300])
-def test_anticrossing_with_a_tol_below_the_float_spacing_ends(monkeypatch, tol):
-    energies, calls = counted(model._energies)
-    monkeypatch.setattr(model, "_energies", energies)
-    pair, eps_range = ("E3", "E4"), (50.0, 150.0)
-    if tol <= 0:
-        with pytest.raises(ValidationError, match="tol"):
-            find_anticrossing(7, 16, 100, pair, eps_range, tol=tol)
-        assert not calls
-        return
-    found = find_anticrossing(7, 16, 100, pair, eps_range, tol=tol)
-    assert len(calls) <= 200
-    default = find_anticrossing(7, 16, 100, pair, eps_range)
-    assert found.eps == pytest.approx(default.eps, abs=1e-5)
-    assert found.gap <= default.gap
+def test_the_anticrossing_makes_one_energy_call(monkeypatch):
+    sizes = []
+
+    def counted(eps, *args):
+        sizes.append(np.size(eps))
+        return energies(eps, *args)
+
+    energies = model._energies
+    monkeypatch.setattr(model, "_energies", counted)
+    find_anticrossing(7.0, 16.0, 100.0, ("E3", "E4"), (50.0, 150.0))
+    assert sizes == [1]
+
+
+# With m = max(t, |bz|, |bx|), eps^2 = (h - s)(h + s), s = 2 t |bz| / h, carries
+# a few ulps of m^2 (where u = eps^2 is near 0 that is most of eps's digits:
+# the minimum is flat there), and the gap, from the closed-form levels at eps,
+# a few ulps of m.  Measured over 3500 draws of this box and near u = 0:
+# 4.9 ulps of m^2 and 2.4 ulps of m.  A subnormal result also rounds to the
+# subnormal spacing: eps to half of it, the gap 2 E3 to one (3000 draws).
+EPS_SQ_ULPS = 8.0
+GAP_ULPS = 4.0
+
+
+def assert_anticrossing_matches_the_reference(t, bz, bx, pair):
+    m = max(t, abs(bz), abs(bx))
+    want_eps, want_gap = anticrossing(t, bz, bx, pair)
+    found = find_anticrossing(t, bz, bx, pair, (-1.0, 2.0 * m + 1.0))
+    with mpmath.workdps(50):
+        ulp, m, tiny = mpmath.mpf(sys.float_info.epsilon), mpmath.mpf(m), mpmath.mpf(2) ** -1074
+        eps_sq_bound = EPS_SQ_ULPS * ulp * m**2 + (abs(found.eps) + want_eps) * tiny
+        assert abs(mpmath.mpf(found.eps) ** 2 - want_eps**2) <= eps_sq_bound
+        assert abs(found.gap - want_gap) <= GAP_ULPS * ulp * m + 2 * tiny
+    if set(pair) != {"E3", "E4"}:
+        assert bits(found.eps) == bits(0.0)
+    assert found.eps >= 0.0  # of +-eps* both in the range, +eps*
+
+
+@settings(max_examples=64, deadline=None)
+@given(
+    st.floats(0.0, 30.0), st.floats(-40.0, 40.0), st.floats(-100.0, 100.0),
+    st.sampled_from([("E3", "E4"), ("E4", "E3"), ("E1", "E3"), ("E2", "E4")]),
+)
+@example(7.0, 16.0, 100.0, ("E3", "E4"))
+@example(7.0, 16.0, 0.0, ("E3", "E4"))  # bx = 0: a crossing, gap 0
+@example(8.0, 16.0, 0.0, ("E3", "E4"))  # u = 0 exactly
+@example(8.0, 16.0, 1e-6, ("E3", "E4"))  # u ~ 1e-12 m^2, from h - s
+@example(0.0, 0.0, 0.0, ("E3", "E4"))  # H = 0
+@example(7.0, 0.0, 100.0, ("E1", "E3"))  # bz = 0: E1 = E3 at eps = 0
+@example(7e-300, 16e-300, 100e-300, ("E3", "E4"))
+@example(7e-150, 16e-150, 100e-150, ("E3", "E4"))
+@example(7e150, 16e150, 100e150, ("E3", "E4"))
+@example(7e300, 16e300, 100e300, ("E3", "E4"))
+@example(7e300, 16e300, 100e300, ("E1", "E3"))
+@example(2.225073858507e-311, 2.225073858507e-311, 2.225073858507e-311, ("E3", "E4"))  # subnormal
+@example(0.0, 2.225073858507e-311, 2.225073858507e-311, ("E3", "E4"))
+def test_the_anticrossing_matches_the_50_digit_minimum(t, bz, bx, pair):
+    assert_anticrossing_matches_the_reference(t, bz, bx, pair)
+
+
+def test_a_range_holding_both_minima_gives_the_positive_one():
+    found = find_anticrossing(7.0, 16.0, 100.0, ("E3", "E4"), (-150.0, 150.0))
+    assert found == find_anticrossing(7.0, 16.0, 100.0, ("E3", "E4"), (50.0, 150.0))
+    left = find_anticrossing(7.0, 16.0, 100.0, ("E3", "E4"), (-150.0, 50.0))
+    assert (left.eps, left.gap) == (-found.eps, found.gap)
+
+
+@pytest.mark.parametrize("pair", [("E1", "E3"), ("E3", "E1"), ("E2", "E4"), ("E4", "E2")])
+@pytest.mark.parametrize("params", [(7.0, 16.0, 100.0), (15.4, 24.0, 10.0), (7.0, 16.0, 0.0)])
+def test_the_outer_pairs_are_closest_at_zero_detuning(pair, params):
+    found = find_anticrossing(*params, pair, (-5.0, 5.0))
+    assert bits(found.eps) == bits(0.0)
+    e = analytic_energies(ModelParams(0.0, *params))
+    ia, ib = (model.LEVEL_LABELS.index(label) for label in pair)
+    assert found.gap == abs(e[ia] - e[ib])
 
 
 @pytest.mark.parametrize("grid_step", [0, -0.1, float("nan"), float("inf"), "fine"])
 def test_anticrossing_rejects_a_bad_grid_step(grid_step):
-    with pytest.raises(ValidationError, match="grid_step"):
+    # the closed form has no scan: any grid_step is an unknown argument
+    with pytest.raises(TypeError, match="grid_step"):
         find_anticrossing(7, 16, 100, ("E3", "E4"), (50.0, 150.0), grid_step=grid_step)
 
 
-@pytest.mark.parametrize(
-    "eps_range, grid_step",
-    [
-        ((-1e308, 1e308), 0.1),  # hi - lo is inf
-        ((50.0, 150.0), 5e-324),  # the point count is inf
-        ((50.0, 150.0), 1e-300),  # ~1e302 points, finite
-    ],
-)
-def test_anticrossing_rejects_a_scan_too_long_to_count(eps_range, grid_step):
-    with pytest.raises(ValidationError, match="too many points"):
-        find_anticrossing(7, 16, 100, ("E3", "E4"), eps_range, grid_step=grid_step)
+@pytest.mark.parametrize("tol", [0, -1, 1e-300])
+def test_anticrossing_rejects_a_tol(tol):
+    # nor a refinement: any tol is an unknown argument
+    with pytest.raises(TypeError, match="tol"):
+        find_anticrossing(7, 16, 100, ("E3", "E4"), (50.0, 150.0), tol=tol)
+
+
+@pytest.mark.parametrize("eps_range", [(-1e308, 1e308), (50.0, 1e308)])
+def test_anticrossing_takes_any_finite_range(eps_range):
+    found = find_anticrossing(7, 16, 100, ("E3", "E4"), eps_range)
+    assert (found.eps, found.gap) == (101.24775377412466, 13.824168846833874)
 
 
 @pytest.mark.parametrize(
@@ -466,34 +382,11 @@ def test_anticrossing_rejects_a_scan_too_long_to_count(eps_range, grid_step):
         pytest.param(lambda: ModelParams(10**400, 1, 1, 1), "epsilon", id="params"),
         pytest.param(lambda: thermal_state(ModelParams(1, 7, 16, 100), 10**400), "temperature",
                      id="temperature"),
-        pytest.param(lambda: golden_section_min(lambda x: x * x, 0.0, 1.0, tol=10**400), "tol",
-                     id="golden-tol"),
-        pytest.param(lambda: find_anticrossing(7, 16, 100, ("E3", "E4"), (50, 150),
-                                               grid_step=10**400), "grid_step", id="gap-grid_step"),
-        pytest.param(lambda: find_anticrossing(7, 16, 100, ("E3", "E4"), (50, 150), tol=10**400),
-                     "tol", id="gap-tol"),
     ],
 )
 def test_an_integer_beyond_the_doubles_raises_validation_error(call, name):
     with pytest.raises(ValidationError, match=f"{name} must be a real number"):
         call()
-
-
-def test_anticrossing_scan_is_bounded_by_its_point_count():
-    # steps of 2^-9 make (hi - lo) / grid_step exact: _SCAN_POINTS - 1 steps, then one more
-    step = 2.0**-9
-    hi = 50.0 + (model._SCAN_POINTS - 1) * step
-    found = find_anticrossing(7, 16, 100, ("E3", "E4"), (50.0, hi), grid_step=step)
-    assert (found.eps, found.gap) == (101.24775353536123, 13.824168846833878)
-    assert abs(found.gap - GAP_MINIMUM) <= GAP_BOUND
-    with pytest.raises(ValidationError, match=f"too many points .* at most {model._SCAN_POINTS}"):
-        find_anticrossing(7, 16, 100, ("E3", "E4"), (50.0, hi + step), grid_step=step)
-
-
-def test_anticrossing_pin():
-    found = find_anticrossing(7.0, 16.0, 100.0, ("E3", "E4"), (50.0, 150.0))
-    assert (found.eps, found.gap) == (101.24775360289107, 13.824168846833876)
-    assert abs(found.gap - GAP_MINIMUM) <= GAP_BOUND
 
 
 def test_anticrossing_inner_pair():

