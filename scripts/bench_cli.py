@@ -9,9 +9,13 @@ KERNEL_SIZES, the Gibbs stage with the eigensolve it makes in that
 tree's sweep; a kernel the tree lacks under its name and under its
 former name (FORMER_NAMES) is recorded as null, and so is a grid-aware
 sweep.write_table at an N that is not whole runs of the map's 100
-temperatures. A fresh interpreter then runs the whole script, and each
-case of RSS_CASES runs in a fresh interpreter of its own that reports
-its peak resident set size. Trees
+temperatures. A streaming sweep.write_table (one that takes no columns
+but evaluates the grid block by block itself) is timed on the whole map
+only, with its evaluation replaced by the map's precomputed C column: its
+time is the block loop's own, building each block's parameters, then
+formatting and writing it. A fresh interpreter then runs the whole
+script, and each case of RSS_CASES runs in a fresh interpreter of its own
+that reports its peak resident set size. Trees
 take turns over several rounds, the first tree leading in odd rounds, so
 host drift reaches every tree alike. After the rounds, the tier-1 test
 suite next to each tree (DIR/../tests) runs once, timed. Uses only the
@@ -91,6 +95,8 @@ measures = concurrence, correlated_coherence
 RSS_CASES = {
     "sweep README config 201x101": 201,
     "sweep README config 801x101": 801,
+    "sweep README config 3201x101": 3201,
+    "sweep README config 6401x101": 6401,
     "validate --samples 4096": ["validate", "--samples", "4096", "--seed", "42"],
     "validate --samples 200000": ["validate", "--samples", "200000", "--seed", "42"],
 }
@@ -180,22 +186,42 @@ def _kernels(n: int) -> dict:
             calls[name] = gibbs
         elif name == "sweep.write_table":
             cols = {"bx": bx, "T": temp, "C": roots[:, 0]}
-            if "grid" not in inspect.signature(fn).parameters:  # the per-cell writer
+            params = inspect.signature(fn).parameters
+            sweep = modules["sweep"]
+            if "grid" not in params:  # the per-cell writer
                 calls[name] = lambda fn=fn, c=cols: fn(io.StringIO(), tuple(c), list(c.values()))
-            elif n % 100 == 0:  # the grid-aware writer takes whole runs of the map's T axis
-                sweep = modules["sweep"]
+            elif n % 100 == 0 and ("columns" in params or n == 10_000):
+                # the grid-aware writers take whole runs of the map's T axis
                 grid = sweep.SweepGrid(
                     fixed={"epsilon": 1.0, "t": 7.0, "bz": 16.0},
                     axis1=sweep.Axis("bx", 1.0, 100.0, 100),
                     axis2=sweep.Axis("T", 0.01, 100.0, 100, "log"),
                     measures=("concurrence",),
                 )
-                calls[name] = lambda fn=fn, g=grid, c=cols: fn(io.StringIO(), g, c, tuple(c))
+                if "columns" in params:  # the writer of whole-grid columns
+                    calls[name] = lambda fn=fn, g=grid, c=cols: fn(io.StringIO(), g, c, tuple(c))
+                else:  # the streaming writer
+                    calls[name] = lambda fn=fn, g=grid: _streamed(fn, sweep, g, cols["C"])
             else:
                 calls[name] = None
         else:
             calls[name] = lambda fn=fn, a=args[name]: fn(*a)
     return calls
+
+
+def _streamed(write_table, sweep, grid, values) -> None:
+    """write_table(stream, grid, header) with each block's C taken from values, in order."""
+    rows = [0]
+
+    def evaluate(cols, measures):
+        rows[0] += len(cols["T"])
+        return {"C": values[rows[0] - len(cols["T"]) : rows[0]]}
+
+    real, sweep._evaluate = sweep._evaluate, evaluate
+    try:
+        write_table(io.StringIO(), grid, ("bx", "T", "C"))
+    finally:
+        sweep._evaluate = real
 
 
 def worker() -> int:

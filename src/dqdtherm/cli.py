@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import functools
 import logging
+import os
 import re
 import sys
 
@@ -20,7 +21,6 @@ from .sweep import (
     ConfigError,
     SweepGrid,
     load_config,
-    sweep_columns,
     write_table,
 )
 from .validate import hard_failed, run_validation
@@ -28,12 +28,41 @@ from .validate import hard_failed, run_validation
 __all__ = ["main"]
 
 
+@contextlib.contextmanager
+def _output(path):
+    """A text stream whose text reaches path, or stdout, only if the run completes.
+
+    A regular file, or none, at path is replaced by a new file made beside it;
+    stdout and other paths (a device, a pipe) get a spool file, copied out.
+    """
+    if path and (os.path.isfile(path) or not os.path.exists(path)):
+        spool = f"{path}.{os.urandom(8).hex()}.tmp"
+        try:
+            stream = open(spool, "x", encoding="utf-8", newline="")
+        except OSError as exc:  # name the output, not the file made beside it
+            raise OSError(exc.errno, exc.strerror, path) from None
+        try:
+            with stream:
+                yield stream
+            os.replace(spool, path)
+        except BaseException:
+            os.unlink(spool)
+            raise
+        return
+    import tempfile
+
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        yield spool
+        spool.seek(0)
+        with (open(path, "w", encoding="utf-8", newline="") if path
+              else contextlib.nullcontext(sys.stdout)) as sink:
+            sink.writelines(spool)
+
+
 def _write_sweep(path, grid: SweepGrid, header) -> int:
-    """Evaluate the grid, then write the columns the header names (eps is epsilon)."""
-    columns = sweep_columns(grid)
-    with (open(path, "w", encoding="utf-8", newline="") if path
-          else contextlib.nullcontext(sys.stdout)) as stream:
-        write_table(stream, grid, columns, header)
+    """Evaluate the grid and write the columns the header names (eps is epsilon)."""
+    with _output(path) as stream:
+        write_table(stream, grid, header)
     return 0
 
 
@@ -89,8 +118,7 @@ def _cmd_validate(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     results = run_validation(samples=args.samples, seed=args.seed)
-    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
-          else contextlib.nullcontext(sys.stdout)) as stream:
+    with _output(args.out) as stream:
         stream.write("check,samples,flagged,max_residual,tolerance,hard,status,worst_point\n")
         for r in results:
             stream.write(

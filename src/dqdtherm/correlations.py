@@ -3,7 +3,7 @@
 All states here are real symmetric density matrices, so complex
 conjugation is a no-op and every measure reduces to real arithmetic.
 Each measure has one unchecked kernel over (N, 4, 4) stacks, which the
-sweeps run on whole grids at once.  Each public measure validates its
+sweeps run on blocks of grid points.  Each public measure validates its
 density-matrix argument once and calls the same kernel with N = 1, so a
 point gives the same bits through either route.
 """
@@ -51,9 +51,9 @@ def _concurrence(vectors: np.ndarray, roots: np.ndarray) -> np.ndarray:
 
     The square roots of the spin-flip spectrum are taken as |eig(B)| of
     the symmetric matrix B = sqrt(rho) S sqrt(rho): B^2 is the usual PSD
-    similarity of rho S rho S, so eig(B) = +-sqrt(lambda) exactly.  This
-    is the route for any density matrix; validate keeps it as the oracle
-    of _gibbs_concurrence.
+    similarity of rho S rho S, so eig(B) = +-sqrt(lambda) exactly.  The
+    route for any density matrix: validate's reference for
+    concurrence_closed_form, and the tests' for _gibbs_concurrence.
     """
     sq = (vectors * roots[:, None, :]) @ _swap(vectors)
     b = sq @ SPIN_FLIP @ sq

@@ -1,31 +1,27 @@
 """Parameter-grid sweeps with deterministic CSV serialization.
 
 A sweep walks one or two parameter axes, evaluates a set of measures at
-every grid point, and emits rows in row-major axis order.  The grid is
-held as columns, one float array per parameter, and evaluated in blocks
-of whole rows of axis2, about _BLOCK points each, keeping only the
-output columns.  In a block, consecutive points with the same (eps, t,
-bz, bx) share one Hamiltonian, so thermal._gibbs_columns stacks the
-distinct Hamiltonians into one (M, 4, 4) array and one batched
-eigendecomposition serves every Gibbs state: a grid whose T axis is
-innermost diagonalizes each distinct H once (a one-axis T sweep, once
-per block), and one with T outer or fixed, every point.  Each measure
-then runs once over the block's stack of states.  That eigensolve is the
-block's only one: the density-matrix checks, the concurrence and the
-fidelity read the shared eigenvectors and the Gibbs weights, and the
-block's (N, 4, 4) density matrices are formed, once, only for the
-populations, l1 and correlated coherence.  Every check over a
-block is a (bad, error) pair, and qmatrix.raise_first raises the error
-of the block's first failing point in row-major order, at that point the
-earliest check's: the Gibbs inputs, then the Gibbs state, then each
-measure in the order requested.  The blocks run in order, so the error
-names the grid's first failing point.  write_table prints the columns as
-CSV, formatting each fixed value and each axis value of a two-axis grid
-once and splicing that text into a row template per run of rows that
-share an axis1 value; the values that differ per row are formatted in
-blocks of whole runs, about _BLOCK rows, each by one %-operation.  Each
-point gives the same bits alone or inside any grid, so reruns of the
-same input on one machine produce byte-identical CSV.
+every grid point, and emits rows in row-major axis order.  One loop
+takes the grid in blocks of whole rows of axis2, about _BLOCK points
+each, and builds, evaluates, formats and writes each block before the
+next runs, so a sweep holds one block at any grid size.  In a block,
+consecutive points with the same (eps, t, bz, bx) share one Hamiltonian,
+so thermal._gibbs_columns stacks the distinct Hamiltonians into one
+(M, 4, 4) array and one batched eigendecomposition serves every Gibbs
+state: a grid whose T axis is innermost diagonalizes each distinct H
+once (a one-axis T sweep, once per block), and one with T outer or
+fixed, every point.  Each measure then runs once over the block's stack
+of states.  That eigensolve is the block's only one: the density-matrix
+checks, the concurrence and the fidelity read the shared eigenvectors
+and the Gibbs weights, and the block's (N, 4, 4) density matrices are
+formed, once, only for the populations, l1 and correlated coherence.
+Every check over a block is a (bad, error) pair, and qmatrix.raise_first
+raises the error of the block's first failing point in row-major order,
+at that point the earliest check's: the Gibbs inputs, then the Gibbs
+state, then each measure in the order requested.  The blocks run in
+order, so the error names the grid's first failing point.  Each point
+gives the same bits alone or inside any grid, so reruns of the same
+input on one machine produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -212,47 +208,29 @@ def _evaluate(cols: dict, measures) -> dict:
     return out
 
 
-def _grid_columns(grid: SweepGrid) -> dict:
-    """The grid's parameters as float arrays in row-major order.
-
-    Keys come fixed values first, then axis1, then axis2, the order of
-    the point dicts that error messages show.
-    """
-    v1 = grid.axis1.values()
-    v2 = grid.axis2.values() if grid.axis2 is not None else None
-    n = v1.size if v2 is None else v1.size * v2.size
-    cols = {k: np.full(n, v) for k, v in grid.fixed.items()}
-    if v2 is None:
-        cols[grid.axis1.name] = v1
-    else:
-        cols[grid.axis1.name] = np.repeat(v1, v2.size)
-        cols[grid.axis2.name] = np.tile(v2, v1.size)
-    return cols
-
-
-# grid points evaluated, and table rows formatted, per block: bounds the
-# memory of any grid
+# grid points evaluated, formatted and written together: what a sweep holds
 _BLOCK = 4096
 
 
-def sweep_columns(grid: SweepGrid) -> dict:
-    """Evaluate the grid: each parameter and measure column as one array, row-major.
+def sweep_columns(grid: SweepGrid):
+    """Evaluate the grid block by block: yield each block's parameter and measure columns.
 
-    The points are evaluated in blocks of whole rows of axis2, at most
-    _BLOCK points each unless one row is longer, and each block's output
-    columns are copied out before the next block runs.  The first failing
+    A block is whole rows of axis2, at most _BLOCK points unless one row
+    is longer, its parameters built from its row range and the axis values
+    (fixed values first, then axis1, then axis2, as error messages show
+    them).  Each block is evaluated when asked for, so the first failing
     block raises, naming the first failing point in row-major order.
     """
-    cols = _grid_columns(grid)
-    n = len(cols["T"])
-    row = grid.axis2.count if grid.axis2 is not None else 1
-    step = max(1, _BLOCK // row) * row
-    out = {c: np.empty(n) for c in grid.columns()}
-    for start in range(0, n, step):
-        block = _evaluate({k: v[start : start + step] for k, v in cols.items()}, grid.measures)
-        for c, column in out.items():
-            column[start : start + step] = block[c]
-    return {**cols, **out}
+    run = grid.axis2.count if grid.axis2 is not None else 1
+    step = max(1, _BLOCK // run)  # whole runs of axis2 per block
+    v1 = grid.axis1.values()
+    for start in range(0, v1.size, step):
+        outer = v1[start : start + step]
+        cols = {k: np.full(outer.size * run, v) for k, v in grid.fixed.items()}
+        cols[grid.axis1.name] = np.repeat(outer, run)
+        if grid.axis2 is not None:
+            cols[grid.axis2.name] = np.tile(grid.axis2.values(), outer.size)
+        yield {**cols, **_evaluate(cols, grid.measures)}
 
 
 def _text(value) -> str:
@@ -260,43 +238,37 @@ def _text(value) -> str:
     return "%.12g" % (value + 0.0)
 
 
-def write_table(stream, grid: SweepGrid, columns: dict, header) -> None:
-    """Write the header and the grid's columns it names as comma-separated lines.
+def write_table(stream, grid: SweepGrid, header) -> None:
+    """Evaluate the grid and write the header and the columns it names as CSV lines.
 
-    columns is sweep_columns(grid); each label of header is one of its
-    keys, or eps for epsilon.  Each value prints with 12 significant
-    digits and -0 as 0.  A parameter that repeats is formatted once per
-    value: a fixed value once, and each axis value of a two-axis grid
-    once.  Rows come in runs of axis2.count rows that share one axis1
-    value u, so a run's row template is u.join(pieces), where the pieces
-    hold the text between the run's axis1 cells: axis2's and the fixed
-    values' text, and a "%.12g" field for each value that differs per
-    row (the measures, and the axis of a one-axis grid).  Each block of
-    whole runs, about _BLOCK rows, is one %-operation over those fields.
+    Each label of header is a parameter or measure column of the grid, or
+    eps for epsilon.  Each value prints with 12 significant digits and -0
+    as 0.  A parameter that repeats is formatted once per value: a fixed
+    value once, and each axis value of a two-axis grid once.  Rows come in
+    runs of axis2.count rows that share one axis1 value u, so a run's row
+    template is u.join(pieces), where the pieces hold the text between the
+    run's axis1 cells: axis2's and the fixed values' text, and a "%.12g"
+    field for each value that differs per row (the measures, and the axis
+    of a one-axis grid).  Each block of sweep_columns(grid) is one
+    %-operation over those fields, written before the next is evaluated.
     """
     names = ["epsilon" if h == "eps" else h for h in header]
     stream.write(",".join(header) + "\n")
     run = grid.axis2.count if grid.axis2 is not None else 1
     # each column's cell in row j of a run; "\0" marks where the run's axis1 text goes
     cells = {k: [_text(v)] * run for k, v in grid.fixed.items() if k in names}
-    outer = None
     if grid.axis2 is not None:
-        a1, a2 = grid.axis1.name, grid.axis2.name
-        cells[a2] = [_text(v) for v in columns[a2][:run]]
-        cells[a1] = ["\0"] * run
-        outer = [_text(v) for v in columns[a1][::run]]
+        cells[grid.axis2.name] = [_text(v) for v in grid.axis2.values()]
+        cells[grid.axis1.name] = ["\0"] * run
     fields = [n for n in names if n not in cells]
     cells.update((n, ["%.12g"] * run) for n in fields)
     pieces = "".join(",".join(cells[n][j] for n in names) + "\n" for j in range(run)).split("\0")
-    rows = len(columns["T"])
-    step = max(1, _BLOCK // run) * run
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        if outer is None:  # a one-axis grid: one template for every row
-            template = pieces[0] * (stop - start)
+    for block in sweep_columns(grid):
+        if grid.axis2 is None:  # a one-axis grid: one template for every row
+            template = pieces[0] * len(block["T"])
         else:
-            template = "".join([u.join(pieces) for u in outer[start // run : stop // run]])
-        values = np.array([columns[f][start:stop] for f in fields]).T + 0.0
+            template = "".join([_text(u).join(pieces) for u in block[grid.axis1.name][::run]])
+        values = np.array([block[f] for f in fields]).T + 0.0
         stream.write(template % tuple(values.ravel().tolist()))
 
 

@@ -3,7 +3,8 @@
 H is built from the double inputs exactly and diagonalized with
 mp.eigsy at 40 significant digits.  Its eigenvalues are the reference
 of the closed-form levels.  From its eigenpairs come the Gibbs
-weights, the ground-state fidelity F = <psi0|rho|psi0>, the Wootters
+weights, the populations (rho's diagonal) and l1 coherence of rho, the
+ground-state fidelity F = <psi0|rho|psi0>, the Wootters
 concurrence C (PRL 80, 2245 (1998)) and the correlated coherence Ccc
 (Tan, Kwon, Park, Jeong, PRA 94, 022329 (2016)), each qubit rotated into
 the eigenbasis of its reduced state.  Two extrema come from the same
@@ -27,6 +28,8 @@ class Reference:
     """The reference values at one point, rounded to doubles."""
 
     weights: tuple[float, float, float, float]
+    populations: tuple[float, float, float, float]
+    l1: float
     fidelity: float
     concurrence: float
     ccc: float
@@ -107,7 +110,10 @@ def _ccc(rho):
 
 
 def reference(eps: float, t: float, bz: float, bx: float, temperature: float) -> Reference:
-    """Gibbs weights, F, C and Ccc of the Gibbs state at (eps, t, bz, bx, T), to 40 digits."""
+    """Gibbs weights, populations, l1, F, C and Ccc of the Gibbs state at (eps, t, bz, bx, T).
+
+    To 40 digits.
+    """
     with mpmath.workdps(DIGITS):
         energies, vectors = mpmath.eigsy(_hamiltonian(eps, t, bz, bx))
         weights, rho = _gibbs(energies, vectors, mpmath.mpf(temperature))
@@ -116,6 +122,8 @@ def reference(eps: float, t: float, bz: float, bx: float, temperature: float) ->
         ccc, gap_a, gap_b = _ccc(rho)
         return Reference(
             weights=tuple(float(w) for w in weights),
+            populations=tuple(float(rho[i, i]) for i in range(4)),
+            l1=float(_l1(rho)),
             fidelity=float(fidelity),
             concurrence=float(_concurrence(rho)),
             ccc=float(ccc),

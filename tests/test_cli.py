@@ -1,9 +1,11 @@
+import os
+import stat
 import warnings
 
 import numpy as np
 import pytest
 
-from dqdtherm import cli
+from dqdtherm import cli, sweep
 from dqdtherm.cli import main
 from dqdtherm.sweep import PARAM_NAMES, Axis, SweepGrid, sweep_columns
 
@@ -327,12 +329,12 @@ def test_negative_numbers_in_scientific_notation_are_values(tmp_path):
 
 
 def per_value_csv(grid, header):
-    """The CSV of a grid's evaluated columns, formatted row by row, one value at a time."""
-    columns = sweep_columns(grid)
+    """The CSV of a grid's evaluated blocks, formatted row by row, one value at a time."""
     names = ["epsilon" if h == "eps" else h for h in header]
     lines = [",".join(header)]
-    for i in range(len(columns["T"])):
-        lines.append(",".join(format_csv_value(columns[k][i]) for k in names))
+    for block in sweep_columns(grid):
+        for i in range(len(block["T"])):
+            lines.append(",".join(format_csv_value(block[k][i]) for k in names))
     return "".join(line + "\n" for line in lines)
 
 
@@ -416,23 +418,104 @@ def test_sweep_config_csv_equals_per_value_formatting(tmp_path):
     assert data.decode() == per_value_csv(grid, PARAM_NAMES + grid.columns())
 
 
+# the eigenvalues of H overflow only at the last point, eps = 1.7e308
+OVERFLOW_CONFIG = (
+    "[fixed]\nt = 7\nbz = 1.7e308\nbx = 1.7e308\nT = 1\n"
+    "[axis1]\nname = epsilon\nmin = 0\nmax = 1.7e308\ncount = 3\n"
+    "[output]\nmeasures = concurrence, fidelity_pure\n"
+)
+OVERFLOW_ERROR = (
+    "error: inputs out of floating-point range: the eigenvalues of H overflow "
+    "at {'t': 7.0, 'bz': 1.7e+308, 'bx': 1.7e+308, 'T': 1.0, 'epsilon': 1.7e+308}\n"
+)
+
+
 def test_bad_grid_point_keeps_its_exit_code_and_message(tmp_path, capsys):
-    # the eigenvalues of H overflow only at the last point, eps = 1.7e308
     cfg = tmp_path / "overflow.ini"
-    cfg.write_text(
-        "[fixed]\nt = 7\nbz = 1.7e308\nbx = 1.7e308\nT = 1\n"
-        "[axis1]\nname = epsilon\nmin = 0\nmax = 1.7e308\ncount = 3\n"
-        "[output]\nmeasures = concurrence, fidelity_pure\n"
-    )
+    cfg.write_text(OVERFLOW_CONFIG)
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: inputs out of floating-point range: the eigenvalues of H overflow "
-        "at {'t': 7.0, 'bz': 1.7e+308, 'bx': 1.7e+308, 'T': 1.0, 'epsilon': 1.7e+308}\n"
-    )
+    assert captured.err == OVERFLOW_ERROR
     assert not out.exists()
+    assert list(tmp_path.iterdir()) == [cfg]  # no temporary file left either
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_a_sweep_failing_after_written_blocks_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                              to_file):
+    # one point per block: two blocks are written before the third fails
+    monkeypatch.setattr(sweep, "_BLOCK", 1)
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(OVERFLOW_CONFIG)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg)] + (["--out", str(out)] if to_file else [])) == 2
+    assert capsys.readouterr() == ("", OVERFLOW_ERROR)
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_a_failing_run_leaves_an_existing_output_untouched(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweep, "_BLOCK", 1)
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(OVERFLOW_CONFIG)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old bytes\n")
+    before = os.stat(out)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert out.read_bytes() == b"old bytes\n"
+    assert os.stat(out).st_ino == before.st_ino
+    assert sorted(tmp_path.iterdir()) == [out, cfg]
+
+    def failing_validation(samples, seed):
+        raise cli.ValidationError("a failing check")
+
+    monkeypatch.setattr(cli, "run_validation", failing_validation)
+    assert main(["validate", "--out", str(out)]) == 1
+    assert out.read_bytes() == b"old bytes\n"
+    assert os.stat(out).st_ino == before.st_ino
+    assert sorted(tmp_path.iterdir()) == [out, cfg]
+
+
+def test_a_completed_run_replaces_the_output_and_any_symlink_there(tmp_path):
+    rc, expected = run_to_file(tmp_path, SPECTRUM, "expected.csv")
+    assert rc == 0
+    out, other = tmp_path / "out.csv", tmp_path / "other.csv"
+    out.write_bytes(b"old bytes\n")
+    inode = os.stat(out).st_ino
+    old_umask = os.umask(0o027)
+    try:
+        assert main(SPECTRUM + ["--out", str(out)]) == 0
+    finally:
+        os.umask(old_umask)
+    assert out.read_bytes() == expected
+    assert os.stat(out).st_ino != inode  # a new file, renamed onto the old one
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+    # a symlink at the target is replaced by the output, its target kept
+    other.write_bytes(b"other bytes\n")
+    out.unlink()
+    out.symlink_to(other)
+    assert main(SPECTRUM + ["--out", str(out)]) == 0
+    assert not out.is_symlink() and out.read_bytes() == expected
+    assert other.read_bytes() == b"other bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.csv", "other.csv", "out.csv"]
+
+
+def test_a_fifo_target_is_written_through_not_replaced(tmp_path):
+    rc, expected = run_to_file(tmp_path, SPECTRUM, "expected.csv")
+    assert rc == 0
+    fifo = tmp_path / "out.csv"
+    os.mkfifo(fifo)
+    # a reader open first, so the CLI's open of the FIFO does not wait; the
+    # output fits in the pipe's buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(SPECTRUM + ["--out", str(fifo)]) == 0
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert data == expected
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):

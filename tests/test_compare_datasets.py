@@ -45,3 +45,43 @@ def test_last_digit_change_is_listed_and_passes(tmp_path, capsys):
 def test_changes_outside_tolerance_fail(tmp_path, capsys, new, name):
     assert compare_datasets.main(_dirs(tmp_path, new, name)) == 1
     assert capsys.readouterr().out.endswith("outside tolerance\n")
+
+
+REPORT = (
+    "check,samples,flagged,max_residual,tolerance,hard,status,worst_point\n"
+    "trace,20,0,6.66133814775e-16,1e-12,1,ok,eps=-28.5415;t=12.2559\n"
+)
+
+
+def _report_dirs(tmp_path, new_text):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "validation_report.csv").write_text(REPORT)
+    (new / "validation_report.csv").write_text(new_text)
+    return str(old), str(new)
+
+
+def test_a_moved_worst_point_is_listed_and_passes(tmp_path, capsys):
+    new = REPORT.replace("6.66133814775e-16,", "6.66133814776e-16,").replace(
+        "eps=-28.5415;t=12.2559", "eps=3.5;t=1.25")
+    assert compare_datasets.main(_report_dirs(tmp_path, new)) == 0
+    out = capsys.readouterr().out
+    assert "validation_report.csv: 1 lines changed" in out
+    assert "    worst_point: eps=-28.5415;t=12.2559 -> eps=3.5;t=1.25\n" in out
+    assert out.endswith("within tolerance\n")
+
+
+@pytest.mark.parametrize(
+    "new",
+    [
+        REPORT.replace(",ok,", ",fail,"),  # status
+        REPORT.replace("trace,", "traces,"),  # check name
+        REPORT.replace("worst_point", "worst"),  # header, on the listed column
+        REPORT.replace(",ok,eps=-28.5415", ",fail,eps=3.5"),  # status beside a moved point
+    ],
+    ids=["status", "check", "header", "status-and-point"],
+)
+def test_other_changed_text_in_a_report_fails(tmp_path, capsys, new):
+    assert compare_datasets.main(_report_dirs(tmp_path, new)) == 1
+    assert capsys.readouterr().out.endswith("outside tolerance\n")

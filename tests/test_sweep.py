@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import warnings
 from unittest import mock
 
@@ -55,14 +56,33 @@ def small_grid(measures=("concurrence",), axis2=None):
     )
 
 
+def grid_points(grid):
+    """Each grid point as the dict error messages show, row-major: fixed values, axis1, axis2."""
+    axes = [grid.axis1] + ([grid.axis2] if grid.axis2 is not None else [])
+    return [dict(grid.fixed, **{a.name: float(v) for a, v in zip(axes, values)})
+            for values in itertools.product(*(a.values() for a in axes))]
+
+
 def grid_point(grid, i):
     """Grid point i as the dict that error messages show."""
-    return sweep._lookup(sweep._grid_columns(grid))(i)
+    return grid_points(grid)[i]
+
+
+def grid_columns(grid):
+    """The grid's parameters as whole columns, row-major, built point by point."""
+    points = grid_points(grid)
+    return {k: np.array([p[k] for p in points]) for k in points[0]}
+
+
+def evaluate(grid):
+    """The evaluated grid as whole columns: the blocks of sweep_columns, joined."""
+    blocks = list(sweep_columns(grid))
+    return {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
 
 
 def grid_rows(grid):
     """Each point of the evaluated grid as (parameters, measure values), row-major."""
-    columns = sweep_columns(grid)
+    columns = evaluate(grid)
     n = len(columns["T"])
     return [
         ({k: float(columns[k][i]) for k in PARAM_NAMES},
@@ -160,9 +180,8 @@ def test_sweep_columns_row_major_order():
 
 def sweep_csv(grid):
     """The CSV the sweep subcommand writes for grid."""
-    columns = sweep_columns(grid)
     stream = io.StringIO()
-    write_table(stream, grid, columns, PARAM_NAMES + grid.columns())
+    write_table(stream, grid, PARAM_NAMES + grid.columns())
     return stream.getvalue()
 
 
@@ -252,9 +271,9 @@ def grids_and_headers(draw):
 
 
 def csv_of_columns(grid, columns, header):
-    """The CSV write_table prints, and the per-value formatting of the same columns."""
+    """The CSV write_table prints of grid, and the per-value formatting of columns."""
     stream = io.StringIO()
-    write_table(stream, grid, columns, header)
+    write_table(stream, grid, header)
     keys = ["epsilon" if h == "eps" else h for h in header]
     rows = zip(*(columns[k] for k in keys))
     return stream.getvalue(), per_value_text(header, rows)
@@ -265,12 +284,18 @@ def csv_of_columns(grid, columns, header):
 def test_write_table_equals_per_value_formatting(grid_header, block, data):
     # the measure columns hold any double: -0, subnormals, inf and nan among them
     grid, header = grid_header
-    columns = sweep._grid_columns(grid)
+    columns = grid_columns(grid)
     n = len(columns["T"])
-    for c in grid.columns():
-        columns[c] = np.array(data.draw(st.lists(CSV_FLOATS, min_size=n, max_size=n)), dtype=float)
-    with mock.patch.object(sweep, "_BLOCK", block):
-        written, expected = csv_of_columns(grid, columns, header)
+    measures = {c: np.array(data.draw(st.lists(CSV_FLOATS, min_size=n, max_size=n)), dtype=float)
+                for c in grid.columns()}
+    rows = [0]
+
+    def drawn(cols, _):  # each block's measures: the next rows of the drawn columns
+        rows[0] += len(cols["T"])
+        return {c: v[rows[0] - len(cols["T"]) : rows[0]] for c, v in measures.items()}
+
+    with mock.patch.object(sweep, "_BLOCK", block), mock.patch.object(sweep, "_evaluate", drawn):
+        written, expected = csv_of_columns(grid, {**columns, **measures}, header)
     assert written == expected
 
 
@@ -280,7 +305,7 @@ def test_write_table_of_sweep_columns_equals_per_value_formatting(grid_header, b
     # blocks that split runs, do not divide axis2.count, or are shorter than one row
     grid, header = grid_header
     with mock.patch.object(sweep, "_BLOCK", block):
-        written, expected = csv_of_columns(grid, sweep_columns(grid), header)
+        written, expected = csv_of_columns(grid, evaluate(grid), header)
     assert written == expected
 
 
@@ -304,9 +329,9 @@ def test_write_table_formats_each_block_of_rows_at_once(monkeypatch):
             axis2=axis2,
             measures=("concurrence",),
         )
-        columns = sweep_columns(grid)
+        columns = evaluate(grid)
         writes.clear()
-        write_table(Stream(), grid, columns, PARAM_NAMES + ("C",))
+        write_table(Stream(), grid, PARAM_NAMES + ("C",))
         assert [w.count("\n") for w in writes] == lines
         assert "".join(writes) == csv_of_columns(grid, columns, PARAM_NAMES + ("C",))[1]
 
@@ -319,7 +344,7 @@ def test_write_table_formats_each_repeated_parameter_value_once(monkeypatch):
         axis2=Axis("T", 0.01, 100.0, 25, "log"),
         measures=("concurrence",),
     )
-    columns = sweep_columns(grid)
+    columns = evaluate(grid)
     formatted = []
     text = sweep._text
     monkeypatch.setattr(sweep, "_text", lambda v: formatted.append(v) or text(v))
@@ -346,23 +371,43 @@ def test_sweep_csv_across_block_boundaries_equals_per_value_formatting(monkeypat
     assert sweep_csv(grid) == per_value_text(PARAM_NAMES + grid.columns(), rows)
 
 
-def test_grid_columns_hold_the_grid_point_doubles():
+@pytest.mark.parametrize("block, sizes", [(5, [3] * 7), (7, [6, 6, 6, 3]), (4096, [21])],
+                         ids=["one-run", "two-runs", "one-block"])
+def test_sweep_blocks_hold_the_grid_point_doubles(monkeypatch, block, sizes):
+    # each block is whole rows of axis2, its parameters built from the axis values
+    monkeypatch.setattr(sweep, "_BLOCK", block)
     grid = SweepGrid(
         fixed={"t": 7.0, "bz": 16.0, "bx": 100.0},
         axis1=Axis("T", 0.01, 100.0, 7, "log"),
         axis2=Axis("epsilon", -5.0, 5.0, 3),
         measures=("l1",),
     )
-    columns = sweep._grid_columns(grid)
-    assert list(columns) == ["t", "bz", "bx", "T", "epsilon"]
-    expected = [
-        dict(grid.fixed, T=float(v1), epsilon=float(v2))
-        for v1 in grid.axis1.values() for v2 in grid.axis2.values()
-    ]
-    assert [sweep._lookup(columns)(i) for i in range(len(expected))] == expected
-    for k, column in columns.items():
-        assert column.dtype == np.float64
-        assert column.tolist() == [d[k] for d in expected]
+    blocks = list(sweep_columns(grid))
+    assert [len(b["T"]) for b in blocks] == sizes
+    points = [{k: float(b[k][i]) for k in PARAM_NAMES} for b in blocks for i in range(len(b["T"]))]
+    assert points == grid_points(grid)
+    assert points[4] == dict(grid.fixed, T=float(grid.axis1.values()[1]), epsilon=0.0)
+    for b in blocks:
+        assert list(b) == ["t", "bz", "bx", "T", "epsilon", "l1"]
+        assert all(column.dtype == np.float64 for column in b.values())
+
+
+def test_each_block_is_written_before_the_next_is_evaluated(monkeypatch):
+    # 11 one-row runs in blocks of 4: evaluate, write, evaluate, write, ...
+    monkeypatch.setattr(sweep, "_BLOCK", 4)
+    events = []
+    evaluate_block = sweep._evaluate
+    monkeypatch.setattr(sweep, "_evaluate",
+                        lambda cols, m: events.append(("evaluate", len(cols["T"])))
+                        or evaluate_block(cols, m))
+
+    class Stream:
+        def write(self, text):
+            events.append(("write", text.count("\n")))
+
+    grid = SweepGrid(FIXED, Axis("epsilon", -5.0, 5.0, 11), None, ("concurrence",))
+    write_table(Stream(), grid, ("eps", "C"))
+    assert events == [("write", 1)] + [e for n in (4, 4, 3) for e in (("evaluate", n), ("write", n))]
 
 
 def test_find_coherence_peak_smoke():
@@ -457,7 +502,7 @@ def test_load_config_round_trip(tmp_path):
     assert grid.axis2.name == "T" and grid.axis2.scale == "log"
     assert grid.measures == ("concurrence", "correlated_coherence")
     assert grid.fixed == {"t": 7.0, "bz": 16.0, "bx": 100.0}
-    assert len(sweep_columns(grid)["T"]) == 9
+    assert len(evaluate(grid)["T"]) == 9
 
 
 def test_load_config_fixed_temperature_key_is_case_sensitive(tmp_path):
@@ -549,7 +594,7 @@ def _fidelity_column(p, temp):
     """The sweep's F at temperatures temp and 2 temp."""
     fixed = {"epsilon": p.epsilon, "t": p.t, "bz": p.bz, "bx": p.bx}
     grid = SweepGrid(fixed, Axis("T", temp, 2.0 * temp, 2), None, ("fidelity_pure",))
-    return sweep_columns(grid)["F"]
+    return evaluate(grid)["F"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -647,10 +692,10 @@ def test_bad_point_error_names_the_first_in_row_major_order(monkeypatch):
         measures=("correlated_coherence",),
     )
     # correlated coherence comes out negative where bz = 0: points 1 and 3
-    bz = sweep._grid_columns(grid)["bz"]
+    bz = grid_columns(grid)["bz"]
     monkeypatch.setattr(sweep, "_correlated_coherence", negative_ccc(bz == 0.0))
     with pytest.raises(ValidationError, match="negative correlated coherence") as info:
-        sweep_columns(grid)
+        evaluate(grid)
     assert str(info.value).endswith(f"at {grid_point(grid, 1)}")
 
 
@@ -664,7 +709,7 @@ def test_later_check_at_an_earlier_point_wins(monkeypatch):
         axis2=Axis("epsilon", -1.0, 1.0, 2),
         measures=("correlated_coherence",),
     )
-    temp = sweep._grid_columns(grid)["T"]
+    temp = grid_columns(grid)["T"]
 
     def density(vectors, weights, index):
         return [(temp > 50.0, lambda i: NotPositiveSemidefiniteError("density check"))]
@@ -672,7 +717,7 @@ def test_later_check_at_an_earlier_point_wins(monkeypatch):
     monkeypatch.setattr(thermal, "gibbs_stack_checks", density)
     monkeypatch.setattr(sweep, "_correlated_coherence", negative_ccc(temp > 5.0))
     with pytest.raises(ValidationError, match="negative correlated coherence") as info:
-        sweep_columns(grid)
+        evaluate(grid)
     assert not isinstance(info.value, NotPositiveSemidefiniteError)
     assert str(info.value).endswith(f"at {grid_point(grid, 2)}")
 
@@ -712,7 +757,7 @@ THERMAL_MEASURES = ("populations", "concurrence", "fidelity_pure", "l1", "correl
 
 def test_a_temperature_map_diagonalizes_each_distinct_hamiltonian_once(monkeypatch):
     calls = count_eigensolves(monkeypatch)
-    sweep_columns(SweepGrid(MAP_FIXED, BX_AXIS, T_AXIS, ("concurrence",)))
+    evaluate(SweepGrid(MAP_FIXED, BX_AXIS, T_AXIS, ("concurrence",)))
     assert calls == [25]
 
 
@@ -720,7 +765,7 @@ def test_a_temperature_curve_diagonalizes_its_hamiltonian_once(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     grid = SweepGrid(dict(MAP_FIXED, bx=100.0), Axis("T", 0.01, 1e4, 400, "log"), None,
                      THERMAL_MEASURES)
-    sweep_columns(grid)
+    evaluate(grid)
     assert calls == [1]
 
 
@@ -728,7 +773,7 @@ def test_a_grid_at_fixed_temperature_diagonalizes_every_point(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     grid = SweepGrid({"t": 7.0, "bz": 16.0, "T": 0.2}, Axis("bx", 20.0, 40.0, 21),
                      Axis("epsilon", 3.0, 7.0, 21), ("concurrence",))
-    sweep_columns(grid)
+    evaluate(grid)
     assert calls == [21 * 21]
 
 
@@ -738,16 +783,16 @@ def test_blocks_of_whole_rows_diagonalize_each_distinct_hamiltonian_once(monkeyp
     # a block of whole T rows never splits the run of points sharing one H
     monkeypatch.setattr(sweep, "_BLOCK", block)
     calls = count_eigensolves(monkeypatch)
-    sweep_columns(SweepGrid(MAP_FIXED, Axis("bx", 1.0, 100.0, 100),
-                            Axis("T", 0.01, 100.0, 100, "log"), ("concurrence",)))
+    evaluate(SweepGrid(MAP_FIXED, Axis("bx", 1.0, 100.0, 100),
+                       Axis("T", 0.01, 100.0, 100, "log"), ("concurrence",)))
     assert calls == stacks
 
 
 def test_temperature_outer_and_inner_grids_give_the_same_bits(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     grid = SweepGrid(MAP_FIXED, BX_AXIS, T_AXIS, THERMAL_MEASURES)
-    inner = sweep_columns(grid)
-    outer = sweep_columns(dataclasses.replace(grid, axis1=T_AXIS, axis2=BX_AXIS))
+    inner = evaluate(grid)
+    outer = evaluate(dataclasses.replace(grid, axis1=T_AXIS, axis2=BX_AXIS))
     assert calls == [25, 25 * 25]
     for name in PARAM_NAMES + grid.columns():
         transposed = outer[name].reshape(25, 25).T.ravel()
@@ -772,7 +817,7 @@ def test_measures_that_read_rho_form_it_once_per_block(monkeypatch):
     # 625 points in blocks of 4 rows of 25: six of 100 points and one of 25
     monkeypatch.setattr(sweep, "_BLOCK", 100)
     calls = count_density_matrices(monkeypatch)
-    sweep_columns(SweepGrid(MAP_FIXED, BX_AXIS, T_AXIS, THERMAL_MEASURES))
+    evaluate(SweepGrid(MAP_FIXED, BX_AXIS, T_AXIS, THERMAL_MEASURES))
     assert calls == [100] * 6 + [25]
 
 
@@ -819,21 +864,21 @@ def test_a_failing_gibbs_check_on_a_shared_hamiltonian_names_its_first_point(mon
     skew_eigensolves(monkeypatch)
     grid = SKEWED_GRID
     with pytest.raises(NotPositiveSemidefiniteError, match="off orthonormal by") as info:
-        sweep_columns(grid)
+        evaluate(grid)
     assert str(info.value).endswith(f"at {grid_point(grid, 4)}")
 
     # a later check failing at an earlier point still wins
-    temp = sweep._grid_columns(grid)["T"]
+    temp = grid_columns(grid)["T"]
     monkeypatch.setattr(sweep, "_correlated_coherence", negative_ccc(temp > 5.0))
     with pytest.raises(ValidationError, match="negative correlated coherence") as info:
-        sweep_columns(grid)
+        evaluate(grid)
     assert str(info.value).endswith(f"at {grid_point(grid, 2)}")
 
 
 def test_a_failing_sweep_diagonalizes_once(monkeypatch):
     calls = skew_eigensolves(monkeypatch)
     with pytest.raises(NotPositiveSemidefiniteError):
-        sweep_columns(SKEWED_GRID)
+        evaluate(SKEWED_GRID)
     assert calls == [3]
 
 
@@ -850,7 +895,7 @@ def test_an_overflowing_point_warns_of_nothing_while_every_measure_runs():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="the eigenvalues of H overflow") as info:
-            sweep_columns(grid)
+            evaluate(grid)
     assert str(info.value).endswith(f"at {grid_point(grid, 4)}")
 
 
@@ -859,7 +904,7 @@ def test_a_failing_point_in_a_later_block_is_named(monkeypatch):
     monkeypatch.setattr(sweep, "_BLOCK", 3)
     calls = count_eigensolves(monkeypatch)
     with pytest.raises(OverflowError, match="the eigenvalues of H overflow") as info:
-        sweep_columns(OVERFLOW_GRID)
+        evaluate(OVERFLOW_GRID)
     assert str(info.value).endswith(f"at {grid_point(OVERFLOW_GRID, 4)}")
     assert calls == [1, 1, 1]
 
@@ -878,7 +923,7 @@ def test_an_earlier_blocks_failure_wins(monkeypatch):
                      Axis("epsilon", -1.7e308, -1.6e308, 3), Axis("T", 1.0, 2.0, 2),
                      ("energies",))
     with pytest.raises(OverflowError, match="the closed-form energies overflow") as info:
-        sweep_columns(grid)
+        evaluate(grid)
     assert str(info.value).endswith(f"at {grid_point(grid, 0)}")
     assert sizes == [2]
 
@@ -889,7 +934,7 @@ def test_an_earlier_gibbs_failure_beats_a_later_closed_form_overflow():
     grid = SweepGrid({"epsilon": 1.7e308, "t": 7.0, "bx": 1.7e308}, Axis("bz", 1.0, 1.7e308, 2),
                      Axis("T", 1e-320, 1.0, 2), ("populations", "energies"))
     with pytest.raises(OverflowError, match="1/T overflows for temperature 1e-320") as info:
-        sweep_columns(grid)
+        evaluate(grid)
     assert str(info.value).endswith(f"at {grid_point(grid, 0)}")
 
 
