@@ -49,6 +49,7 @@ def _output(path):
             os.unlink(spool)
             raise
         return
+    import shutil  # tempfile imports it too
     import tempfile
 
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
@@ -56,7 +57,7 @@ def _output(path):
         spool.seek(0)
         with (open(path, "w", encoding="utf-8", newline="") if path
               else contextlib.nullcontext(sys.stdout)) as sink:
-            sink.writelines(spool)
+            shutil.copyfileobj(spool, sink)
 
 
 def _write_sweep(path, grid: SweepGrid, header) -> int:
@@ -113,10 +114,6 @@ def _cmd_concurrence_map(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     results = run_validation(samples=args.samples, seed=args.seed)
     with _output(args.out) as stream:
         stream.write("check,samples,flagged,max_residual,tolerance,hard,status,worst_point\n")
@@ -244,6 +241,9 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"error: inputs out of floating-point range: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: inputs too large to compute with: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)

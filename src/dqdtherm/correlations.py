@@ -18,7 +18,6 @@ from .model import DegenerateGroundState, GroundState
 from .qmatrix import (
     ValidationError,
     check_density_matrix,
-    check_symmetric,
     eig_sym,
     raise_first,
 )
@@ -255,23 +254,12 @@ def _diagonalizing_angles(chi, q):
     return theta
 
 
-def local_angles(rho_a, rho_b, rho) -> LocalBasisAngles:
+def local_angles(rho) -> LocalBasisAngles:
     """The printed diagonalizing rotation angles of both reduced density matrices.
 
-    rho_a and rho_b must be the reductions of rho (checked to 1e-9);
-    chi and q are read from the full-state elements.
+    chi and q are read from the full-state elements of rho.
     """
-    r = check_density_matrix(rho, dim=4)
-    ra = check_symmetric(rho_a, "rho_a")
-    rb = check_symmetric(rho_b, "rho_b")
-    if (
-        ra.shape != (2, 2)
-        or rb.shape != (2, 2)
-        or float(np.max(np.abs(ra - _reduce_a(r)))) > 1e-9
-        or float(np.max(np.abs(rb - _reduce_b(r)))) > 1e-9
-    ):
-        raise ValidationError("reduced matrices are not the reductions of rho")
-    theta_a, theta_b = _local_angles(r[None])
+    theta_a, theta_b = _local_angles(check_density_matrix(rho, dim=4)[None])
     return LocalBasisAngles(theta_a=float(theta_a[0]), theta_b=float(theta_b[0]))
 
 

@@ -37,6 +37,7 @@ __all__ = [
 # E2 = -E1, E3 = +(small root), E4 = -E3, so ascending numeric order
 # is always (E2, E4, E3, E1).
 LEVEL_LABELS = ("E1", "E2", "E3", "E4")
+_RANK = [3, 0, 2, 1]  # each label's place in that order
 
 _ANTICROSSING_PAIRS = (("E1", "E3"), ("E2", "E4"), ("E3", "E4"))
 
@@ -215,44 +216,37 @@ def _match_levels(levels, values, vectors):
 
     levels (N, 4) are the closed-form energies in label order, values
     (N, 4) and vectors (N, 4, 4) the eigensolver's, ascending.  Each label
-    takes the nearest remaining eigenvalue (the lower one on a tie).
-    Returns (matched, checks): matched (N, 4, 4) holds the vectors in
-    label order, each column's sign fixed so that its largest component
-    is positive, and checks the (bad, error) pair of a match farther than
-    1e-9 * E1, for qmatrix.raise_first.
+    takes the eigenvalue of its rank (_RANK), as the closed forms fix the
+    levels' order.  Returns (matched, checks): matched (N, 4, 4) holds
+    the vectors in label order, each column's sign fixed so that its
+    largest component is positive, and checks the (bad, error) pair of a
+    level farther than 1e-9 * E1 from its eigenvalue, for qmatrix.raise_first.
     """
-    rows = np.arange(len(levels))
-    free = np.ones(values.shape, dtype=bool)
-    miss = np.empty(values.shape, dtype=bool)
-    picked = np.empty(values.shape, dtype=int)
-    tol = 1e-9 * levels[:, 0]
-    for k in range(4):
-        dist = np.where(free, np.abs(values - levels[:, k, None]), np.inf)
-        j = picked[:, k] = np.argmin(dist, axis=1)
-        free[rows, j] = False
-        miss[:, k] = dist[rows, j] > tol
-    cols = np.take_along_axis(vectors, picked[:, None, :], axis=2)
+    miss = np.abs(values[:, _RANK] - levels) > 1e-9 * levels[:, :1]
+    cols = vectors[:, :, _RANK]
     matched = np.ascontiguousarray(_sign_fixed(cols.transpose(0, 2, 1)).transpose(0, 2, 1))
     return matched, [
         (miss.any(axis=1),
          lambda i: ValidationError(
              f"closed-form energy {float(levels[i, np.argmax(miss[i])])!r} does not "
-             "match any numerical eigenvalue of H")),
+             "match the numerical eigenvalue of its rank")),
     ]
 
 
 def spectrum(p: ModelParams) -> SpectrumResult:
     """Closed-form energies matched to numerical eigenvectors.
 
-    Each label is assigned the nearest remaining numerical eigenvalue;
-    the match must agree within 1e-9 * E1 or the closed forms are
-    considered inconsistent with the eigensolver.  omega and sigma_cap
-    are inf or 0 where they leave the double range.
+    The eigenvectors are those of H / 2^k, k as in _scaled, so they hold
+    at every scale.  Each label takes the numerical eigenvalue of its rank;
+    the two must agree within 1e-9 * E1 or the closed forms are considered
+    inconsistent with the eigensolver.  omega and sigma_cap are inf or 0
+    where they leave the double range.
     """
     levels, checks = _energies(p.epsilon, p.t, p.bz, p.bx)
     raise_first(checks)
-    dec = eig_sym(_hamiltonians(p.epsilon, p.t, p.bz, p.bx))
-    vectors, checks = _match_levels(levels, dec.values, dec.vectors)
+    unit = _scaled(p.epsilon, p.t, p.bz, p.bx)[1:]  # H / 2^k: its largest entry near 1/2
+    dec = eig_sym(_hamiltonians(*unit))
+    vectors, checks = _match_levels(_energies(*unit)[0], dec.values, dec.vectors)
     raise_first(checks, lambda i: p)
     e, t, z, x = p.epsilon, p.t, p.bz, p.bx  # float products overflow to inf, no error
     u, v, w = 2.0 * z * t, e * z, e * x  # Omega = u^2 + v^2 + w^2, with no inf * 0

@@ -65,16 +65,16 @@ class ConfigError(ValueError):
     """Invalid sweep specification (grid or config file)."""
 
 
-def _point_count(count, what: str) -> int:
-    """count as an int: an integral value >= 2, not a truncated one."""
+def _integer(value, what: str, least: int) -> int:
+    """value as an int: an integral value >= least, not a truncated one."""
     try:
-        n = int(count)
+        n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or n != count:
-        raise ConfigError(f"{what} must be an integer, got {count!r}")
-    if n < 2:
-        raise ConfigError(f"{what} must be >= 2")
+    if n is None or n != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if n < least:
+        raise ConfigError(f"{what} must be >= {least}, got {n}")
     return n
 
 
@@ -99,7 +99,9 @@ class Axis:
             raise ConfigError(f"axis {self.name}: need finite lo < hi, got {[self.lo, self.hi]}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "count", _point_count(self.count, f"axis {self.name}: count"))
+        object.__setattr__(self, "count", _integer(self.count, f"axis {self.name}: count", 2))
+        if self.count > np.iinfo(np.intp).max // 8:  # numpy's largest array of doubles
+            raise ConfigError(f"axis {self.name}: count {self.count} is too large to compute with")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"axis {self.name}: scale must be linear or log")
         if self.scale == "log" and lo <= 0.0:
@@ -144,13 +146,17 @@ class SweepGrid:
             if self.axis2.name == self.axis1.name:
                 raise ConfigError("axis1 and axis2 sweep the same parameter")
             axis_names.add(self.axis2.name)
-        fixed = {str(k): float(v) for k, v in dict(self.fixed).items()}
-        object.__setattr__(self, "fixed", fixed)
-        for k in fixed:
+        fixed = {}
+        for k, v in dict(self.fixed).items():
             if k not in PARAM_NAMES:
                 raise ConfigError(f"unknown fixed parameter {k!r}")
             if k in axis_names:
                 raise ConfigError(f"parameter {k!r} is both fixed and swept")
+            try:
+                fixed[k] = float(v)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{k} must be a real number, got {v!r}")
+        object.__setattr__(self, "fixed", fixed)
         missing = set(PARAM_NAMES) - axis_names - set(fixed)
         if missing:
             raise ConfigError(f"parameters not specified: {sorted(missing)}")
@@ -337,40 +343,32 @@ def load_config(path):
     return grid, out_section.get("path")
 
 
-def find_coherence_peak(
-    epsilon: float,
-    t: float,
-    bz: float,
-    bx: float,
-    t_lo: float = 0.01,
-    t_hi: float = 100.0,
-    count: int = 400,
-):
+# the peak search's scan: 400 points of log10(T) on [-2, 2], T in [0.01, 100]
+_PEAK_GRID = np.linspace(-2.0, 2.0, 400)
+
+
+def find_coherence_peak(epsilon: float, t: float, bz: float, bx: float):
     """Temperature maximizing correlated coherence, with the peak value.
 
-    Scans a logarithmic temperature grid of count <= _BLOCK points as one
-    batch, then refines the bracket grid[k-1], grid[k+1] around the grid
-    maximum in log10(T): each pass evaluates 33 evenly spaced points of the
-    bracket as one batch and narrows it to the two neighbours of their
-    maximum (the first on a tie), until it is at most 1e-6 wide, 4 passes
-    from the default grid.  All on the scan's one eigendecomposition of H.
-    Returns the best temperature evaluated and its own Ccc.
+    Scans _PEAK_GRID's 400 log-spaced temperatures as one batch, then
+    refines the bracket _PEAK_GRID[k-1], _PEAK_GRID[k+1] around the grid
+    maximum in log10(T): each pass evaluates 33 evenly spaced points of
+    the bracket as one batch and narrows it to the two neighbours of their
+    maximum (the first on a tie), until it is at most 1e-6 wide, 4 passes.
+    All on the scan's one eigendecomposition of H.  Returns the best
+    temperature evaluated and its own Ccc.
     """
-    scan = Axis("T", t_lo, t_hi, count, "log")
-    if scan.count > _BLOCK:
-        raise ConfigError(f"count must be <= {_BLOCK}, one sweep block, got {count}")
     p = ModelParams(epsilon, t, bz, bx)
-    grid = np.linspace(math.log10(scan.lo), math.log10(scan.hi), scan.count)
-    scan = {k: np.full(grid.size, getattr(p, k)) for k in ("epsilon", "t", "bz", "bx")}
-    scan["T"] = np.array([10.0 ** float(x) for x in grid])  # libm pow, not numpy's
+    scan = {k: np.full(_PEAK_GRID.size, getattr(p, k)) for k in ("epsilon", "t", "bz", "bx")}
+    scan["T"] = np.array([10.0 ** float(x) for x in _PEAK_GRID])  # libm pow, not numpy's
     state, checks = _gibbs_columns(scan)
     values, more = _correlated_coherence(_rho(state))
     raise_first(checks + more, _lookup(scan))
     k = int(np.argmax(values))
-    best, top = float(grid[k]), float(values[k])
-    if k == 0 or k == len(grid) - 1:
+    best, top = float(_PEAK_GRID[k]), float(values[k])
+    if k == 0 or k == len(_PEAK_GRID) - 1:
         return 10.0**best, top
-    lo, hi = float(grid[k - 1]), float(grid[k + 1])
+    lo, hi = float(_PEAK_GRID[k - 1]), float(_PEAK_GRID[k + 1])
     while hi - lo > 1e-6:
         # the kernels of correlated_coherence(thermal_state(p, T).rho), without
         # the density-matrix checks, on the scan's one eigendecomposition

@@ -26,6 +26,7 @@ import numpy as np
 from .correlations import _closed_form, _concurrence, _local_angles, _rotations, _schur_angles
 from .model import _coeffs, _coeffs_singular, _energies, _hamiltonians, _match_levels
 from .qmatrix import eig_sym, raise_first
+from .sweep import _integer
 from .thermal import _gibbs, _reduce_a, _reduce_b, _rho
 
 __all__ = ["CheckResult", "run_validation", "hard_failed"]
@@ -164,13 +165,14 @@ def _check_block(results: dict, rng, n: int) -> None:
 def run_validation(samples: int = 200, seed: int = 42) -> list[CheckResult]:
     """Run all checks on `samples` random thermal states; deterministic per seed.
 
-    The samples are checked in batches of up to _BLOCK, each stage once
-    over the batch, in the order they are drawn.
+    Checked in batches of up to _BLOCK, each stage once per batch, in draw
+    order.  ConfigError unless samples is an integer >= 1 and seed one >= 0.
     """
-    rng = np.random.default_rng(seed)
+    samples = _integer(samples, "samples", 1)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     results = {name: CheckResult(name, hard, tol) for name, hard, tol in _CHECKS}
-    for start in range(0, int(samples), _BLOCK):
-        _check_block(results, rng, min(_BLOCK, int(samples) - start))
+    for start in range(0, samples, _BLOCK):
+        _check_block(results, rng, min(_BLOCK, samples - start))
     for r in results.values():
         if r.flagged:
             log.warning(

@@ -200,7 +200,7 @@ def test_negative_seed_is_usage_error(capsys):
     assert main(["validate", "--samples", "5", "--seed", "-1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: --seed must be >= 0, got -1\n"
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_help_exits_cleanly(capsys):
@@ -308,6 +308,20 @@ def test_an_axis_whose_values_overflow_is_usage_error(capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("count", [10**17, 10**20])
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_a_count_too_large_to_compute_with_is_usage_error(tmp_path, capsys, count, to_file):
+    # no address space holds either axis, so each fails before allocating:
+    # 10**17 doubles as a MemoryError, 10**20 beyond numpy's largest array
+    argv = ["spectrum", "--t", "7", "--bz", "16", "--bx", "100", "--eps-min", "-1",
+            "--eps-max", "1", "--n", str(count)]
+    assert main(argv + (["--out", str(tmp_path / "out.csv")] if to_file else [])) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_negative_numbers_in_scientific_notation_are_values(tmp_path):

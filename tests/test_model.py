@@ -171,14 +171,34 @@ def test_zero_transverse_field_sector_energies():
     assert np.max(np.abs(numeric - expected)) <= 1e-10 * max(1.0, expected[-1])
 
 
-def test_spectrum_vectors_are_eigenvectors():
-    p = ModelParams(1, 7, 16, 100)
-    res = spectrum(p)
-    h = build_hamiltonian(p)
+@settings(max_examples=64, deadline=None)
+@given(params_strategy)
+@example(ModelParams(1, 7, 16, 100))
+@example(ModelParams(0, 0, 0, 0))
+@example(ModelParams(0, 0, 16, 100))
+@example(ModelParams(0.0, 0.0, 5e-324, 5e-324))  # H's halved entries round to 0
+def test_spectrum_vectors_are_eigenvectors(p):
+    # of H / 2^j, j the exponent of the largest parameter: the same vectors,
+    # and its entries and levels are exact where H's would round
+    x = (p.epsilon, p.t, p.bz, p.bx)
+    unit = ModelParams(*(math.ldexp(v, -math.frexp(max(map(abs, x)))[1]) for v in x))
+    res, h, e = spectrum(p), build_hamiltonian(unit), analytic_energies(unit)
     for k in range(4):
         v = res.vectors[:, k]
-        assert np.max(np.abs(h @ v - res.energies[k] * v)) <= 1e-9 * np.max(np.abs(h))
+        assert np.max(np.abs(h @ v - e[k] * v)) <= 1e-9 * np.max(np.abs(h))
         assert v[np.argmax(np.abs(v))] > 0.0  # sign convention
+
+
+@pytest.mark.parametrize("bz, bx", [(0, 0), (1, 1), (16, 100), (-2, 5), (0, 1), (1, 0)])
+def test_each_level_takes_the_eigenvector_of_its_rank(bz, bx):
+    # at eps = t = 0 the levels pair up, E1 = E3 and E2 = E4, and H = 0 makes
+    # all four equal: the closed forms' order still gives each label one column
+    p = ModelParams(0, 0, bz, bx)
+    vectors = eig_sym(build_hamiltonian(p)).vectors
+    got = spectrum(p).vectors
+    for k, rank in enumerate(model._RANK):
+        assert np.array_equal(got[:, k], vectors[:, rank]) or np.array_equal(
+            got[:, k], -vectors[:, rank])
 
 
 def test_ground_state_detuning_only_degenerate():

@@ -117,6 +117,8 @@ def test_axis_values_linear_and_log():
         dict(name="epsilon", lo=-1.7e308, hi=1.7e308, count=2),
         # the top of a log axis rounds up past the largest float
         dict(name="T", lo=1.0, hi=np.finfo(float).max, count=3, scale="log"),
+        # its doubles exceed numpy's largest array
+        dict(name="epsilon", lo=0, hi=1, count=10**20),
     ],
 )
 def test_axis_rejects_bad_specs(kwargs):
@@ -153,9 +155,15 @@ MODEL_FIXED = {"epsilon": 0.0, "t": 7.0, "bz": 16.0, "bx": 100.0}
          "temperature must be positive, got 0.0"),
         (MODEL_FIXED, Axis("T", -1.0, 2.0, 4), None, ("concurrence",),
          "temperature must be positive, got -1.0"),
+        (dict(FIXED, t="x"), EPS_AXIS, None, ("concurrence",), "t must be a real number, got 'x'"),
+        (dict(FIXED, t=None), EPS_AXIS, None, ("concurrence",),
+         "t must be a real number, got None"),
+        (dict(FIXED, t=10**400), EPS_AXIS, None, ("concurrence",),
+         "t must be a real number, got 1000"),
     ],
     ids=["fixed-and-swept", "missing", "same-axes", "unknown-measure", "no-measures",
-         "fixed-inf", "fixed-t", "t-axis", "fixed-T", "T-axis"],
+         "fixed-inf", "fixed-t", "t-axis", "fixed-T", "T-axis", "fixed-str", "fixed-None",
+         "fixed-huge-int"],
 )
 def test_grid_partition_validation(fixed, axis1, axis2, measures, message):
     with pytest.raises(ConfigError, match=message):
@@ -411,38 +419,15 @@ def test_each_block_is_written_before_the_next_is_evaluated(monkeypatch):
 
 
 def test_find_coherence_peak_smoke():
-    t_peak, value = find_coherence_peak(1.0, 7.0, 16.0, 100.0, count=100)
+    t_peak, value = find_coherence_peak(1.0, 7.0, 16.0, 100.0)
     assert t_peak == pytest.approx(6.0, abs=1.0)
     assert value > 1.0
 
 
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(count=0),
-        dict(count=1),
-        dict(count=2.5),
-        dict(count=float("nan")),
-        dict(count=sweep._BLOCK + 1),
-        dict(t_lo=float("nan")),
-        dict(t_hi=float("inf")),
-        dict(t_lo=float("-inf")),
-        dict(t_lo=0.0),
-        dict(t_lo=10.0, t_hi=1.0),
-    ],
-)
-def test_find_coherence_peak_rejects_bad_scan_arguments(kwargs):
-    with pytest.raises(ConfigError):
-        find_coherence_peak(1.0, 7.0, 16.0, 100.0, **kwargs)
-
-
-@pytest.mark.parametrize(
     "search, kwargs, error",
     [
-        pytest.param(find_coherence_peak, dict(t_lo="x"), ConfigError, id="peak-t_lo-str"),
-        pytest.param(find_coherence_peak, dict(t_lo=None), ConfigError, id="peak-t_lo-None"),
-        pytest.param(find_coherence_peak, dict(t_hi=[100.0]), ConfigError, id="peak-t_hi-list"),
-        pytest.param(find_coherence_peak, dict(t_hi=10**400), ConfigError, id="peak-t_hi-huge-int"),
+        pytest.param(find_coherence_peak, dict(t="x"), ValidationError, id="peak-t-str"),
         pytest.param(find_anticrossing, dict(eps_range=("a", 1)), ValidationError,
                      id="gap-range-str"),
         pytest.param(find_anticrossing, dict(eps_range=(1,)), ValidationError,
@@ -460,7 +445,7 @@ def test_find_coherence_peak_rejects_bad_scan_arguments(kwargs):
 )
 def test_a_search_given_an_argument_of_the_wrong_type_raises_its_api_error(search, kwargs, error):
     if search is find_coherence_peak:
-        args = (1, 7, 16, 100)
+        args, kwargs = (), {"epsilon": 1, "t": 7, "bz": 16, "bx": 100, **kwargs}
     else:
         args = (7, 16, 100)
         kwargs = {"pair": ("E3", "E4"), "eps_range": (50, 150), **kwargs}

@@ -19,6 +19,7 @@ from dqdtherm.model import (
     build_hamiltonian,
 )
 from dqdtherm.qmatrix import eig_sym
+from dqdtherm.sweep import ConfigError
 from dqdtherm.thermal import reduce_a, reduce_b, thermal_state
 from dqdtherm.validate import CheckResult, run_validation
 
@@ -71,7 +72,7 @@ def per_sample_validation(samples, seed):
             max(abs(float((ua @ ra @ ua.T)[0, 1])), abs(float((ub @ rb @ ub.T)[0, 1]))),
             point,
         )
-        angles = local_angles(ra, rb, rho)
+        angles = local_angles(rho)
         ua, ub = _rotations(angles.theta_a), _rotations(angles.theta_b)
         ra_rot = ua @ ra @ ua.T
         rb_rot = ub @ rb @ ub.T
@@ -111,6 +112,16 @@ def test_batched_report_equals_the_per_sample_oracle(seed, samples):
 def test_report_spanning_blocks_equals_the_per_sample_oracle(monkeypatch):
     monkeypatch.setattr(validate, "_BLOCK", 150)
     assert run_validation(200, 7) == per_sample_validation(200, 7)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(samples=0), dict(samples=2.5), dict(samples="3"), dict(samples=None),
+     dict(seed=-1), dict(seed=1.5), dict(seed=None)],
+)
+def test_run_validation_refuses_bad_arguments(kwargs):
+    with pytest.raises(ConfigError):
+        run_validation(**kwargs)
 
 
 def test_coefficient_check_skips_singular_points(monkeypatch):
