@@ -6,14 +6,12 @@ anticrossing and peak searches in process, after one untimed call each,
 then times each sweep kernel alone (KERNELS) on the first N points of
 the 100x100 concurrence map of make_datasets.py, for each N in
 KERNEL_SIZES, the Gibbs stage with the eigensolve it makes in that
-tree's sweep; a kernel the tree lacks under its name and under its
-former name (FORMER_NAMES) is recorded as null, and so is a grid-aware
-sweep.write_table at an N that is not whole runs of the map's 100
-temperatures. A streaming sweep.write_table (one that takes no columns
-but evaluates the grid block by block itself) is timed on the whole map
-only, with its evaluation replaced by the map's precomputed C column: its
-time is the block loop's own, building each block's parameters, then
-formatting and writing it. A fresh interpreter then runs the whole
+tree's sweep; a kernel the tree lacks is recorded as null. The streaming
+sweep.write_table, which evaluates the grid block by block itself, is
+timed on the whole map only (N = 10^4; null at other N), with its
+evaluation replaced by the map's precomputed C column: its time is the
+block loop's own, building each block's parameters, then formatting and
+writing it. A fresh interpreter then runs the whole
 script, and each case of RSS_CASES runs in a fresh interpreter of its own
 that reports its peak resident set size. Trees
 take turns over several rounds, the first tree leading in odd rounds, so
@@ -67,8 +65,6 @@ KERNELS = (
     "correlations._correlated_coherence",
     "sweep.write_table",
 )
-# a kernel's name in older trees, so that a comparison times it in both
-FORMER_NAMES = {"qmatrix.gibbs_stack_checks": "check_gibbs_stack"}
 # the README's sweep config, with its epsilon count left open
 README_CONFIG = """[fixed]
 t = 7.0
@@ -135,12 +131,9 @@ def _kernels(n: int) -> dict:
 
     The Gibbs-state kernels are called as the tree's sweep calls them:
     the 100 bx values of the map are the distinct Hamiltonians, and the
-    timed thermal._gibbs call includes their eigensolve.  In a tree whose
-    _gibbs forms rho, the kernels read that rho, and the Gibbs-stack
-    check takes it first; in the others thermal._rho forms it.
+    timed thermal._gibbs call includes their eigensolve.
     """
     import importlib
-    import inspect
 
     import numpy as np
 
@@ -159,7 +152,7 @@ def _kernels(n: int) -> dict:
         return thermal._gibbs(qmatrix.eig_sym(h_distinct), index, temp)
 
     g = gibbs()
-    rho = g.rho if hasattr(g, "rho") else thermal._rho(g)
+    rho = thermal._rho(g)
     shared = (g.dec.vectors, g.weights, index)
     vectors = np.linalg.eigh(h)[1]
     roots = np.sqrt(g.weights)
@@ -175,35 +168,20 @@ def _kernels(n: int) -> dict:
     calls = {}
     for name in KERNELS:
         module, attr = name.split(".")
-        fn = getattr(modules[module], attr, None) or getattr(
-            modules[module], FORMER_NAMES.get(name, ""), None)
-        if fn is None:
+        fn = getattr(modules[module], attr, None)
+        if fn is None or (name == "sweep.write_table" and n != 10_000):
             calls[name] = None
-            continue
-        if name == "qmatrix.gibbs_stack_checks" and "rho" in inspect.signature(fn).parameters:
-            args[name] = (rho, *args[name])
-        if name == "thermal._gibbs":
+        elif name == "thermal._gibbs":
             calls[name] = gibbs
-        elif name == "sweep.write_table":
-            cols = {"bx": bx, "T": temp, "C": roots[:, 0]}
-            params = inspect.signature(fn).parameters
+        elif name == "sweep.write_table":  # on the whole map, as it evaluates the grid itself
             sweep = modules["sweep"]
-            if "grid" not in params:  # the per-cell writer
-                calls[name] = lambda fn=fn, c=cols: fn(io.StringIO(), tuple(c), list(c.values()))
-            elif n % 100 == 0 and ("columns" in params or n == 10_000):
-                # the grid-aware writers take whole runs of the map's T axis
-                grid = sweep.SweepGrid(
-                    fixed={"epsilon": 1.0, "t": 7.0, "bz": 16.0},
-                    axis1=sweep.Axis("bx", 1.0, 100.0, 100),
-                    axis2=sweep.Axis("T", 0.01, 100.0, 100, "log"),
-                    measures=("concurrence",),
-                )
-                if "columns" in params:  # the writer of whole-grid columns
-                    calls[name] = lambda fn=fn, g=grid, c=cols: fn(io.StringIO(), g, c, tuple(c))
-                else:  # the streaming writer
-                    calls[name] = lambda fn=fn, g=grid: _streamed(fn, sweep, g, cols["C"])
-            else:
-                calls[name] = None
+            grid = sweep.SweepGrid(
+                fixed={"epsilon": 1.0, "t": 7.0, "bz": 16.0},
+                axis1=sweep.Axis("bx", 1.0, 100.0, 100),
+                axis2=sweep.Axis("T", 0.01, 100.0, 100, "log"),
+                measures=("concurrence",),
+            )
+            calls[name] = lambda fn=fn, g=grid: _streamed(fn, sweep, g, roots[:, 0])
         else:
             calls[name] = lambda fn=fn, a=args[name]: fn(*a)
     return calls

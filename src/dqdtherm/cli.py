@@ -88,29 +88,32 @@ def _cmd_curve(args) -> int:
     return _write_sweep(args.out, grid, ("T", *grid.columns()))
 
 
+# each concurrence-map mode, by its flag: the fixed parameter, the second axis and its flags
+_MAP_MODES = {"eps": ("epsilon", "T", ("t_min", "t_max", "t_n", "log")),
+              "temp": ("T", "epsilon", ("eps_min", "eps_max", "eps_n"))}
+
+
 def _cmd_concurrence_map(args) -> int:
     if (args.eps is None) == (args.temp is None):
         raise ConfigError(
             "give exactly one of --eps (temperature on the second axis) "
             "or --temp (detuning on the second axis)"
         )
+    mode = "eps" if args.eps is not None else "temp"
     bx_axis = Axis("bx", args.bx_min, args.bx_max, args.bx_n)
-    if args.eps is not None:
-        for flag in ("t_min", "t_max", "t_n"):
-            if getattr(args, flag) is None:
-                raise ConfigError(f"--{flag.replace('_', '-')} is required with --eps")
-        axis2 = Axis("T", args.t_min, args.t_max, args.t_n, "log" if args.log else "linear")
-        fixed = {"t": args.t, "bz": args.bz, "epsilon": args.eps}
-        header = ("bx", "T", "C")
-    else:
-        for flag in ("eps_min", "eps_max", "eps_n"):
-            if getattr(args, flag) is None:
-                raise ConfigError(f"--{flag.replace('_', '-')} is required with --temp")
-        axis2 = Axis("epsilon", args.eps_min, args.eps_max, args.eps_n)
-        fixed = {"t": args.t, "bz": args.bz, "T": args.temp}
-        header = ("bx", "eps", "C")
-    grid = SweepGrid(fixed=fixed, axis1=bx_axis, axis2=axis2, measures=("concurrence",))
-    return _write_sweep(args.out, grid, header)
+    for name, (*_, flags) in _MAP_MODES.items():
+        for flag in flags:
+            option, given = "--" + flag.replace("_", "-"), getattr(args, flag) is not None
+            if given and name != mode:
+                raise ConfigError(f"{option} is not used with --{mode}")
+            if not given and name == mode and flag != "log":
+                raise ConfigError(f"{option} is required with --{mode}")
+    fixed, param, (lo, hi, n, *_) = _MAP_MODES[mode]
+    axis2 = Axis(param, getattr(args, lo), getattr(args, hi), getattr(args, n),
+                 "log" if args.log else "linear")
+    grid = SweepGrid(fixed={"t": args.t, "bz": args.bz, fixed: getattr(args, mode)},
+                     axis1=bx_axis, axis2=axis2, measures=("concurrence",))
+    return _write_sweep(args.out, grid, ("bx", "eps" if mode == "temp" else "T", "C"))
 
 
 def _cmd_validate(args) -> int:
@@ -200,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-min", type=float, help="lowest temperature (with --eps)")
     sp.add_argument("--t-max", type=float, help="highest temperature (with --eps)")
     sp.add_argument("--t-n", type=int, help="temperature point count (with --eps)")
-    sp.add_argument("--log", action="store_true", help="logarithmic temperature grid")
+    sp.add_argument("--log", action="store_true", default=None, help="logarithmic temperature grid")
     sp.add_argument("--eps-min", type=float, help="lowest detuning (with --temp)")
     sp.add_argument("--eps-max", type=float, help="highest detuning (with --temp)")
     sp.add_argument("--eps-n", type=int, help="detuning point count (with --temp)")

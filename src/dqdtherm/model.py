@@ -255,13 +255,11 @@ def spectrum(p: ModelParams) -> SpectrumResult:
 
 
 def ground_state(p: ModelParams) -> GroundState:
-    """Minimal eigenpair of H; a gap of at most 1e-10 of the spectrum's span is degenerate."""
-    dec = eig_sym(build_hamiltonian(p))
-    return GroundState(
-        energy=float(dec.values[0]),
-        vector=_sign_fixed(dec.vectors[:, 0]),
-        degenerate=bool(np.diff(dec.values)[0] <= 1e-10 * np.ptp(dec.values)),
-    )
+    """spectrum(p)'s level E2 and its vector; degenerate if E4 - E2 <= 1e-10 (E1 - E2)."""
+    s = spectrum(p)
+    e1, e2, e3, _ = s.energies  # E4 - E2 = E1 - E3, and E1 - E2 = 2 E1 may overflow
+    return GroundState(energy=float(e2), vector=s.vectors[:, 1],
+                       degenerate=bool(e1 - e3 <= 2e-10 * e1))
 
 
 def _denominators(eps, t, bz, bx):

@@ -278,69 +278,52 @@ def write_table(stream, grid: SweepGrid, header) -> None:
         stream.write(template % tuple(values.ravel().tolist()))
 
 
-def _axis_from_section(section) -> Axis:
-    required = {"name", "min", "max", "count"}
-    keys = set(section.keys())
-    unknown = keys - required - {"scale"}
-    if unknown:
-        raise ConfigError(f"unknown axis keys {sorted(unknown)}")
-    missing = required - keys
-    if missing:
-        raise ConfigError(f"axis section missing keys {sorted(missing)}")
-    try:
-        return Axis(
-            name=section["name"].strip(),
-            lo=float(section["min"]),
-            hi=float(section["max"]),
-            count=int(section["count"]),
-            scale=section.get("scale", "linear").strip(),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad axis value: {exc}")
+# each section's required and optional keys; SweepGrid checks the keys of [fixed]
+_AXIS_KEYS = ({"name", "min", "max", "count"}, {"scale"})
+_SECTION_KEYS = {"axis1": _AXIS_KEYS, "axis2": _AXIS_KEYS, "output": ({"measures"}, {"path"})}
 
 
 def load_config(path):
-    """Parse a sweep config file into (SweepGrid, output path or None).
+    """Parse a sweep config file, read as UTF-8, into (SweepGrid, output path or None).
 
     Format: INI-style sections [fixed], [axis1], optional [axis2], and
     [output] with a comma-separated `measures` key and optional `path`.
+    Each value goes as text to Axis and SweepGrid, which convert and
+    check it, bar an axis count, read here with int().
     """
     parser = configparser.ConfigParser()
     # keys stay case sensitive: t (tunneling) and T (temperature) differ
     parser.optionxform = str
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path!r}: {exc}")
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    known = {"fixed", "axis1", "axis2", "output"}
-    sections = set(parser.sections())
-    unknown = sections - known
+        with open(path, encoding="utf-8") as stream:
+            parser.read_file(stream)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {' '.join(str(exc).split())}")
+    unknown = set(sections) - {"fixed", *_SECTION_KEYS}
     if unknown:
         raise ConfigError(f"unknown config sections {sorted(unknown)}")
     for name in ("fixed", "axis1", "output"):
         if name not in sections:
             raise ConfigError(f"config missing [{name}] section")
-    try:
-        fixed = {k: float(v) for k, v in parser["fixed"].items()}
-    except ValueError as exc:
-        raise ConfigError(f"bad [fixed] value: {exc}")
-    axis1 = _axis_from_section(parser["axis1"])
-    axis2 = _axis_from_section(parser["axis2"]) if "axis2" in sections else None
-    out_section = parser["output"]
-    unknown = set(out_section.keys()) - {"measures", "path"}
-    if unknown:
-        raise ConfigError(f"unknown [output] keys {sorted(unknown)}")
-    if "measures" not in out_section:
-        raise ConfigError("[output] section needs a measures key")
-    measures = tuple(
-        m.strip() for m in out_section["measures"].split(",") if m.strip()
-    )
-    grid = SweepGrid(fixed=fixed, axis1=axis1, axis2=axis2, measures=measures)
-    return grid, out_section.get("path")
+    axes = {}
+    for name, (required, optional) in _SECTION_KEYS.items():
+        keys = set(sections.get(name, required))  # an absent [axis2] lacks no key
+        if keys - required - optional:
+            raise ConfigError(f"unknown [{name}] keys {sorted(keys - required - optional)}")
+        if required - keys:
+            raise ConfigError(f"[{name}] section missing keys {sorted(required - keys)}")
+        if name in sections and name != "output":
+            s = sections[name]
+            try:
+                count = int(s["count"])
+            except ValueError:
+                raise ConfigError(f"axis {s['name']}: count must be an integer, got {s['count']!r}")
+            axes[name] = Axis(s["name"], s["min"], s["max"], count, s.get("scale", "linear"))
+    measures = sections["output"]["measures"].split(",")
+    grid = SweepGrid(sections["fixed"], axes["axis1"], axes.get("axis2"),
+                     tuple(m.strip() for m in measures if m.strip()))
+    return grid, sections["output"].get("path")
 
 
 # the peak search's scan: 400 points of log10(T) on [-2, 2], T in [0.01, 100]

@@ -146,6 +146,21 @@ def test_map_requires_exactly_one_mode(capsys):
     assert main(args) == 2  # neither
     assert main(args + ["--eps", "1", "--temp", "0.2"]) == 2  # both
     assert main(args + ["--eps", "1"]) == 2  # missing temperature grid
+    capsys.readouterr()
+    # a flag of the other mode is refused, not dropped
+    temp = ["--temp", "0.2", "--eps-min", "3", "--eps-max", "7", "--eps-n", "2"]
+    for extra, flag in ((["--log"], "--log"), (["--t-min", "5"], "--t-min"),
+                        (["--t-n", "9"], "--t-n"), (["--t-max", "9"], "--t-max")):
+        assert main(args + temp + extra) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} is not used with --temp\n")
+    assert main(args + temp + ["--log", "--t-min", "5", "--t-n", "9"]) == 2
+    assert capsys.readouterr().err == "error: --t-min is not used with --temp\n"
+    eps = ["--eps", "1", "--t-min", "0.1", "--t-max", "1", "--t-n", "2"]
+    for flag in ("--eps-min", "--eps-max", "--eps-n"):
+        assert main(args + eps + [flag, "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} is not used with --eps\n")
+    # a zero bound is a given flag, not a missing one
+    assert main(args + ["--temp", "0.2", "--eps-min", "0", "--eps-max", "7", "--eps-n", "2"]) == 0
 
 
 def test_validate_report(capsys):
@@ -194,6 +209,26 @@ def test_exit_code_two_for_bad_usage(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.ini"
     bad_cfg.write_text("[fixed]\nt = 7\n")
     assert main(["sweep", "--config", str(bad_cfg)]) == 2
+
+
+def test_a_config_that_is_not_utf8_is_one_line_of_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "latin.ini"
+    cfg.write_bytes(
+        b"# \xff\xfe\n[fixed]\nt = 7\nbz = 16\nbx = 100\nT = 1\n"
+        b"[axis1]\nname = epsilon\nmin = -2\nmax = 2\ncount = 5\n[output]\nmeasures = l1\n"
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read config file {str(cfg)!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_a_directory_as_config_is_usage_error(tmp_path, capsys):
+    assert main(["sweep", "--config", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read config file")
+    assert err.count("\n") == 1
 
 
 def test_negative_seed_is_usage_error(capsys):

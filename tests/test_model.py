@@ -261,6 +261,16 @@ def test_spectrum_coefficients_and_ground_state_hold_at_every_scale(scale):
     assert gs.energy / scale == pytest.approx(want.energies[1], rel=1e-13)
 
 
+@settings(max_examples=64, deadline=None)
+@given(params_strategy)
+@example(ModelParams(*(1e-300 * x for x in (1.0, 7.0, 16.0, 100.0))))
+@example(ModelParams(0.0, 0.0, 5e-324, 5e-324))
+def test_ground_state_is_the_spectrums_lowest_level_bitwise(p):
+    gs, s = ground_state(p), spectrum(p)
+    assert np.float64(gs.energy).tobytes() == analytic_energies(p)[1].tobytes()
+    assert gs.vector.tobytes() == s.vectors[:, 1].tobytes()
+
+
 def test_a_zero_hamiltonian_has_a_degenerate_ground_state():
     gs = ground_state(ModelParams(0, 0, 0, 0))
     assert gs.energy == 0.0 and gs.degenerate

@@ -512,12 +512,32 @@ def test_load_config_fixed_temperature_key_is_case_sensitive(tmp_path):
         CONFIG.replace("name = epsilon", "name = epsilon\nstep = 0.5"),
         CONFIG.replace("measures = concurrence, correlated_coherence", "measures = "),
         CONFIG.replace("path = out.csv", "path = out.csv\nformat = json"),
+        CONFIG.replace("count = 3", "count = 3.5", 1),
+        CONFIG.replace("count = 3", "count = 1e3", 1),
+        CONFIG.replace("t = 7.0", "t = x"),
+        CONFIG.replace("min = -5", "min = a"),
+        CONFIG.replace("path = out.csv", "path = out%.csv"),  # % starts an interpolation
     ],
 )
 def test_load_config_rejects_malformed(tmp_path, text):
     cfg = tmp_path / "sweep.ini"
     cfg.write_text(text)
     with pytest.raises(ConfigError):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("t = 7.0", "t = x", "^t must be a real number, got 'x'$"),
+        ("min = -5", "min = a", r"^axis epsilon: need finite lo < hi, got \['a', '5'\]$"),
+        ("count = 3", "count = one", "^axis epsilon: count must be an integer, got 'one'$"),
+    ],
+)
+def test_a_bad_config_value_is_refused_naming_its_parameter(tmp_path, old, new, message):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(CONFIG.replace(old, new, 1))
+    with pytest.raises(ConfigError, match=message):
         load_config(cfg)
 
 
