@@ -151,7 +151,7 @@ def _kernels(n: int) -> dict:
     def gibbs():
         return thermal._gibbs(qmatrix.eig_sym(h_distinct), index, temp)
 
-    g = gibbs()
+    g, _ = gibbs()
     rho = thermal._rho(g)
     shared = (g.dec.vectors, g.weights, index)
     vectors = np.linalg.eigh(h)[1]

@@ -228,11 +228,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # parser.exit: 0 after --help, 2 on a usage error
+        return exc.code
     if not logging.getLogger().handlers:
         logging.basicConfig(
             stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"

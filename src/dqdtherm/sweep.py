@@ -291,7 +291,7 @@ def load_config(path):
     Each value goes as text to Axis and SweepGrid, which convert and
     check it, bar an axis count, read here with int().
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(default_section="")  # so [DEFAULT] is an unknown section
     # keys stay case sensitive: t (tunneling) and T (temperature) differ
     parser.optionxform = str
     try:
@@ -356,10 +356,10 @@ def find_coherence_peak(epsilon: float, t: float, bz: float, bx: float):
         # the kernels of correlated_coherence(thermal_state(p, T).rho), without
         # the density-matrix checks, on the scan's one eigendecomposition
         log_t = np.linspace(lo, hi, 33)
-        g = _gibbs(state.dec, np.zeros(log_t.size, dtype=np.intp),
-                   np.array([10.0 ** float(x) for x in log_t]))
+        g, checks = _gibbs(state.dec, np.zeros(log_t.size, dtype=np.intp),
+                           np.array([10.0 ** float(x) for x in log_t]))
         ccc, more = _correlated_coherence(_rho(g))
-        raise_first(g.checks + more)
+        raise_first(checks + more)
         j = int(np.argmax(ccc))
         if ccc[j] > top:
             best, top = float(log_t[j]), float(ccc[j])

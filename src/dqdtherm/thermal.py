@@ -53,33 +53,29 @@ class ThermalState:
 
 @dataclass(frozen=True)
 class _Gibbs:
-    """Gibbs states of N points: ThermalState's fields but rho and vectors, on axis 0.
+    """Gibbs states of N points: ThermalState's z_shifted and weights, on axis 0.
 
     dec holds the eigendecompositions of the distinct Hamiltonians the
     states were built from, and index maps each point to its row of dec.
-    checks are the (bad, error) pairs of the inputs; see _gibbs.
     """
 
     dec: EigenDecomp
     index: np.ndarray
-    beta: np.ndarray
     z_shifted: np.ndarray
-    e_shift: np.ndarray
     weights: np.ndarray
-    checks: list
 
 
-def _gibbs(dec: EigenDecomp, index, temperature) -> _Gibbs:
+def _gibbs(dec: EigenDecomp, index, temperature) -> tuple[_Gibbs, list]:
     """Gibbs states of N points that share M eigendecompositions.
 
     dec is eig_sym of an (M, n, n) stack of Hamiltonians, so each distinct
     H is diagonalized once however many temperatures use it; index holds
     the row of dec of each point and temperature one value per point.
-    Every point is computed, under np.errstate, and checks holds three
-    (bad, error) pairs for qmatrix.raise_first, in this order: a
-    temperature not positive and finite (ValidationError), one so small
-    that 1/T overflows, and a Hamiltonian whose eigenvalues overflow (both
-    OverflowError).  A flagged point may come out inf or NaN.  Energies
+    Returns (state, checks), every point computed under np.errstate;
+    checks holds three (bad, error) pairs for qmatrix.raise_first, in this
+    order: a temperature not positive and finite (ValidationError), one so
+    small that 1/T overflows, and a Hamiltonian whose eigenvalues overflow
+    (both OverflowError).  A flagged point may come out inf or NaN.  Energies
     are shifted by each spectrum's minimum (see ThermalState); a point
     gives the same bits whichever other points share its decomposition.
     """
@@ -103,7 +99,7 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> _Gibbs:
         (~np.isfinite(dec.values).all(axis=1)[index],
          lambda i: OverflowError("the eigenvalues of H overflow")),
     ]
-    return _Gibbs(dec, index, beta, z_shifted, e_shift, weights, checks)
+    return _Gibbs(dec, index, z_shifted, weights), checks
 
 
 def _gibbs_columns(cols: dict) -> tuple[_Gibbs, list]:
@@ -122,9 +118,9 @@ def _gibbs_columns(cols: dict) -> tuple[_Gibbs, list]:
         bits = c.view(np.int64)
         first[1:] |= bits[1:] != bits[:-1]
     dec = eig_sym(_hamiltonians(*(c[first] for c in model)))
-    state = _gibbs(dec, np.cumsum(first) - 1, cols["T"])
+    state, checks = _gibbs(dec, np.cumsum(first) - 1, cols["T"])
     stack = gibbs_stack_checks(dec.vectors, state.weights, state.index)
-    return state, state.checks + stack
+    return state, checks + stack
 
 
 def _rho(g: _Gibbs) -> np.ndarray:
@@ -154,10 +150,10 @@ def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
     return ThermalState(
         params=p,
         temperature=temperature,
-        beta=float(g.beta[0]),
+        beta=1.0 / temperature,
         rho=_rho(g)[0],
         z_shifted=float(g.z_shifted[0]),
-        e_shift=float(g.e_shift[0]),
+        e_shift=float(g.dec.values[0, 0]),
         energies=g.dec.values[0],
         vectors=g.dec.vectors[0],
         weights=g.weights[0],

@@ -120,8 +120,8 @@ def _check_block(results: dict, rng, n: int) -> None:
 
     h = _hamiltonians(eps, t, bz, bx)
     h_dec = eig_sym(h)
-    state = _gibbs(h_dec, np.arange(n), temp)
-    raise_first(state.checks, where)
+    state, checks = _gibbs(h_dec, np.arange(n), temp)
+    raise_first(checks, where)
     rho = _rho(state)
     dec = eig_sym(rho)
 

@@ -241,6 +241,8 @@ def test_negative_seed_is_usage_error(capsys):
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "spectrum" in capsys.readouterr().out
+    assert main(["spectrum", "--help"]) == 0
+    assert "--bx" in capsys.readouterr().out
 
 
 def test_unwritable_output_is_usage_error(tmp_path):

@@ -143,6 +143,11 @@ def test_fidelity_pure_rejects_unnormalized_vector():
         fidelity_pure(np.array([1.0, 1.0, 0.0, 0.0]), np.eye(4) / 4.0)
 
 
+def test_fidelity_pure_rejects_a_non_finite_vector():
+    with pytest.raises(ValidationError, match="^state vector contains non-finite entries$"):
+        fidelity_pure(np.array([1.0, np.nan, 0.0, 0.0]), np.eye(4) / 4.0)
+
+
 def test_l1_coherence_reference_values():
     assert l1_coherence(np.diag([0.4, 0.3, 0.2, 0.1])) == 0.0
     assert l1_coherence(BELL) == pytest.approx(1.0, abs=1e-12)

@@ -532,6 +532,11 @@ def test_load_config_rejects_malformed(tmp_path, text):
         ("t = 7.0", "t = x", "^t must be a real number, got 'x'$"),
         ("min = -5", "min = a", r"^axis epsilon: need finite lo < hi, got \['a', '5'\]$"),
         ("count = 3", "count = one", "^axis epsilon: count must be an integer, got 'one'$"),
+        ("[fixed]", "[DEFAULT]\nT = 1\n\n[fixed]", r"^unknown config sections \['DEFAULT'\]$"),
+        ("[fixed]", "[DEFAULT]\n[fixed]", r"^unknown config sections \['DEFAULT'\]$"),
+        ("correlated_coherence", "concurrence", "^duplicate measures$"),
+        ("t = 7.0", "t = 7.0\nfoo = 1", "^unknown fixed parameter 'foo'$"),
+        ("count = 3\n", "", r"^\[axis1\] section missing keys \['count'\]$"),
     ],
 )
 def test_a_bad_config_value_is_refused_naming_its_parameter(tmp_path, old, new, message):
@@ -657,6 +662,18 @@ def _public_peak(epsilon, t, bz, bx):
 )
 def test_peak_refinement_equals_the_public_route_bitwise(eps, t, bz, bx):
     assert find_coherence_peak(eps, t, bz, bx) == _public_peak(eps, t, bz, bx)
+
+
+@pytest.mark.parametrize(
+    "args, pin",
+    [
+        ((0.001, 0.01, 0.02, 0.05), (0.01, 0.9708210953407711)),  # the scan's first point
+        ((1.0, 700.0, 1600.0, 10000.0), (100.0, 0.967554768490153)),  # its last
+    ],
+)
+def test_a_peak_at_an_end_of_the_scan_is_returned_unrefined(args, pin):
+    assert find_coherence_peak(*args) == pin
+    assert correlated_coherence(thermal_state(ModelParams(*args), pin[0]).rho) == pin[1]
 
 
 def test_anticrossing_gap_equals_the_public_levels_bitwise():

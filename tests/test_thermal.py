@@ -20,7 +20,8 @@ REF = ModelParams(0.5, 7.0, 16.0, 100.0)
 
 def gibbs_rho(h, temperature):
     """The Gibbs state of one Hamiltonian through the batched kernel."""
-    return _rho(_gibbs(eig_sym(h[None]), np.zeros(1, dtype=np.intp), temperature))[0]
+    g, _ = _gibbs(eig_sym(h[None]), np.zeros(1, dtype=np.intp), temperature)
+    return _rho(g)[0]
 
 
 def random_params(rng):
