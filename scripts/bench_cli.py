@@ -131,7 +131,8 @@ def _kernels(n: int) -> dict:
 
     The Gibbs-state kernels are called as the tree's sweep calls them:
     the 100 bx values of the map are the distinct Hamiltonians, and the
-    timed thermal._gibbs call includes their eigensolve.
+    timed thermal._gibbs call includes their eigensolve and every check
+    the tree's _gibbs makes (gibbs_stack_checks too, where it calls it).
     """
     import importlib
 

@@ -292,31 +292,20 @@ def _coeffs(eps, t, bz, bx, levels, numeric):
     e1, e3 = np.ldexp(levels[:, 0], -k), np.ldexp(levels[:, 2], -k)
     alpha_sq = bz**2 + bx**2 - eps**2 - 4.0 * t**2
     tail = alpha_sq / (4.0 * bx * t)
-
-    def branch(sign: float, em, eo):
-        a = ((eps + sign * em) ** 2 - eo**2) / den_a
-        b = (
-            em
-            * (-sign * bz * eps + (eps - bz) * em + sign * (em * em - eo * eo))
-            / den_b
-            + tail
-        )
-        c = ((bz - sign * em) ** 2 - eo**2) / den_c
-        return a, b, c
-
-    sets = (branch(1.0, e1, e3), branch(-1.0, e1, e3), branch(1.0, e3, e1), branch(-1.0, e3, e1))
-    norms = [(a * a + b * b + c * c + 1.0) ** -0.5 for a, b, c in sets]
-    vectors = np.stack(
-        [m[:, None] * np.stack([a, b, np.ones_like(a), c], axis=1)
-         for m, (a, b, c) in zip(norms, sets)],
-        axis=2,
-    )
+    # the four branches (+, -, tilde +, tilde -) on axis 0: sign, E_m, E_o
+    sign = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+    em, eo = np.stack([e1, e1, e3, e3]), np.stack([e3, e3, e1, e1])
+    a = ((eps + sign * em) ** 2 - eo**2) / den_a
+    b = em * (-sign * bz * eps + (eps - bz) * em + sign * (em * em - eo * eo)) / den_b + tail
+    c = ((bz - sign * em) ** 2 - eo**2) / den_c
+    norms = (a * a + b * b + c * c + 1.0) ** -0.5
+    vectors = (norms[..., None] * np.stack([a, b, np.ones_like(a), c], axis=-1)).transpose(1, 2, 0)
     residuals = np.minimum(
         np.abs(vectors - numeric).max(axis=1), np.abs(vectors + numeric).max(axis=1)
     )
     with np.errstate(over="ignore"):
         alpha_sq = np.ldexp(alpha_sq, 2 * k)
-    return (*(x for abc in sets for x in abc), *norms, alpha_sq, vectors, residuals)
+    return (*np.stack([a, b, c], axis=1).reshape(12, -1), *norms, alpha_sq, vectors, residuals)
 
 
 def analytic_coeffs(p: ModelParams) -> AnalyticCoeffs:

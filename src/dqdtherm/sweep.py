@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .correlations import _correlated_coherence, _gibbs_concurrence, _l1
-from .model import ModelParams, _energies
-from .qmatrix import ValidationError, raise_first
+from .model import ModelParams, _energies, _hamiltonians
+from .qmatrix import ValidationError, eig_sym, raise_first
 from .thermal import _gibbs, _gibbs_columns, _rho
 
 __all__ = [
@@ -333,35 +333,28 @@ _PEAK_GRID = np.linspace(-2.0, 2.0, 400)
 def find_coherence_peak(epsilon: float, t: float, bz: float, bx: float):
     """Temperature maximizing correlated coherence, with the peak value.
 
-    Scans _PEAK_GRID's 400 log-spaced temperatures as one batch, then
-    refines the bracket _PEAK_GRID[k-1], _PEAK_GRID[k+1] around the grid
-    maximum in log10(T): each pass evaluates 33 evenly spaced points of
-    the bracket as one batch and narrows it to the two neighbours of their
-    maximum (the first on a tie), until it is at most 1e-6 wide, 4 passes.
-    All on the scan's one eigendecomposition of H.  Returns the best
-    temperature evaluated and its own Ccc.
+    One loop of passes over log10(T), each one batch on the one
+    eigendecomposition of H.  The first scans _PEAK_GRID's 400 points and
+    returns a maximum at an end of the scan as it is; each later pass takes
+    33 evenly spaced points of the bracket of the last maximum's two
+    neighbours (the first maximum on a tie), until the bracket is at most
+    1e-6 wide, 4 passes.  Each pass makes thermal_state's checks, its error
+    naming the point as a sweep does.  Returns the best temperature
+    evaluated and its own Ccc.
     """
     p = ModelParams(epsilon, t, bz, bx)
-    scan = {k: np.full(_PEAK_GRID.size, getattr(p, k)) for k in ("epsilon", "t", "bz", "bx")}
-    scan["T"] = np.array([10.0 ** float(x) for x in _PEAK_GRID])  # libm pow, not numpy's
-    state, checks = _gibbs_columns(scan)
-    values, more = _correlated_coherence(_rho(state))
-    raise_first(checks + more, _lookup(scan))
-    k = int(np.argmax(values))
-    best, top = float(_PEAK_GRID[k]), float(values[k])
-    if k == 0 or k == len(_PEAK_GRID) - 1:
-        return 10.0**best, top
-    lo, hi = float(_PEAK_GRID[k - 1]), float(_PEAK_GRID[k + 1])
-    while hi - lo > 1e-6:
-        # the kernels of correlated_coherence(thermal_state(p, T).rho), without
-        # the density-matrix checks, on the scan's one eigendecomposition
-        log_t = np.linspace(lo, hi, 33)
-        g, checks = _gibbs(state.dec, np.zeros(log_t.size, dtype=np.intp),
-                           np.array([10.0 ** float(x) for x in log_t]))
-        ccc, more = _correlated_coherence(_rho(g))
-        raise_first(checks + more)
-        j = int(np.argmax(ccc))
-        if ccc[j] > top:
+    point = asdict(p)
+    dec = eig_sym(_hamiltonians(p.epsilon, p.t, p.bz, p.bx))
+    log_t, best, top = _PEAK_GRID, 0.0, -math.inf
+    while True:
+        temp = np.array([10.0 ** float(x) for x in log_t])  # libm pow, not numpy's
+        state, checks = _gibbs(dec, np.zeros(temp.size, dtype=np.intp), temp)
+        ccc, more = _correlated_coherence(_rho(state))
+        raise_first(checks + more, lambda i: {**point, "T": float(temp[i])})
+        j, last = int(np.argmax(ccc)), temp.size - 1
+        if ccc[j] > top:  # every Ccc that passed the checks is finite
             best, top = float(log_t[j]), float(ccc[j])
-        lo, hi = float(log_t[max(j - 1, 0)]), float(log_t[min(j + 1, 32)])
-    return 10.0**best, top
+        lo, hi = float(log_t[max(j - 1, 0)]), float(log_t[min(j + 1, last)])
+        if hi - lo <= 1e-6 or (log_t is _PEAK_GRID and j in (0, last)):
+            return 10.0**best, top
+        log_t = np.linspace(lo, hi, 33)

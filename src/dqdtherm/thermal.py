@@ -1,7 +1,7 @@
 """Gibbs states of the double-dot Hamiltonian and subsystem reductions.
 
-_gibbs_columns is the one Gibbs entry point: thermal_state is its
-one-point case, and the sweeps and the coherence-peak search run it.
+_gibbs builds every Gibbs state and returns all of its checks.  The
+sweeps and thermal_state, their one-point case, reach it by _gibbs_columns.
 _rho forms the density matrices, only where a caller reads them.
 """
 
@@ -72,10 +72,11 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> tuple[_Gibbs, list]:
     H is diagonalized once however many temperatures use it; index holds
     the row of dec of each point and temperature one value per point.
     Returns (state, checks), every point computed under np.errstate;
-    checks holds three (bad, error) pairs for qmatrix.raise_first, in this
+    checks holds five (bad, error) pairs for qmatrix.raise_first, in this
     order: a temperature not positive and finite (ValidationError), one so
-    small that 1/T overflows, and a Hamiltonian whose eigenvalues overflow
-    (both OverflowError).  A flagged point may come out inf or NaN.  Energies
+    small that 1/T overflows, a Hamiltonian whose eigenvalues overflow
+    (both OverflowError), then gibbs_stack_checks's two on the state.  A
+    flagged point may come out inf or NaN.  Energies
     are shifted by each spectrum's minimum (see ThermalState); a point
     gives the same bits whichever other points share its decomposition.
     """
@@ -98,6 +99,7 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> tuple[_Gibbs, list]:
         # one test per distinct spectrum, then one lookup per point
         (~np.isfinite(dec.values).all(axis=1)[index],
          lambda i: OverflowError("the eigenvalues of H overflow")),
+        *gibbs_stack_checks(dec.vectors, weights, index),
     ]
     return _Gibbs(dec, index, z_shifted, weights), checks
 
@@ -109,7 +111,7 @@ def _gibbs_columns(cols: dict) -> tuple[_Gibbs, list]:
     (compared as int64, so -0.0 and 0.0 differ) share one Hamiltonian and
     its eigendecomposition.  So a grid whose T axis is innermost
     diagonalizes each distinct H once, and one with T outer or fixed,
-    once per point.  The checks are _gibbs's, then gibbs_stack_checks's.
+    once per point.  Returns _gibbs's (state, checks).
     """
     model = [cols[k] for k in ("epsilon", "t", "bz", "bx")]
     first = np.zeros(len(cols["T"]), dtype=bool)
@@ -118,9 +120,7 @@ def _gibbs_columns(cols: dict) -> tuple[_Gibbs, list]:
         bits = c.view(np.int64)
         first[1:] |= bits[1:] != bits[:-1]
     dec = eig_sym(_hamiltonians(*(c[first] for c in model)))
-    state, checks = _gibbs(dec, np.cumsum(first) - 1, cols["T"])
-    stack = gibbs_stack_checks(dec.vectors, state.weights, state.index)
-    return state, checks + stack
+    return _gibbs(dec, np.cumsum(first) - 1, cols["T"])
 
 
 def _rho(g: _Gibbs) -> np.ndarray:

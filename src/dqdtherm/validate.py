@@ -11,8 +11,8 @@ fatal: several of the printed formulas are known to disagree with the
 eigensolver and the point of the report is to quantify that.  Each check
 with flags logs one warning summarizing them.  A CheckResult keeps only
 counts and the worst point, and the samples are drawn and checked in
-blocks of _BLOCK, so a run's memory is bounded by one block at any
-sample count.
+blocks of sweep's _BLOCK, so a run's memory is bounded by one block at
+any sample count.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 
 from .correlations import _closed_form, _concurrence, _local_angles, _rotations, _schur_angles
 from .model import _coeffs, _coeffs_singular, _energies, _hamiltonians, _match_levels
-from .qmatrix import eig_sym, raise_first
-from .sweep import _integer
+from .qmatrix import check_symmetric, eig_sym, raise_first
+from .sweep import _BLOCK, _integer
 from .thermal import _gibbs, _reduce_a, _reduce_b, _rho
 
 __all__ = ["CheckResult", "run_validation", "hard_failed"]
@@ -44,9 +44,6 @@ _CHECKS = (
     ("concurrence_closed_form", False, 1e-8),
     ("angle_formula", False, 1e-8),
 )
-
-# samples evaluated per batch: bounds the memory of a large run
-_BLOCK = 4096
 
 # the sampled domain: lower and upper bound of eps, t, bz, bx and log10(T)
 _LOW = np.array([-50.0, 0.0, -40.0, -100.0, math.log10(0.05)])
@@ -130,16 +127,17 @@ def _check_block(results: dict, rng, n: int) -> None:
     h_scale = np.maximum(1.0, _max_abs(h))
     results["commutation"].record(_max_abs(h @ rho - rho @ h) / h_scale, where)
 
-    off = spec_resid = 0.0
-    for red, printed in zip((_reduce_a(rho), _reduce_b(rho)), _local_angles(rho)):
-        # the Schur rotation that correlated coherence makes must diagonalize it
-        off = np.maximum(off, np.abs(_rotated(_schur_angles(red), red)[:, 0, 1]))
-        # the printed angle, against the eigenvector oracle: the rotated
-        # diagonal must reproduce the reduced spectrum
-        got = np.sort(np.diagonal(_rotated(printed, red), axis1=1, axis2=2), axis=1)
-        spec_resid = np.maximum(spec_resid, _max_abs(got - eig_sym(red).values))
-    results["rotation_diagonalization"].record(off, where)
-    results["angle_formula"].record(spec_resid, where)
+    # the charge reductions, then the spin reductions, as one (2n, 2, 2) stack
+    red = np.concatenate([_reduce_a(rho), _reduce_b(rho)])
+    # the Schur rotation that correlated coherence makes must diagonalize each
+    off = np.abs(_rotated(_schur_angles(red), red)[:, 0, 1])
+    # the printed angle, against the eigenvalue oracle: the rotated
+    # diagonal must reproduce the reduced spectrum
+    got = np.sort(np.diagonal(_rotated(np.concatenate(_local_angles(rho)), red),
+                              axis1=1, axis2=2), axis=1)
+    spec_resid = _max_abs(got - np.linalg.eigvalsh(check_symmetric(red)))
+    results["rotation_diagonalization"].record(np.maximum(off[:n], off[n:]), where)
+    results["angle_formula"].record(np.maximum(spec_resid[:n], spec_resid[n:]), where)
 
     levels, checks = _energies(eps, t, bz, bx)
     raise_first(checks, where)

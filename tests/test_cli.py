@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from dqdtherm import cli, sweep
+from dqdtherm import cli, sweep, thermal
 from dqdtherm.cli import main
+from dqdtherm.qmatrix import NotPositiveSemidefiniteError
 from dqdtherm.sweep import PARAM_NAMES, Axis, SweepGrid, sweep_columns
 
 from csv_oracle import format_csv_value
@@ -174,6 +175,19 @@ def test_validate_report(capsys):
     hard = [line for line in lines[1:] if ",hard," in line or line.split(",")[5] == "True"]
     for line in hard:
         assert int(line.split(",")[2]) == 0
+
+
+def test_validate_stops_at_a_gibbs_state_that_fails_the_density_check(monkeypatch, capsys):
+    # the check fails at sample 2 of 5: the run stops before its report
+    def density(vectors, weights, index):
+        bad = np.arange(len(weights)) == 2
+        return [(bad, lambda i: NotPositiveSemidefiniteError("density check"))]
+
+    monkeypatch.setattr(thermal, "gibbs_stack_checks", density)
+    assert main(["validate", "--samples", "5", "--seed", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant failure: density check at eps=")
 
 
 def test_sweep_config_and_out_override(tmp_path, capsys):

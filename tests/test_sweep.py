@@ -752,7 +752,7 @@ def count_eigensolves(monkeypatch):
         calls.append(len(m))
         return eig_sym(m)
 
-    for module in (thermal, correlations):
+    for module in (thermal, correlations, sweep):
         monkeypatch.setattr(module, "eig_sym", counted)
     return calls
 
@@ -987,3 +987,27 @@ def test_the_peak_search_diagonalizes_once(monkeypatch):
     calls.clear()
     assert find_coherence_peak(1.0, 15.4, 24.0, 100.0) == (9.762492061349969, 1.0853093275902619)
     assert calls == [1]
+
+
+def test_a_failing_refinement_pass_names_its_temperature(monkeypatch):
+    # the scan passes; the first refinement pass refuses its point 5
+    temps, sizes = [], []
+    gibbs, correlated = sweep._gibbs, sweep._correlated_coherence
+
+    def recorded(dec, index, temperature):
+        temps.append(temperature)
+        return gibbs(dec, index, temperature)
+
+    def refused_on_second_call(rho):
+        sizes.append(len(rho))
+        if len(sizes) == 2:
+            return negative_ccc(np.arange(len(rho)) == 5)(rho)
+        return correlated(rho)
+
+    monkeypatch.setattr(sweep, "_gibbs", recorded)
+    monkeypatch.setattr(sweep, "_correlated_coherence", refused_on_second_call)
+    with pytest.raises(ValidationError, match="negative correlated coherence") as info:
+        find_coherence_peak(1.0, 7.0, 16.0, 100.0)
+    assert sizes == [400, 33]
+    point = {"epsilon": 1.0, "t": 7.0, "bz": 16.0, "bx": 100.0, "T": float(temps[-1][5])}
+    assert str(info.value).endswith(f"at {point}")
