@@ -9,98 +9,18 @@ ground-state fidelity, l1 coherence, and correlated coherence, plus
 sweep/CSV tooling to regenerate the reference datasets.
 """
 
-from .correlations import (
-    LocalBasisAngles,
-    RSpectrum,
-    SPIN_FLIP,
-    concurrence,
-    concurrence_closed_form,
-    correlated_coherence,
-    fidelity_pure,
-    l1_coherence,
-    local_angles,
-)
-from .model import (
-    AnalyticCoeffs,
-    AnalyticUnavailable,
-    Anticrossing,
-    DegenerateGroundState,
-    GroundState,
-    ModelParams,
-    NoAnticrossing,
-    SpectrumResult,
-    analytic_coeffs,
-    analytic_energies,
-    build_hamiltonian,
-    find_anticrossing,
-    ground_state,
-    spectrum,
-)
-from .qmatrix import (
-    EigenDecomp,
-    NotPositiveSemidefiniteError,
-    ValidationError,
-    check_density_matrix,
-    eig_sym,
-)
-from .sweep import (
-    Axis,
-    ConfigError,
-    SweepGrid,
-    find_coherence_peak,
-    load_config,
-)
-from .thermal import (
-    ThermalState,
-    populations,
-    reduce_a,
-    reduce_b,
-    thermal_state,
-)
-from .validate import CheckResult, hard_failed, run_validation
+from . import correlations, model, qmatrix, sweep, thermal, validate
+from .correlations import *
+from .model import *
+from .qmatrix import *
+from .sweep import *
+from .thermal import *
+from .validate import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalyticCoeffs",
-    "AnalyticUnavailable",
-    "Anticrossing",
-    "Axis",
-    "CheckResult",
-    "ConfigError",
-    "DegenerateGroundState",
-    "EigenDecomp",
-    "GroundState",
-    "LocalBasisAngles",
-    "ModelParams",
-    "NoAnticrossing",
-    "NotPositiveSemidefiniteError",
-    "RSpectrum",
-    "SPIN_FLIP",
-    "SpectrumResult",
-    "SweepGrid",
-    "ThermalState",
-    "ValidationError",
-    "analytic_coeffs",
-    "analytic_energies",
-    "build_hamiltonian",
-    "check_density_matrix",
-    "concurrence",
-    "concurrence_closed_form",
-    "correlated_coherence",
-    "eig_sym",
-    "fidelity_pure",
-    "find_anticrossing",
-    "find_coherence_peak",
-    "ground_state",
-    "hard_failed",
-    "l1_coherence",
-    "load_config",
-    "local_angles",
-    "populations",
-    "reduce_a",
-    "reduce_b",
-    "run_validation",
-    "spectrum",
-    "thermal_state",
-]
+# each module's __all__ is its public API, and the package exports them all
+__all__ = sorted(
+    name for module in (correlations, model, qmatrix, sweep, thermal, validate)
+    for name in module.__all__
+)

@@ -74,7 +74,7 @@ def _cmd_spectrum(args) -> int:
         axis2=None,
         measures=("energies",),
     )
-    return _write_sweep(args.out, grid, ("eps", "E1", "E2", "E3", "E4"))
+    return _write_sweep(args.out, grid, ("eps", *grid.columns()))
 
 
 def _cmd_curve(args) -> int:

@@ -16,7 +16,6 @@ import numpy as np
 from .qmatrix import ValidationError, eig_sym, raise_first
 
 __all__ = [
-    "LEVEL_LABELS",
     "ModelParams",
     "SpectrumResult",
     "GroundState",

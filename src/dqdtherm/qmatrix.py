@@ -20,9 +20,6 @@ __all__ = [
     "ValidationError",
     "NotPositiveSemidefiniteError",
     "EigenDecomp",
-    "raise_first",
-    "check_symmetric",
-    "gibbs_stack_checks",
     "check_density_matrix",
     "eig_sym",
 ]
@@ -76,13 +73,20 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
 
     Each matrix must be finite and symmetric, judged relative to its
     largest entry so that large Hamiltonians and unit-trace density
-    matrices get the same treatment.  Complex input is refused, not cast.
+    matrices get the same treatment.  Complex input is refused, not cast,
+    and so is input numpy cannot read as an array of numbers.
     """
-    if np.iscomplexobj(m):
-        raise ValidationError(f"{name} must be real")
-    # C order: numpy picks BLAS or its own loops by memory layout, and the
-    # kernels give the same bits for a matrix only in the same layout
-    a = np.ascontiguousarray(m, dtype=float)
+    try:
+        a = np.asarray(m)
+        if np.iscomplexobj(a):
+            raise ValidationError(f"{name} must be real")
+        # C order: numpy picks BLAS or its own loops by memory layout, and the
+        # kernels give the same bits for a matrix only in the same layout
+        a = np.ascontiguousarray(a, dtype=float)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a real matrix, got {type(m).__name__}") from None
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
     largest = np.abs(a).max(axis=(-2, -1), initial=0.0)  # NaN and inf carry through

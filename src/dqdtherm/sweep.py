@@ -33,18 +33,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .correlations import _correlated_coherence, _gibbs_concurrence, _l1
-from .model import ModelParams, _energies, _hamiltonians
+from .model import LEVEL_LABELS, ModelParams, _energies, _hamiltonians
 from .qmatrix import ValidationError, eig_sym, raise_first
 from .thermal import _gibbs, _gibbs_columns, _rho
 
 __all__ = [
-    "PARAM_NAMES",
-    "MEASURE_COLUMNS",
     "ConfigError",
     "Axis",
     "SweepGrid",
-    "sweep_columns",
-    "write_table",
     "load_config",
     "find_coherence_peak",
 ]
@@ -52,7 +48,7 @@ __all__ = [
 PARAM_NAMES = ("epsilon", "t", "bz", "bx", "T")
 
 MEASURE_COLUMNS = {
-    "energies": ("E1", "E2", "E3", "E4"),
+    "energies": LEVEL_LABELS,
     "populations": ("rho11", "rho22", "rho33", "rho44"),
     "concurrence": ("C",),
     "fidelity_pure": ("F",),
@@ -133,6 +129,10 @@ class SweepGrid:
     measures: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.measures, str):
+            raise ConfigError(
+                f"measures must be a sequence of measure names, got {self.measures!r}"
+            )
         object.__setattr__(self, "measures", tuple(self.measures))
         if not self.measures:
             raise ConfigError("at least one measure is required")

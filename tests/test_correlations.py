@@ -237,6 +237,8 @@ INVALID = {
     "non_symmetric": _with_entries(0.1, (0, 1)),
     "nan_entry": _with_entries(np.nan, (1, 2), (2, 1)),
     "non_psd": np.diag([0.75, 0.75, -0.25, -0.25]),
+    "string": "not a matrix",
+    "ragged": [[0.25, 0.0, 0.0, 0.0], [0.0, 0.25]],
 }
 
 
@@ -245,6 +247,19 @@ INVALID = {
 def test_measures_reject_invalid_density_matrices(measure, bad):
     with pytest.raises(ValidationError):
         measure(bad)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [correlated_coherence, l1_coherence, local_angles, concurrence_closed_form,
+     lambda rho: fidelity_pure(UNIT, rho)],
+    ids=["correlated_coherence", "l1_coherence", "local_angles", "concurrence_closed_form",
+         "fidelity_pure"],
+)
+def test_matrix_only_measures_refuse_a_thermal_state(measure):
+    state = thermal_state(ModelParams(10.0, 7.0, 16.0, 100.0), 1.0)
+    with pytest.raises(ValidationError, match="must be a real matrix, got ThermalState"):
+        measure(state)
 
 
 SZ = np.diag([1.0, -1.0])

@@ -28,3 +28,10 @@ def test_every_package_export_resolves():
     namespace = {}
     exec("from dqdtherm import *", namespace)
     assert set(dqdtherm.__all__) <= set(namespace)
+
+
+def test_package_exports_the_union_of_its_library_modules_exports():
+    library = [importlib.import_module(f"dqdtherm.{m}") for m in MODULES if m != "cli"]
+    names = [name for module in library for name in module.__all__]
+    assert len(set(names)) == len(names)  # no name is public in two modules
+    assert sorted(dqdtherm.__all__) == sorted(names)

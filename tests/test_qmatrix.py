@@ -89,6 +89,9 @@ def test_eig_property_reconstruction(entries):
         np.ones((2, 3)),
         1j * np.eye(2),  # cast to float, it was the zero matrix
         np.full((2, 3, 3), np.nan),
+        "not a matrix",
+        [[1.0, 0.0], [0.0]],  # ragged
+        [[10**400, 0], [0, 1]],  # too large for a float
     ],
 )
 def test_eig_rejects_invalid(bad):

@@ -145,6 +145,8 @@ MODEL_FIXED = {"epsilon": 0.0, "t": 7.0, "bz": 16.0, "bx": 100.0}
         (FIXED, EPS_AXIS, EPS_AXIS, ("concurrence",), "same parameter"),
         (FIXED, EPS_AXIS, None, ("entropy",), "unknown measure"),
         (FIXED, EPS_AXIS, None, (), "at least one measure"),
+        (FIXED, EPS_AXIS, None, "concurrence",
+         "measures must be a sequence of measure names, got 'concurrence'"),
         # every point is a valid input, checked at the fixed values and each axis's lo
         (dict(FIXED, bx=float("inf")), EPS_AXIS, None, ("concurrence",),
          "bx must be finite, got inf"),
@@ -162,8 +164,8 @@ MODEL_FIXED = {"epsilon": 0.0, "t": 7.0, "bz": 16.0, "bx": 100.0}
          "t must be a real number, got 1000"),
     ],
     ids=["fixed-and-swept", "missing", "same-axes", "unknown-measure", "no-measures",
-         "fixed-inf", "fixed-t", "t-axis", "fixed-T", "T-axis", "fixed-str", "fixed-None",
-         "fixed-huge-int"],
+         "measures-str", "fixed-inf", "fixed-t", "t-axis", "fixed-T", "T-axis", "fixed-str",
+         "fixed-None", "fixed-huge-int"],
 )
 def test_grid_partition_validation(fixed, axis1, axis2, measures, message):
     with pytest.raises(ConfigError, match=message):
