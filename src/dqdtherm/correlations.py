@@ -17,6 +17,7 @@ import numpy as np
 from .model import DegenerateGroundState, GroundState
 from .qmatrix import (
     ValidationError,
+    _real,
     check_density_matrix,
     eig_sym,
     raise_first,
@@ -199,7 +200,7 @@ def fidelity_pure(psi, rho) -> float:
                 "ground state is degenerate, so fidelity to it is undefined"
             )
         psi = psi.vector
-    v = np.asarray(psi, dtype=float).reshape(-1)
+    v = _real(psi, "state vector", "vector").reshape(-1)
     if not np.all(np.isfinite(v)):
         raise ValidationError("state vector contains non-finite entries")
     if abs(float(np.linalg.norm(v)) - 1.0) > 1e-10:

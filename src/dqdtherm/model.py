@@ -241,15 +241,14 @@ def spectrum(p: ModelParams) -> SpectrumResult:
     inconsistent with the eigensolver.  omega and sigma_cap are inf or 0
     where they leave the double range.
     """
-    levels, checks = _energies(p.epsilon, p.t, p.bz, p.bx)
-    raise_first(checks)
+    levels = analytic_energies(p)
     unit = _scaled(p.epsilon, p.t, p.bz, p.bx)[1:]  # H / 2^k: its largest entry near 1/2
     dec = eig_sym(_hamiltonians(*unit))
     vectors, checks = _match_levels(_energies(*unit)[0], dec.values, dec.vectors)
     raise_first(checks, lambda i: p)
     e, t, z, x = p.epsilon, p.t, p.bz, p.bx  # float products overflow to inf, no error
     u, v, w = 2.0 * z * t, e * z, e * x  # Omega = u^2 + v^2 + w^2, with no inf * 0
-    return SpectrumResult(energies=levels[0], vectors=vectors[0], omega=u * u + v * v + w * w,
+    return SpectrumResult(energies=levels, vectors=vectors[0], omega=u * u + v * v + w * w,
                           sigma_cap=z * z + x * x + 4.0 * t * t + e * e)
 
 
@@ -365,6 +364,5 @@ def find_anticrossing(
         raise NoAnticrossing(
             f"|{labels[0]} - {labels[1]}| has no minimum inside ({lo}, {hi})"
         )
-    levels, checks = _energies(eps, fixed.t, fixed.bz, fixed.bx)
-    raise_first(checks)
-    return Anticrossing(eps=eps, gap=float(abs(levels[0, ia] - levels[0, ib])))
+    levels = analytic_energies(ModelParams(eps, fixed.t, fixed.bz, fixed.bx))
+    return Anticrossing(eps=eps, gap=float(abs(levels[ia] - levels[ib])))

@@ -68,25 +68,30 @@ def raise_first(checks, where=None) -> None:
     raise exc
 
 
+def _real(x, name: str, kind: str) -> np.ndarray:
+    """x as a float ndarray.  Complex input is refused, not cast, and so is
+    input numpy cannot read as an array of numbers ("a real <kind>")."""
+    try:
+        a = np.asarray(x)
+        if np.iscomplexobj(a):
+            raise ValidationError(f"{name} must be real")
+        return np.asarray(a, dtype=float)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a real {kind}, got {type(x).__name__}") from None
+
+
 def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     """Validate one real (n, n) matrix or an (N, n, n) stack; return it as ndarray.
 
     Each matrix must be finite and symmetric, judged relative to its
     largest entry so that large Hamiltonians and unit-trace density
-    matrices get the same treatment.  Complex input is refused, not cast,
-    and so is input numpy cannot read as an array of numbers.
+    matrices get the same treatment.  Input is read by _real.
     """
-    try:
-        a = np.asarray(m)
-        if np.iscomplexobj(a):
-            raise ValidationError(f"{name} must be real")
-        # C order: numpy picks BLAS or its own loops by memory layout, and the
-        # kernels give the same bits for a matrix only in the same layout
-        a = np.ascontiguousarray(a, dtype=float)
-    except ValidationError:
-        raise
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a real matrix, got {type(m).__name__}") from None
+    # C order: numpy picks BLAS or its own loops by memory layout, and the
+    # kernels give the same bits for a matrix only in the same layout
+    a = np.ascontiguousarray(_real(m, name, "matrix"))
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
     largest = np.abs(a).max(axis=(-2, -1), initial=0.0)  # NaN and inf carry through

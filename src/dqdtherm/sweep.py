@@ -129,11 +129,15 @@ class SweepGrid:
     measures: tuple[str, ...]
 
     def __post_init__(self):
-        if isinstance(self.measures, str):
+        try:  # a str would read as one-letter names, so it is refused whole
+            measures = tuple(None if isinstance(self.measures, str) else self.measures)
+        except TypeError:
+            measures = (None,)
+        if not all(isinstance(m, str) for m in measures):
             raise ConfigError(
                 f"measures must be a sequence of measure names, got {self.measures!r}"
             )
-        object.__setattr__(self, "measures", tuple(self.measures))
+        object.__setattr__(self, "measures", measures)
         if not self.measures:
             raise ConfigError("at least one measure is required")
         for m in self.measures:

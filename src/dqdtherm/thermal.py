@@ -34,18 +34,14 @@ class ThermalState:
     """Equilibrium state e^{-H/T} / Z built from the eigendecomposition.
 
     weights are the Gibbs probabilities of the eigenvector columns, so
-    rho = vectors @ diag(weights) @ vectors.T.  z_shifted is the
-    partition function with energies measured from the ground state
-    (Z = z_shifted * exp(-beta * e_shift)); keeping the shift explicit
-    avoids overflow at beta |E| of order 1e6.
+    rho = vectors @ diag(weights) @ vectors.T.  The ground weight is
+    exp(-energies[0] / T) / Z, so Z follows from weights[0], and
+    log Z = -energies[0] / T - log(weights[0]) never overflows.
     """
 
     params: ModelParams
     temperature: float
-    beta: float
     rho: np.ndarray
-    z_shifted: float
-    e_shift: float
     energies: np.ndarray
     vectors: np.ndarray
     weights: np.ndarray
@@ -53,7 +49,7 @@ class ThermalState:
 
 @dataclass(frozen=True)
 class _Gibbs:
-    """Gibbs states of N points: ThermalState's z_shifted and weights, on axis 0.
+    """Gibbs states of N points: ThermalState's weights, on axis 0.
 
     dec holds the eigendecompositions of the distinct Hamiltonians the
     states were built from, and index maps each point to its row of dec.
@@ -61,7 +57,6 @@ class _Gibbs:
 
     dec: EigenDecomp
     index: np.ndarray
-    z_shifted: np.ndarray
     weights: np.ndarray
 
 
@@ -76,9 +71,9 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> tuple[_Gibbs, list]:
     order: a temperature not positive and finite (ValidationError), one so
     small that 1/T overflows, a Hamiltonian whose eigenvalues overflow
     (both OverflowError), then gibbs_stack_checks's two on the state.  A
-    flagged point may come out inf or NaN.  Energies
-    are shifted by each spectrum's minimum (see ThermalState); a point
-    gives the same bits whichever other points share its decomposition.
+    flagged point may come out inf or NaN.  Energies are shifted by each
+    spectrum's minimum, so no weight overflows at beta |E| of order 1e6;
+    a point gives the same bits whichever other points share its decomposition.
     """
     temp = np.asarray(temperature, dtype=float).reshape(-1)
     values = dec.values[index]
@@ -101,7 +96,7 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> tuple[_Gibbs, list]:
          lambda i: OverflowError("the eigenvalues of H overflow")),
         *gibbs_stack_checks(dec.vectors, weights, index),
     ]
-    return _Gibbs(dec, index, z_shifted, weights), checks
+    return _Gibbs(dec, index, weights), checks
 
 
 def _gibbs_columns(cols: dict) -> tuple[_Gibbs, list]:
@@ -150,10 +145,7 @@ def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
     return ThermalState(
         params=p,
         temperature=temperature,
-        beta=1.0 / temperature,
         rho=_rho(g)[0],
-        z_shifted=float(g.z_shifted[0]),
-        e_shift=float(g.dec.values[0, 0]),
         energies=g.dec.values[0],
         vectors=g.dec.vectors[0],
         weights=g.weights[0],

@@ -29,7 +29,7 @@ from .qmatrix import check_symmetric, eig_sym, raise_first
 from .sweep import _BLOCK, _integer
 from .thermal import _gibbs, _reduce_a, _reduce_b, _rho
 
-__all__ = ["CheckResult", "run_validation", "hard_failed"]
+__all__ = ["CheckResult", "run_validation"]
 
 log = logging.getLogger(__name__)
 
@@ -178,7 +178,3 @@ def run_validation(samples: int = 200, seed: int = 42) -> list[CheckResult]:
                 r.name, r.flagged, r.samples, r.max_residual, r.tolerance, r.worst_point,
             )
     return [results[name] for name, _, _ in _CHECKS]
-
-
-def hard_failed(results) -> bool:
-    return any(r.failed for r in results)

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,24 @@ def test_fidelity_to_a_ground_state_equals_fidelity_to_its_vector():
 def test_fidelity_pure_rejects_unnormalized_vector():
     with pytest.raises(ValidationError):
         fidelity_pure(np.array([1.0, 1.0, 0.0, 0.0]), np.eye(4) / 4.0)
+
+
+@pytest.mark.parametrize(
+    "psi, message",
+    [
+        (np.array([1.0 + 0j, 0.0, 0.0, 0.0]), "^state vector must be real$"),
+        ([1j, 0.0, 0.0, 0.0], "^state vector must be real$"),
+        ("psi", "^state vector must be a real vector, got str$"),
+        ([[1.0, 0.0], [0.0]], "^state vector must be a real vector, got list$"),
+    ],
+    ids=["complex-array", "complex-list", "str", "ragged"],
+)
+def test_fidelity_pure_refuses_a_vector_that_is_not_real(psi, message):
+    # refused, not cast: a complex vector with a zero imaginary part too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            fidelity_pure(psi, np.eye(4) / 4.0)
 
 
 def test_fidelity_pure_rejects_a_non_finite_vector():
@@ -371,7 +390,7 @@ C_ROUNDOFF = 8.0
 def test_closed_form_gibbs_concurrence_matches_the_eigh_route(point):
     state = thermal_state(ModelParams(*point[:4]), point[4])
     span = float(state.energies[-1] - state.energies[0])
-    tol = C_ROUNDOFF * sys.float_info.epsilon * (1.0 + state.beta * span)
+    tol = C_ROUNDOFF * sys.float_info.epsilon * (1.0 + (1.0 / state.temperature) * span)
     want = reference(*point).concurrence
     assert abs(concurrence(state) - want) <= tol
     assert abs(_eigh_route(state) - want) <= tol

@@ -84,7 +84,7 @@ def test_fidelity_and_correlated_coherence_match_the_reference(point):
     want = reference(*point)
     state = thermal_state(ModelParams(*point[:4]), point[4])
     span = float(state.energies[-1] - state.energies[0])
-    tol = 16.0 * sys.float_info.epsilon * (1.0 + state.beta * span)
+    tol = 16.0 * sys.float_info.epsilon * (1.0 + (1.0 / state.temperature) * span)
     assert abs(float(state.weights[0]) - want.fidelity) <= tol
     gap = min(want.reduced_gaps)
     assert abs(correlated_coherence(state.rho) - want.ccc) * gap <= tol
@@ -96,7 +96,8 @@ def rho_errors(point):
     state = thermal_state(ModelParams(*point[:4]), point[4])
     population = max(abs(got - ref) for got, ref in zip(populations(state), want.populations))
     l1 = abs(l1_coherence(state.rho) - want.l1)
-    return population, l1, float(state.beta * (state.energies[-1] - state.energies[0]))
+    span = state.energies[-1] - state.energies[0]
+    return population, l1, float((1.0 / state.temperature) * span)
 
 
 @settings(max_examples=32, deadline=None)

@@ -147,6 +147,10 @@ MODEL_FIXED = {"epsilon": 0.0, "t": 7.0, "bz": 16.0, "bx": 100.0}
         (FIXED, EPS_AXIS, None, (), "at least one measure"),
         (FIXED, EPS_AXIS, None, "concurrence",
          "measures must be a sequence of measure names, got 'concurrence'"),
+        (FIXED, EPS_AXIS, None, None, "measures must be a sequence of measure names, got None"),
+        (FIXED, EPS_AXIS, None, 5, "measures must be a sequence of measure names, got 5"),
+        (FIXED, EPS_AXIS, None, [["concurrence"]],
+         r"measures must be a sequence of measure names, got \[\['concurrence'\]\]"),
         # every point is a valid input, checked at the fixed values and each axis's lo
         (dict(FIXED, bx=float("inf")), EPS_AXIS, None, ("concurrence",),
          "bx must be finite, got inf"),
@@ -164,7 +168,7 @@ MODEL_FIXED = {"epsilon": 0.0, "t": 7.0, "bz": 16.0, "bx": 100.0}
          "t must be a real number, got 1000"),
     ],
     ids=["fixed-and-swept", "missing", "same-axes", "unknown-measure", "no-measures",
-         "measures-str", "fixed-inf", "fixed-t", "t-axis", "fixed-T", "T-axis", "fixed-str",
+         "measures-str", "measures-None", "measures-int", "measures-nested", "fixed-inf", "fixed-t", "t-axis", "fixed-T", "T-axis", "fixed-str",
          "fixed-None", "fixed-huge-int"],
 )
 def test_grid_partition_validation(fixed, axis1, axis2, measures, message):
@@ -630,7 +634,8 @@ def test_fidelity_at_a_degenerate_ground_level_is_its_gibbs_weight(t, bx, temp, 
     state = thermal_state(p, temp)
     f = _fidelity_column(p, temp)[0]
     assert f == state.weights[0]
-    split = state.beta * (state.energies[1] - state.energies[0])  # w1 = w0 exp(-split)
+    # w1 = w0 exp(-split)
+    split = (1.0 / state.temperature) * (state.energies[1] - state.energies[0])
     assert 0.0 <= split <= 1e-11
     assert abs(state.weights[1] - f) <= split + 1e-16
     psi = np.cos(angle) * state.vectors[:, 0] + np.sin(angle) * state.vectors[:, 1]

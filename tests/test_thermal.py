@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -36,7 +37,7 @@ def random_params(rng):
 def test_high_temperature_limit_is_maximally_mixed():
     state = thermal_state(REF, 1e6)
     # leading correction to the maximally mixed state is of order beta*|E|
-    bound = state.beta * np.max(np.abs(state.energies))
+    bound = (1.0 / state.temperature) * np.max(np.abs(state.energies))
     assert np.max(np.abs(state.rho - np.eye(4) / 4.0)) <= bound
     for p in populations(state):
         assert p == pytest.approx(0.25, abs=1e-4)
@@ -192,8 +193,17 @@ def test_partition_weight_bounds():
     for _ in range(20):
         state = thermal_state(random_params(rng), 10.0 ** rng.uniform(-3, 5))
         # with the spectrum shifted so the minimum is zero, the weight sum
-        # lies between 1 (deep cold) and the number of levels (very hot)
-        assert 1.0 <= state.z_shifted <= 4.0 + 1e-12
+        # lies between 1 (deep cold) and the number of levels (very hot),
+        # so the ground weight, 1 over that sum, between 1/4 and 1
+        assert 0.25 - 1e-12 <= state.weights[0] <= 1.0
+
+
+def test_state_keeps_each_value_once():
+    # beta is 1 / temperature, the energy shift energies[0] and the shifted
+    # partition function 1 / weights[0], so none is stored beside them
+    fields = [f.name for f in dataclasses.fields(thermal.ThermalState)]
+    assert fields == ["params", "temperature", "rho", "energies", "vectors", "weights"]
+    assert [f.name for f in dataclasses.fields(thermal._Gibbs)] == ["dec", "index", "weights"]
 
 
 def test_extreme_cold_does_not_overflow():
@@ -210,7 +220,7 @@ def test_eigenbasis_diagonalizes_state():
     assert np.max(np.abs(off)) <= 1e-12
     # weights ordered like the energies returned with the state
     w = np.diag(diag)
-    boltz = np.exp(-(state.energies - state.e_shift) / state.temperature)
+    boltz = np.exp(-(state.energies - state.energies[0]) / state.temperature)
     boltz /= boltz.sum()
     assert np.max(np.abs(w - boltz)) <= 1e-12
 
