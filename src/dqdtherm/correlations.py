@@ -5,12 +5,11 @@ conjugation is a no-op and every measure reduces to real arithmetic.
 Each measure has one unchecked kernel over (N, 4, 4) stacks, which the
 sweeps run on blocks of grid points.  Each public measure validates its
 density-matrix argument once and calls the same kernel with N = 1, so a
-point gives the same bits through either route.
+point gives the same bits through either route.  The paper's printed
+R-spectrum concurrence and arctan angles are validate's oracles.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +25,9 @@ from .thermal import ThermalState, _reduce_a, _reduce_b
 
 __all__ = [
     "SPIN_FLIP",
-    "RSpectrum",
-    "LocalBasisAngles",
     "concurrence",
-    "concurrence_closed_form",
     "fidelity_pure",
     "l1_coherence",
-    "local_angles",
     "correlated_coherence",
 ]
 
@@ -129,63 +124,6 @@ def concurrence(state) -> float:
     return float(_concurrence(dec.vectors[None], roots[None])[0])
 
 
-@dataclass(frozen=True)
-class RSpectrum:
-    """Closed-form spectrum of rho S rho S with its building blocks.
-
-    lambdas are stored descending and clamped at zero.  The radicand is
-    xi_plus * sig_plus for both level pairs, exactly as the closed form
-    is written.
-    """
-
-    lambdas: np.ndarray
-    theta_cap: float
-    g_cap: float
-    xi_plus: float
-    sig_plus: float
-
-
-def concurrence_closed_form(rho) -> tuple[float, RSpectrum]:
-    """Concurrence from the closed-form R-spectrum; validation path only.
-
-    Callers should compare the returned value against concurrence() and
-    log the residual rather than trust it: on generic thermal states the
-    printed closed form disagrees with the eigensolver route (see the
-    validation report), so it is kept strictly as a cross-check.
-    """
-    r = check_density_matrix(rho, dim=4)
-    c, lams, *pieces = _closed_form(r[None])
-    theta, g, xi_plus, sig_plus = (float(x[0]) for x in pieces)
-    return float(c[0]), RSpectrum(
-        lambdas=lams[0],
-        theta_cap=theta,
-        g_cap=g,
-        xi_plus=xi_plus,
-        sig_plus=sig_plus,
-    )
-
-
-def _closed_form(r: np.ndarray):
-    """Closed-form R-spectrum concurrence of each state of a stack.
-
-    Returns (c, lambdas, theta, g, xi_plus, sig_plus), each stacked on axis 0.
-    """
-    r11, r12, r13, r14 = r[:, 0, 0], r[:, 0, 1], r[:, 0, 2], r[:, 0, 3]
-    r22, r24 = r[:, 1, 1], r[:, 1, 3]
-    g = -2.0 * r14 * r12 + r11 * r24 - r13 * r22
-    theta = r11 * r22 - r13 * r24 + r14 * r14 + r12 * r12
-    xi_plus = 2.0 * (r12 + r14) * (r22 + r24)
-    sig_plus = 2.0 * (r13 - r11) * (r14 + r12)
-    root = np.sqrt(np.maximum(xi_plus * sig_plus, 0.0))
-    lams = np.empty(theta.shape + (4,))
-    lams[:, 0], lams[:, 1] = theta + g + root, theta + g - root
-    lams[:, 2], lams[:, 3] = theta - g + root, theta - g - root
-    lams = np.sort(np.clip(lams, 0.0, None), axis=1)[:, ::-1]
-    s = np.sqrt(lams)
-    c = np.maximum(0.0, np.abs(s[:, 0] - s[:, 2]) - s[:, 1] - s[:, 3])
-    return c, lams, theta, g, xi_plus, sig_plus
-
-
 def fidelity_pure(psi, rho) -> float:
     """Overlap <psi|rho|psi> of a normalized pure state with a density matrix.
 
@@ -226,51 +164,6 @@ def _rotations(theta) -> np.ndarray:
     u[..., 0, 0] = u[..., 1, 1] = c
     u[..., 1, 0], u[..., 0, 1] = s, -s
     return u
-
-
-@dataclass(frozen=True)
-class LocalBasisAngles:
-    """Rotation angles whose U(theta) diagonalize the reduced matrices."""
-
-    theta_a: float
-    theta_b: float
-
-
-def _diagonalizing_angles(chi, q):
-    """The printed angle of each reduced state, from its chi and q (see _local_angles).
-
-    theta = arctan[(chi + sqrt(chi^2 + 4 q^2)) / (2 q)]; the principal
-    branch satisfies tan(2 theta) = -2q / chi.  For chi < 0 the numerator
-    cancels, so the same ratio is evaluated as 2q / (sqrt(chi^2 + 4 q^2) - chi).
-    |q| below 1e-12 means the matrix is already diagonal and theta = 0 is
-    the canonical choice.  validate checks these angles against the
-    eigensolver; correlated coherence rotates by _schur_angles.
-    """
-    diagonal = np.abs(q) < 1e-12
-    two_q = 2.0 * np.where(diagonal, 1.0, q)
-    root = np.hypot(chi, two_q)
-    up = chi >= 0.0
-    theta = np.arctan(np.where(up, chi + root, two_q) / np.where(up, two_q, root - chi))
-    theta[diagonal] = 0.0
-    return theta
-
-
-def local_angles(rho) -> LocalBasisAngles:
-    """The printed diagonalizing rotation angles of both reduced density matrices.
-
-    chi and q are read from the full-state elements of rho.
-    """
-    theta_a, theta_b = _local_angles(check_density_matrix(rho, dim=4)[None])
-    return LocalBasisAngles(theta_a=float(theta_a[0]), theta_b=float(theta_b[0]))
-
-
-def _local_angles(r: np.ndarray):
-    """The printed charge and spin angles of each state of a stack: (theta_a, theta_b)."""
-    chi_a = r[:, 0, 0] + r[:, 1, 1] - r[:, 2, 2] - r[:, 3, 3]
-    q_a = r[:, 0, 2] + r[:, 1, 3]
-    chi_b = r[:, 0, 0] - r[:, 1, 1] + r[:, 2, 2] - r[:, 3, 3]
-    q_b = r[:, 0, 1] + r[:, 2, 3]
-    return _diagonalizing_angles(chi_a, q_a), _diagonalizing_angles(chi_b, q_b)
 
 
 def _schur_angles(m: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ Basis ordering everywhere is (|L0>, |L1>, |R0>, |R1>): first index the
 occupied dot (left/right), second the spin projection (0 = up, 1 = down).
 Charge operators (tau) act on the dot index, spin operators (sigma) on the
 spin index.  All couplings share one arbitrary energy unit with k_B = 1.
+The paper's printed eigenvector coefficients are validate's oracles.
 """
 
 from __future__ import annotations
@@ -19,16 +20,13 @@ __all__ = [
     "ModelParams",
     "SpectrumResult",
     "GroundState",
-    "AnalyticCoeffs",
     "Anticrossing",
-    "AnalyticUnavailable",
     "DegenerateGroundState",
     "NoAnticrossing",
     "build_hamiltonian",
     "analytic_energies",
     "spectrum",
     "ground_state",
-    "analytic_coeffs",
     "find_anticrossing",
 ]
 
@@ -39,10 +37,6 @@ LEVEL_LABELS = ("E1", "E2", "E3", "E4")
 _RANK = [3, 0, 2, 1]  # each label's place in that order
 
 _ANTICROSSING_PAIRS = (("E1", "E3"), ("E2", "E4"), ("E3", "E4"))
-
-
-class AnalyticUnavailable(ValidationError):
-    """Closed-form eigenvector coefficients are singular at these parameters."""
 
 
 class DegenerateGroundState(ValidationError):
@@ -98,40 +92,6 @@ class GroundState:
     energy: float
     vector: np.ndarray
     degenerate: bool
-
-
-@dataclass(frozen=True)
-class AnalyticCoeffs:
-    """Eigenvector coefficients from the printed closed-form expressions.
-
-    The plain set (a, b, c with +/- branches) builds the outer doublet
-    (E1, E2), the tilde set the inner doublet (E3, E4); each state is
-    norm * (a, b, 1, c) in the fixed basis.  residuals records, per label
-    order, the max-abs deviation of the reconstructed unit vector from
-    the numerical eigenvector (after sign alignment).  These residuals
-    are reported, never assumed zero: the printed formulas are treated
-    as a cross-check, not as the production path.
-    """
-
-    a_plus: float
-    b_plus: float
-    c_plus: float
-    a_minus: float
-    b_minus: float
-    c_minus: float
-    a_tilde_plus: float
-    b_tilde_plus: float
-    c_tilde_plus: float
-    a_tilde_minus: float
-    b_tilde_minus: float
-    c_tilde_minus: float
-    m_plus: float
-    m_minus: float
-    n_plus: float
-    n_minus: float
-    alpha_sq: float
-    vectors: np.ndarray
-    residuals: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -258,69 +218,6 @@ def ground_state(p: ModelParams) -> GroundState:
     e1, e2, e3, _ = s.energies  # E4 - E2 = E1 - E3, and E1 - E2 = 2 E1 may overflow
     return GroundState(energy=float(e2), vector=s.vectors[:, 1],
                        degenerate=bool(e1 - e3 <= 2e-10 * e1))
-
-
-def _denominators(eps, t, bz, bx):
-    """The coefficient denominators 2t(bz+eps), bx*t*(bz+eps) and (bz+eps)*bx."""
-    return 2.0 * t * (bz + eps), bx * t * (bz + eps), (bz + eps) * bx
-
-
-def _coeffs_singular(eps, t, bz, bx, e1) -> np.ndarray:
-    """Where 2t(bz+eps) or (bz+eps)*bx is at most 1e-10 * E1^2 in magnitude.
-
-    Tested scaled by _scaled.  The third denominator is their product over 2(bz+eps).
-    """
-    k, *x = _scaled(eps, t, bz, bx)
-    den_a, _, den_c = _denominators(*x)
-    return np.minimum(np.abs(den_a), np.abs(den_c)) <= 1e-10 * np.ldexp(e1, -k) ** 2
-
-
-def _coeffs(eps, t, bz, bx, levels, numeric):
-    """The printed eigenvector coefficients at N regular points.
-
-    eps, t, bz, bx are N floats each, none singular (see
-    _coeffs_singular); levels (N, 4) are their closed-form energies and
-    numeric (N, 4, 4) the matched eigenvectors in label order, all
-    evaluated scaled by _scaled.  Returns AnalyticCoeffs' fields in their
-    order: the 17 scalar fields as N floats each, then the (N, 4, 4)
-    closed-form unit vectors and the (N, 4) residuals.
-    """
-    k, eps, t, bz, bx = _scaled(eps, t, bz, bx)
-    den_a, den_b, den_c = _denominators(eps, t, bz, bx)
-    e1, e3 = np.ldexp(levels[:, 0], -k), np.ldexp(levels[:, 2], -k)
-    alpha_sq = bz**2 + bx**2 - eps**2 - 4.0 * t**2
-    tail = alpha_sq / (4.0 * bx * t)
-    # the four branches (+, -, tilde +, tilde -) on axis 0: sign, E_m, E_o
-    sign = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
-    em, eo = np.stack([e1, e1, e3, e3]), np.stack([e3, e3, e1, e1])
-    a = ((eps + sign * em) ** 2 - eo**2) / den_a
-    b = em * (-sign * bz * eps + (eps - bz) * em + sign * (em * em - eo * eo)) / den_b + tail
-    c = ((bz - sign * em) ** 2 - eo**2) / den_c
-    norms = (a * a + b * b + c * c + 1.0) ** -0.5
-    vectors = (norms[..., None] * np.stack([a, b, np.ones_like(a), c], axis=-1)).transpose(1, 2, 0)
-    residuals = np.minimum(
-        np.abs(vectors - numeric).max(axis=1), np.abs(vectors + numeric).max(axis=1)
-    )
-    with np.errstate(over="ignore"):
-        alpha_sq = np.ldexp(alpha_sq, 2 * k)
-    return (*np.stack([a, b, c], axis=1).reshape(12, -1), *norms, alpha_sq, vectors, residuals)
-
-
-def analytic_coeffs(p: ModelParams) -> AnalyticCoeffs:
-    """Evaluate the printed eigenvector coefficients and their residuals.
-
-    Raises AnalyticUnavailable when a denominator (2t(bz+eps),
-    bx*t*(bz+eps), (bz+eps)*bx) is singular (see _coeffs_singular);
-    callers should fall back to the numerical eigenvectors in that case.
-    """
-    x = tuple(np.array([v]) for v in (p.epsilon, p.t, p.bz, p.bx))
-    s = spectrum(p)
-    if _coeffs_singular(*x, s.energies[:1])[0]:
-        raise AnalyticUnavailable(
-            f"coefficient denominators singular at {p}; use numerical eigenvectors"
-        )
-    *scalars, vectors, residuals = _coeffs(*x, s.energies[None], s.vectors[None])
-    return AnalyticCoeffs(*(float(v[0]) for v in scalars), vectors[0], residuals[0])
 
 
 def find_anticrossing(

@@ -70,11 +70,13 @@ def raise_first(checks, where=None) -> None:
 
 def _real(x, name: str, kind: str) -> np.ndarray:
     """x as a float ndarray.  Complex input is refused, not cast, and so is
-    input numpy cannot read as an array of numbers ("a real <kind>")."""
+    text or input numpy cannot read as an array of numbers ("a real <kind>")."""
     try:
         a = np.asarray(x)
         if np.iscomplexobj(a):
             raise ValidationError(f"{name} must be real")
+        if a.dtype.kind in "US":  # numpy would parse numeric text as numbers
+            raise TypeError
         return np.asarray(a, dtype=float)
     except ValidationError:
         raise

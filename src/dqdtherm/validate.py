@@ -1,18 +1,19 @@
-"""Cross-validation of closed forms against the eigensolver route.
+"""The paper's printed closed forms, checked against the exact route.
 
-Draws random thermal states, then checks two kinds of things: hard
-invariants that must hold for the package to be trusted at all (trace,
-positivity, commutation with H, diagonalization of the reduced states by
-the Schur rotation that correlated coherence makes), and soft
-oracle-equivalence reports comparing the printed closed-form expressions
-(energies, eigenvector coefficients, R-spectrum concurrence, rotation
-angles) with the numerical path.  Soft disagreements are flagged, never
-fatal: several of the printed formulas are known to disagree with the
-eigensolver and the point of the report is to quantify that.  Each check
-with flags logs one warning summarizing them.  A CheckResult keeps only
-counts and the worst point, and the samples are drawn and checked in
-blocks of sweep's _BLOCK, so a run's memory is bounded by one block at
-any sample count.
+The printed forms are kept here as oracles that no sweep or public
+measure runs: the R-spectrum concurrence, the arctan angles of the
+reduced states and the eigenvector coefficients.  run_validation draws
+random thermal states and checks hard invariants that must hold for the
+package to be trusted at all (trace, positivity, commutation with H,
+diagonalization of the reduced states by the Schur rotation that
+correlated coherence makes), and reports how far the printed forms
+(energies, coefficients, concurrence, angles) are from the numerical
+path.  Those are flagged, never fatal: several printed formulas are
+known to disagree with the eigensolver, and the report quantifies that.
+Each check with flags logs one warning summarizing them.  A CheckResult
+keeps only counts and the worst point, and the samples are drawn and
+checked in blocks of sweep's _BLOCK, so a run's memory is bounded by one
+block at any sample count.
 """
 
 from __future__ import annotations
@@ -23,15 +24,216 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import _closed_form, _concurrence, _local_angles, _rotations, _schur_angles
-from .model import _coeffs, _coeffs_singular, _energies, _hamiltonians, _match_levels
-from .qmatrix import check_symmetric, eig_sym, raise_first
+from .correlations import _concurrence, _rotations, _schur_angles
+from .model import ModelParams, _energies, _hamiltonians, _match_levels, _scaled, spectrum
+from .qmatrix import ValidationError, check_density_matrix, check_symmetric, eig_sym, raise_first
 from .sweep import _BLOCK, _integer
 from .thermal import _gibbs, _reduce_a, _reduce_b, _rho
 
-__all__ = ["CheckResult", "run_validation"]
+__all__ = [
+    "RSpectrum",
+    "LocalBasisAngles",
+    "AnalyticCoeffs",
+    "AnalyticUnavailable",
+    "concurrence_closed_form",
+    "local_angles",
+    "analytic_coeffs",
+    "CheckResult",
+    "run_validation",
+]
 
 log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class RSpectrum:
+    """Closed-form spectrum of rho S rho S with its building blocks.
+
+    lambdas are stored descending and clamped at zero.  The radicand is
+    xi_plus * sig_plus for both level pairs, exactly as the closed form
+    is written.
+    """
+
+    lambdas: np.ndarray
+    theta_cap: float
+    g_cap: float
+    xi_plus: float
+    sig_plus: float
+
+
+def concurrence_closed_form(rho) -> tuple[float, RSpectrum]:
+    """Concurrence from the closed-form R-spectrum; validation path only.
+
+    Callers should compare the returned value against concurrence() and
+    log the residual rather than trust it: on generic thermal states the
+    printed closed form disagrees with the eigensolver route (see the
+    validation report), so it is kept strictly as a cross-check.
+    """
+    r = check_density_matrix(rho, dim=4)
+    c, lams, *pieces = _closed_form(r[None])
+    return float(c[0]), RSpectrum(lams[0], *(float(x[0]) for x in pieces))
+
+
+def _closed_form(r: np.ndarray):
+    """Closed-form R-spectrum concurrence of each state of a stack.
+
+    Returns (c, lambdas, theta, g, xi_plus, sig_plus), each stacked on axis 0.
+    """
+    r11, r12, r13, r14 = r[:, 0, 0], r[:, 0, 1], r[:, 0, 2], r[:, 0, 3]
+    r22, r24 = r[:, 1, 1], r[:, 1, 3]
+    g = -2.0 * r14 * r12 + r11 * r24 - r13 * r22
+    theta = r11 * r22 - r13 * r24 + r14 * r14 + r12 * r12
+    xi_plus = 2.0 * (r12 + r14) * (r22 + r24)
+    sig_plus = 2.0 * (r13 - r11) * (r14 + r12)
+    root = np.sqrt(np.maximum(xi_plus * sig_plus, 0.0))
+    lams = np.empty(theta.shape + (4,))
+    lams[:, 0], lams[:, 1] = theta + g + root, theta + g - root
+    lams[:, 2], lams[:, 3] = theta - g + root, theta - g - root
+    lams = np.sort(np.clip(lams, 0.0, None), axis=1)[:, ::-1]
+    s = np.sqrt(lams)
+    c = np.maximum(0.0, np.abs(s[:, 0] - s[:, 2]) - s[:, 1] - s[:, 3])
+    return c, lams, theta, g, xi_plus, sig_plus
+
+
+@dataclass(frozen=True)
+class LocalBasisAngles:
+    """Rotation angles whose U(theta) diagonalize the reduced matrices."""
+
+    theta_a: float
+    theta_b: float
+
+
+def local_angles(rho) -> LocalBasisAngles:
+    """The printed diagonalizing rotation angles of both reduced density matrices.
+
+    chi and q are read from the full-state elements of rho.
+    """
+    theta_a, theta_b = _local_angles(check_density_matrix(rho, dim=4)[None])
+    return LocalBasisAngles(theta_a=float(theta_a), theta_b=float(theta_b))
+
+
+def _local_angles(r: np.ndarray) -> np.ndarray:
+    """The printed angle of each reduced state of a stack: the charge angles, then the spin ones.
+
+    chi and q are read from r's full-state elements, and theta =
+    arctan[(chi + sqrt(chi^2 + 4 q^2)) / (2 q)]; the principal branch
+    satisfies tan(2 theta) = -2q / chi.  For chi < 0 the numerator
+    cancels, so the same ratio is evaluated as 2q / (sqrt(chi^2 + 4 q^2) - chi).
+    |q| below 1e-12 means the matrix is already diagonal and theta = 0 is
+    the canonical choice.  Correlated coherence rotates by _schur_angles.
+    """
+    chi = np.concatenate([r[:, 0, 0] + r[:, 1, 1] - r[:, 2, 2] - r[:, 3, 3],
+                          r[:, 0, 0] - r[:, 1, 1] + r[:, 2, 2] - r[:, 3, 3]])
+    q = np.concatenate([r[:, 0, 2] + r[:, 1, 3], r[:, 0, 1] + r[:, 2, 3]])
+    diagonal = np.abs(q) < 1e-12
+    two_q = 2.0 * np.where(diagonal, 1.0, q)
+    root = np.hypot(chi, two_q)
+    up = chi >= 0.0
+    theta = np.arctan(np.where(up, chi + root, two_q) / np.where(up, two_q, root - chi))
+    theta[diagonal] = 0.0
+    return theta
+
+
+class AnalyticUnavailable(ValidationError):
+    """Closed-form eigenvector coefficients are singular at these parameters."""
+
+
+@dataclass(frozen=True)
+class AnalyticCoeffs:
+    """Eigenvector coefficients from the printed closed-form expressions.
+
+    The plain set (a, b, c with +/- branches) builds the outer doublet
+    (E1, E2), the tilde set the inner doublet (E3, E4); each state is
+    norm * (a, b, 1, c) in the fixed basis.  residuals records, per label
+    order, the max-abs deviation of the reconstructed unit vector from
+    the numerical eigenvector (after sign alignment).  These residuals
+    are reported, never assumed zero: the printed formulas are treated
+    as a cross-check, not as the production path.
+    """
+
+    a_plus: float
+    b_plus: float
+    c_plus: float
+    a_minus: float
+    b_minus: float
+    c_minus: float
+    a_tilde_plus: float
+    b_tilde_plus: float
+    c_tilde_plus: float
+    a_tilde_minus: float
+    b_tilde_minus: float
+    c_tilde_minus: float
+    m_plus: float
+    m_minus: float
+    n_plus: float
+    n_minus: float
+    alpha_sq: float
+    vectors: np.ndarray
+    residuals: np.ndarray
+
+
+def _denominators(eps, t, bz, bx):
+    """The coefficient denominators 2t(bz+eps), bx*t*(bz+eps) and (bz+eps)*bx."""
+    return 2.0 * t * (bz + eps), bx * t * (bz + eps), (bz + eps) * bx
+
+
+def _coeffs_singular(eps, t, bz, bx, e1) -> np.ndarray:
+    """Where 2t(bz+eps) or (bz+eps)*bx is at most 1e-10 * E1^2 in magnitude.
+
+    Tested scaled by _scaled.  The third denominator is their product over 2(bz+eps).
+    """
+    k, *x = _scaled(eps, t, bz, bx)
+    den_a, _, den_c = _denominators(*x)
+    return np.minimum(np.abs(den_a), np.abs(den_c)) <= 1e-10 * np.ldexp(e1, -k) ** 2
+
+
+def _coeffs(eps, t, bz, bx, levels, numeric):
+    """The printed eigenvector coefficients at N regular points.
+
+    eps, t, bz, bx are N floats each, none singular (see
+    _coeffs_singular); levels (N, 4) are their closed-form energies and
+    numeric (N, 4, 4) the matched eigenvectors in label order, all
+    evaluated scaled by _scaled.  Returns AnalyticCoeffs' fields in their
+    order: the 17 scalar fields as N floats each, then the (N, 4, 4)
+    closed-form unit vectors and the (N, 4) residuals.
+    """
+    k, eps, t, bz, bx = _scaled(eps, t, bz, bx)
+    den_a, den_b, den_c = _denominators(eps, t, bz, bx)
+    e1, e3 = np.ldexp(levels[:, 0], -k), np.ldexp(levels[:, 2], -k)
+    alpha_sq = bz**2 + bx**2 - eps**2 - 4.0 * t**2
+    tail = alpha_sq / (4.0 * bx * t)
+    # the four branches (+, -, tilde +, tilde -) on axis 0: sign, E_m, E_o
+    sign = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+    em, eo = np.stack([e1, e1, e3, e3]), np.stack([e3, e3, e1, e1])
+    a = ((eps + sign * em) ** 2 - eo**2) / den_a
+    b = em * (-sign * bz * eps + (eps - bz) * em + sign * (em * em - eo * eo)) / den_b + tail
+    c = ((bz - sign * em) ** 2 - eo**2) / den_c
+    norms = (a * a + b * b + c * c + 1.0) ** -0.5
+    vectors = (norms[..., None] * np.stack([a, b, np.ones_like(a), c], axis=-1)).transpose(1, 2, 0)
+    residuals = np.minimum(
+        np.abs(vectors - numeric).max(axis=1), np.abs(vectors + numeric).max(axis=1)
+    )
+    with np.errstate(over="ignore"):
+        alpha_sq = np.ldexp(alpha_sq, 2 * k)
+    return (*np.stack([a, b, c], axis=1).reshape(12, -1), *norms, alpha_sq, vectors, residuals)
+
+
+def analytic_coeffs(p: ModelParams) -> AnalyticCoeffs:
+    """Evaluate the printed eigenvector coefficients and their residuals.
+
+    Raises AnalyticUnavailable when a denominator (2t(bz+eps),
+    bx*t*(bz+eps), (bz+eps)*bx) is singular (see _coeffs_singular);
+    callers should fall back to the numerical eigenvectors in that case.
+    """
+    x = tuple(np.array([v]) for v in (p.epsilon, p.t, p.bz, p.bx))
+    s = spectrum(p)
+    if _coeffs_singular(*x, s.energies[:1])[0]:
+        raise AnalyticUnavailable(
+            f"coefficient denominators singular at {p}; use numerical eigenvectors"
+        )
+    *scalars, vectors, residuals = _coeffs(*x, s.energies[None], s.vectors[None])
+    return AnalyticCoeffs(*(float(v[0]) for v in scalars), vectors[0], residuals[0])
+
 
 _CHECKS = (
     # name, hard, tolerance
@@ -133,7 +335,7 @@ def _check_block(results: dict, rng, n: int) -> None:
     off = np.abs(_rotated(_schur_angles(red), red)[:, 0, 1])
     # the printed angle, against the eigenvalue oracle: the rotated
     # diagonal must reproduce the reduced spectrum
-    got = np.sort(np.diagonal(_rotated(np.concatenate(_local_angles(rho)), red),
+    got = np.sort(np.diagonal(_rotated(_local_angles(rho), red),
                               axis1=1, axis2=2), axis=1)
     spec_resid = _max_abs(got - np.linalg.eigvalsh(check_symmetric(red)))
     results["rotation_diagonalization"].record(np.maximum(off[:n], off[n:]), where)

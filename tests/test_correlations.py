@@ -15,15 +15,14 @@ from dqdtherm.correlations import (
     _rotations,
     _schur_angles,
     concurrence,
-    concurrence_closed_form,
     correlated_coherence,
     fidelity_pure,
     l1_coherence,
-    local_angles,
 )
 from dqdtherm.model import DegenerateGroundState, ModelParams, ground_state
 from dqdtherm.qmatrix import ValidationError, eig_sym
 from dqdtherm.thermal import populations, reduce_a, reduce_b, thermal_state
+from dqdtherm.validate import concurrence_closed_form, local_angles
 from reference import reference
 
 BELL = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0
@@ -151,8 +150,9 @@ def test_fidelity_pure_rejects_unnormalized_vector():
         ([1j, 0.0, 0.0, 0.0], "^state vector must be real$"),
         ("psi", "^state vector must be a real vector, got str$"),
         ([[1.0, 0.0], [0.0]], "^state vector must be a real vector, got list$"),
+        (["1", "0", "0", "0"], "^state vector must be a real vector, got list$"),
     ],
-    ids=["complex-array", "complex-list", "str", "ragged"],
+    ids=["complex-array", "complex-list", "str", "ragged", "numeric-text"],
 )
 def test_fidelity_pure_refuses_a_vector_that_is_not_real(psi, message):
     # refused, not cast: a complex vector with a zero imaginary part too
@@ -258,6 +258,8 @@ INVALID = {
     "non_psd": np.diag([0.75, 0.75, -0.25, -0.25]),
     "string": "not a matrix",
     "ragged": [[0.25, 0.0, 0.0, 0.0], [0.0, 0.25]],
+    "numeric_text": [[str(x) for x in row] for row in np.eye(4) / 4.0],
+    "numeric_bytes": (np.eye(4) / 4.0).astype(bytes),
 }
 
 

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from dqdtherm import model
 from dqdtherm.model import (
-    AnalyticUnavailable,
     ModelParams,
     NoAnticrossing,
-    analytic_coeffs,
     analytic_energies,
     build_hamiltonian,
     find_anticrossing,
@@ -21,6 +19,7 @@ from dqdtherm.model import (
 )
 from dqdtherm.qmatrix import ValidationError, eig_sym
 from dqdtherm.thermal import thermal_state
+from dqdtherm.validate import AnalyticUnavailable, analytic_coeffs
 from reference import anticrossing
 
 params_strategy = st.builds(

@@ -1,11 +1,15 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import dqdtherm
+from dqdtherm import correlations, model, validate
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(dqdtherm.__path__))
+SOURCES = sorted(Path(dqdtherm.__file__).parent.glob("*.py"))
 
 
 def test_every_module_is_listed():
@@ -35,3 +39,36 @@ def test_package_exports_the_union_of_its_library_modules_exports():
     names = [name for module in library for name in module.__all__]
     assert len(set(names)) == len(names)  # no name is public in two modules
     assert sorted(dqdtherm.__all__) == sorted(names)
+
+
+# the paper's printed closed forms and their helpers, which validate holds as oracles
+PRINTED_FORMS = ["RSpectrum", "LocalBasisAngles", "AnalyticCoeffs", "AnalyticUnavailable",
+                 "concurrence_closed_form", "local_angles", "analytic_coeffs"]
+PRINTED_HELPERS = ["_closed_form", "_local_angles", "_diagonalizing_angles", "_denominators",
+                   "_coeffs_singular", "_coeffs"]
+
+
+def test_the_printed_closed_forms_live_in_validate():
+    assert set(PRINTED_FORMS) <= set(validate.__all__)
+    for name in PRINTED_FORMS:
+        assert getattr(dqdtherm, name) is getattr(validate, name)
+    for module in (correlations, model):
+        assert not set(PRINTED_FORMS + PRINTED_HELPERS) & set(vars(module)), module.__name__
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that the module at path imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_imported_name_is_used(path):
+    assert _unused_imports(path) == []

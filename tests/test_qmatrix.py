@@ -92,6 +92,7 @@ def test_eig_property_reconstruction(entries):
         "not a matrix",
         [[1.0, 0.0], [0.0]],  # ragged
         [[10**400, 0], [0, 1]],  # too large for a float
+        [["1", "2"], ["2", "1"]],  # numeric text, which numpy would parse
     ],
 )
 def test_eig_rejects_invalid(bad):

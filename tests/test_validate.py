@@ -4,24 +4,19 @@ import numpy as np
 import pytest
 
 from dqdtherm import correlations, model, qmatrix, thermal, validate
-from dqdtherm.correlations import (
-    _rotations,
-    _schur_angles,
-    concurrence,
-    concurrence_closed_form,
-    local_angles,
-)
-from dqdtherm.model import (
-    AnalyticUnavailable,
-    ModelParams,
-    analytic_coeffs,
-    analytic_energies,
-    build_hamiltonian,
-)
+from dqdtherm.correlations import _rotations, _schur_angles, concurrence
+from dqdtherm.model import ModelParams, analytic_energies, build_hamiltonian
 from dqdtherm.qmatrix import eig_sym
 from dqdtherm.sweep import ConfigError
 from dqdtherm.thermal import reduce_a, reduce_b, thermal_state
-from dqdtherm.validate import CheckResult, run_validation
+from dqdtherm.validate import (
+    AnalyticUnavailable,
+    CheckResult,
+    analytic_coeffs,
+    concurrence_closed_form,
+    local_angles,
+    run_validation,
+)
 
 
 def _record(check, residual, point):
