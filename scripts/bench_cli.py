@@ -15,9 +15,15 @@ writing it. A fresh interpreter then runs the whole
 script, and each case of RSS_CASES runs in a fresh interpreter of its own
 that reports its peak resident set size. Trees
 take turns over several rounds, the first tree leading in odd rounds, so
-host drift reaches every tree alike. After the rounds, the tier-1 test
-suite next to each tree (DIR/../tests) runs once, timed. Uses only the
-standard library and numpy:
+host drift reaches every tree alike. After the rounds come the cold-start
+cases (COLD_START_*): each probe is a fresh interpreter, with byte code
+cached, that imports dqdtherm.cli and makes the smallest call of a
+perfbench workload's first operation (perfbench/workloads.py's
+setup_argv), or only imports numpy, the floor under every call. Probe
+by probe the trees take turns, the first tree leading in even probes,
+so drift between neighbouring probes reaches every tree alike. Then the
+tier-1 test suite next to each tree (DIR/../tests) runs once, timed.
+Uses only the standard library and numpy:
 
     python3 scripts/bench_cli.py --label after
     python3 scripts/bench_cli.py --label cmp --src parent=../old/src --src change=src
@@ -26,7 +32,9 @@ The JSON holds, per tree and invocation, the median and quartiles in ms
 over ROUNDS * REPEATS in-process runs, per tree, kernel and N the median
 and quartiles in us per call over as many samples, the fresh-interpreter script
 times, a digest of the script's CSVs and stdout, the peak RSS in MiB of each
-RSS_CASES run, the line count of the tree's dqdtherm/*.py, the tier-1 wall
+RSS_CASES run, per cold-start case the fastest time, median and quartiles
+in ms over COLD_START_PROBES probes, the line count of the tree's
+dqdtherm/*.py, the tier-1 wall
 time with pytest's exit code and summary line (the suite has one test that
 fails by design, so exit code 1 is recorded, not raised), and the host,
 Python, numpy and BLAS-thread settings.
@@ -103,6 +111,12 @@ code = main(sys.argv[1:])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 sys.exit(code)
 """
+
+# a fresh interpreter's first call: perfbench's set-up probe, the CLI on argv
+COLD_START_CODE = "import sys, dqdtherm.cli; sys.exit(dqdtherm.cli.main(sys.argv[1:]))"
+COLD_START_FLOOR = "import numpy"
+COLD_START_WORKLOADS = ("maps", "curves", "oracle")
+COLD_START_PROBES = 40
 
 
 def _operations(out_dir: pathlib.Path) -> dict:
@@ -266,6 +280,42 @@ def _peak_rss_mib(src: pathlib.Path, case) -> float:
     return int(done.stdout.split()[-1]) / 1024.0
 
 
+def _cold_start(trees: dict) -> dict:
+    """Seconds of each cold-start case per tree: one list of COLD_START_PROBES per case.
+
+    A case is "import numpy" or a perfbench workload's set-up call. Each
+    probe's byte code comes from a cache made by one untimed probe per
+    tree and case.
+    """
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        env["PYTHONPYCACHEPREFIX"] = str(pathlib.Path(tmp, "pycache"))
+        out = ["--out", str(pathlib.Path(tmp, "out.csv"))]
+        cases = {"import numpy": [sys.executable, "-c", COLD_START_FLOOR]}
+        for name in COLD_START_WORKLOADS:
+            argv = workloads.setup_argv(name, 0)
+            cases[name] = [sys.executable, "-c", COLD_START_CODE, *argv, *out]
+        times = {tree: {case: [] for case in cases} for tree in trees}
+
+        def probe(tree, case):
+            start = time.perf_counter()
+            subprocess.run(cases[case], env=dict(env, PYTHONPATH=str(trees[tree])), cwd=tmp,
+                           capture_output=True, check=True)
+            return time.perf_counter() - start
+
+        for tree in trees:
+            for case in cases:
+                probe(tree, case)  # untimed: writes the byte code cache
+        for i in range(COLD_START_PROBES):
+            for case in cases:
+                for tree in list(trees) if i % 2 == 0 else list(trees)[::-1]:
+                    times[tree][case].append(probe(tree, case))
+    return times
+
+
 def _src_lines(src: pathlib.Path) -> int:
     """Lines of the tree's dqdtherm/*.py, as wc -l counts them."""
     return sum(p.read_bytes().count(b"\n") for p in pathlib.Path(src, "dqdtherm").glob("*.py"))
@@ -370,6 +420,10 @@ def main(argv=None) -> int:
                 rss[name][case].append(_peak_rss_mib(trees[name], spec))
             print(f"round {round_ + 1}/{ROUNDS} {name}: make_datasets.py {wall:.3f} s, "
                   f"peak RSS {[r[-1] for r in rss[name].values()]} MiB", file=sys.stderr)
+    cold = _cold_start(trees)
+    for name in trees:
+        fastest = {case: round(min(times) * 1e3, 1) for case, times in cold[name].items()}
+        print(f"cold start {name}: fastest {fastest} ms", file=sys.stderr)
     tier1 = {}
     for name, src in trees.items():
         tier1[name] = _run_tier1(src)
@@ -385,6 +439,8 @@ def main(argv=None) -> int:
             f"(one sample: the mean over {KERNEL_CALLS} / N calls, after one untimed "
             "call), then one fresh interpreter runs the whole make_datasets.py, then "
             "one fresh interpreter per RSS_CASES run reads its own ru_maxrss; "
+            f"then {COLD_START_PROBES} cold-start probes per case and tree, trees "
+            "alternating probe by probe, with byte code cached; "
             "then the tier-1 suite of each tree runs once"
         ),
         "trees": {
@@ -402,6 +458,10 @@ def main(argv=None) -> int:
                 "peak_rss_mib": {
                     case: {"runs": runs, "median": statistics.median(runs)}
                     for case, runs in rss[name].items()
+                },
+                "cold_start_ms": {
+                    case: {"fastest_ms": min(times) * 1e3, **_stats(times)}
+                    for case, times in cold[name].items()
                 },
                 "src_lines": _src_lines(trees[name]),
                 "tier1": tier1[name],

@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 invariant failure during computation or a hard
 validation failure, 2 bad flags/config or inputs too large to compute with.
+Only validate imports logging, to send its report's warnings to stderr,
+and only sweep --config imports configparser (in sweep.load_config).
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import logging
 import os
 import re
 import sys
@@ -117,6 +118,12 @@ def _cmd_concurrence_map(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    import logging  # the validation report is the package's only logging
+
+    if not logging.getLogger().handlers:
+        logging.basicConfig(
+            stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
+        )
     results = run_validation(samples=args.samples, seed=args.seed)
     with _output(args.out) as stream:
         stream.write("check,samples,flagged,max_residual,tolerance,hard,status,worst_point\n")
@@ -230,10 +237,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # parser.exit: 0 after --help, 2 on a usage error
         return exc.code
-    if not logging.getLogger().handlers:
-        logging.basicConfig(
-            stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-        )
     try:
         return args.handler(args)
     except (ConfigError, OSError) as exc:

@@ -10,7 +10,7 @@ The paper's printed eigenvector coefficients are validate's oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,32 +47,34 @@ class NoAnticrossing(ValueError):
     """The level gap has no interior minimum on the requested interval."""
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple("ModelParams", [("epsilon", float), ("t", float),
+                                              ("bz", float), ("bx", float)])):
     """Physical knobs: detuning, tunneling, longitudinal and transverse fields."""
 
-    epsilon: float
-    t: float
-    bz: float
-    bx: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("epsilon", "t", "bz", "bx"):
-            v = getattr(self, name)
+    def __new__(cls, epsilon, t, bz, bx):
+        values = []
+        for name, v in zip(cls._fields, (epsilon, t, bz, bx)):
             try:
                 v = float(v)
             except (TypeError, ValueError, OverflowError):
                 raise ValidationError(f"{name} must be a real number, got {v!r}")
             if not math.isfinite(v):
                 raise ValidationError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            values.append(v)
+        epsilon, t, bz, bx = values
         # sign convention: tunneling amplitude taken non-negative
-        if self.t < 0:
-            raise ValidationError(f"tunneling t must be >= 0, got {self.t}")
+        if t < 0:
+            raise ValidationError(f"tunneling t must be >= 0, got {t}")
+        return super().__new__(cls, epsilon, t, bz, bx)
+
+    @classmethod
+    def _make(cls, values):  # so _replace checks its values too
+        return cls(*values)
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     """Closed-form energies with numerically matched eigenvectors.
 
     energies holds (E1, E2, E3, E4) in label order; vectors the matching
@@ -87,15 +89,13 @@ class SpectrumResult:
     sigma_cap: float
 
 
-@dataclass(frozen=True)
-class GroundState:
+class GroundState(NamedTuple):
     energy: float
     vector: np.ndarray
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class Anticrossing:
+class Anticrossing(NamedTuple):
     eps: float
     gap: float
 

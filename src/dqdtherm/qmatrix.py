@@ -12,7 +12,7 @@ raise_first is the one place that raises such checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class NotPositiveSemidefiniteError(ValidationError):
     """Matrix has an eigenvalue below the negativity tolerance."""
 
 
-@dataclass(frozen=True)
-class EigenDecomp:
+class EigenDecomp(NamedTuple):
     """Eigenvalues (ascending) and matching orthonormal column eigenvectors."""
 
     values: np.ndarray
@@ -69,13 +68,16 @@ def raise_first(checks, where=None) -> None:
 
 
 def _real(x, name: str, kind: str) -> np.ndarray:
-    """x as a float ndarray.  Complex input is refused, not cast, and so is
-    text or input numpy cannot read as an array of numbers ("a real <kind>")."""
+    """x as a float ndarray.  Complex input is refused, not cast, and so is text
+    (str or bytes, in an object array too) or input numpy cannot read as an
+    array of numbers ("a real <kind>")."""
     try:
         a = np.asarray(x)
         if np.iscomplexobj(a):
             raise ValidationError(f"{name} must be real")
-        if a.dtype.kind in "US":  # numpy would parse numeric text as numbers
+        # numpy would parse numeric text as numbers, in a text array or an object one
+        if a.dtype.kind in "US" or (a.dtype.kind == "O" and any(
+                isinstance(v, (str, bytes)) for v in a.flat)):
             raise TypeError
         return np.asarray(a, dtype=float)
     except ValidationError:

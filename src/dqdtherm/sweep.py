@@ -21,14 +21,14 @@ at that point the earliest check's: the Gibbs inputs, then the Gibbs
 state, then each measure in the order requested.  The blocks run in
 order, so the error names the grid's first failing point.  Each point
 gives the same bits alone or inside any grid, so reruns of the same
-input on one machine produce byte-identical CSV.
+input on one machine produce byte-identical CSV.  load_config imports
+configparser when it reads a file, so a grid built in code never does.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,39 +74,38 @@ def _integer(value, what: str, least: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(NamedTuple("Axis", [("name", str), ("lo", float), ("hi", float), ("count", int),
+                               ("scale", str)])):
     """One swept parameter: name, closed interval, point count, and scale."""
 
-    name: str
-    lo: float
-    hi: float
-    count: int
-    scale: str = "linear"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name not in PARAM_NAMES:
-            raise ConfigError(f"unknown axis parameter {self.name!r}")
+    def __new__(cls, name, lo, hi, count, scale="linear"):
+        if name not in PARAM_NAMES:
+            raise ConfigError(f"unknown axis parameter {name!r}")
         try:
-            lo, hi = float(self.lo), float(self.hi)
+            low, high = float(lo), float(hi)
         except (TypeError, ValueError, OverflowError):
-            lo = hi = math.nan
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-            raise ConfigError(f"axis {self.name}: need finite lo < hi, got {[self.lo, self.hi]}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "count", _integer(self.count, f"axis {self.name}: count", 2))
-        if self.count > np.iinfo(np.intp).max // 8:  # numpy's largest array of doubles
-            raise ConfigError(f"axis {self.name}: count {self.count} is too large to compute with")
-        if self.scale not in ("linear", "log"):
-            raise ConfigError(f"axis {self.name}: scale must be linear or log")
-        if self.scale == "log" and lo <= 0.0:
-            raise ConfigError(f"axis {self.name}: log scale requires lo > 0")
+            low = high = math.nan
+        if not (math.isfinite(low) and math.isfinite(high)) or low >= high:
+            raise ConfigError(f"axis {name}: need finite lo < hi, got {[lo, hi]}")
+        count = _integer(count, f"axis {name}: count", 2)
+        if count > np.iinfo(np.intp).max // 8:  # numpy's largest array of doubles
+            raise ConfigError(f"axis {name}: count {count} is too large to compute with")
+        if scale not in ("linear", "log"):
+            raise ConfigError(f"axis {name}: scale must be linear or log")
+        if scale == "log" and low <= 0.0:
+            raise ConfigError(f"axis {name}: log scale requires lo > 0")
         # the step np.linspace takes, or the top value np.logspace makes
         with np.errstate(over="ignore"):
-            reach = hi - lo if self.scale == "linear" else np.power(10.0, math.log10(hi))
+            reach = high - low if scale == "linear" else np.power(10.0, math.log10(high))
         if not math.isfinite(reach):
-            raise ConfigError(f"axis {self.name}: values overflow a float on [{lo}, {hi}]")
+            raise ConfigError(f"axis {name}: values overflow a float on [{low}, {high}]")
+        return super().__new__(cls, name, low, high, count, scale)
+
+    @classmethod
+    def _make(cls, values):  # so _replace checks its values too
+        return cls(*values)
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -114,8 +113,8 @@ class Axis:
         return np.linspace(self.lo, self.hi, self.count)
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(NamedTuple("SweepGrid", [("fixed", dict), ("axis1", Axis), ("axis2", Axis | None),
+                                         ("measures", tuple[str, ...])])):
     """Fixed parameter values plus one or two axes and the measures to emit.
 
     Every grid point is a valid input: each parameter is finite, t >= 0
@@ -123,49 +122,44 @@ class SweepGrid:
     value or its axis's lo tests every point; a bad one raises ConfigError.
     """
 
-    fixed: dict
-    axis1: Axis
-    axis2: Axis | None
-    measures: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, fixed, axis1, axis2, measures):
         try:  # a str would read as one-letter names, so it is refused whole
-            measures = tuple(None if isinstance(self.measures, str) else self.measures)
+            names = tuple(None if isinstance(measures, str) else measures)
         except TypeError:
-            measures = (None,)
-        if not all(isinstance(m, str) for m in measures):
+            names = (None,)
+        if not all(isinstance(m, str) for m in names):
             raise ConfigError(
-                f"measures must be a sequence of measure names, got {self.measures!r}"
+                f"measures must be a sequence of measure names, got {measures!r}"
             )
-        object.__setattr__(self, "measures", measures)
-        if not self.measures:
+        if not names:
             raise ConfigError("at least one measure is required")
-        for m in self.measures:
+        for m in names:
             if m not in MEASURE_COLUMNS:
                 raise ConfigError(f"unknown measure {m!r}")
-        if len(set(self.measures)) != len(self.measures):
+        if len(set(names)) != len(names):
             raise ConfigError("duplicate measures")
-        axis_names = {self.axis1.name}
-        if self.axis2 is not None:
-            if self.axis2.name == self.axis1.name:
+        axis_names = {axis1.name}
+        if axis2 is not None:
+            if axis2.name == axis1.name:
                 raise ConfigError("axis1 and axis2 sweep the same parameter")
-            axis_names.add(self.axis2.name)
-        fixed = {}
-        for k, v in dict(self.fixed).items():
+            axis_names.add(axis2.name)
+        values = {}
+        for k, v in dict(fixed).items():
             if k not in PARAM_NAMES:
                 raise ConfigError(f"unknown fixed parameter {k!r}")
             if k in axis_names:
                 raise ConfigError(f"parameter {k!r} is both fixed and swept")
             try:
-                fixed[k] = float(v)
+                values[k] = float(v)
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"{k} must be a real number, got {v!r}")
-        object.__setattr__(self, "fixed", fixed)
-        missing = set(PARAM_NAMES) - axis_names - set(fixed)
+        missing = set(PARAM_NAMES) - axis_names - set(values)
         if missing:
             raise ConfigError(f"parameters not specified: {sorted(missing)}")
-        probe = dict(fixed)
-        for ax in (self.axis1, self.axis2):
+        probe = dict(values)
+        for ax in (axis1, axis2):
             if ax is not None:
                 probe[ax.name] = ax.lo
         try:
@@ -174,6 +168,11 @@ class SweepGrid:
             raise ConfigError(str(exc))
         if not (math.isfinite(probe["T"]) and probe["T"] > 0.0):
             raise ConfigError(f"temperature must be positive, got {probe['T']}")
+        return super().__new__(cls, values, axis1, axis2, names)
+
+    @classmethod
+    def _make(cls, values):  # so _replace checks its values too
+        return cls(*values)
 
     def columns(self) -> tuple[str, ...]:
         return tuple(c for m in self.measures for c in MEASURE_COLUMNS[m])
@@ -295,6 +294,8 @@ def load_config(path):
     Each value goes as text to Axis and SweepGrid, which convert and
     check it, bar an axis count, read here with int().
     """
+    import configparser  # only a config file needs it
+
     parser = configparser.ConfigParser(default_section="")  # so [DEFAULT] is an unknown section
     # keys stay case sensitive: t (tunneling) and T (temperature) differ
     parser.optionxform = str
@@ -347,7 +348,7 @@ def find_coherence_peak(epsilon: float, t: float, bz: float, bx: float):
     evaluated and its own Ccc.
     """
     p = ModelParams(epsilon, t, bz, bx)
-    point = asdict(p)
+    point = p._asdict()
     dec = eig_sym(_hamiltonians(p.epsilon, p.t, p.bz, p.bx))
     log_t, best, top = _PEAK_GRID, 0.0, -math.inf
     while True:

@@ -7,7 +7,7 @@ _rho forms the density matrices, only where a caller reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ __all__ = [
     "reduce_b",
 ]
 
-@dataclass(frozen=True)
-class ThermalState:
+class ThermalState(NamedTuple):
     """Equilibrium state e^{-H/T} / Z built from the eigendecomposition.
 
     weights are the Gibbs probabilities of the eigenvector columns, so
@@ -47,8 +46,7 @@ class ThermalState:
     weights: np.ndarray
 
 
-@dataclass(frozen=True)
-class _Gibbs:
+class _Gibbs(NamedTuple):
     """Gibbs states of N points: ThermalState's weights, on axis 0.
 
     dec holds the eigendecompositions of the distinct Hamiltonians the

@@ -10,17 +10,17 @@ correlated coherence makes), and reports how far the printed forms
 (energies, coefficients, concurrence, angles) are from the numerical
 path.  Those are flagged, never fatal: several printed formulas are
 known to disagree with the eigensolver, and the report quantifies that.
-Each check with flags logs one warning summarizing them.  A CheckResult
-keeps only counts and the worst point, and the samples are drawn and
-checked in blocks of sweep's _BLOCK, so a run's memory is bounded by one
-block at any sample count.
+Each check with flags logs one warning summarizing them, on the
+dqdtherm.validate logger that run_validation takes, importing logging,
+only when it reports.  A CheckResult keeps only counts and the worst
+point, and the samples are drawn and checked in blocks of sweep's
+_BLOCK, so a run's memory is bounded by one block at any sample count.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,11 +42,8 @@ __all__ = [
     "run_validation",
 ]
 
-log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class RSpectrum:
+class RSpectrum(NamedTuple):
     """Closed-form spectrum of rho S rho S with its building blocks.
 
     lambdas are stored descending and clamped at zero.  The radicand is
@@ -95,8 +92,7 @@ def _closed_form(r: np.ndarray):
     return c, lams, theta, g, xi_plus, sig_plus
 
 
-@dataclass(frozen=True)
-class LocalBasisAngles:
+class LocalBasisAngles(NamedTuple):
     """Rotation angles whose U(theta) diagonalize the reduced matrices."""
 
     theta_a: float
@@ -138,8 +134,7 @@ class AnalyticUnavailable(ValidationError):
     """Closed-form eigenvector coefficients are singular at these parameters."""
 
 
-@dataclass(frozen=True)
-class AnalyticCoeffs:
+class AnalyticCoeffs(NamedTuple):
     """Eigenvector coefficients from the printed closed-form expressions.
 
     The plain set (a, b, c with +/- branches) builds the outer doublet
@@ -252,17 +247,24 @@ _LOW = np.array([-50.0, 0.0, -40.0, -100.0, math.log10(0.05)])
 _HIGH = np.array([50.0, 30.0, 40.0, 100.0, 2.0])
 
 
-@dataclass
 class CheckResult:
     """Outcome of one check over all sampled states: counts and the worst point."""
 
-    name: str
-    hard: bool
-    tolerance: float
-    samples: int = 0
-    flagged: int = 0
-    max_residual: float = 0.0
-    worst_point: str = ""
+    def __init__(self, name: str, hard: bool, tolerance: float, samples: int = 0,
+                 flagged: int = 0, max_residual: float = 0.0, worst_point: str = ""):
+        self.name = name
+        self.hard = hard
+        self.tolerance = tolerance
+        self.samples = samples
+        self.flagged = flagged
+        self.max_residual = max_residual
+        self.worst_point = worst_point
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is CheckResult else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"CheckResult({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def failed(self) -> bool:
@@ -373,6 +375,9 @@ def run_validation(samples: int = 200, seed: int = 42) -> list[CheckResult]:
     results = {name: CheckResult(name, hard, tol) for name, hard, tol in _CHECKS}
     for start in range(0, samples, _BLOCK):
         _check_block(results, rng, min(_BLOCK, samples - start))
+    import logging  # the report is the package's only logging
+
+    log = logging.getLogger(__name__)
     for r in results.values():
         if r.flagged:
             log.warning(

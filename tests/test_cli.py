@@ -1,10 +1,14 @@
 import os
 import stat
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dqdtherm
 from dqdtherm import cli, sweep, thermal
 from dqdtherm.cli import main
 from dqdtherm.qmatrix import NotPositiveSemidefiniteError
@@ -601,3 +605,57 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
     for argv, result in zip(calls, shared):
         cli._build_parser.cache_clear()  # the same call, first in a fresh parser
         assert call(argv) == result
+
+
+# a fresh interpreter: numpy, then the CLI on argv[2:]; prints which modules
+# of argv[1], a comma-separated list, the CLI imported
+FRESH = """import sys
+import numpy
+before = set(sys.modules)
+from dqdtherm.cli import main
+code = main(sys.argv[2:])
+print(sorted(set(sys.argv[1].split(",")) & (set(sys.modules) - before)))
+sys.exit(code)
+"""
+NOT_AT_START = "dataclasses,configparser,logging"
+
+
+def fresh_cli(argv, cwd):
+    """Run argv through the CLI in a new interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dqdtherm.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", FRESH, NOT_AT_START, *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=60)
+
+
+def test_a_sweep_process_imports_no_dataclasses_configparser_or_logging(tmp_path):
+    out = tmp_path / "map.csv"
+    argv = ["concurrence-map", "--t", "7", "--bz", "16", "--bx-min", "1", "--bx-max", "100",
+            "--bx-n", "2", "--eps", "1", "--t-min", "0.01", "--t-max", "100", "--t-n", "2",
+            "--log", "--out", str(out)]
+    done = fresh_cli(argv, tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert out.read_bytes() == run_to_file(tmp_path, argv[:-2], "in_process.csv")[1]
+
+
+def test_a_fresh_sweep_reads_its_config(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[fixed]\nt = 7\nbz = 16\nbx = 100\n"
+        "[axis1]\nname = epsilon\nmin = -2\nmax = 2\ncount = 3\n"
+        "[axis2]\nname = T\nmin = 0.5\nmax = 2\ncount = 2\n"
+        "[output]\nmeasures = concurrence, correlated_coherence\npath = fresh.csv\n"
+    )
+    done = fresh_cli(["sweep", "--config", str(cfg)], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "['configparser']\n", "")
+    rc, want = run_to_file(tmp_path, ["sweep", "--config", str(cfg)])
+    assert rc == 0 and (tmp_path / "fresh.csv").read_bytes() == want
+
+
+def test_a_fresh_validate_logs_one_warning_line_per_flagged_check(tmp_path):
+    done = fresh_cli(["validate", "--samples", "200", "--seed", "42", "--out", "report.csv"],
+                     tmp_path)
+    assert (done.returncode, done.stdout) == (0, "['logging']\n")
+    assert done.stderr == (
+        "WARNING dqdtherm.validate: concurrence_closed_form: flagged 152/200, max residual "
+        "8.169e-01 (tol 1e-08) at eps=1.27321;t=12.9892;bz=-37.1326;bx=91.9549;T=0.109392\n"
+    )

@@ -151,8 +151,10 @@ def test_fidelity_pure_rejects_unnormalized_vector():
         ("psi", "^state vector must be a real vector, got str$"),
         ([[1.0, 0.0], [0.0]], "^state vector must be a real vector, got list$"),
         (["1", "0", "0", "0"], "^state vector must be a real vector, got list$"),
+        (np.array(["1", "0", "0", "0"], dtype=object),
+         "^state vector must be a real vector, got ndarray$"),
     ],
-    ids=["complex-array", "complex-list", "str", "ragged", "numeric-text"],
+    ids=["complex-array", "complex-list", "str", "ragged", "numeric-text", "numeric-text-objects"],
 )
 def test_fidelity_pure_refuses_a_vector_that_is_not_real(psi, message):
     # refused, not cast: a complex vector with a zero imaginary part too
@@ -160,6 +162,14 @@ def test_fidelity_pure_refuses_a_vector_that_is_not_real(psi, message):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=message):
             fidelity_pure(psi, np.eye(4) / 4.0)
+
+
+@pytest.mark.parametrize("text", ["0.5", b"0.5", np.str_("0.5")], ids=["str", "bytes", "np-str"])
+def test_numeric_text_held_in_an_object_array_is_refused(text):
+    # numpy would read the text as the number 0.5, as float("0.5") does
+    rho = np.array([[text, "0.5"], [0.5, 0.5]], dtype=object)
+    with pytest.raises(ValidationError, match="^density matrix must be a real matrix, got ndarray$"):
+        l1_coherence(rho)
 
 
 def test_fidelity_pure_rejects_a_non_finite_vector():

@@ -100,6 +100,13 @@ def test_eig_rejects_invalid(bad):
         eig_sym(bad)
 
 
+def test_an_object_array_of_ints_beyond_int64_is_read_as_floats():
+    big = 2**70  # too large for int64 and uint64, so numpy holds Python ints
+    m = np.array([[big, 0], [0, 1]])
+    assert m.dtype == object
+    assert eig_sym(m).values.tolist() == [1.0, float(big)]
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 4, 4)])
 def test_an_empty_matrix_or_stack_decomposes_to_an_empty_decomposition(shape):
     dec = eig_sym(np.zeros(shape))

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import itertools
 import warnings
@@ -821,7 +820,7 @@ def test_temperature_outer_and_inner_grids_give_the_same_bits(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     grid = SweepGrid(MAP_FIXED, BX_AXIS, T_AXIS, THERMAL_MEASURES)
     inner = evaluate(grid)
-    outer = evaluate(dataclasses.replace(grid, axis1=T_AXIS, axis2=BX_AXIS))
+    outer = evaluate(grid._replace(axis1=T_AXIS, axis2=BX_AXIS))
     assert calls == [25, 25 * 25]
     for name in PARAM_NAMES + grid.columns():
         transposed = outer[name].reshape(25, 25).T.ravel()
