@@ -250,14 +250,23 @@ def worker() -> int:
     return 0
 
 
+def _env(src: pathlib.Path, **extra) -> dict:
+    """A child interpreter's environment: this one's, importing dqdtherm from src.
+
+    PYTHONDONTWRITEBYTECODE is dropped, so that byte code is cached and no
+    timed run but the first compiles the package's source.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    return dict(env, PYTHONPATH=str(src), **extra)
+
+
 def _run_script(src: pathlib.Path) -> tuple[float, str]:
     """Wall time of make_datasets.py in a fresh interpreter, and a digest of its output."""
     with tempfile.TemporaryDirectory() as tmp:
-        env = dict(os.environ, PYTHONPATH=str(src))
         start = time.perf_counter()
         done = subprocess.run(
             [sys.executable, str(SCRIPTS / "make_datasets.py"), "--out-dir", "datasets"],
-            cwd=tmp, env=env, capture_output=True, check=True,
+            cwd=tmp, env=_env(src), capture_output=True, check=True,
         )
         wall = time.perf_counter() - start
         digest = hashlib.sha256(done.stdout + done.stderr)
@@ -275,7 +284,7 @@ def _peak_rss_mib(src: pathlib.Path, case) -> float:
             case = ["sweep", "--config", str(config)]
         done = subprocess.run(
             [sys.executable, "-c", RSS_PROBE, *case, "--out", str(pathlib.Path(tmp, "out.csv"))],
-            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, check=True, text=True,
+            env=_env(src), capture_output=True, check=True, text=True,
         )
     return int(done.stdout.split()[-1]) / 1024.0
 
@@ -291,8 +300,7 @@ def _cold_start(trees: dict) -> dict:
     import workloads
 
     with tempfile.TemporaryDirectory() as tmp:
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-        env["PYTHONPYCACHEPREFIX"] = str(pathlib.Path(tmp, "pycache"))
+        cache = str(pathlib.Path(tmp, "pycache"))
         out = ["--out", str(pathlib.Path(tmp, "out.csv"))]
         cases = {"import numpy": [sys.executable, "-c", COLD_START_FLOOR]}
         for name in COLD_START_WORKLOADS:
@@ -302,8 +310,8 @@ def _cold_start(trees: dict) -> dict:
 
         def probe(tree, case):
             start = time.perf_counter()
-            subprocess.run(cases[case], env=dict(env, PYTHONPATH=str(trees[tree])), cwd=tmp,
-                           capture_output=True, check=True)
+            subprocess.run(cases[case], env=_env(trees[tree], PYTHONPYCACHEPREFIX=cache),
+                           cwd=tmp, capture_output=True, check=True)
             return time.perf_counter() - start
 
         for tree in trees:
@@ -326,12 +334,11 @@ def _run_tier1(src: pathlib.Path) -> dict | None:
     root = src.parent
     if not (root / "tests").is_dir():
         return None
-    env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"],
-        cwd=root, env=env, capture_output=True, text=True,
+        cwd=root, env=_env(src), capture_output=True, text=True,
     )
     wall = time.perf_counter() - start
     lines = done.stdout.strip().splitlines()
@@ -402,10 +409,9 @@ def main(argv=None) -> int:
     for round_ in range(ROUNDS):
         order = list(trees) if round_ % 2 == 0 else list(trees)[::-1]
         for name in order:
-            env = dict(os.environ, PYTHONPATH=str(trees[name]))
             done = subprocess.run(
                 [sys.executable, __file__, "--worker"],
-                env=env, capture_output=True, check=True, text=True,
+                env=_env(trees[name]), capture_output=True, check=True, text=True,
             )
             report = json.loads(done.stdout)
             for op, times in report["ops"].items():

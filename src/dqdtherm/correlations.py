@@ -47,8 +47,8 @@ def _concurrence(vectors: np.ndarray, roots: np.ndarray) -> np.ndarray:
     The square roots of the spin-flip spectrum are taken as |eig(B)| of
     the symmetric matrix B = sqrt(rho) S sqrt(rho): B^2 is the usual PSD
     similarity of rho S rho S, so eig(B) = +-sqrt(lambda) exactly.  The
-    route for any density matrix: validate's reference for
-    concurrence_closed_form, and the tests' for _gibbs_concurrence.
+    route for any density matrix: the reference of validate's
+    concurrence_closed_form report row, and the tests' for _gibbs_concurrence.
     """
     sq = (vectors * roots[:, None, :]) @ _swap(vectors)
     b = sq @ SPIN_FLIP @ sq

@@ -20,61 +20,23 @@ _BLOCK, so a run's memory is bounded by one block at any sample count.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .correlations import _concurrence, _rotations, _schur_angles
-from .model import ModelParams, _energies, _hamiltonians, _match_levels, _scaled, spectrum
-from .qmatrix import ValidationError, check_density_matrix, check_symmetric, eig_sym, raise_first
+from .model import _energies, _hamiltonians, _match_levels, _scaled
+from .qmatrix import check_symmetric, eig_sym, raise_first
 from .sweep import _BLOCK, _integer
 from .thermal import _gibbs, _reduce_a, _reduce_b, _rho
 
-__all__ = [
-    "RSpectrum",
-    "LocalBasisAngles",
-    "AnalyticCoeffs",
-    "AnalyticUnavailable",
-    "concurrence_closed_form",
-    "local_angles",
-    "analytic_coeffs",
-    "CheckResult",
-    "run_validation",
-]
+__all__ = ["CheckResult", "run_validation"]
 
 
-class RSpectrum(NamedTuple):
-    """Closed-form spectrum of rho S rho S with its building blocks.
-
-    lambdas are stored descending and clamped at zero.  The radicand is
-    xi_plus * sig_plus for both level pairs, exactly as the closed form
-    is written.
-    """
-
-    lambdas: np.ndarray
-    theta_cap: float
-    g_cap: float
-    xi_plus: float
-    sig_plus: float
-
-
-def concurrence_closed_form(rho) -> tuple[float, RSpectrum]:
-    """Concurrence from the closed-form R-spectrum; validation path only.
-
-    Callers should compare the returned value against concurrence() and
-    log the residual rather than trust it: on generic thermal states the
-    printed closed form disagrees with the eigensolver route (see the
-    validation report), so it is kept strictly as a cross-check.
-    """
-    r = check_density_matrix(rho, dim=4)
-    c, lams, *pieces = _closed_form(r[None])
-    return float(c[0]), RSpectrum(lams[0], *(float(x[0]) for x in pieces))
-
-
-def _closed_form(r: np.ndarray):
+def _closed_form(r: np.ndarray) -> np.ndarray:
     """Closed-form R-spectrum concurrence of each state of a stack.
 
-    Returns (c, lambdas, theta, g, xi_plus, sig_plus), each stacked on axis 0.
+    The spectrum of rho S rho S is read as theta +/- g +/- sqrt(xi_plus *
+    sig_plus), clamped at zero, exactly as the closed form is written.
     """
     r11, r12, r13, r14 = r[:, 0, 0], r[:, 0, 1], r[:, 0, 2], r[:, 0, 3]
     r22, r24 = r[:, 1, 1], r[:, 1, 3]
@@ -88,24 +50,7 @@ def _closed_form(r: np.ndarray):
     lams[:, 2], lams[:, 3] = theta - g + root, theta - g - root
     lams = np.sort(np.clip(lams, 0.0, None), axis=1)[:, ::-1]
     s = np.sqrt(lams)
-    c = np.maximum(0.0, np.abs(s[:, 0] - s[:, 2]) - s[:, 1] - s[:, 3])
-    return c, lams, theta, g, xi_plus, sig_plus
-
-
-class LocalBasisAngles(NamedTuple):
-    """Rotation angles whose U(theta) diagonalize the reduced matrices."""
-
-    theta_a: float
-    theta_b: float
-
-
-def local_angles(rho) -> LocalBasisAngles:
-    """The printed diagonalizing rotation angles of both reduced density matrices.
-
-    chi and q are read from the full-state elements of rho.
-    """
-    theta_a, theta_b = _local_angles(check_density_matrix(rho, dim=4)[None])
-    return LocalBasisAngles(theta_a=float(theta_a), theta_b=float(theta_b))
+    return np.maximum(0.0, np.abs(s[:, 0] - s[:, 2]) - s[:, 1] - s[:, 3])
 
 
 def _local_angles(r: np.ndarray) -> np.ndarray:
@@ -130,43 +75,6 @@ def _local_angles(r: np.ndarray) -> np.ndarray:
     return theta
 
 
-class AnalyticUnavailable(ValidationError):
-    """Closed-form eigenvector coefficients are singular at these parameters."""
-
-
-class AnalyticCoeffs(NamedTuple):
-    """Eigenvector coefficients from the printed closed-form expressions.
-
-    The plain set (a, b, c with +/- branches) builds the outer doublet
-    (E1, E2), the tilde set the inner doublet (E3, E4); each state is
-    norm * (a, b, 1, c) in the fixed basis.  residuals records, per label
-    order, the max-abs deviation of the reconstructed unit vector from
-    the numerical eigenvector (after sign alignment).  These residuals
-    are reported, never assumed zero: the printed formulas are treated
-    as a cross-check, not as the production path.
-    """
-
-    a_plus: float
-    b_plus: float
-    c_plus: float
-    a_minus: float
-    b_minus: float
-    c_minus: float
-    a_tilde_plus: float
-    b_tilde_plus: float
-    c_tilde_plus: float
-    a_tilde_minus: float
-    b_tilde_minus: float
-    c_tilde_minus: float
-    m_plus: float
-    m_minus: float
-    n_plus: float
-    n_minus: float
-    alpha_sq: float
-    vectors: np.ndarray
-    residuals: np.ndarray
-
-
 def _denominators(eps, t, bz, bx):
     """The coefficient denominators 2t(bz+eps), bx*t*(bz+eps) and (bz+eps)*bx."""
     return 2.0 * t * (bz + eps), bx * t * (bz + eps), (bz + eps) * bx
@@ -182,21 +90,23 @@ def _coeffs_singular(eps, t, bz, bx, e1) -> np.ndarray:
     return np.minimum(np.abs(den_a), np.abs(den_c)) <= 1e-10 * np.ldexp(e1, -k) ** 2
 
 
-def _coeffs(eps, t, bz, bx, levels, numeric):
-    """The printed eigenvector coefficients at N regular points.
+def _coeffs(eps, t, bz, bx, levels, numeric) -> np.ndarray:
+    """How far the printed eigenvectors are from the numerical ones at N regular points.
 
     eps, t, bz, bx are N floats each, none singular (see
     _coeffs_singular); levels (N, 4) are their closed-form energies and
     numeric (N, 4, 4) the matched eigenvectors in label order, all
-    evaluated scaled by _scaled.  Returns AnalyticCoeffs' fields in their
-    order: the 17 scalar fields as N floats each, then the (N, 4, 4)
-    closed-form unit vectors and the (N, 4) residuals.
+    evaluated scaled by _scaled.  The plain coefficients (a, b, c with
+    +/- branches) build the outer doublet (E1, E2), the tilde set the
+    inner doublet (E3, E4); each state is norm * (a, b, 1, c) in the
+    fixed basis.  Returns the (N, 4) residuals in label order: the
+    max-abs deviation of each unit vector from the numerical one, after
+    sign alignment.
     """
     k, eps, t, bz, bx = _scaled(eps, t, bz, bx)
     den_a, den_b, den_c = _denominators(eps, t, bz, bx)
     e1, e3 = np.ldexp(levels[:, 0], -k), np.ldexp(levels[:, 2], -k)
-    alpha_sq = bz**2 + bx**2 - eps**2 - 4.0 * t**2
-    tail = alpha_sq / (4.0 * bx * t)
+    tail = (bz**2 + bx**2 - eps**2 - 4.0 * t**2) / (4.0 * bx * t)
     # the four branches (+, -, tilde +, tilde -) on axis 0: sign, E_m, E_o
     sign = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
     em, eo = np.stack([e1, e1, e3, e3]), np.stack([e3, e3, e1, e1])
@@ -205,29 +115,9 @@ def _coeffs(eps, t, bz, bx, levels, numeric):
     c = ((bz - sign * em) ** 2 - eo**2) / den_c
     norms = (a * a + b * b + c * c + 1.0) ** -0.5
     vectors = (norms[..., None] * np.stack([a, b, np.ones_like(a), c], axis=-1)).transpose(1, 2, 0)
-    residuals = np.minimum(
+    return np.minimum(
         np.abs(vectors - numeric).max(axis=1), np.abs(vectors + numeric).max(axis=1)
     )
-    with np.errstate(over="ignore"):
-        alpha_sq = np.ldexp(alpha_sq, 2 * k)
-    return (*np.stack([a, b, c], axis=1).reshape(12, -1), *norms, alpha_sq, vectors, residuals)
-
-
-def analytic_coeffs(p: ModelParams) -> AnalyticCoeffs:
-    """Evaluate the printed eigenvector coefficients and their residuals.
-
-    Raises AnalyticUnavailable when a denominator (2t(bz+eps),
-    bx*t*(bz+eps), (bz+eps)*bx) is singular (see _coeffs_singular);
-    callers should fall back to the numerical eigenvectors in that case.
-    """
-    x = tuple(np.array([v]) for v in (p.epsilon, p.t, p.bz, p.bx))
-    s = spectrum(p)
-    if _coeffs_singular(*x, s.energies[:1])[0]:
-        raise AnalyticUnavailable(
-            f"coefficient denominators singular at {p}; use numerical eigenvectors"
-        )
-    *scalars, vectors, residuals = _coeffs(*x, s.energies[None], s.vectors[None])
-    return AnalyticCoeffs(*(float(v[0]) for v in scalars), vectors[0], residuals[0])
 
 
 _CHECKS = (
@@ -261,7 +151,12 @@ class CheckResult:
         self.worst_point = worst_point
 
     def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is CheckResult else NotImplemented
+        if type(other) is not CheckResult:
+            return NotImplemented
+        # a NaN max_residual is a flagged worst point, and equals another NaN
+        nan = math.isnan(self.max_residual) and math.isnan(other.max_residual)
+        skip = {"max_residual": None} if nan else {}
+        return (vars(self) | skip) == (vars(other) | skip)
 
     def __repr__(self) -> str:
         return f"CheckResult({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
@@ -355,13 +250,13 @@ def _check_block(results: dict, rng, n: int) -> None:
     (ok,) = np.nonzero(~_coeffs_singular(eps, t, bz, bx, levels[:, 0]))
     numeric, checks = _match_levels(levels[ok], h_dec.values[ok], h_dec.vectors[ok])
     raise_first(checks, lambda i: where(ok[i]))
-    residuals = _coeffs(eps[ok], t[ok], bz[ok], bx[ok], levels[ok], numeric)[-1]
+    residuals = _coeffs(eps[ok], t[ok], bz[ok], bx[ok], levels[ok], numeric)
     results["coefficients_closed_form"].record(
         residuals.max(axis=1), lambda i: where(ok[i])
     )
 
     exact = _concurrence(dec.vectors, np.sqrt(np.clip(dec.values, 0.0, None)))
-    results["concurrence_closed_form"].record(np.abs(_closed_form(rho)[0] - exact), where)
+    results["concurrence_closed_form"].record(np.abs(_closed_form(rho) - exact), where)
 
 
 def run_validation(samples: int = 200, seed: int = 42) -> list[CheckResult]:

@@ -22,7 +22,7 @@ from dqdtherm.correlations import (
 from dqdtherm.model import DegenerateGroundState, ModelParams, ground_state
 from dqdtherm.qmatrix import ValidationError, eig_sym
 from dqdtherm.thermal import populations, reduce_a, reduce_b, thermal_state
-from dqdtherm.validate import concurrence_closed_form, local_angles
+from dqdtherm.validate import _closed_form, _local_angles
 from reference import reference
 
 BELL = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0
@@ -91,21 +91,9 @@ def test_concurrence_local_rotation_invariance():
 
 
 def test_closed_form_trivial_states():
-    c, spec = concurrence_closed_form(np.eye(4) / 4.0)
-    assert c == pytest.approx(0.0, abs=1e-12)
-    assert np.all(np.diff(spec.lambdas) <= 1e-15)
-    assert np.all(spec.lambdas >= 0.0)
-    c, _ = concurrence_closed_form(np.diag([0.4, 0.3, 0.2, 0.1]))
-    assert c == pytest.approx(0.0, abs=1e-12)
-
-
-def test_closed_form_reports_spectrum_pieces():
-    state = thermal_state(ModelParams(1.0, 7.0, 16.0, 100.0), 1.0)
-    _, spec = concurrence_closed_form(state.rho)
-    assert spec.lambdas.shape == (4,)
-    assert np.all(spec.lambdas >= 0.0)
-    for field in (spec.theta_cap, spec.g_cap, spec.xi_plus, spec.sig_plus):
-        assert math.isfinite(field)
+    c = _closed_form(np.stack([np.eye(4) / 4.0, np.diag([0.4, 0.3, 0.2, 0.1])]))
+    assert c.shape == (2,)
+    assert c == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def test_fidelity_pure_temperature_limits():
@@ -186,21 +174,35 @@ def test_l1_coherence_reference_values():
 
 
 def test_local_angles_diagonal_state():
-    angles = local_angles(np.diag([0.42, 0.18, 0.28, 0.12]))
-    assert angles.theta_a == 0.0
-    assert angles.theta_b == 0.0
+    # the charge angle, then the spin angle
+    assert _local_angles(np.diag([0.42, 0.18, 0.28, 0.12])[None]).tolist() == [0.0, 0.0]
 
 
 def test_local_angles_diagonalize_thermal_reductions():
     state = thermal_state(ModelParams(1.0, 7.0, 16.0, 100.0), 1.0)
     ra, rb = reduce_a(state), reduce_b(state)
-    angles = local_angles(state.rho)
-    for theta, reduced in ((angles.theta_a, ra), (angles.theta_b, rb)):
+    for theta, reduced in zip(_local_angles(state.rho[None]), (ra, rb)):
         r = _rotations(theta)
         rotated = r @ reduced @ r.T
         assert abs(rotated[0, 1]) <= 1e-10
         diag = np.sort(np.diag(rotated))
         assert np.max(np.abs(diag - eig_sym(reduced).values)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "charge",
+    [[[0.7, 0.2], [0.2, 0.3]], [[0.3, -0.2], [-0.2, 0.7]], [[0.5, 0.3], [0.3, 0.5]]],
+    ids=["chi_positive", "chi_negative", "chi_zero"],
+)
+def test_local_angles_diagonalize_either_sign_of_chi(charge):
+    # chi < 0 takes the branch that avoids cancellation in chi + sqrt(chi^2 + 4q^2)
+    rho = np.kron(charge, [[0.6, -0.1], [-0.1, 0.4]])
+    for theta, reduced in zip(_local_angles(rho[None]), (reduce_a(rho), reduce_b(rho))):
+        r = _rotations(theta)
+        rotated = r @ reduced @ r.T
+        assert abs(rotated[0, 1]) <= 1e-14
+        diag = np.sort(np.diag(rotated))
+        assert np.max(np.abs(diag - eig_sym(reduced).values)) <= 1e-14
 
 
 def test_correlated_coherence_reference_states():
@@ -246,7 +248,6 @@ MEASURES = {
     "concurrence": concurrence,
     "correlated_coherence": correlated_coherence,
     "l1_coherence": l1_coherence,
-    "local_angles": local_angles,
     "fidelity_pure": lambda rho: fidelity_pure(UNIT, rho),
     "populations": populations,
     "reduce_a": reduce_a,
@@ -282,10 +283,8 @@ def test_measures_reject_invalid_density_matrices(measure, bad):
 
 @pytest.mark.parametrize(
     "measure",
-    [correlated_coherence, l1_coherence, local_angles, concurrence_closed_form,
-     lambda rho: fidelity_pure(UNIT, rho)],
-    ids=["correlated_coherence", "l1_coherence", "local_angles", "concurrence_closed_form",
-         "fidelity_pure"],
+    [correlated_coherence, l1_coherence, lambda rho: fidelity_pure(UNIT, rho)],
+    ids=["correlated_coherence", "l1_coherence", "fidelity_pure"],
 )
 def test_matrix_only_measures_refuse_a_thermal_state(measure):
     state = thermal_state(ModelParams(10.0, 7.0, 16.0, 100.0), 1.0)

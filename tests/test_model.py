@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dqdtherm import model
+from dqdtherm import model, validate
 from dqdtherm.model import (
     ModelParams,
     NoAnticrossing,
@@ -19,7 +19,6 @@ from dqdtherm.model import (
 )
 from dqdtherm.qmatrix import ValidationError, eig_sym
 from dqdtherm.thermal import thermal_state
-from dqdtherm.validate import AnalyticUnavailable, analytic_coeffs
 from reference import anticrossing
 
 params_strategy = st.builds(
@@ -222,25 +221,21 @@ def test_ground_state_reference_energy():
     assert not gs.degenerate
 
 
-def test_analytic_coeffs_reference_residuals():
-    coeffs = analytic_coeffs(ModelParams(1, 7, 16, 100))
+def _coeff_kernels(p):
+    """validate's printed-coefficient kernels at p: (singular, residuals or None)."""
+    x = tuple(np.array([v]) for v in p)
+    s = spectrum(p)
+    if validate._coeffs_singular(*x, s.energies[:1])[0]:
+        return True, None
+    return False, validate._coeffs(*x, s.energies[None], s.vectors[None])[0]
+
+
+def test_printed_coefficients_reference_residuals():
+    singular, residuals = _coeff_kernels(ModelParams(1, 7, 16, 100))
     # the printed formulas reproduce the numerical eigenvectors here
-    assert np.max(coeffs.residuals) <= 1e-10
-    for k in range(4):
-        assert np.linalg.norm(coeffs.vectors[:, k]) == pytest.approx(1.0, abs=1e-12)
-    assert coeffs.m_plus == pytest.approx(
-        (coeffs.a_plus**2 + coeffs.b_plus**2 + coeffs.c_plus**2 + 1.0) ** -0.5
-    )
-    assert coeffs.n_minus == pytest.approx(
-        (
-            coeffs.a_tilde_minus**2
-            + coeffs.b_tilde_minus**2
-            + coeffs.c_tilde_minus**2
-            + 1.0
-        )
-        ** -0.5
-    )
-    assert coeffs.alpha_sq == pytest.approx(16.0**2 + 100.0**2 - 1.0 - 4.0 * 49.0)
+    assert not singular
+    assert residuals.shape == (4,)
+    assert np.max(residuals) <= 1e-10
 
 
 @pytest.mark.filterwarnings("error")
@@ -252,9 +247,9 @@ def test_spectrum_coefficients_and_ground_state_hold_at_every_scale(scale):
     p = ModelParams(*(scale * x for x in unit))
     want = spectrum(ModelParams(*unit))
     assert np.allclose(spectrum(p).energies / scale, want.energies, rtol=1e-13, atol=0.0)
-    coeffs, unit_coeffs = analytic_coeffs(p), analytic_coeffs(ModelParams(*unit))
-    assert np.max(coeffs.residuals) <= 1e-10
-    assert coeffs.b_tilde_minus == pytest.approx(unit_coeffs.b_tilde_minus, rel=1e-12)
+    singular, residuals = _coeff_kernels(p)
+    assert not singular
+    assert np.max(residuals) <= 1e-10
     gs = ground_state(p)
     assert not gs.degenerate
     assert gs.energy / scale == pytest.approx(want.energies[1], rel=1e-13)
@@ -283,9 +278,8 @@ def test_a_zero_hamiltonian_has_a_degenerate_ground_state():
         ModelParams(1, 0, 16, 100),  # t = 0
     ],
 )
-def test_analytic_coeffs_singular_inputs(p):
-    with pytest.raises(AnalyticUnavailable):
-        analytic_coeffs(p)
+def test_printed_coefficients_singular_inputs(p):
+    assert _coeff_kernels(p) == (True, None)
 
 
 def bits(x):

@@ -11,12 +11,7 @@ from dqdtherm.model import ModelParams, find_anticrossing, ground_state, spectru
 from dqdtherm.qmatrix import ValidationError, eig_sym
 from dqdtherm.sweep import Axis, ConfigError, SweepGrid
 from dqdtherm.thermal import thermal_state
-from dqdtherm.validate import (
-    CheckResult,
-    analytic_coeffs,
-    concurrence_closed_form,
-    local_angles,
-)
+from dqdtherm.validate import CheckResult
 
 P = ModelParams(1, 7, 16, 100)
 T_AXIS = Axis("T", 0.01, 100, 5, "log")
@@ -38,9 +33,6 @@ def records():
         "_Gibbs": thermal._gibbs_columns(cols)[0],
         "Axis": T_AXIS,
         "SweepGrid": GRID,
-        "RSpectrum": concurrence_closed_form(state.rho)[1],
-        "LocalBasisAngles": local_angles(state.rho),
-        "AnalyticCoeffs": analytic_coeffs(P),
     }
 
 

@@ -5,33 +5,31 @@ import pytest
 
 from dqdtherm import correlations, model, qmatrix, thermal, validate
 from dqdtherm.correlations import _rotations, _schur_angles, concurrence
-from dqdtherm.model import ModelParams, analytic_energies, build_hamiltonian
+from dqdtherm.model import ModelParams, analytic_energies, build_hamiltonian, spectrum
 from dqdtherm.qmatrix import eig_sym
 from dqdtherm.sweep import ConfigError
 from dqdtherm.thermal import reduce_a, reduce_b, thermal_state
-from dqdtherm.validate import (
-    AnalyticUnavailable,
-    CheckResult,
-    analytic_coeffs,
-    concurrence_closed_form,
-    local_angles,
-    run_validation,
-)
+from dqdtherm.validate import CheckResult, run_validation
 
 
 def _record(check, residual, point):
     """One sample added to a CheckResult the way the report did it point by point."""
     check.samples += 1
     residual = float(residual)
-    if residual > check.max_residual:
+    worse = math.isnan(residual) or residual > check.max_residual  # NaN is the worst
+    if worse and not math.isnan(check.max_residual):
         check.max_residual = residual
         check.worst_point = point
-    if residual > check.tolerance:
+    if math.isnan(residual) or residual > check.tolerance:
         check.flagged += 1
 
 
 def per_sample_validation(samples, seed):
-    """The validation report sample by sample through the public API: the oracle."""
+    """The validation report sample by sample: the oracle.
+
+    Each state comes from the public API, and each printed form from
+    validate's kernel on a stack of one.
+    """
     rng = np.random.default_rng(seed)
     results = {
         name: CheckResult(name, hard, tol)
@@ -67,8 +65,8 @@ def per_sample_validation(samples, seed):
             max(abs(float((ua @ ra @ ua.T)[0, 1])), abs(float((ub @ rb @ ub.T)[0, 1]))),
             point,
         )
-        angles = local_angles(rho)
-        ua, ub = _rotations(angles.theta_a), _rotations(angles.theta_b)
+        theta_a, theta_b = validate._local_angles(rho[None])
+        ua, ub = _rotations(theta_a), _rotations(theta_b)
         ra_rot = ua @ ra @ ua.T
         rb_rot = ub @ rb @ ub.T
         spec_resid = 0.0
@@ -86,14 +84,13 @@ def per_sample_validation(samples, seed):
             float(np.max(np.abs(e_closed - e_numeric))) / scale,
             point,
         )
-        try:
-            coeffs = analytic_coeffs(p)
-        except AnalyticUnavailable:
-            pass
-        else:
-            _record(results["coefficients_closed_form"], float(np.max(coeffs.residuals)), point)
+        x = tuple(np.array([v]) for v in p)
+        s = spectrum(p)
+        if not validate._coeffs_singular(*x, s.energies[:1])[0]:
+            residuals = validate._coeffs(*x, s.energies[None], s.vectors[None])
+            _record(results["coefficients_closed_form"], float(np.max(residuals)), point)
 
-        closed, _ = concurrence_closed_form(rho)
+        closed = validate._closed_form(rho[None])[0]
         _record(results["concurrence_closed_form"], abs(closed - concurrence(rho)), point)
     return [results[name] for name, _, _ in validate._CHECKS]
 
@@ -186,3 +183,63 @@ def test_record_flags_nan_as_the_worst_residual():
     assert check.flagged == 5
     assert math.isnan(check.max_residual) and check.worst_point == "p1"
     assert check.failed
+
+
+def test_results_with_nan_residuals_compare_equal():
+    # NaN is a flagged worst point, so a report holding one equals its oracle
+    a, b = CheckResult("x", False, 1.0), CheckResult("x", False, 1.0)
+    for check in (a, b):
+        check.record([math.nan], str)
+    assert a == b
+    b.record([math.nan], str)
+    assert a != b  # the counts still differ
+    assert CheckResult("x", False, 1.0, max_residual=math.nan) != CheckResult("x", False, 1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("name", "y"), ("hard", True), ("tolerance", 2.0), ("samples", 1), ("flagged", 1),
+     ("max_residual", 0.5), ("worst_point", "p0")],
+)
+def test_results_with_nan_residuals_differ_in_every_other_field(field, value):
+    # two NaN residuals are equal, but no other field is skipped with them
+    a = CheckResult("x", False, 1.0, max_residual=math.nan)
+    b = CheckResult("x", False, 1.0, max_residual=math.nan)
+    assert a == b
+    setattr(b, field, value)
+    assert a != b and b != a
+
+
+# thermal points on both sides of every sampled parameter's zero, at which
+# no coefficient denominator is singular
+KERNEL_POINTS = [
+    (ModelParams(1.0, 7.0, 16.0, 100.0), 1.0),
+    (ModelParams(-20.0, 3.0, -12.0, 40.0), 0.3),
+    (ModelParams(10.0, 15.4, 24.0, -60.0), 8.0),
+    (ModelParams(-45.0, 0.5, 35.0, -5.0), 60.0),
+]
+
+
+def _printed_form(kernel, points):
+    """A printed-form kernel of validate on a stack of (params, T), one row per point."""
+    if kernel == "coeffs":  # a property of the Hamiltonian: T is not used
+        params = [p for p, _ in points]
+        x = tuple(np.array(v) for v in zip(*params))
+        specs = [spectrum(p) for p in params]
+        assert not validate._coeffs_singular(*x, np.array([s.energies[0] for s in specs])).any()
+        levels = np.stack([s.energies for s in specs])
+        return validate._coeffs(*x, levels, np.stack([s.vectors for s in specs]))
+    rho = np.stack([thermal_state(p, temp).rho for p, temp in points])
+    if kernel == "closed_form":
+        return validate._closed_form(rho)
+    # the charge angles, then the spin angles
+    return validate._local_angles(rho).reshape(2, -1).T
+
+
+@pytest.mark.parametrize("kernel", ["closed_form", "local_angles", "coeffs"])
+def test_printed_form_kernels_treat_each_point_alone(kernel):
+    # the report evaluates blocks, the per-sample oracle stacks of one
+    stacked = _printed_form(kernel, KERNEL_POINTS)
+    assert len(stacked) == len(KERNEL_POINTS)
+    for row, point in zip(stacked, KERNEL_POINTS):
+        assert np.array_equal(row, _printed_form(kernel, [point])[0])
