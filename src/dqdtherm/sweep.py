@@ -339,18 +339,22 @@ def find_coherence_peak(epsilon: float, t: float, bz: float, bx: float):
     """Temperature maximizing correlated coherence, with the peak value.
 
     One loop of passes over log10(T), each one batch on the one
-    eigendecomposition of H.  The first scans _PEAK_GRID's 400 points and
-    returns a maximum at an end of the scan as it is; each later pass takes
-    33 evenly spaced points of the bracket of the last maximum's two
-    neighbours (the first maximum on a tie), until the bracket is at most
-    1e-6 wide, 4 passes.  Each pass makes thermal_state's checks, its error
-    naming the point as a sweep does.  Returns the best temperature
-    evaluated and its own Ccc.
+    eigendecomposition of H.  The first scans _PEAK_GRID's 400 points, a
+    step h = 4/399 apart, and returns a maximum at an end of the scan as it
+    is.  Each later pass evaluates the stencil v - h, v, v + h, its h a
+    hundredth of the last pass's.  v is the vertex of the parabola through
+    three points of the last pass: the scan's maximum (the first on a tie)
+    and its two neighbours, or a stencil's three points; where that
+    parabola is not concave, v is the middle point.  Each stencil is kept
+    between the scan maximum's neighbours, so T stays in [0.01, 100].  The
+    pass whose h is at most 1e-7 is the last: 4 passes, 409 points.  Each
+    pass makes thermal_state's checks, its error naming the point as a
+    sweep does.  Returns the best temperature evaluated and its own Ccc.
     """
     p = ModelParams(epsilon, t, bz, bx)
     point = p._asdict()
     dec = eig_sym(_hamiltonians(p.epsilon, p.t, p.bz, p.bx))
-    log_t, best, top = _PEAK_GRID, 0.0, -math.inf
+    log_t, h, best, top = _PEAK_GRID, 4.0 / 399.0, 0.0, -math.inf
     while True:
         temp = np.array([10.0 ** float(x) for x in log_t])  # libm pow, not numpy's
         state, checks = _gibbs(dec, np.zeros(temp.size, dtype=np.intp), temp)
@@ -359,7 +363,15 @@ def find_coherence_peak(epsilon: float, t: float, bz: float, bx: float):
         j, last = int(np.argmax(ccc)), temp.size - 1
         if ccc[j] > top:  # every Ccc that passed the checks is finite
             best, top = float(log_t[j]), float(ccc[j])
-        lo, hi = float(log_t[max(j - 1, 0)]), float(log_t[min(j + 1, last)])
-        if hi - lo <= 1e-6 or (log_t is _PEAK_GRID and j in (0, last)):
+        if h <= 1e-7 or (log_t is _PEAK_GRID and j in (0, last)):
             return 10.0**best, top
-        log_t = np.linspace(lo, hi, 33)
+        if log_t is _PEAK_GRID:  # a peak of the scan lies between j's neighbours
+            lo, hi = float(log_t[j - 1]), float(log_t[j + 1])
+        k = min(max(j, 1), last - 1)
+        f0, f1, f2 = (float(f) for f in ccc[k - 1:k + 2])
+        v, curve = float(log_t[k]), f0 - 2.0 * f1 + f2
+        if curve < 0.0:
+            v += 0.5 * h * (f0 - f2) / curve
+        h /= 100.0
+        v = min(max(v, lo + h), hi - h)
+        log_t = np.array([v - h, v, v + h])

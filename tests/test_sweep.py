@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dqdtherm import correlations, sweep, thermal, validate
@@ -645,21 +645,26 @@ def _public_peak(epsilon, t, bz, bx):
     """find_coherence_peak's search with every Ccc from the public API."""
     p = ModelParams(epsilon, t, bz, bx)
 
-    def ccc(log_t):
-        return correlated_coherence(thermal_state(p, 10.0 ** float(log_t)).rho)
+    def ccc(xs):
+        return [correlated_coherence(thermal_state(p, 10.0 ** float(x)).rho) for x in xs]
 
     grid = np.linspace(np.log10(0.01), np.log10(100.0), 400)
-    values = [ccc(x) for x in grid]
+    values = ccc(grid)
     k = int(np.argmax(values))
     best, top = float(grid[k]), values[k]
-    lo, hi = float(grid[k - 1]), float(grid[k + 1])
-    while hi - lo > 1e-6:
-        xs = np.linspace(lo, hi, 33)
-        values = [ccc(x) for x in xs]
+    lo, hi, h = float(grid[k - 1]), float(grid[k + 1]), 4.0 / 399.0
+    xs, (f0, f1, f2) = grid[k - 1:k + 2], values[k - 1:k + 2]
+    while h > 1e-7:
+        v, curve = float(xs[1]), f0 - 2.0 * f1 + f2
+        if curve < 0.0:  # the parabola's vertex
+            v += 0.5 * h * (f0 - f2) / curve
+        h /= 100.0
+        v = min(max(v, lo + h), hi - h)  # the stencil stays between the scan maximum's neighbours
+        xs = [v - h, v, v + h]
+        values = f0, f1, f2 = ccc(xs)
         j = int(np.argmax(values))
         if values[j] > top:
-            best, top = float(xs[j]), values[j]
-        lo, hi = float(xs[max(j - 1, 0)]), float(xs[min(j + 1, 32)])
+            best, top = xs[j], values[j]
     return 10.0**best, top
 
 
@@ -680,6 +685,39 @@ def test_peak_refinement_equals_the_public_route_bitwise(eps, t, bz, bx):
 def test_a_peak_at_an_end_of_the_scan_is_returned_unrefined(args, pin):
     assert find_coherence_peak(*args) == pin
     assert correlated_coherence(thermal_state(ModelParams(*args), pin[0]).rho) == pin[1]
+
+
+@pytest.mark.parametrize("args", [(1.0, 7.0, 16.0, 0.0), (-3.0, 2.0, 5.0, 0.0), (0.0, 7.0, 16.0, 0.0)])
+def test_a_vanishing_coherence_peaks_at_round_off_inside_the_scan(args):
+    # at bx = 0 the Gibbs state is a product state, so Ccc = 0 at every T: the
+    # search maximizes round-off, whose parabolas need not be concave
+    temperature, ccc = find_coherence_peak(*args)
+    assert ccc <= 1e-15
+    assert 0.01 <= temperature <= 100.0
+
+
+def test_a_coherence_zero_at_every_temperature_peaks_at_the_scan_start():
+    assert find_coherence_peak(0.0, 0.0, 0.0, 0.0) == (0.01, 0.0)
+
+
+_PEAK_PARAMETER = st.one_of(
+    st.just(0.0),
+    st.floats(-100.0, 100.0),
+    st.builds(lambda sign, power: sign * 10.0**power, st.sampled_from([-1.0, 1.0]),
+              st.floats(-6.0, 6.0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PEAK_PARAMETER, _PEAK_PARAMETER.map(abs), _PEAK_PARAMETER, _PEAK_PARAMETER)
+@example(0.0, 2.992402118635876e-05, 0.0, -0.019164006923850008)
+@example(0.0, 0.00020705523914638422, 0.0, 0.048729683328122865)
+def test_a_peak_temperature_lies_in_the_scan_range(eps, t, bz, bx):
+    # extreme field ratios and eps = bz = 0, where Ccc is round-off, included;
+    # at the two examples, stencils not kept between the scan maximum's
+    # neighbours reach T = 6.0e-4 and 8.5e-3
+    temperature, _ = find_coherence_peak(eps, t, bz, bx)
+    assert 0.01 <= temperature <= 100.0
 
 
 def test_anticrossing_gap_equals_the_public_levels_bitwise():
@@ -967,8 +1005,9 @@ def test_an_earlier_gibbs_failure_beats_a_later_closed_form_overflow():
 
 
 def test_the_peak_search_batches_its_objective(monkeypatch):
-    # one batch of 400 scan points, then at most 5 batches of 33: the bracket
-    # of two grid steps shrinks 16-fold per batch to 1e-6 in log10(T)
+    # one batch of 400 scan points, then three 3-point stencils about a
+    # parabola's vertex, their half-width 1/100 of the last pass's: from the
+    # scan step, 4/399, to ~1e-8 in log10(T)
     sizes = []
 
     def counted(r):
@@ -978,25 +1017,25 @@ def test_the_peak_search_batches_its_objective(monkeypatch):
     correlated = sweep._correlated_coherence
     monkeypatch.setattr(sweep, "_correlated_coherence", counted)
     for args, pin in [
-        ((1.0, 7.0, 16.0, 100.0), (5.9727325505657225, 1.4504459841551873)),
-        ((1.0, 15.4, 24.0, 100.0), (9.762492061349969, 1.0853093275902619)),
+        ((1.0, 7.0, 16.0, 100.0), (5.972733610820447, 1.4504459841551953)),
+        ((1.0, 15.4, 24.0, 100.0), (9.762491011448612, 1.0853093275902634)),
     ]:
         sizes.clear()
         assert find_coherence_peak(*args) == pin
-        assert sizes[0] == 400 and 1 <= len(sizes) - 1 <= 5 and set(sizes[1:]) == {33}
+        assert sizes == [400, 3, 3, 3]
 
 
 def test_the_peak_search_diagonalizes_once(monkeypatch):
     calls = count_eigensolves(monkeypatch)
-    assert find_coherence_peak(1.0, 7.0, 16.0, 100.0) == (5.9727325505657225, 1.4504459841551873)
+    assert find_coherence_peak(1.0, 7.0, 16.0, 100.0) == (5.972733610820447, 1.4504459841551953)
     assert calls == [1]
     calls.clear()
-    assert find_coherence_peak(1.0, 15.4, 24.0, 100.0) == (9.762492061349969, 1.0853093275902619)
+    assert find_coherence_peak(1.0, 15.4, 24.0, 100.0) == (9.762491011448612, 1.0853093275902634)
     assert calls == [1]
 
 
 def test_a_failing_refinement_pass_names_its_temperature(monkeypatch):
-    # the scan passes; the first refinement pass refuses its point 5
+    # the scan passes; the first stencil refuses its last point, v + h
     temps, sizes = [], []
     gibbs, correlated = sweep._gibbs, sweep._correlated_coherence
 
@@ -1007,13 +1046,13 @@ def test_a_failing_refinement_pass_names_its_temperature(monkeypatch):
     def refused_on_second_call(rho):
         sizes.append(len(rho))
         if len(sizes) == 2:
-            return negative_ccc(np.arange(len(rho)) == 5)(rho)
+            return negative_ccc(np.arange(len(rho)) == 2)(rho)
         return correlated(rho)
 
     monkeypatch.setattr(sweep, "_gibbs", recorded)
     monkeypatch.setattr(sweep, "_correlated_coherence", refused_on_second_call)
     with pytest.raises(ValidationError, match="negative correlated coherence") as info:
         find_coherence_peak(1.0, 7.0, 16.0, 100.0)
-    assert sizes == [400, 33]
-    point = {"epsilon": 1.0, "t": 7.0, "bz": 16.0, "bx": 100.0, "T": float(temps[-1][5])}
+    assert sizes == [400, 3]
+    point = {"epsilon": 1.0, "t": 7.0, "bz": 16.0, "bx": 100.0, "T": float(temps[-1][2])}
     assert str(info.value).endswith(f"at {point}")
