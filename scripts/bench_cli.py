@@ -69,7 +69,6 @@ KERNELS = (
     "thermal._rho",
     "correlations._concurrence",
     "correlations._gibbs_concurrence",
-    "qmatrix.gibbs_stack_checks",
     "correlations._correlated_coherence",
     "sweep.write_table",
 )
@@ -146,7 +145,7 @@ def _kernels(n: int) -> dict:
     The Gibbs-state kernels are called as the tree's sweep calls them:
     the 100 bx values of the map are the distinct Hamiltonians, and the
     timed thermal._gibbs call includes their eigensolve and every check
-    the tree's _gibbs makes (gibbs_stack_checks too, where it calls it).
+    the tree's _gibbs makes, its orthonormality test among them.
     """
     import importlib
 
@@ -168,7 +167,6 @@ def _kernels(n: int) -> dict:
 
     g, _ = gibbs()
     rho = thermal._rho(g)
-    shared = (g.dec.vectors, g.weights, index)
     vectors = np.linalg.eigh(h)[1]
     roots = np.sqrt(g.weights)
     args = {
@@ -176,8 +174,7 @@ def _kernels(n: int) -> dict:
         "model._hamiltonians": (eps, t, bz, bx),
         "thermal._rho": (g,),
         "correlations._concurrence": (vectors, roots),
-        "correlations._gibbs_concurrence": shared,
-        "qmatrix.gibbs_stack_checks": shared,
+        "correlations._gibbs_concurrence": (g.dec.vectors, g.weights, index),
         "correlations._correlated_coherence": (rho,),
     }
     calls = {}

@@ -109,33 +109,6 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def gibbs_stack_checks(vectors, weights, index) -> list:
-    """Density-matrix checks of a stack rho = V diag(w) V^T, read from V and w with no eigensolve.
-
-    Two (bad, error) pairs, each flagging NaN: the trace, sum(w), is 1 to
-    1e-9; every weight is >= -1e-12 (the PSD tolerance) and V^T V = I to
-    1e-12, which LAPACK's eigenvectors meet with orders to spare and
-    which ties tr rho to sum(w).  Such a rho is congruent to diag(w), so
-    it is PSD when the weights are and V is invertible.  Nothing else is
-    left to test: whenever the two pass, V and w are finite and so is
-    rho, and thermal._rho forms rho symmetric bit for bit.  vectors holds
-    the distinct eigenvector matrices and index the row of each point,
-    so V^T V is tested once per distinct V.
-    """
-    tr = weights.sum(axis=1)
-    low = weights.min(axis=1)
-    gram = np.swapaxes(vectors, 1, 2) @ vectors - np.eye(vectors.shape[-1])
-    skew = np.abs(gram).reshape(len(gram), -1).max(axis=1)[index]
-    return [
-        (~(np.abs(tr - 1.0) <= 1e-9),
-         lambda i: ValidationError(f"density matrix trace is {float(tr[i])!r}, expected 1")),
-        (~(low >= -_PSD_CLAMP) | ~(skew <= _PSD_CLAMP),
-         lambda i: NotPositiveSemidefiniteError(
-             f"density matrix has Gibbs weight {float(low[i])!r} and eigenvectors "
-             f"off orthonormal by {float(skew[i])!r}")),
-    ]
-
-
 def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     """Validate a real density matrix: symmetric, unit trace, PSD.
 

@@ -11,15 +11,15 @@ so thermal._gibbs_columns stacks the distinct Hamiltonians into one
 state: a grid whose T axis is innermost diagonalizes each distinct H
 once (a one-axis T sweep, once per block), and one with T outer or
 fixed, every point.  Each measure then runs once over the block's stack
-of states.  That eigensolve is the block's only one: the density-matrix
-checks, the concurrence and the fidelity read the shared eigenvectors
-and the Gibbs weights, and the block's (N, 4, 4) density matrices are
-formed, once, only for the populations, l1 and correlated coherence.
-Every check over a block is a (bad, error) pair, and qmatrix.raise_first
+of states.  That eigensolve is the block's only one: the orthonormality
+check, the concurrence and the fidelity read its eigenvectors and the
+Gibbs weights, and the block's (N, 4, 4) density matrices are formed,
+once, only for the populations, l1 and correlated coherence.  Every
+check over a block is a (bad, error) pair, and qmatrix.raise_first
 raises the error of the block's first failing point in row-major order,
-at that point the earliest check's: the Gibbs inputs, then the Gibbs
-state, then each measure in the order requested.  The blocks run in
-order, so the error names the grid's first failing point.  Each point
+at that point the earliest check's: the Gibbs inputs, then the
+eigenvectors, then each measure in the order requested.  The blocks run
+in order, so the error names the grid's first failing point.  Each point
 gives the same bits alone or inside any grid, so reruns of the same
 input on one machine produce byte-identical CSV.  load_config imports
 configparser when it reads a file, so a grid built in code never does.

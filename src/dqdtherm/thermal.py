@@ -14,10 +14,10 @@ import numpy as np
 from .model import ModelParams, _hamiltonians
 from .qmatrix import (
     EigenDecomp,
+    NotPositiveSemidefiniteError,
     ValidationError,
     check_density_matrix,
     eig_sym,
-    gibbs_stack_checks,
     raise_first,
 )
 
@@ -65,13 +65,20 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> tuple[_Gibbs, list]:
     H is diagonalized once however many temperatures use it; index holds
     the row of dec of each point and temperature one value per point.
     Returns (state, checks), every point computed under np.errstate;
-    checks holds five (bad, error) pairs for qmatrix.raise_first, in this
+    checks holds four (bad, error) pairs for qmatrix.raise_first, in this
     order: a temperature not positive and finite (ValidationError), one so
     small that 1/T overflows, a Hamiltonian whose eigenvalues overflow
-    (both OverflowError), then gibbs_stack_checks's two on the state.  A
+    (both OverflowError), and eigenvectors off V^T V = I by more than
+    1e-12 (NotPositiveSemidefiniteError), tested once per distinct H.  A
     flagged point may come out inf or NaN.  Energies are shifted by each
     spectrum's minimum, so no weight overflows at beta |E| of order 1e6;
     a point gives the same bits whichever other points share its decomposition.
+
+    Where the first three checks pass, beta > 0 and the eigenvalues are
+    finite and ascending, so each beta (E - E0) rounds to >= 0 or inf, its
+    exp to [0, 1] and the ground term's to exactly 1: Z is in [1, 4], each
+    weight in [0, 1] and not NaN, and sum(w) is 1 to a few ulps.  With
+    V^T V = I, rho = V diag(w) V^T is then PSD with trace sum(w).
     """
     temp = np.asarray(temperature, dtype=float).reshape(-1)
     values = dec.values[index]
@@ -83,6 +90,8 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> tuple[_Gibbs, list]:
         weights = np.exp(-beta[:, None] * (values - e_shift[:, None]))
         z_shifted = weights.sum(axis=1)
         weights = weights / z_shifted[:, None]
+        gram = np.swapaxes(dec.vectors, 1, 2) @ dec.vectors - np.eye(dec.vectors.shape[-1])
+        skew = np.abs(gram).reshape(len(gram), -1).max(axis=1)
     checks = [
         (~(np.isfinite(temp) & (temp > 0.0)),
          lambda i: ValidationError(
@@ -92,7 +101,9 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> tuple[_Gibbs, list]:
         # one test per distinct spectrum, then one lookup per point
         (~np.isfinite(dec.values).all(axis=1)[index],
          lambda i: OverflowError("the eigenvalues of H overflow")),
-        *gibbs_stack_checks(dec.vectors, weights, index),
+        (~(skew <= 1e-12)[index],
+         lambda i: NotPositiveSemidefiniteError(
+             f"density matrix has eigenvectors off orthonormal by {float(skew[index[i]])!r}")),
     ]
     return _Gibbs(dec, index, weights), checks
 

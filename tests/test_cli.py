@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import dqdtherm
-from dqdtherm import cli, sweep, thermal
+from dqdtherm import cli, sweep, validate
 from dqdtherm.cli import main
-from dqdtherm.qmatrix import NotPositiveSemidefiniteError
+from dqdtherm.qmatrix import EigenDecomp, eig_sym
 from dqdtherm.sweep import PARAM_NAMES, Axis, SweepGrid, sweep_columns
 
 from csv_oracle import format_csv_value
@@ -182,16 +182,24 @@ def test_validate_report(capsys):
 
 
 def test_validate_stops_at_a_gibbs_state_that_fails_the_density_check(monkeypatch, capsys):
-    # the check fails at sample 2 of 5: the run stops before its report
-    def density(vectors, weights, index):
-        bad = np.arange(len(weights)) == 2
-        return [(bad, lambda i: NotPositiveSemidefiniteError("density check"))]
+    # the eigenvectors of sample 2 of 5 come back skewed by 1e-6, so its
+    # Gibbs state fails the orthonormality check: the run stops before its report
+    eps = []
 
-    monkeypatch.setattr(thermal, "gibbs_stack_checks", density)
+    def skewed(m):
+        eps.append(m[2, 0, 0] + m[2, 1, 1])  # H11 + H22 = eps
+        dec = eig_sym(m)
+        v = dec.vectors.copy()
+        v[2, :, 1] += 1e-6 * v[2, :, 0]
+        v[2, :, 1] /= np.linalg.norm(v[2, :, 1])
+        return EigenDecomp(dec.values, v)
+
+    monkeypatch.setattr(validate, "eig_sym", skewed)
     assert main(["validate", "--samples", "5", "--seed", "7"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("invariant failure: density check at eps=")
+    assert err.startswith("invariant failure: density matrix has eigenvectors off orthonormal by")
+    assert f" at eps={eps[0]:.6g};" in err
 
 
 def test_sweep_config_and_out_override(tmp_path, capsys):

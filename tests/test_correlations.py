@@ -11,6 +11,7 @@ from dqdtherm.correlations import (
     SPIN_FLIP,
     _SPIN_Z,
     _concurrence,
+    _correlated_coherence,
     _gibbs_concurrence,
     _rotations,
     _schur_angles,
@@ -494,3 +495,39 @@ def test_correlated_coherence_matches_the_eigh_rotation(point):
     # rotations, which round-off turns by up to ~3 x round-off / gap
     rho = thermal_state(ModelParams(*point[:4]), point[4]).rho
     assert abs(correlated_coherence(rho) - _eigh_rotation_ccc(rho)) * _reduced_gap(rho) <= 1e-11
+
+
+# Ccc = l1(rot) - local_a - local_b is >= 0 in exact arithmetic, since the
+# local terms read disjoint entries of the off-diagonal sum.  The round-off of
+# that 16-term sum and of the two subtractions is below 20 u l1(rot), and
+# l1(rot) <= (sum_i sqrt(rot_ii))^2 - 1 <= 3 for a unit-trace PSD 4x4
+# matrix: 60 u = 6.7e-15, held here to 1e-14.
+CCC_FLOOR = -1e-14
+
+
+def _kernel_ccc(rho):
+    """The kernel's Ccc of one matrix, its check not applied."""
+    return float(_correlated_coherence(np.asarray(rho)[None])[0][0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALIDATE_BOX)
+def test_correlated_coherence_is_not_negative_on_gibbs_states(point):
+    assert _kernel_ccc(thermal_state(ModelParams(*point[:4]), point[4]).rho) >= CCC_FLOOR
+
+
+# eps = 0, t = 1e-9 s, bz = bx = s: both reduced states nearly degenerate,
+# so the Schur angles are taken of round-off
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3.0, 3.0).map(lambda x: 10.0**x), st.floats(0.01, 10.0))
+@example(1.0, 0.5)
+@example(1e3, 0.5)
+def test_correlated_coherence_is_not_negative_near_degenerate_reductions(s, temp_per_s):
+    rho = thermal_state(ModelParams(0.0, 1e-9 * s, s, s), temp_per_s * s).rho
+    assert _kernel_ccc(rho) >= CCC_FLOOR
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_correlated_coherence_is_not_negative_on_random_density_matrices(seed):
+    assert _kernel_ccc(random_density(np.random.default_rng(seed))) >= CCC_FLOOR

@@ -3,10 +3,11 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dqdtherm
-from dqdtherm import correlations, model, validate
+from dqdtherm import correlations, model, qmatrix, thermal, validate
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(dqdtherm.__path__))
 SOURCES = sorted(Path(dqdtherm.__file__).parent.glob("*.py"))
@@ -56,6 +57,18 @@ def test_the_printed_closed_forms_are_private_oracles_in_validate():
         assert not set(PRINTED_FORMS) & set(vars(module)), module.__name__
     for module in (correlations, model):
         assert not set(PRINTED_HELPERS) & set(vars(module)), module.__name__
+
+
+def test_only_checks_an_input_can_trip_are_left():
+    # the Gibbs weights are a softmax and Ccc >= 0 by construction: _gibbs
+    # tests temperature, 1/T, eigenvalue overflow and orthonormality, and
+    # _correlated_coherence only a local coherence left after the rotation
+    assert not hasattr(qmatrix, "gibbs_stack_checks")
+    dec = qmatrix.eig_sym(np.eye(4)[None])
+    _, checks = thermal._gibbs(dec, np.zeros(1, dtype=np.intp), np.ones(1))
+    assert len(checks) == 4
+    _, checks = correlations._correlated_coherence(np.eye(4)[None] / 4.0)
+    assert len(checks) == 1
 
 
 def _unused_imports(path: Path) -> list[str]:

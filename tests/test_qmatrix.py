@@ -9,7 +9,6 @@ from dqdtherm.qmatrix import (
     check_density_matrix,
     check_symmetric,
     eig_sym,
-    gibbs_stack_checks,
     raise_first,
 )
 
@@ -148,65 +147,20 @@ def test_check_density_matrix_accepts_roundoff_negatives_only():
         check_density_matrix(np.diag([0.5, 0.5 + 2e-12, -2e-12, 0.0]))
 
 
-def _gibbs_like_stack(weights, vectors):
-    w, v = np.array(weights, dtype=float), np.array(vectors, dtype=float)
-    rho = (v * w[:, None, :]) @ np.swapaxes(v, 1, 2)
-    return 0.5 * (rho + np.swapaxes(rho, 1, 2)), v, w
-
-
-def test_gibbs_stack_check_refuses_the_first_negative_weight_or_skewed_basis():
-    weights = [[0.25] * 4] * 6
-    vectors = [np.eye(4)] * 6
-    weights[4] = [0.5, 0.5, 0.25, -0.25]  # unit trace, one negative eigenvalue
+def test_the_eigensolver_route_refuses_a_negative_weight_and_not_a_skewed_basis():
+    # V diag(w) V^T, unit trace each: one weight -0.25 on the identity basis,
+    # then uniform weights on a basis skewed by 1e-6, which is still PSD
     skewed = np.eye(4)
-    skewed[0, 1] = 1e-6  # V^T V - I of order 1e-6, the weights still sum to 1
-    vectors[2] = vectors[5] = skewed
-
-    def where(i):
-        return f"point {i}"
-
-    rho, v, w = _gibbs_like_stack(weights, vectors)
-    assert raise_first(gibbs_stack_checks(v[:2], w[:2], np.arange(2))) is None
-    skewed_msg = "weight 0.25 and eigenvectors off orthonormal by 1e-06"
-    with pytest.raises(NotPositiveSemidefiniteError, match=skewed_msg) as info:
-        raise_first(gibbs_stack_checks(v, w, np.arange(6)), where)
-    assert str(info.value).endswith("at point 2")
-    negative_msg = "weight -0.25 and eigenvectors off orthonormal by 0.0"
-    with pytest.raises(NotPositiveSemidefiniteError, match=negative_msg) as info:
-        raise_first(gibbs_stack_checks(v[3:], w[3:], np.arange(3)), where)
-    assert str(info.value).endswith("at point 1")
-    # the eigensolver route flags the same matrix
+    skewed[0, 1] = 1e-6
     flagged = []
-    for i, r in enumerate(rho[3:]):
+    for i, (w, v) in enumerate([([0.25] * 4, np.eye(4)), ([0.5, 0.5, 0.25, -0.25], np.eye(4)),
+                                ([0.25] * 4, skewed)]):
+        rho = (v * np.array(w)) @ v.T
         try:
-            check_density_matrix(r)
+            check_density_matrix(0.5 * (rho + rho.T))
         except NotPositiveSemidefiniteError:
             flagged.append(i)
     assert flagged == [1]
-
-
-def test_gibbs_stack_check_keeps_the_structural_checks():
-    _, v, w = _gibbs_like_stack([[0.25] * 4, [0.5] * 4], [np.eye(4)] * 2)
-    with pytest.raises(ValidationError, match="trace is 2.0, expected 1") as info:
-        raise_first(gibbs_stack_checks(v, w, np.arange(2)), str)
-    assert not isinstance(info.value, NotPositiveSemidefiniteError)
-    assert str(info.value).endswith(" at 1")
-    # NaN weights, as overflowing parameters give, fail the trace test
-    _, v, w = _gibbs_like_stack([[0.25] * 4, [np.nan] * 4], [np.eye(4)] * 2)
-    with pytest.raises(ValidationError, match="trace is nan") as info:
-        raise_first(gibbs_stack_checks(v, w, np.arange(2)), str)
-    assert str(info.value).endswith(" at 1")
-
-
-def test_gibbs_stack_check_refuses_a_basis_of_unnormalized_columns_as_off_orthonormal():
-    # the trace is the weights' sum, 1 here; the column of norm 1 + 1e-6 gives
-    # tr(V diag(w) V^T) = 1.0000005, which V^T V = I to 1e-12 already refuses
-    stretched = np.eye(4)
-    stretched[0, 0] = 1.0 + 1e-6
-    _, v, w = _gibbs_like_stack([[0.25] * 4] * 2, [np.eye(4), stretched])
-    with pytest.raises(NotPositiveSemidefiniteError, match="off orthonormal by 2.0") as info:
-        raise_first(gibbs_stack_checks(v, w, np.arange(2)), str)
-    assert str(info.value).endswith(" at 1")
 
 
 def _check(flags, name):

@@ -738,14 +738,12 @@ def test_large_grid_points_equal_single_point_evaluation():
         assert values == {c: expected[c] for c in grid.columns()}
 
 
-def negative_ccc(bad):
-    """A _correlated_coherence stub: Ccc is -1 at the points of bad and refused there."""
+def refused_ccc(bad):
+    """A _correlated_coherence stub: Ccc is 0, and refused at the points of bad."""
 
     def ccc(rho):
-        values = np.where(bad, -1.0, 0.0)
-        refused = (values < -1e-9, lambda i: ValidationError(
-            f"negative correlated coherence {float(values[i])!r}"))
-        return values, [refused]
+        refused = (bad, lambda i: ValidationError("refused correlated coherence"))
+        return np.zeros(len(bad)), [refused]
 
     return ccc
 
@@ -757,18 +755,18 @@ def test_bad_point_error_names_the_first_in_row_major_order(monkeypatch):
         axis2=Axis("bz", -1.0, 0.0, 2),
         measures=("correlated_coherence",),
     )
-    # correlated coherence comes out negative where bz = 0: points 1 and 3
+    # correlated coherence is refused where bz = 0: points 1 and 3
     bz = grid_columns(grid)["bz"]
-    monkeypatch.setattr(sweep, "_correlated_coherence", negative_ccc(bz == 0.0))
-    with pytest.raises(ValidationError, match="negative correlated coherence") as info:
+    monkeypatch.setattr(sweep, "_correlated_coherence", refused_ccc(bz == 0.0))
+    with pytest.raises(ValidationError, match="refused correlated coherence") as info:
         evaluate(grid)
     assert str(info.value).endswith(f"at {grid_point(grid, 1)}")
 
 
 def test_later_check_at_an_earlier_point_wins(monkeypatch):
-    # the batch runs the density check over every point before any measure,
-    # yet the negative correlated coherence at an earlier point wins, where a
-    # point-by-point sweep would have stopped
+    # the batch runs the orthonormality check over every point before any
+    # measure, yet the refused correlated coherence at an earlier point wins,
+    # where a point-by-point sweep would have stopped
     grid = SweepGrid(
         fixed={"t": 7.0, "bz": 16.0, "bx": 100.0},
         axis1=Axis("T", 1.0, 100.0, 3, "log"),
@@ -776,13 +774,14 @@ def test_later_check_at_an_earlier_point_wins(monkeypatch):
         measures=("correlated_coherence",),
     )
     temp = grid_columns(grid)["T"]
-
-    def density(vectors, weights, index):
-        return [(temp > 50.0, lambda i: NotPositiveSemidefiniteError("density check"))]
-
-    monkeypatch.setattr(thermal, "gibbs_stack_checks", density)
-    monkeypatch.setattr(sweep, "_correlated_coherence", negative_ccc(temp > 5.0))
-    with pytest.raises(ValidationError, match="negative correlated coherence") as info:
+    # T is outer, so the six points have six decompositions, in point order;
+    # alone, the skewed ones fail at the first point they serve
+    skew_eigensolves(monkeypatch, lambda m: temp > 50.0)
+    with pytest.raises(NotPositiveSemidefiniteError, match="off orthonormal by") as info:
+        evaluate(grid)
+    assert str(info.value).endswith(f"at {grid_point(grid, 4)}")
+    monkeypatch.setattr(sweep, "_correlated_coherence", refused_ccc(temp > 5.0))
+    with pytest.raises(ValidationError, match="refused correlated coherence") as info:
         evaluate(grid)
     assert not isinstance(info.value, NotPositiveSemidefiniteError)
     assert str(info.value).endswith(f"at {grid_point(grid, 2)}")
@@ -900,11 +899,12 @@ def test_a_signed_zero_gets_its_own_decomposition(monkeypatch):
             assert column[i : i + 1].view(np.int64) == alone[name].view(np.int64)
 
 
-def skew_eigensolves(monkeypatch):
-    """Make the sweep's eigenvectors of the second Hamiltonian (bx = 2) off orthonormal.
+def skew_eigensolves(monkeypatch, chosen=lambda m: m[:, 0, 1] == 1.0):
+    """Make the sweep's eigenvectors of the Hamiltonians chosen(m) flags off orthonormal.
 
-    They come back skewed by 1e-6, unit columns kept.  Returns the stack
-    size of each eig_sym call from here on, in order.
+    By default those of bx = 2, SKEWED_GRID's second Hamiltonian.  They
+    come back skewed by 1e-6, unit columns kept.  Returns the stack size
+    of each eig_sym call from here on, in order.
     """
     calls = []
 
@@ -912,7 +912,7 @@ def skew_eigensolves(monkeypatch):
         calls.append(len(m))
         dec = eig_sym(m)
         v = dec.vectors.copy()
-        bad = m[:, 0, 1] == 1.0
+        bad = chosen(m)
         v[bad, :, 1] += 1e-6 * v[bad, :, 0]
         v[bad, :, 1] /= np.linalg.norm(v[bad, :, 1], axis=1)[:, None]
         return EigenDecomp(dec.values, v)
@@ -935,8 +935,8 @@ def test_a_failing_gibbs_check_on_a_shared_hamiltonian_names_its_first_point(mon
 
     # a later check failing at an earlier point still wins
     temp = grid_columns(grid)["T"]
-    monkeypatch.setattr(sweep, "_correlated_coherence", negative_ccc(temp > 5.0))
-    with pytest.raises(ValidationError, match="negative correlated coherence") as info:
+    monkeypatch.setattr(sweep, "_correlated_coherence", refused_ccc(temp > 5.0))
+    with pytest.raises(ValidationError, match="refused correlated coherence") as info:
         evaluate(grid)
     assert str(info.value).endswith(f"at {grid_point(grid, 2)}")
 
@@ -1046,12 +1046,12 @@ def test_a_failing_refinement_pass_names_its_temperature(monkeypatch):
     def refused_on_second_call(rho):
         sizes.append(len(rho))
         if len(sizes) == 2:
-            return negative_ccc(np.arange(len(rho)) == 2)(rho)
+            return refused_ccc(np.arange(len(rho)) == 2)(rho)
         return correlated(rho)
 
     monkeypatch.setattr(sweep, "_gibbs", recorded)
     monkeypatch.setattr(sweep, "_correlated_coherence", refused_on_second_call)
-    with pytest.raises(ValidationError, match="negative correlated coherence") as info:
+    with pytest.raises(ValidationError, match="refused correlated coherence") as info:
         find_coherence_peak(1.0, 7.0, 16.0, 100.0)
     assert sizes == [400, 3]
     point = {"epsilon": 1.0, "t": 7.0, "bz": 16.0, "bx": 100.0, "T": float(temps[-1][2])}

@@ -2,12 +2,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dqdtherm import thermal
 from dqdtherm.model import ModelParams, build_hamiltonian, ground_state
-from dqdtherm.qmatrix import ValidationError, check_density_matrix, eig_sym
+from dqdtherm.qmatrix import (
+    EigenDecomp,
+    NotPositiveSemidefiniteError,
+    ValidationError,
+    check_density_matrix,
+    eig_sym,
+    raise_first,
+)
 from dqdtherm.thermal import (
     _gibbs,
+    _gibbs_columns,
     _rho,
     populations,
     reduce_a,
@@ -116,6 +126,67 @@ def test_a_gibbs_state_that_is_not_a_density_matrix_is_refused():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="the eigenvalues of H overflow"):
             thermal_state(p, 1.0)
+
+
+def uniform_gibbs(vectors, index):
+    """_gibbs of points at T = 1 on H = 0, weights 0.25, with the given eigenvector rows."""
+    vectors = np.array(vectors, dtype=float)
+    dec = EigenDecomp(np.zeros(vectors.shape[:2]), vectors)
+    return _gibbs(dec, np.array(index), np.ones(len(index)))
+
+
+def test_a_skewed_basis_is_refused_at_its_first_point():
+    # V^T V - I of order 1e-6 in the second of two decompositions, which
+    # serves points 2 and 5 of six; the weights still sum to 1
+    skewed = np.eye(4)
+    skewed[0, 1] = 1e-6
+    vectors = [np.eye(4), skewed]
+    assert raise_first(uniform_gibbs(vectors, [0, 0])[1]) is None
+    _, checks = uniform_gibbs(vectors, [0, 0, 1, 0, 0, 1])
+    assert len(checks) == 4
+    with pytest.raises(NotPositiveSemidefiniteError, match="off orthonormal by 1e-06") as info:
+        raise_first(checks, lambda i: f"point {i}")
+    assert str(info.value).endswith("at point 2")
+
+
+def test_a_basis_of_unnormalized_columns_is_refused_as_off_orthonormal():
+    # a column of norm 1 + 1e-6 gives tr(V diag(w) V^T) = 1.0000005 while
+    # the weights sum to 1; V^T V = I to 1e-12 refuses it
+    stretched = np.eye(4)
+    stretched[0, 0] = 1.0 + 1e-6
+    _, checks = uniform_gibbs([np.eye(4), stretched], [0, 1])
+    with pytest.raises(NotPositiveSemidefiniteError, match="off orthonormal by 2.0") as info:
+        raise_first(checks, str)
+    assert str(info.value).endswith(" at 1")
+
+
+# parameters from signed zeros, subnormals and magnitudes up to 1e+-300 to
+# ordinary values; T from just above where 1/T overflows (~5.6e-309) to 1e308
+EXTREME = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+              st.floats(-300.0, 300.0)),
+    st.floats(-100.0, 100.0),
+)
+EXTREME_T = st.one_of(st.floats(5.6e-309, 1e-300), st.floats(-308.0, 308.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(EXTREME, EXTREME, EXTREME, EXTREME, EXTREME_T))
+@example((1e300, -1e300, 1e300, -1e300, 5.6e-309))
+@example((-1e300, 1e300, 1e-300, 1e300, 1e308))
+@example((-0.0, 5e-324, 0.0, -5e-324, 1e-300))
+def test_gibbs_weights_are_a_distribution_wherever_the_input_checks_pass(point):
+    # each exp(-beta (E - E0)) is in [0, 1] and the ground term 1, so Z is in
+    # [1, 4] and each weight in [0, 1]; Z's three additions, the four
+    # divisions and the sum's three additions round sum(w) by < 7 u = 3.5 eps
+    cols = {k: np.array([x]) for k, x in zip(("epsilon", "t", "bz", "bx", "T"), point)}
+    g, checks = _gibbs_columns(cols)
+    assert len(checks) == 4
+    passed = ~(checks[0][0] | checks[1][0] | checks[2][0])
+    w = g.weights[passed]
+    assert np.all((w >= 0.0) & (w <= 1.0))
+    assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 4.0 * np.finfo(float).eps)
 
 
 def test_coldest_finite_inverse_temperature_gives_the_ground_state():
