@@ -145,7 +145,8 @@ def _kernels(n: int) -> dict:
     The Gibbs-state kernels are called as the tree's sweep calls them:
     the 100 bx values of the map are the distinct Hamiltonians, and the
     timed thermal._gibbs call includes their eigensolve and every check
-    the tree's _gibbs makes, its orthonormality test among them.
+    the tree's _gibbs makes: here 1/T and eigenvalue overflow and the
+    orthonormality test, as thermal_state and SweepGrid test T itself.
     """
     import importlib
 

@@ -180,6 +180,9 @@ def _match_levels(levels, values, vectors):
     the vectors in label order, each column's sign fixed so that its
     largest component is positive, and checks the (bad, error) pair of a
     level farther than 1e-9 * E1 from its eigenvalue, for qmatrix.raise_first.
+    That check is spectrum's only test of LAPACK's eigenvalues at the
+    caller's own point (validate tests its own draws), as _gibbs's
+    V^T V = I test is of its vectors.
     """
     miss = np.abs(values[:, _RANK] - levels) > 1e-9 * levels[:, :1]
     cols = vectors[:, :, _RANK]

@@ -17,8 +17,9 @@ Gibbs weights, and the block's (N, 4, 4) density matrices are formed,
 once, only for the populations, l1 and correlated coherence.  Every
 check over a block is a (bad, error) pair, and qmatrix.raise_first
 raises the error of the block's first failing point in row-major order,
-at that point the earliest check's: the Gibbs inputs, then the
-eigenvectors, then each measure in the order requested.  The blocks run
+at that point the earliest check's: 1/T or the eigenvalues
+overflowing, then the eigenvectors, then the closed-form energies
+overflowing.  The blocks run
 in order, so the error names the grid's first failing point.  Each point
 gives the same bits alone or inside any grid, so reruns of the same
 input on one machine produce byte-identical CSV.  load_config imports
@@ -211,8 +212,7 @@ def _evaluate(cols: dict, measures) -> dict:
         elif m == "l1":
             out["l1"] = _l1(rho)
         else:  # correlated_coherence
-            out["Ccc"], more = _correlated_coherence(rho)
-            checks += more
+            out["Ccc"] = _correlated_coherence(rho)
     raise_first(checks, _lookup(cols))
     return out
 
@@ -348,8 +348,8 @@ def find_coherence_peak(epsilon: float, t: float, bz: float, bx: float):
     parabola is not concave, v is the middle point.  Each stencil is kept
     between the scan maximum's neighbours, so T stays in [0.01, 100].  The
     pass whose h is at most 1e-7 is the last: 4 passes, 409 points.  Each
-    pass makes thermal_state's checks, its error naming the point as a
-    sweep does.  Returns the best temperature evaluated and its own Ccc.
+    pass makes _gibbs's checks, its error naming the point as a sweep
+    does.  Returns the best temperature evaluated and its own Ccc.
     """
     p = ModelParams(epsilon, t, bz, bx)
     point = p._asdict()
@@ -358,8 +358,8 @@ def find_coherence_peak(epsilon: float, t: float, bz: float, bx: float):
     while True:
         temp = np.array([10.0 ** float(x) for x in log_t])  # libm pow, not numpy's
         state, checks = _gibbs(dec, np.zeros(temp.size, dtype=np.intp), temp)
-        ccc, more = _correlated_coherence(_rho(state))
-        raise_first(checks + more, lambda i: {**point, "T": float(temp[i])})
+        raise_first(checks, lambda i: {**point, "T": float(temp[i])})
+        ccc = _correlated_coherence(_rho(state))
         j, last = int(np.argmax(ccc)), temp.size - 1
         if ccc[j] > top:  # every Ccc that passed the checks is finite
             best, top = float(log_t[j]), float(ccc[j])

@@ -7,6 +7,7 @@ _rho forms the density matrices, only where a caller reads them.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -63,18 +64,23 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> tuple[_Gibbs, list]:
 
     dec is eig_sym of an (M, n, n) stack of Hamiltonians, so each distinct
     H is diagonalized once however many temperatures use it; index holds
-    the row of dec of each point and temperature one value per point.
+    the row of dec of each point and temperature one value per point,
+    each positive and finite: thermal_state tests its one T, SweepGrid
+    every grid point's, and the peak search and validate make theirs so.
     Returns (state, checks), every point computed under np.errstate;
-    checks holds four (bad, error) pairs for qmatrix.raise_first, in this
-    order: a temperature not positive and finite (ValidationError), one so
-    small that 1/T overflows, a Hamiltonian whose eigenvalues overflow
-    (both OverflowError), and eigenvectors off V^T V = I by more than
-    1e-12 (NotPositiveSemidefiniteError), tested once per distinct H.  A
-    flagged point may come out inf or NaN.  Energies are shifted by each
-    spectrum's minimum, so no weight overflows at beta |E| of order 1e6;
-    a point gives the same bits whichever other points share its decomposition.
+    checks holds three (bad, error) pairs for qmatrix.raise_first, in this
+    order: a temperature so small that 1/T overflows, a Hamiltonian whose
+    eigenvalues overflow (both OverflowError), and eigenvectors off
+    V^T V = I by more than 1e-12 (NotPositiveSemidefiniteError), tested
+    once per distinct H.  That last test is the only check of LAPACK's
+    vectors at the caller's own point: validate tests its own draws, and
+    its commutation row, which sees a skew only through the Gibbs
+    weights, can pass eigenvectors skewed by 1e-6.  A flagged point may
+    come out inf or NaN.  Energies are shifted by each spectrum's minimum,
+    so no weight overflows at beta |E| of order 1e6; a point gives the
+    same bits whichever other points share its decomposition.
 
-    Where the first three checks pass, beta > 0 and the eigenvalues are
+    Where the first two checks pass, beta > 0 and the eigenvalues are
     finite and ascending, so each beta (E - E0) rounds to >= 0 or inf, its
     exp to [0, 1] and the ground term's to exactly 1: Z is in [1, 4], each
     weight in [0, 1] and not NaN, and sum(w) is 1 to a few ulps.  With
@@ -93,9 +99,6 @@ def _gibbs(dec: EigenDecomp, index, temperature) -> tuple[_Gibbs, list]:
         gram = np.swapaxes(dec.vectors, 1, 2) @ dec.vectors - np.eye(dec.vectors.shape[-1])
         skew = np.abs(gram).reshape(len(gram), -1).max(axis=1)
     checks = [
-        (~(np.isfinite(temp) & (temp > 0.0)),
-         lambda i: ValidationError(
-             f"temperature must be positive and finite, got {float(temp[i])!r}")),
         (np.isinf(beta),
          lambda i: OverflowError(f"1/T overflows for temperature {float(temp[i])!r}")),
         # one test per distinct spectrum, then one lookup per point
@@ -148,6 +151,8 @@ def thermal_state(p: ModelParams, temperature: float) -> ThermalState:
         temperature = float(temperature)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"temperature must be a real number, got {temperature!r}")
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise ValidationError(f"temperature must be positive and finite, got {temperature!r}")
     cols = {k: np.array([getattr(p, k)]) for k in ("epsilon", "t", "bz", "bx")}
     g, checks = _gibbs_columns({**cols, "T": np.array([temperature])})
     raise_first(checks)

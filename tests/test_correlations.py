@@ -503,11 +503,25 @@ def test_correlated_coherence_matches_the_eigh_rotation(point):
 # l1(rot) <= (sum_i sqrt(rot_ii))^2 - 1 <= 3 for a unit-trace PSD 4x4
 # matrix: 60 u = 6.7e-15, held here to 1e-14.
 CCC_FLOOR = -1e-14
+# The local terms are 0 in exact arithmetic, as the Schur rotation zeroes the
+# off-diagonal entry of each reduced state; what is left is the round-off of
+# the angle and of a few products of entries of magnitude <= 1.
+LOCAL_CEILING = 1e-14
 
 
 def _kernel_ccc(rho):
-    """The kernel's Ccc of one matrix, its check not applied."""
-    return float(_correlated_coherence(np.asarray(rho)[None])[0][0])
+    """The kernel's Ccc of one matrix, after checking that no local coherence is left.
+
+    The local terms are those of the kernel: twice the off-diagonal entry of
+    each reduced state of rho rotated by the two Schur rotations.
+    """
+    rho = np.asarray(rho)
+    ua, ub = (_rotations(_schur_angles(reduce(rho)[None])[0]) for reduce in (reduce_a, reduce_b))
+    u = np.kron(ua, ub)
+    rot = u @ rho @ u.T
+    assert 2.0 * abs(rot[0, 2] + rot[1, 3]) <= LOCAL_CEILING
+    assert 2.0 * abs(rot[0, 1] + rot[2, 3]) <= LOCAL_CEILING
+    return float(_correlated_coherence(rho[None])[0])
 
 
 @settings(max_examples=200, deadline=None)

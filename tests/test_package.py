@@ -60,15 +60,16 @@ def test_the_printed_closed_forms_are_private_oracles_in_validate():
 
 
 def test_only_checks_an_input_can_trip_are_left():
-    # the Gibbs weights are a softmax and Ccc >= 0 by construction: _gibbs
-    # tests temperature, 1/T, eigenvalue overflow and orthonormality, and
-    # _correlated_coherence only a local coherence left after the rotation
+    # the Gibbs weights are a softmax, Ccc >= 0 and the Schur rotation leaves
+    # no local coherence by construction, and thermal_state and SweepGrid
+    # test the temperature: _gibbs tests 1/T, eigenvalue overflow and
+    # orthonormality, and _correlated_coherence nothing
     assert not hasattr(qmatrix, "gibbs_stack_checks")
     dec = qmatrix.eig_sym(np.eye(4)[None])
     _, checks = thermal._gibbs(dec, np.zeros(1, dtype=np.intp), np.ones(1))
-    assert len(checks) == 4
-    _, checks = correlations._correlated_coherence(np.eye(4)[None] / 4.0)
-    assert len(checks) == 1
+    assert len(checks) == 3
+    ccc = correlations._correlated_coherence(np.eye(4)[None] / 4.0)
+    assert isinstance(ccc, np.ndarray) and ccc.shape == (1,)
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -131,6 +131,27 @@ def test_axis_takes_an_integral_count_of_any_number_type():
     assert type(Axis("T", 1.0, 2.0, 3.0).count) is int
 
 
+# temperatures from the smallest subnormal to near the largest double, half
+# of them log-uniform
+POSITIVE = st.one_of(st.floats(5e-324, 1.7e308),
+                     st.floats(-323.3, 308.2).map(lambda e: min(max(10.0**e, 5e-324), 1.7e308)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(POSITIVE, POSITIVE, st.integers(2, 64), st.sampled_from(["linear", "log"]))
+@example(5e-324, 1.7e308, 2, "linear")
+@example(5e-324, 1.7e308, 64, "log")
+@example(5e-324, 1e-323, 64, "linear")
+def test_every_temperature_axis_that_constructs_gives_positive_finite_values(lo, hi, count, scale):
+    # _gibbs does not test T: SweepGrid tests a T axis's lo, so every value must be valid
+    try:
+        axis = Axis("T", *sorted((lo, hi)), count, scale)
+    except ConfigError:
+        assume(False)
+    values = axis.values()
+    assert np.all(np.isfinite(values) & (values > 0.0))
+
+
 EPS_AXIS = Axis("epsilon", -5.0, 5.0, 3)
 MODEL_FIXED = {"epsilon": 0.0, "t": 7.0, "bz": 16.0, "bx": 100.0}
 
@@ -738,14 +759,14 @@ def test_large_grid_points_equal_single_point_evaluation():
         assert values == {c: expected[c] for c in grid.columns()}
 
 
-def refused_ccc(bad):
-    """A _correlated_coherence stub: Ccc is 0, and refused at the points of bad."""
+def refusing(gibbs, bad):
+    """gibbs (_gibbs or _gibbs_columns) with one check after its own, refusing the points of bad."""
 
-    def ccc(rho):
-        refused = (bad, lambda i: ValidationError("refused correlated coherence"))
-        return np.zeros(len(bad)), [refused]
+    def checked(*args):
+        state, checks = gibbs(*args)
+        return state, checks + [(bad, lambda i: ValidationError("refused point"))]
 
-    return ccc
+    return checked
 
 
 def test_bad_point_error_names_the_first_in_row_major_order(monkeypatch):
@@ -755,18 +776,18 @@ def test_bad_point_error_names_the_first_in_row_major_order(monkeypatch):
         axis2=Axis("bz", -1.0, 0.0, 2),
         measures=("correlated_coherence",),
     )
-    # correlated coherence is refused where bz = 0: points 1 and 3
+    # the points where bz = 0 are refused: points 1 and 3
     bz = grid_columns(grid)["bz"]
-    monkeypatch.setattr(sweep, "_correlated_coherence", refused_ccc(bz == 0.0))
-    with pytest.raises(ValidationError, match="refused correlated coherence") as info:
+    monkeypatch.setattr(sweep, "_gibbs_columns", refusing(sweep._gibbs_columns, bz == 0.0))
+    with pytest.raises(ValidationError, match="refused point") as info:
         evaluate(grid)
     assert str(info.value).endswith(f"at {grid_point(grid, 1)}")
 
 
 def test_later_check_at_an_earlier_point_wins(monkeypatch):
-    # the batch runs the orthonormality check over every point before any
-    # measure, yet the refused correlated coherence at an earlier point wins,
-    # where a point-by-point sweep would have stopped
+    # the batch runs the orthonormality check over every point before the
+    # check that follows it, yet that later check's refusal at an earlier
+    # point wins, where a point-by-point sweep would have stopped
     grid = SweepGrid(
         fixed={"t": 7.0, "bz": 16.0, "bx": 100.0},
         axis1=Axis("T", 1.0, 100.0, 3, "log"),
@@ -780,8 +801,8 @@ def test_later_check_at_an_earlier_point_wins(monkeypatch):
     with pytest.raises(NotPositiveSemidefiniteError, match="off orthonormal by") as info:
         evaluate(grid)
     assert str(info.value).endswith(f"at {grid_point(grid, 4)}")
-    monkeypatch.setattr(sweep, "_correlated_coherence", refused_ccc(temp > 5.0))
-    with pytest.raises(ValidationError, match="refused correlated coherence") as info:
+    monkeypatch.setattr(sweep, "_gibbs_columns", refusing(sweep._gibbs_columns, temp > 5.0))
+    with pytest.raises(ValidationError, match="refused point") as info:
         evaluate(grid)
     assert not isinstance(info.value, NotPositiveSemidefiniteError)
     assert str(info.value).endswith(f"at {grid_point(grid, 2)}")
@@ -935,9 +956,10 @@ def test_a_failing_gibbs_check_on_a_shared_hamiltonian_names_its_first_point(mon
 
     # a later check failing at an earlier point still wins
     temp = grid_columns(grid)["T"]
-    monkeypatch.setattr(sweep, "_correlated_coherence", refused_ccc(temp > 5.0))
-    with pytest.raises(ValidationError, match="refused correlated coherence") as info:
+    monkeypatch.setattr(sweep, "_gibbs_columns", refusing(sweep._gibbs_columns, temp > 5.0))
+    with pytest.raises(ValidationError, match="refused point") as info:
         evaluate(grid)
+    assert not isinstance(info.value, NotPositiveSemidefiniteError)
     assert str(info.value).endswith(f"at {grid_point(grid, 2)}")
 
 
@@ -1036,23 +1058,18 @@ def test_the_peak_search_diagonalizes_once(monkeypatch):
 
 def test_a_failing_refinement_pass_names_its_temperature(monkeypatch):
     # the scan passes; the first stencil refuses its last point, v + h
-    temps, sizes = [], []
-    gibbs, correlated = sweep._gibbs, sweep._correlated_coherence
+    temps = []
+    gibbs = sweep._gibbs
 
-    def recorded(dec, index, temperature):
+    def refused_on_second_call(dec, index, temperature):
         temps.append(temperature)
+        if len(temps) == 2:
+            return refusing(gibbs, np.arange(len(temperature)) == 2)(dec, index, temperature)
         return gibbs(dec, index, temperature)
 
-    def refused_on_second_call(rho):
-        sizes.append(len(rho))
-        if len(sizes) == 2:
-            return refused_ccc(np.arange(len(rho)) == 2)(rho)
-        return correlated(rho)
-
-    monkeypatch.setattr(sweep, "_gibbs", recorded)
-    monkeypatch.setattr(sweep, "_correlated_coherence", refused_on_second_call)
-    with pytest.raises(ValidationError, match="refused correlated coherence") as info:
+    monkeypatch.setattr(sweep, "_gibbs", refused_on_second_call)
+    with pytest.raises(ValidationError, match="refused point") as info:
         find_coherence_peak(1.0, 7.0, 16.0, 100.0)
-    assert sizes == [400, 3]
+    assert [len(t) for t in temps] == [400, 3]
     point = {"epsilon": 1.0, "t": 7.0, "bz": 16.0, "bx": 100.0, "T": float(temps[-1][2])}
     assert str(info.value).endswith(f"at {point}")
